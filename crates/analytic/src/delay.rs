@@ -12,7 +12,7 @@ use sal_des::Time;
 /// is multiplied by 4 since the 32 bit flit is sent 8 bits at a time")
 /// and `s` the number of wire segments the handshake crosses (the
 /// paper's "(4 Tp)" for its 4-segment wire).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerTransferDelay {
     /// Propagation time along one wire segment.
     pub tp: Time,
@@ -62,7 +62,7 @@ impl PerTransferDelay {
 /// acknowledge crosses `s` back (the paper's "10 Tp" for 5 segments
 /// each way), through `B` inverter-pair repeater stations each way
 /// (the paper's "8 Tinv" for 4 stations).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerWordDelay {
     /// Propagation time along one wire segment.
     pub tp: Time,

@@ -35,7 +35,7 @@ pub fn async_wires_needed(
 }
 
 /// One point of the Fig 10 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig10Point {
     /// Target bandwidth, MFlit/s.
     pub bandwidth_mflits: f64,

@@ -12,7 +12,7 @@ use crate::sweep::sweep_map;
 
 /// Early-ack ablation row: saturation throughput of I3 with and
 /// without the early word acknowledgement, per buffer count.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EarlyAckRow {
     /// Wire buffer stations.
     pub buffers: u32,
@@ -51,7 +51,7 @@ pub fn early_ack() -> Vec<EarlyAckRow> {
 
 /// Slice-width ablation row (§III: "the circuit can easily be modified
 /// to serialize less … by decreasing the number of David-Cells").
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SliceRow {
     /// Serial slice width, bits.
     pub slice_width: u8,
@@ -91,7 +91,7 @@ pub fn slice_width() -> Vec<SliceRow> {
 
 /// Receiver-style ablation row: shift register vs. demux (the paper's
 /// Fig 14 discussion).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct RxStyleRow {
     /// Receiver datapath style.
     pub style: WordRxStyle,
@@ -122,7 +122,7 @@ pub fn rx_style() -> Vec<RxStyleRow> {
 }
 
 /// Technology-corner ablation row.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct CornerRow {
     /// The process corner.
     pub corner: Corner,

@@ -6,6 +6,7 @@
 //! writes the machine-readable `BENCH_observability.json` (bytewise
 //! deterministic — CI diffs it against a committed fixture).
 
+use sal_des::json::Quoted;
 use sal_link::measure::{run_spec, MeasureOptions, TraceMode};
 use sal_link::testbench::worst_case_pattern;
 use sal_link::{LinkConfig, LinkFamily, LinkMetrics, LinkSpec};
@@ -86,11 +87,7 @@ fn main() {
             "  kernel: {} events, {} commits, {} deltas, queue peak {} mean {:.1}\n",
             p.events, p.commits, p.deltas, p.queue_peak, p.queue_mean
         );
-        sections.push(format!(
-            "\"{}\": {}",
-            family.label(),
-            m.to_json().trim_end()
-        ));
+        sections.push(format!("{}: {}", Quoted(family.label()), m.to_json().trim_end()));
     }
 
     let json = format!("{{\n{}\n}}\n", sections.join(",\n"));

@@ -10,6 +10,7 @@
 //! a clean tree must lint clean.
 
 use sal_cells::CircuitBuilder;
+use sal_des::json::Json;
 use sal_des::{Simulator, Time};
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
 use sal_lint::{run_all, timing_margins, LintReport, Severity, TimingMargin};
@@ -44,18 +45,23 @@ fn lint_corner(family: LinkFamily, cfg: &LinkConfig) -> (LintReport, Vec<TimingM
     (run_all(&graph), timing_margins(&graph))
 }
 
-fn margin_json(m: &TimingMargin) -> String {
-    format!(
-        "{{\"bundle\": \"{}\", \"capture\": \"{}\", \"trigger\": \"{}\", \
-         \"data_ps\": {:.1}, \"strobe_ps\": {:.1}, \"lead_ps\": {:.1}, \"margin_ps\": {:.1}}}",
-        m.bundle, m.capture_data, m.capture_trigger,
-        m.data_max_ps, m.strobe_min_ps, m.data_lead_ps, m.margin_ps
-    )
+fn margin_json(j: &mut Json, m: &TimingMargin) {
+    j.obj();
+    j.key("bundle").str(&m.bundle);
+    j.key("capture").str(&m.capture_data);
+    j.key("trigger").str(&m.capture_trigger);
+    j.key("data_ps").fixed(m.data_max_ps, 1);
+    j.key("strobe_ps").fixed(m.strobe_min_ps, 1);
+    j.key("lead_ps").fixed(m.data_lead_ps, 1);
+    j.key("margin_ps").fixed(m.margin_ps, 1);
+    j.end();
 }
 
 fn main() {
     println!("sal-lint — static netlist analysis over every link and corner\n");
-    let mut entries: Vec<String> = Vec::new();
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("corners").arr_block();
     let mut total_errors = 0usize;
     for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
         for (label, cfg) in corners() {
@@ -90,23 +96,24 @@ fn main() {
                     println!("    warn  [{}] {}: {}", f.pass, f.path, f.message);
                 }
             }
-            let margin_list: Vec<String> =
-                margins.iter().map(|m| format!("      {}", margin_json(m))).collect();
-            entries.push(format!(
-                "    {{\"kind\": \"{}\", \"corner\": \"{}\", \"errors\": {}, \
-                 \"warnings\": {}, \"infos\": {}, \"margins\": [{}{}]}}",
-                family.label(),
-                label,
-                errors,
-                warnings,
-                infos,
-                if margin_list.is_empty() { String::new() } else { format!("\n{}", margin_list.join(",\n")) },
-                if margin_list.is_empty() { "" } else { "\n    " },
-            ));
+            j.obj();
+            j.key("kind").str(family.label());
+            j.key("corner").str(label);
+            j.key("errors").num(errors);
+            j.key("warnings").num(warnings);
+            j.key("infos").num(infos);
+            j.key("margins").arr_block();
+            for m in &margins {
+                margin_json(&mut j, m);
+            }
+            j.end();
+            j.end();
         }
     }
+    j.end();
+    j.end();
 
-    let json = format!("{{\n  \"corners\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
+    let json = j.finish();
     std::fs::write("BENCH_lint.json", &json).expect("write BENCH_lint.json");
     println!("\nwrote BENCH_lint.json ({} bytes)", json.len());
 

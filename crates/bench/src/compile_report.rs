@@ -12,6 +12,7 @@
 //! `BENCH_compile.json` against a committed fixture.
 
 use sal_cells::{CircuitBuilder, UnitLibrary};
+use sal_des::json::Json;
 use sal_des::{Simulator, Time, Value};
 use sal_link::measure::MeasureOptions;
 use sal_link::testbench::{
@@ -200,43 +201,46 @@ pub fn report() -> CompileReport {
     CompileReport { workloads, sliced }
 }
 
-fn engine_json(out: &mut String, e: &EngineStats) {
-    out.push_str(&format!(
-        "{{\"events\": {}, \"commits\": {}, \"cones_built\": {}, \
-         \"cone_evals\": {}, \"events_avoided\": {}, \"checksum\": {}}}",
-        e.events, e.commits, e.cones_built, e.cone_evals, e.events_avoided, e.checksum
-    ));
+fn engine_json(j: &mut Json, e: &EngineStats) {
+    j.obj();
+    j.key("events").num(e.events);
+    j.key("commits").num(e.commits);
+    j.key("cones_built").num(e.cones_built);
+    j.key("cone_evals").num(e.cone_evals);
+    j.key("events_avoided").num(e.events_avoided);
+    j.key("checksum").num(e.checksum);
+    j.end();
 }
 
-/// Serializes the report (hand-rolled: integers and fixed strings
-/// only, bytewise deterministic).
+/// Serialises the report as the `BENCH_compile.json` artifact
+/// (integers and fixed strings only, bytewise deterministic).
 pub fn to_json(r: &CompileReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"workloads\": [\n");
-    for (i, w) in r.workloads.iter().enumerate() {
-        out.push_str(&format!("    {{\"name\": \"{}\", \"identical\": {}, ", w.name, w.identical()));
-        out.push_str("\"interpreted\": ");
-        engine_json(&mut out, &w.interpreted);
-        out.push_str(", \"compiled\": ");
-        engine_json(&mut out, &w.compiled);
-        out.push_str(if i + 1 < r.workloads.len() { "},\n" } else { "}\n" });
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("workloads").arr_block();
+    for w in &r.workloads {
+        j.obj();
+        j.key("name").str(w.name);
+        j.key("identical").bool(w.identical());
+        engine_json(j.key("interpreted"), &w.interpreted);
+        engine_json(j.key("compiled"), &w.compiled);
+        j.end();
     }
-    out.push_str("  ],\n  \"sliced\": [\n");
-    for (i, s) in r.sliced.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"seed\": {}, \"lanes\": {}, \"diverged\": \"{:#018x}\", \
-             \"demoted\": {}, \"distinct_from_control\": {}, \"mismatched\": {}}}",
-            s.seed,
-            s.lanes,
-            s.diverged,
-            s.diverged.count_ones(),
-            s.distinct_from_control,
-            s.mismatched
-        ));
-        out.push_str(if i + 1 < r.sliced.len() { ",\n" } else { "\n" });
+    j.end();
+    j.key("sliced").arr_block();
+    for s in &r.sliced {
+        j.obj();
+        j.key("seed").num(s.seed);
+        j.key("lanes").num(s.lanes);
+        j.key("diverged").str(&format!("{:#018x}", s.diverged));
+        j.key("demoted").num(s.diverged.count_ones());
+        j.key("distinct_from_control").num(s.distinct_from_control);
+        j.key("mismatched").num(s.mismatched);
+        j.end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub fn clk_300mhz() -> Time {
 
 /// Fig 10 result: the analytic wire-count series plus gate-level
 /// validation points (measured I3 throughput at each switch clock).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// Analytic series (wires needed per bandwidth).
     pub series: Vec<Fig10Point>,
@@ -78,7 +78,7 @@ pub fn fig10() -> Fig10 {
 // ---------------------------------------------------------------------
 
 /// One row of the Fig 11 reproduction.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig11Row {
     /// Wire length, µm.
     pub length_um: f64,
@@ -108,7 +108,7 @@ pub fn fig11() -> Vec<Fig11Row> {
 // ---------------------------------------------------------------------
 
 /// One measured power point.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerRow {
     /// Link implementation.
     pub family: LinkFamily,
@@ -180,7 +180,7 @@ fn power_sweep(clk: Time, window: Option<Time>) -> Vec<PowerRow> {
 
 /// Per-link block power at the paper's measurement point (100 MHz,
 /// 4 buffers, 50 % usage).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Row {
     /// Link implementation.
     pub family: LinkFamily,
@@ -210,7 +210,7 @@ pub fn fig14() -> Vec<Fig14Row> {
 // ---------------------------------------------------------------------
 
 /// One link's total cell area (paper Table 1).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Link implementation.
     pub family: LinkFamily,
@@ -230,7 +230,7 @@ pub fn table1() -> Vec<Table1Row> {
 }
 
 /// One block of the I2 area breakdown (paper Table 2).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Module name, paper wording.
     pub module: &'static str,
@@ -287,7 +287,7 @@ fn build_only(family: LinkFamily) -> LinkRun {
 
 /// Cross-check of the paper's delay equations against the gate-level
 /// simulation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct DelayCheck {
     /// Per-word upper bound from the paper's example terms, MFlit/s
     /// (≈311).
@@ -355,7 +355,7 @@ pub fn delay_check() -> DelayCheck {
 // ---------------------------------------------------------------------
 
 /// The abstract's three headline numbers, as measured here.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Headline {
     /// Wire reduction of the serialized link (paper: 75 %).
     pub wire_reduction: f64,
@@ -403,7 +403,7 @@ pub fn headline() -> Headline {
 // ---------------------------------------------------------------------
 
 /// One row of the mesh-level comparison.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct NocRow {
     /// Link implementation the channels model.
     pub family: LinkFamily,
@@ -462,7 +462,7 @@ pub fn noc_study() -> Vec<NocRow> {
 }
 
 /// One point of a load/latency curve.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct CurvePoint {
     /// Link implementation the channels model.
     pub family: LinkFamily,

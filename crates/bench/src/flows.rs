@@ -18,6 +18,7 @@
 //! the JSON is bytewise deterministic — CI diffs `BENCH_flows.json`
 //! against a committed fixture.
 
+use sal_des::json::Json;
 use sal_noc::{
     ChannelFaults, ChannelProtection, ErrorProcess, FlowConfig, FlowNetReport, FlowSpec,
     LinkModel, Mesh, Network, NetworkConfig, NodeId, WatchdogConfig,
@@ -266,141 +267,140 @@ pub fn curve(
         .collect()
 }
 
-fn flow_json(f: &sal_noc::FlowStats) -> String {
-    format!(
-        "{{\"flow\": {}, \"src\": {}, \"dst\": {}, \"delivered\": {}, \"acked\": {}, \
-         \"completed_at\": {}, \"goodput_ppc\": {:.6}, \"sent\": {}, \"retx\": {}, \
-         \"timeouts\": {}, \"dup_rx\": {}, \"dup_delivered\": {}, \"corrupt_payloads\": {}, \
-         \"corrupt_acks\": {}, \"accepted_corrupt\": {}}}",
-        f.flow.0,
-        f.spec.src.0,
-        f.spec.dst.0,
-        f.delivered,
-        f.acked,
-        f.completed_at.map_or_else(|| "null".to_string(), |c| c.to_string()),
-        f.goodput_ppc,
-        f.counts.sent,
-        f.counts.retx,
-        f.counts.timeouts,
-        f.counts.dup_rx,
-        f.counts.dup_delivered,
-        f.counts.corrupt_payloads,
-        f.counts.corrupt_acks,
-        f.counts.accepted_corrupt,
-    )
+fn flow_json(j: &mut Json, f: &sal_noc::FlowStats) {
+    j.obj();
+    j.key("flow").num(f.flow.0);
+    j.key("src").num(f.spec.src.0);
+    j.key("dst").num(f.spec.dst.0);
+    j.key("delivered").num(f.delivered);
+    j.key("acked").num(f.acked);
+    j.key("completed_at").opt(f.completed_at, Json::num);
+    j.key("goodput_ppc").fixed(f.goodput_ppc, 6);
+    j.key("sent").num(f.counts.sent);
+    j.key("retx").num(f.counts.retx);
+    j.key("timeouts").num(f.counts.timeouts);
+    j.key("dup_rx").num(f.counts.dup_rx);
+    j.key("dup_delivered").num(f.counts.dup_delivered);
+    j.key("corrupt_payloads").num(f.counts.corrupt_payloads);
+    j.key("corrupt_acks").num(f.counts.corrupt_acks);
+    j.key("accepted_corrupt").num(f.counts.accepted_corrupt);
+    j.end();
 }
 
-fn stalls_json(report: &FlowNetReport) -> String {
-    let last = report.stalls.last().map_or_else(
-        || "null".to_string(),
-        |s| {
-            let starved: Vec<String> = s
-                .starved
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{{\"flow\": {}, \"src\": {}, \"dst\": {}, \"cum_acked\": {}, \
-                         \"packets\": {}, \"backoff\": {}, \"retx\": {}}}",
-                        f.flow.0, f.src.0, f.dst.0, f.cum_acked, f.packets, f.backoff, f.retx
-                    )
-                })
-                .collect();
-            let channels: Vec<String> = s
-                .stalled_channels
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"node\": {}, \"dir\": \"{:?}\", \"state\": \"{}\", \"queued\": {}}}",
-                        c.from.0, c.dir, c.state, c.queued
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"cycle\": {}, \"hard\": {}, \"starved\": [{}], \"stalled_channels\": [{}]}}",
-                s.cycle,
-                s.hard,
-                starved.join(", "),
-                channels.join(", ")
-            )
-        },
-    );
-    format!("{{\"reports\": {}, \"last\": {last}}}", report.stalls.len())
+fn stalls_json(j: &mut Json, report: &FlowNetReport) {
+    j.obj();
+    j.key("reports").num(report.stalls.len());
+    j.key("last").opt(report.stalls.last(), |j, s| {
+        j.obj();
+        j.key("cycle").num(s.cycle);
+        j.key("hard").bool(s.hard);
+        j.key("starved").arr();
+        for f in &s.starved {
+            j.obj();
+            j.key("flow").num(f.flow.0);
+            j.key("src").num(f.src.0);
+            j.key("dst").num(f.dst.0);
+            j.key("cum_acked").num(f.cum_acked);
+            j.key("packets").num(f.packets);
+            j.key("backoff").num(f.backoff);
+            j.key("retx").num(f.retx);
+            j.end();
+        }
+        j.end();
+        j.key("stalled_channels").arr();
+        for c in &s.stalled_channels {
+            j.obj();
+            j.key("node").num(c.from.0);
+            j.key("dir").str(&format!("{:?}", c.dir));
+            j.key("state").str(c.state);
+            j.key("queued").num(c.queued);
+            j.end();
+        }
+        j.end();
+        j.end()
+    });
+    j.end();
 }
 
-fn cell_json(c: &FlowCell) -> String {
+fn cell_json(j: &mut Json, c: &FlowCell) {
     let rec = &c.report.net.recovery;
-    let flows: Vec<String> = c.report.flows.iter().map(flow_json).collect();
-    format!(
-        "{{\"layout\": \"{}\", \"process\": \"{}\", \"protection\": \"{}\", \"rate\": {:.3}, \
-         \"seed\": {}, \"kill_links\": {}, \"outcome\": \"{}\", \"cycles\": {}, \
-         \"agg_goodput\": {:.6}, \"jain\": {:.4}, \
-         \"recovery\": {{\"errors\": {}, \"nacks\": {}, \"timeouts\": {}, \"replays\": {}, \
-         \"resyncs\": {}, \"degrades\": {}, \"undetected\": {}, \"failed_links\": {}}}, \
-         \"stalls\": {}, \"flows\": [{}]}}",
-        c.spec.layout,
-        c.spec.process,
-        c.spec.protection.label(),
-        c.spec.rate,
-        c.spec.seed,
-        c.spec.kill_links,
-        c.outcome(),
-        c.report.cycles,
-        c.agg_goodput(),
-        c.report.jain,
-        rec.counts.errors,
-        rec.counts.nacks,
-        rec.counts.timeouts,
-        rec.counts.replays,
-        rec.counts.resyncs,
-        rec.counts.degrades,
-        rec.counts.undetected,
-        rec.failed_links,
-        stalls_json(&c.report),
-        flows.join(", ")
-    )
+    j.obj();
+    j.key("layout").str(c.spec.layout);
+    j.key("process").str(c.spec.process);
+    j.key("protection").str(c.spec.protection.label());
+    j.key("rate").fixed(c.spec.rate, 3);
+    j.key("seed").num(c.spec.seed);
+    j.key("kill_links").bool(c.spec.kill_links);
+    j.key("outcome").str(c.outcome());
+    j.key("cycles").num(c.report.cycles);
+    j.key("agg_goodput").fixed(c.agg_goodput(), 6);
+    j.key("jain").fixed(c.report.jain, 4);
+    j.key("recovery").obj();
+    j.key("errors").num(rec.counts.errors);
+    j.key("nacks").num(rec.counts.nacks);
+    j.key("timeouts").num(rec.counts.timeouts);
+    j.key("replays").num(rec.counts.replays);
+    j.key("resyncs").num(rec.counts.resyncs);
+    j.key("degrades").num(rec.counts.degrades);
+    j.key("undetected").num(rec.counts.undetected);
+    j.key("failed_links").num(rec.failed_links);
+    j.end();
+    stalls_json(j.key("stalls"), &c.report);
+    j.key("flows").arr();
+    for f in &c.report.flows {
+        flow_json(j, f);
+    }
+    j.end();
+    j.end();
 }
 
-/// Serialises the report as the `BENCH_flows.json` artifact
-/// (hand-rolled: the vendored serde is a no-op stub).
+/// Serialises the report as the `BENCH_flows.json` artifact.
 pub fn to_json(r: &FlowsReport) -> String {
-    let accepted_corrupt: u64 = r.cells.iter().map(FlowCell::accepted_corrupt).sum();
-    let dup_delivered: u64 = r.cells.iter().map(FlowCell::dup_delivered).sum();
-    let unnamed = r.cells.iter().filter(|c| c.unnamed_livelock()).count();
-    let mut curves = Vec::new();
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("experiment").str("flows");
+    j.key("flow_packets").num(FLOW_PACKETS);
+    j.key("max_cycles").num(MAX_CYCLES);
+    j.key("seeds").arr();
+    for seed in SEEDS {
+        j.num(seed);
+    }
+    j.end();
+    j.key("invariants").obj();
+    j.key("accepted_corrupt").num(r.cells.iter().map(FlowCell::accepted_corrupt).sum::<u64>());
+    j.key("dup_delivered").num(r.cells.iter().map(FlowCell::dup_delivered).sum::<u64>());
+    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.unnamed_livelock()).count());
+    j.end();
+    j.key("curves").arr_block();
     for layout in LAYOUTS {
         for process in PROCESSES {
             for protection in PROTECTIONS {
-                let rows: Vec<String> = curve(&r.cells, layout, process, protection)
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "[{:.3}, {:.6}, {:.4}, {:.2}]",
-                            p.rate, p.goodput, p.jain, p.completed_frac
-                        )
-                    })
-                    .collect();
-                curves.push(format!(
-                    "    {{\"layout\": \"{layout}\", \"process\": \"{process}\", \
-                     \"protection\": \"{}\", \"curve_rate_goodput_jain_completed\": [{}]}}",
-                    protection.label(),
-                    rows.join(", ")
-                ));
+                j.obj();
+                j.key("layout").str(layout);
+                j.key("process").str(process);
+                j.key("protection").str(protection.label());
+                j.key("curve_rate_goodput_jain_completed").arr();
+                for p in curve(&r.cells, layout, process, protection) {
+                    j.arr();
+                    j.fixed(p.rate, 3);
+                    j.fixed(p.goodput, 6);
+                    j.fixed(p.jain, 4);
+                    j.fixed(p.completed_frac, 2);
+                    j.end();
+                }
+                j.end();
+                j.end();
             }
         }
     }
-    let cells: Vec<String> = r.cells.iter().map(cell_json).collect();
-    let seeds: Vec<String> = SEEDS.iter().map(u64::to_string).collect();
-    format!(
-        "{{\n  \"experiment\": \"flows\",\n  \"flow_packets\": {},\n  \"max_cycles\": {},\n  \
-         \"seeds\": [{}],\n  \"invariants\": {{\"accepted_corrupt\": {accepted_corrupt}, \
-         \"dup_delivered\": {dup_delivered}, \"unnamed_livelocks\": {unnamed}}},\n  \
-         \"curves\": [\n{}\n  ],\n  \"cells\": [\n    {}\n  ]\n}}\n",
-        FLOW_PACKETS,
-        MAX_CYCLES,
-        seeds.join(", "),
-        curves.join(",\n"),
-        cells.join(",\n    ")
-    )
+    j.end();
+    j.key("cells").arr_block();
+    for c in &r.cells {
+        cell_json(&mut j, c);
+    }
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]
@@ -448,7 +448,10 @@ mod tests {
         let a = tiny_cell(ChannelProtection::Crc8, 0.05);
         let b = tiny_cell(ChannelProtection::Crc8, 0.05);
         assert_eq!(a, b);
-        assert_eq!(cell_json(&a), cell_json(&b));
+        assert_eq!(
+            to_json(&FlowsReport { cells: vec![a] }),
+            to_json(&FlowsReport { cells: vec![b] })
+        );
     }
 
     #[test]

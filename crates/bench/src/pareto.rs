@@ -20,13 +20,13 @@
 
 use crate::sweep::parallel_map;
 use sal_cells::CircuitBuilder;
+use sal_des::json::Json;
 use sal_des::{Simulator, ENGINE_REV};
 use sal_link::measure::{run_spec, MeasureOptions};
 use sal_link::testbench::worst_case_pattern;
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode};
 use sal_lint::run_all;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Flits pushed through every cell (the paper's worst-case pattern).
@@ -209,26 +209,25 @@ fn measure(spec: &LinkSpec, graph: &sal_des::NetGraph, opts: &MeasureOptions) ->
         lat_n += 1;
     }
     let latency_ns = if lat_n == 0 { 0.0 } else { lat_sum / lat_n as f64 };
-    let json = format!(
-        "{{\"family\": \"{}\", \"word_width\": {}, \"serial_ratio\": {}, \"slice_width\": {}, \
-         \"buffer_depth\": {}, \"protection\": \"{}\", \"wires\": {}, \"cells\": {}, \
-         \"area_um2\": {:.1}, \"energy_per_word_pj\": {:.3}, \"latency_ns\": {:.3}, \
-         \"throughput_mflits\": {:.2}, \"lint_errors\": {}, \"spec_hash\": \"{:016x}\"}}",
-        spec.family().label(),
-        spec.word_width(),
-        spec.serial_ratio(),
-        spec.slice_width(),
-        spec.buffer_depth(),
-        spec.protection().label(),
-        spec.wires(),
-        cells,
-        run.area_um2(),
-        energy_per_word_pj,
-        latency_ns,
-        run.throughput_mflits(),
-        lint_errors,
-        spec.content_hash(),
-    );
+    let mut j = Json::new();
+    j.obj();
+    j.key("family").str(spec.family().label());
+    j.key("word_width").num(spec.word_width());
+    j.key("serial_ratio").num(spec.serial_ratio());
+    j.key("slice_width").num(spec.slice_width());
+    j.key("buffer_depth").num(spec.buffer_depth());
+    j.key("protection").str(spec.protection().label());
+    j.key("wires").num(spec.wires());
+    j.key("cells").num(cells);
+    j.key("area_um2").fixed(run.area_um2(), 1);
+    j.key("energy_per_word_pj").fixed(energy_per_word_pj, 3);
+    j.key("latency_ns").fixed(latency_ns, 3);
+    j.key("throughput_mflits").fixed(run.throughput_mflits(), 2);
+    j.key("lint_errors").num(lint_errors);
+    j.key("spec_hash").str(&format!("{:016x}", spec.content_hash()));
+    j.end();
+    // The record is embedded verbatim in store lines and the artifact.
+    let json = j.finish().trim_end().to_string();
     MeasuredCell {
         spec: spec.clone(),
         energy_per_word_pj,
@@ -240,8 +239,8 @@ fn measure(spec: &LinkSpec, graph: &sal_des::NetGraph, opts: &MeasureOptions) ->
 }
 
 /// Pulls `"key": <number>` out of a record line (the campaign's own
-/// serialisation, so the shape is fixed; the vendored serde is a
-/// no-op stub and there is no JSON parser to lean on).
+/// serialisation, so the shape is fixed; the workspace has a JSON
+/// writer but no parser).
 fn field_f64(json: &str, key: &str) -> Option<f64> {
     let at = json.find(&format!("\"{key}\": "))? + key.len() + 4;
     let rest = &json[at..];
@@ -320,13 +319,13 @@ pub fn campaign(specs: &[LinkSpec], cache_path: &Path) -> ParetoReport {
     // Persist: every cell of this run, grid-ordered, fingerprint-keyed.
     let mut out = String::new();
     for (cell, fp, _) in &outcomes {
-        writeln!(
-            out,
-            "{{\"spec\": \"{:016x}\", \"fp\": \"{fp:016x}\", \"record\": {}}}",
-            cell.spec.content_hash(),
-            cell.json
-        )
-        .expect("writing to a String cannot fail");
+        let mut j = Json::new();
+        j.obj();
+        j.key("spec").str(&format!("{:016x}", cell.spec.content_hash()));
+        j.key("fp").str(&format!("{fp:016x}"));
+        j.key("record").raw(&cell.json);
+        j.end();
+        out.push_str(&j.finish());
     }
     let cells: Vec<MeasuredCell> = outcomes.into_iter().map(|(c, _, _)| c).collect();
     if let Some(dir) = cache_path.parent() {
@@ -364,45 +363,39 @@ pub fn pareto_front(cells: &[MeasuredCell], family: LinkFamily) -> Vec<usize> {
 /// Serialises the campaign as the `BENCH_pareto.json` artifact.
 /// Records are embedded verbatim, so a warm rerun is byte-identical.
 pub fn to_json(report: &ParetoReport, quick: bool) -> String {
-    let records: Vec<&str> = report.cells.iter().map(|c| c.json.as_str()).collect();
-    let mut fronts = Vec::new();
-    for family in LinkFamily::ALL {
-        let entries: Vec<String> = pareto_front(&report.cells, family)
-            .into_iter()
-            .map(|i| {
-                let c = &report.cells[i];
-                format!(
-                    "{{\"spec_hash\": \"{:016x}\", \"word_width\": {}, \"serial_ratio\": {}, \
-                     \"buffer_depth\": {}, \"protection\": \"{}\", \
-                     \"energy_per_word_pj\": {:.3}, \"latency_ns\": {:.3}, \"cells\": {}}}",
-                    c.spec.content_hash(),
-                    c.spec.word_width(),
-                    c.spec.serial_ratio(),
-                    c.spec.buffer_depth(),
-                    c.spec.protection().label(),
-                    c.energy_per_word_pj,
-                    c.latency_ns,
-                    c.cells
-                )
-            })
-            .collect();
-        fronts.push(format!(
-            "    \"{}\": [\n      {}\n    ]",
-            family.label(),
-            entries.join(",\n      ")
-        ));
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("experiment").str("pareto");
+    j.key("engine_rev").str(ENGINE_REV);
+    j.key("grid").str(if quick { "quick" } else { "full" });
+    j.key("words_per_cell").num(CAMPAIGN_WORDS);
+    j.key("cells").num(report.cells.len());
+    j.key("records").arr_block();
+    for c in &report.cells {
+        j.raw(&c.json);
     }
-    format!(
-        "{{\n  \"experiment\": \"pareto\",\n  \"engine_rev\": \"{}\",\n  \"grid\": \"{}\",\n  \
-         \"words_per_cell\": {},\n  \"cells\": {},\n  \"records\": [\n    {}\n  ],\n  \
-         \"fronts\": {{\n{}\n  }}\n}}\n",
-        ENGINE_REV,
-        if quick { "quick" } else { "full" },
-        CAMPAIGN_WORDS,
-        report.cells.len(),
-        records.join(",\n    "),
-        fronts.join(",\n")
-    )
+    j.end();
+    j.key("fronts").obj_block();
+    for family in LinkFamily::ALL {
+        j.key(family.label()).arr_block();
+        for i in pareto_front(&report.cells, family) {
+            let c = &report.cells[i];
+            j.obj();
+            j.key("spec_hash").str(&format!("{:016x}", c.spec.content_hash()));
+            j.key("word_width").num(c.spec.word_width());
+            j.key("serial_ratio").num(c.spec.serial_ratio());
+            j.key("buffer_depth").num(c.spec.buffer_depth());
+            j.key("protection").str(c.spec.protection().label());
+            j.key("energy_per_word_pj").fixed(c.energy_per_word_pj, 3);
+            j.key("latency_ns").fixed(c.latency_ns, 3);
+            j.key("cells").num(c.cells);
+            j.end();
+        }
+        j.end();
+    }
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 //! demonstrate a milder version of it (a stale slice is parity-valid,
 //! so slice replacement slips past parity but not past the CRC).
 
+use sal_des::json::Json;
 use sal_des::{FaultPlan, Time};
 use sal_link::measure::{run_spec, MeasureOptions, RunFailure};
 use sal_link::metrics::Histogram;
@@ -355,120 +356,101 @@ pub fn tally(cells: &[Cell], family: LinkFamily, protection: ProtectionMode, tag
         .count()
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn glitch_json(j: &mut Json, g: Glitch) {
+    j.obj();
+    j.key("seg").num(g.seg);
+    j.key("at_ps").num(g.at_ps);
+    j.key("width_ps").num(g.width_ps);
+    j.key("bit").num(g.bit);
+    j.end();
+}
+
+fn recovery_json<'j>(j: &'j mut Json, rec: &RecoveryCounts) -> &'j mut Json {
+    j.obj();
+    j.key("nacks").num(rec.nacks);
+    j.key("retries").num(rec.retries);
+    j.key("timeouts").num(rec.timeouts);
+    j.key("resyncs").num(rec.resyncs);
+    j.key("gave_up").num(rec.gave_up);
+    j.key("degraded").bool(rec.degraded);
+    j.end()
+}
+
+fn cell_json(j: &mut Json, c: &Cell) {
+    j.obj();
+    j.key("kind").str(c.family.label());
+    j.key("protection").str(c.protection.label());
+    j.key("seed").num(c.seed);
+    j.key("outcome").str(c.outcome.tag());
+    match &c.outcome {
+        Soak::Undetected { violations } => {
+            j.key("violations").num(violations);
         }
+        Soak::ResidualDeadlock { stalled } => {
+            j.key("stalled").opt(stalled.as_deref(), Json::str);
+        }
+        Soak::Error { message } => {
+            j.key("message").str(message);
+        }
+        Soak::Recovered | Soak::Untouched => {}
     }
-    out
-}
-
-fn glitch_json(g: Glitch) -> String {
-    format!(
-        "{{\"seg\": {}, \"at_ps\": {}, \"width_ps\": {}, \"bit\": {}}}",
-        g.seg, g.at_ps, g.width_ps, g.bit
-    )
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h.buckets().iter().map(|(lo, c)| format!("[{lo},{c}]")).collect();
-    format!(
-        "{{\"count\": {}, \"min_ns\": {:.3}, \"mean_ns\": {:.3}, \"max_ns\": {:.3}, \
-         \"buckets_fs\": [{}]}}",
-        h.count(),
-        h.min_ns(),
-        h.mean_ns(),
-        h.max_ns(),
-        buckets.join(",")
-    )
-}
-
-fn recovery_json(rec: &RecoveryCounts) -> String {
-    format!(
-        "{{\"nacks\": {}, \"retries\": {}, \"timeouts\": {}, \"resyncs\": {}, \
-         \"gave_up\": {}, \"degraded\": {}}}",
-        rec.nacks, rec.retries, rec.timeouts, rec.resyncs, rec.gave_up, rec.degraded
-    )
-}
-
-fn cell_json(c: &Cell) -> String {
-    let detail = match &c.outcome {
-        Soak::Undetected { violations } => format!(", \"violations\": {violations}"),
-        Soak::ResidualDeadlock { stalled: Some(s) } => {
-            format!(", \"stalled\": \"{}\"", json_escape(s))
+    j.key("recovery").opt(c.recovery.as_ref(), recovery_json);
+    c.latency.write_json(j.key("latency"), |j, ns| j.fixed(ns, 3));
+    j.key("shrunk_storm").opt(c.shrunk.as_ref(), |j, gs| {
+        j.arr();
+        for &g in gs {
+            glitch_json(j, g);
         }
-        Soak::ResidualDeadlock { stalled: None } => ", \"stalled\": null".to_string(),
-        Soak::Error { message } => format!(", \"message\": \"{}\"", json_escape(message)),
-        _ => String::new(),
-    };
-    let recovery = c
-        .recovery
-        .as_ref()
-        .map_or_else(|| "null".to_string(), recovery_json);
-    let shrunk = c.shrunk.as_ref().map_or_else(
-        || "null".to_string(),
-        |gs| format!("[{}]", gs.iter().map(|&g| glitch_json(g)).collect::<Vec<_>>().join(", ")),
-    );
-    format!(
-        "{{\"kind\": \"{}\", \"protection\": \"{}\", \"seed\": {}, \"outcome\": \"{}\"{detail}, \
-         \"recovery\": {recovery}, \"latency\": {}, \"shrunk_storm\": {shrunk}}}",
-        c.family.label(),
-        c.protection.label(),
-        c.seed,
-        c.outcome.tag(),
-        histogram_json(&c.latency)
-    )
+        j.end()
+    });
+    j.end();
 }
 
-/// Serialises the report as the `BENCH_recovery.json` artifact
-/// (hand-rolled: the vendored serde is a no-op stub).
+/// Serialises the report as the `BENCH_recovery.json` artifact.
 pub fn to_json(r: &RecoveryReport) -> String {
-    let cells: Vec<String> = r.cells.iter().map(cell_json).collect();
-    let mut summary = Vec::new();
-    for family in FAMILIES {
-        let mut modes = Vec::new();
-        for protection in MODES {
-            let counts: Vec<String> = ["recovered", "untouched", "undetected", "deadlock", "error"]
-                .iter()
-                .map(|tag| format!("\"{tag}\": {}", tally(&r.cells, family, protection, tag)))
-                .collect();
-            modes.push(format!("\"{}\": {{{}}}", protection.label(), counts.join(", ")));
-        }
-        summary.push(format!("    \"{}\": {{{}}}", family.label(), modes.join(", ")));
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("experiment").str("recovery");
+    j.key("words").num(SOAK_WORDS);
+    j.key("storm").obj();
+    j.key("glitches").num(STORM_GLITCHES);
+    j.key("width_ps").arr().num(150).num(350).end();
+    j.key("seeds").arr();
+    for seed in STORM_SEEDS {
+        j.num(seed);
     }
-    let energy: Vec<String> = r
-        .energy
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"kind\": \"{}\", \"protection\": \"{}\", \"total_uw\": {:.3}, \
-                 \"overhead_pct\": {:.2}}}",
-                e.family.label(),
-                e.protection.label(),
-                e.total_uw,
-                e.overhead_pct
-            )
-        })
-        .collect();
-    let seeds: Vec<String> = STORM_SEEDS.iter().map(u64::to_string).collect();
-    format!(
-        "{{\n  \"experiment\": \"recovery\",\n  \"words\": {},\n  \"storm\": {{\"glitches\": {}, \
-         \"width_ps\": [150, 350], \"seeds\": [{}]}},\n  \"summary\": {{\n{}\n  }},\n  \
-         \"energy\": [\n{}\n  ],\n  \"cells\": [\n    {}\n  ]\n}}\n",
-        SOAK_WORDS,
-        STORM_GLITCHES,
-        seeds.join(", "),
-        summary.join(",\n"),
-        energy.join(",\n"),
-        cells.join(",\n    ")
-    )
+    j.end();
+    j.end();
+    j.key("summary").obj_block();
+    for family in FAMILIES {
+        j.key(family.label()).obj();
+        for protection in MODES {
+            j.key(protection.label()).obj();
+            for tag in ["recovered", "untouched", "undetected", "deadlock", "error"] {
+                j.key(tag).num(tally(&r.cells, family, protection, tag));
+            }
+            j.end();
+        }
+        j.end();
+    }
+    j.end();
+    j.key("energy").arr_block();
+    for e in &r.energy {
+        j.obj();
+        j.key("kind").str(e.family.label());
+        j.key("protection").str(e.protection.label());
+        j.key("total_uw").fixed(e.total_uw, 3);
+        j.key("overhead_pct").fixed(e.overhead_pct, 2);
+        j.end();
+    }
+    j.end();
+    j.key("cells").arr_block();
+    for c in &r.cells {
+        cell_json(&mut j, c);
+    }
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]

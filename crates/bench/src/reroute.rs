@@ -25,6 +25,7 @@
 //! the JSON is bytewise deterministic — CI runs the `--quick` subset
 //! and diffs `BENCH_reroute.json` against a committed fixture.
 
+use sal_des::json::Json;
 use sal_noc::{
     ChannelFaults, ChannelProtection, Direction, FlowConfig, FlowNetReport, LinkKill, LinkModel,
     Mesh, Network, NetworkConfig, NodeId, RoutingMode, WatchdogConfig,
@@ -311,79 +312,76 @@ pub fn violations(cells: &[RerouteCell]) -> Vec<String> {
     v
 }
 
-fn cell_json(c: &RerouteCell) -> String {
+fn cell_json(j: &mut Json, c: &RerouteCell) {
     let net = &c.report.net;
-    let starved = c.report.stalls.last().map_or(0, |s| s.starved.len());
-    format!(
-        "{{\"scenario\": \"{}\", \"layout\": \"{}\", \"mode\": \"{}\", \"seed\": {}, \
-         \"outcome\": \"{}\", \"cycles\": {}, \"agg_goodput\": {:.6}, \
-         \"delivered_frac\": {:.4}, \"jain\": {:.4}, \"failed_links\": {}, \
-         \"reconfig_epochs\": {}, \"retrained_links\": {}, \"frozen_cycles\": {}, \
-         \"stranded_flits\": {}, \
-         \"stranded_packets\": {}, \"salvaged_packets\": {}, \"residual_flits\": {}, \
-         \"dup_delivered\": {}, \"accepted_corrupt\": {}, \"starved_named\": {}}}",
-        c.spec.scenario,
-        c.spec.layout,
-        c.spec.mode,
-        c.spec.seed,
-        c.outcome(),
-        c.report.cycles,
-        c.agg_goodput(),
-        c.delivered_frac(),
-        c.report.jain,
-        net.recovery.failed_links,
-        net.reconfig_epochs,
-        net.retrained_links,
-        c.frozen_cycles(),
-        net.stranded_flits,
-        net.stranded_packets,
-        net.salvaged_packets,
-        net.residual_flits,
-        c.dup_delivered(),
-        c.accepted_corrupt(),
-        starved,
-    )
+    j.obj();
+    j.key("scenario").str(c.spec.scenario);
+    j.key("layout").str(c.spec.layout);
+    j.key("mode").str(c.spec.mode);
+    j.key("seed").num(c.spec.seed);
+    j.key("outcome").str(c.outcome());
+    j.key("cycles").num(c.report.cycles);
+    j.key("agg_goodput").fixed(c.agg_goodput(), 6);
+    j.key("delivered_frac").fixed(c.delivered_frac(), 4);
+    j.key("jain").fixed(c.report.jain, 4);
+    j.key("failed_links").num(net.recovery.failed_links);
+    j.key("reconfig_epochs").num(net.reconfig_epochs);
+    j.key("retrained_links").num(net.retrained_links);
+    j.key("frozen_cycles").num(c.frozen_cycles());
+    j.key("stranded_flits").num(net.stranded_flits);
+    j.key("stranded_packets").num(net.stranded_packets);
+    j.key("salvaged_packets").num(net.salvaged_packets);
+    j.key("residual_flits").num(net.residual_flits);
+    j.key("dup_delivered").num(c.dup_delivered());
+    j.key("accepted_corrupt").num(c.accepted_corrupt());
+    j.key("starved_named").num(c.report.stalls.last().map_or(0, |s| s.starved.len()));
+    j.end();
 }
 
-/// Serialises the report as the `BENCH_reroute.json` artifact
-/// (hand-rolled: the vendored serde is a no-op stub).
+/// Serialises the report as the `BENCH_reroute.json` artifact.
 pub fn to_json(r: &RerouteReport, quick: bool) -> String {
-    let dup: u64 = r.cells.iter().map(RerouteCell::dup_delivered).sum();
-    let corrupt: u64 = r.cells.iter().map(RerouteCell::accepted_corrupt).sum();
-    let unnamed = r.cells.iter().filter(|c| c.unnamed_livelock()).count();
-    let mut curves = Vec::new();
-    for mode in MODES {
-        let rows: Vec<String> = curve(&r.cells, mode)
-            .iter()
-            .map(|p| {
-                format!(
-                    "[{}, {:.6}, {:.4}, {:.2}, {}]",
-                    p.failed_links, p.goodput, p.delivered_frac, p.completed_frac, p.cells
-                )
-            })
-            .collect();
-        curves.push(format!(
-            "    {{\"mode\": \"{mode}\", \
-             \"curve_failed_goodput_delivered_completed_cells\": [{}]}}",
-            rows.join(", ")
-        ));
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("experiment").str("reroute");
+    j.key("grid").str(if quick { "quick" } else { "full" });
+    j.key("flow_packets").num(FLOW_PACKETS);
+    j.key("max_cycles").num(MAX_CYCLES);
+    j.key("seeds").arr();
+    for seed in SEEDS {
+        j.num(seed);
     }
-    let cells: Vec<String> = r.cells.iter().map(cell_json).collect();
-    let seeds: Vec<String> = SEEDS.iter().map(u64::to_string).collect();
-    format!(
-        "{{\n  \"experiment\": \"reroute\",\n  \"grid\": \"{}\",\n  \
-         \"flow_packets\": {},\n  \"max_cycles\": {},\n  \"seeds\": [{}],\n  \
-         \"invariants\": {{\"accepted_corrupt\": {corrupt}, \"dup_delivered\": {dup}, \
-         \"unnamed_livelocks\": {unnamed}, \"violations\": {}}},\n  \
-         \"curves\": [\n{}\n  ],\n  \"cells\": [\n    {}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
-        FLOW_PACKETS,
-        MAX_CYCLES,
-        seeds.join(", "),
-        violations(&r.cells).len(),
-        curves.join(",\n"),
-        cells.join(",\n    ")
-    )
+    j.end();
+    j.key("invariants").obj();
+    j.key("accepted_corrupt").num(r.cells.iter().map(RerouteCell::accepted_corrupt).sum::<u64>());
+    j.key("dup_delivered").num(r.cells.iter().map(RerouteCell::dup_delivered).sum::<u64>());
+    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.unnamed_livelock()).count());
+    j.key("violations").num(violations(&r.cells).len());
+    j.end();
+    j.key("curves").arr_block();
+    for mode in MODES {
+        j.obj();
+        j.key("mode").str(mode);
+        j.key("curve_failed_goodput_delivered_completed_cells").arr();
+        for p in curve(&r.cells, mode) {
+            j.arr();
+            j.num(p.failed_links);
+            j.fixed(p.goodput, 6);
+            j.fixed(p.delivered_frac, 4);
+            j.fixed(p.completed_frac, 2);
+            j.num(p.cells);
+            j.end();
+        }
+        j.end();
+        j.end();
+    }
+    j.end();
+    j.key("cells").arr_block();
+    for c in &r.cells {
+        cell_json(&mut j, c);
+    }
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]
@@ -415,7 +413,10 @@ mod tests {
         let a = single_cell("adaptive");
         let b = single_cell("adaptive");
         assert_eq!(a, b);
-        assert_eq!(cell_json(&a), cell_json(&b));
+        assert_eq!(
+            to_json(&RerouteReport { cells: vec![a] }, true),
+            to_json(&RerouteReport { cells: vec![b] }, true)
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! marginal link that silently corrupts payloads is a failure even
 //! when every word arrives.
 
+use sal_des::json::Json;
 use sal_des::{FaultPlan, Time};
 use sal_link::measure::{run_spec, MeasureOptions, RunFailure};
 use sal_link::testbench::worst_case_pattern;
@@ -284,84 +285,60 @@ pub fn first_failure(probes: &[Probe], family: LinkFamily) -> Option<f64> {
     probes.iter().find(|p| p.family == family && p.outcome.is_failure()).map(|p| p.value)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn probe_json(j: &mut Json, p: &Probe) {
+    j.obj();
+    j.key("kind").str(p.family.label());
+    j.key("value").f64(p.value);
+    j.key("seed").num(p.seed);
+    j.key("outcome").str(p.outcome.tag());
+    match &p.outcome {
+        Outcome::Pass => {}
+        Outcome::Corrupt { violations } => {
+            j.key("violations").num(violations);
+        }
+        Outcome::Deadlock { stalled } => {
+            j.key("stalled").opt(stalled.as_deref(), Json::str);
+        }
+        Outcome::Error { message } => {
+            j.key("message").str(message);
         }
     }
-    out
+    j.end();
 }
 
-fn json_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
+fn axis_json(j: &mut Json, name: &str, probes: &[Probe]) {
+    j.key(name).obj_block();
+    j.key("first_failure").obj();
+    for f in FAMILIES {
+        j.key(f.label()).opt(first_failure(probes, f), Json::f64);
     }
+    j.end();
+    j.key("points").arr_block();
+    for p in probes {
+        probe_json(j, p);
+    }
+    j.end();
+    j.end();
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
-}
-
-fn probe_json(p: &Probe) -> String {
-    let detail = match &p.outcome {
-        Outcome::Pass => String::new(),
-        Outcome::Corrupt { violations } => format!(", \"violations\": {violations}"),
-        Outcome::Deadlock { stalled: Some(s) } => {
-            format!(", \"stalled\": \"{}\"", json_escape(s))
-        }
-        Outcome::Deadlock { stalled: None } => ", \"stalled\": null".to_string(),
-        Outcome::Error { message } => format!(", \"message\": \"{}\"", json_escape(message)),
-    };
-    format!(
-        "{{\"kind\": \"{}\", \"value\": {}, \"seed\": {}, \"outcome\": \"{}\"{detail}}}",
-        p.family.label(),
-        json_f64(p.value),
-        p.seed,
-        p.outcome.tag()
-    )
-}
-
-fn axis_json(name: &str, probes: &[Probe]) -> String {
-    let points: Vec<String> = probes.iter().map(probe_json).collect();
-    let firsts: Vec<String> = FAMILIES
-        .iter()
-        .map(|&f| format!("\"{}\": {}", f.label(), json_opt_f64(first_failure(probes, f))))
-        .collect();
-    format!(
-        "  \"{name}\": {{\n    \"first_failure\": {{{}}},\n    \"points\": [\n      {}\n    ]\n  }}",
-        firsts.join(", "),
-        points.join(",\n      ")
-    )
-}
-
-/// Serialises the report as the `BENCH_robustness.json` artifact
-/// (hand-rolled: the vendored serde is a no-op stub).
+/// Serialises the report as the `BENCH_robustness.json` artifact.
 pub fn to_json(r: &RobustnessReport) -> String {
-    let demo = format!(
-        "  \"deadlock_demo\": {{\"forced\": \"{}\", \"stalled\": {}, \"report\": \"{}\"}}",
-        json_escape(&r.deadlock_demo.forced),
-        r.deadlock_demo
-            .stalled
-            .as_ref().map_or_else(|| "null".to_string(), |s| format!("\"{}\"", json_escape(s))),
-        json_escape(&r.deadlock_demo.report),
-    );
-    format!(
-        "{{\n  \"experiment\": \"margins\",\n  \"words\": {},\n  \"clk_mhz\": 100,\n{},\n{},\n{},\n{}\n}}\n",
-        probe_words().len(),
-        axis_json("delay_scale", &r.scale),
-        axis_json("data_skew_ps", &r.skew),
-        axis_json("delay_sigma", &r.sigma),
-        demo
-    )
+    let mut j = Json::new();
+    j.obj_block();
+    j.key("experiment").str("margins");
+    j.key("words").num(probe_words().len());
+    j.key("clk_mhz").num(100);
+    axis_json(&mut j, "delay_scale", &r.scale);
+    axis_json(&mut j, "data_skew_ps", &r.skew);
+    axis_json(&mut j, "delay_sigma", &r.sigma);
+    let demo = &r.deadlock_demo;
+    j.key("deadlock_demo").obj();
+    j.key("forced").str(&demo.forced);
+    j.key("stalled").opt(demo.stalled.as_deref(), Json::str);
+    j.key("report").str(&demo.report);
+    j.end();
+    j.end();
+    j.finish()
 }
 
 #[cfg(test)]

@@ -85,10 +85,10 @@ where
     // result lands in the slot of its original index.
     let work: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let first_panic = crossbeam::thread::scope(|s| {
+    let first_panic = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     // Hold the lock only for the pop: the simulation
                     // itself runs unlocked, so workers overlap fully
                     // and a panic inside `f` cannot poison the list.
@@ -113,8 +113,7 @@ where
             }
         }
         panic_msg
-    })
-    .expect("all workers joined above");
+    });
     if let Some(message) = first_panic {
         return Err(SweepError { message });
     }

@@ -8,7 +8,6 @@ use sal_des::Time;
 /// asynchronous control cells of the paper's Fig 3. A technology
 /// library maps each kind to [`CellParams`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub enum CellKind {
     /// Inverter.
     Inv,

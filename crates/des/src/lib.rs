@@ -69,6 +69,7 @@ mod component;
 mod error;
 mod event;
 mod fault;
+pub mod json;
 mod netgraph;
 mod scope;
 mod signal;

@@ -3,7 +3,7 @@
 use crate::Time;
 
 /// Per-signal toggle counts over a simulation run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ActivityReport {
     /// `(hierarchical path, committed bit toggles)` per signal.
     pub signals: Vec<(String, u64)>,
@@ -28,7 +28,7 @@ impl ActivityReport {
 }
 
 /// Energy accumulated in one scope (exclusive of children).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScopeEnergy {
     /// Dotted scope path; empty string is the root.
     pub path: String,
@@ -37,7 +37,7 @@ pub struct ScopeEnergy {
 }
 
 /// Per-scope energy over a simulation run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyReport {
     /// One entry per scope, in creation order.
     pub scopes: Vec<ScopeEnergy>,

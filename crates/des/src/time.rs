@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_ns(), 1.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct Time(u64);
 
 impl Time {

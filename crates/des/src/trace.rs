@@ -26,6 +26,7 @@
 
 use std::io::{self, Write};
 
+use crate::json::Quoted;
 use crate::{Logic, SignalId, Simulator, Time, Value};
 
 /// One committed signal transition.
@@ -226,8 +227,9 @@ fn signal_path(signals: &[TraceSignalMeta], sig: SignalId) -> &str {
     signals.get(sig.index()).map_or("?", |m| m.path.as_str())
 }
 
-/// Writes one record as a JSON line:
-/// `{"t_fs":N,"sig":"path","old":"bits","new":"bits"}`.
+/// Writes one record as a compact JSON line:
+/// `{"t_fs":N,"sig":"path","old":"bits","new":"bits"}`, with the
+/// signal path escaped (`Simulator::add_signal` accepts any name).
 pub fn write_jsonl_record<W: Write>(
     w: &mut W,
     signals: &[TraceSignalMeta],
@@ -235,9 +237,9 @@ pub fn write_jsonl_record<W: Write>(
 ) -> io::Result<()> {
     writeln!(
         w,
-        "{{\"t_fs\":{},\"sig\":\"{}\",\"old\":\"{}\",\"new\":\"{}\"}}",
+        "{{\"t_fs\":{},\"sig\":{},\"old\":\"{}\",\"new\":\"{}\"}}",
         rec.time.as_fs(),
-        signal_path(signals, rec.signal),
+        Quoted(signal_path(signals, rec.signal)),
         fmt_bits(&rec.old),
         fmt_bits(&rec.new),
     )
@@ -409,6 +411,22 @@ mod tests {
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "{\"t_fs\":1500,\"sig\":\"blk.b\",\"old\":\"1010\",\"new\":\"0101\"}\n"
+        );
+    }
+
+    #[test]
+    fn jsonl_escapes_signal_paths() {
+        // `add_signal` accepts any name; the line must stay valid JSON.
+        let mut sim = Simulator::new();
+        let s = sim.add_signal("odd\"name\\", 1);
+        sim.stimulus(s, &[(Time::from_ps(2), Value::one(1))]);
+        sim.set_trace_sink(Box::new(MemoryTrace::new()));
+        sim.run_to_quiescence().unwrap();
+        let mut out = Vec::new();
+        TraceDump::capture(&sim).expect("sink retains records").write_jsonl(&mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            concat!(r#"{"t_fs":2000,"sig":"odd\"name\\","old":"x","new":"1"}"#, "\n")
         );
     }
 

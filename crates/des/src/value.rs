@@ -10,7 +10,6 @@ use std::fmt;
 /// high-impedance state because every net in the reproduced circuits has
 /// exactly one driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub enum Logic {
     /// Logic low.
     Zero,
@@ -72,7 +71,6 @@ impl fmt::Display for Logic {
 /// assert_eq!(a.toggles_to(&b), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct Value {
     width: u8,
     bits: u64,

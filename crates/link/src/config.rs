@@ -17,7 +17,7 @@ use sal_des::Time;
 /// assert_eq!(cfg.wires_sync(), 33);   // 32 data + valid
 /// assert_eq!(cfg.wires_async(), 10);  // 8 data + req + ack
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Flit (parallel word) width `m` in bits; 1..=64.
     pub flit_width: u8,
@@ -72,7 +72,7 @@ pub struct LinkConfig {
 }
 
 /// Error-detection scheme layered over the serialized wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtectionMode {
     /// No protection: the seed datapath, bit-identical netlist (the
     /// generator/checker/retry blocks are not built at all).
@@ -99,7 +99,7 @@ impl ProtectionMode {
 }
 
 /// Word-level (I3) receiver datapath style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordRxStyle {
     /// The paper's Fig 8b shift register: every stage latches on every
     /// strobe (more switching, simpler control).

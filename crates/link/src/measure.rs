@@ -449,7 +449,7 @@ impl LinkRun {
 /// `conv_uw` is the synch/asynch conversion circuitry (for I1 it holds
 /// the link's clock power, matching the paper's convention of showing
 /// I1's power under its clocked buffers — see `buffers_uw`).
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BlockPower {
     /// Sync↔async interfaces, including their clock load.
     pub conv_uw: f64,

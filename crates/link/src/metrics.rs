@@ -19,6 +19,7 @@
 //! Everything here is deterministic: two identical runs produce
 //! byte-identical [`LinkMetrics::to_json`] output.
 
+use sal_des::json::Json;
 use sal_des::{Logic, SignalId, Time};
 use sal_des::TraceDump;
 
@@ -103,17 +104,25 @@ impl Histogram {
             .collect()
     }
 
-    fn to_json(&self) -> String {
-        let buckets: Vec<String> =
-            self.buckets().iter().map(|(lo, c)| format!("[{lo},{c}]")).collect();
-        format!(
-            "{{\"count\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \"buckets_fs\": [{}]}}",
-            self.count,
-            json_f64(self.min_ns()),
-            json_f64(self.mean_ns()),
-            json_f64(self.max_ns()),
-            buckets.join(", "),
-        )
+    /// Writes the histogram as a one-line object: the count, the three
+    /// nanosecond statistics formatted by `ns`, and the non-empty
+    /// buckets as compact `[lower_fs,count]` pairs.
+    pub fn write_json<'j>(
+        &self,
+        j: &'j mut Json,
+        ns: impl Fn(&mut Json, f64) -> &mut Json,
+    ) -> &'j mut Json {
+        j.obj();
+        j.key("count").num(self.count);
+        ns(j.key("min_ns"), self.min_ns());
+        ns(j.key("mean_ns"), self.mean_ns());
+        ns(j.key("max_ns"), self.max_ns());
+        j.key("buckets_fs").arr();
+        for (lo, c) in self.buckets() {
+            j.raw(&format!("[{lo},{c}]"));
+        }
+        j.end();
+        j.end()
     }
 }
 
@@ -479,93 +488,61 @@ fn burst_stats(dump: &TraceDump, family: LinkFamily, scope: &str) -> Option<Burs
     Some(BurstStats { strobe_path, slices, gap })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
 impl LinkMetrics {
     /// Serialises the report as deterministic JSON: two identical runs
     /// produce byte-identical output (no wall-clock terms appear).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{{\n  \"link\": \"{}\",\n", json_escape(&self.link)));
-        out.push_str(&format!("  \"events\": {},\n", self.events));
+        let mut j = Json::new();
+        j.obj_block();
+        j.key("link").str(&self.link);
+        j.key("events").num(self.events);
         let b = &self.blocks;
-        out.push_str(&format!(
-            "  \"blocks\": {{\"conv_fj\": {}, \"serdes_fj\": {}, \"buffers_fj\": {}, \
-             \"other_fj\": {}, \"clock_uw\": {}, \"conv_uw\": {}, \"serdes_uw\": {}, \
-             \"buffers_uw\": {}, \"other_uw\": {}, \"total_uw\": {}}},\n",
-            json_f64(b.conv_fj),
-            json_f64(b.serdes_fj),
-            json_f64(b.buffers_fj),
-            json_f64(b.other_fj),
-            json_f64(b.clock_uw),
-            json_f64(b.conv_uw),
-            json_f64(b.serdes_uw),
-            json_f64(b.buffers_uw),
-            json_f64(b.other_uw),
-            json_f64(b.total_uw),
-        ));
+        j.key("blocks").obj();
+        j.key("conv_fj").f64(b.conv_fj);
+        j.key("serdes_fj").f64(b.serdes_fj);
+        j.key("buffers_fj").f64(b.buffers_fj);
+        j.key("other_fj").f64(b.other_fj);
+        j.key("clock_uw").f64(b.clock_uw);
+        j.key("conv_uw").f64(b.conv_uw);
+        j.key("serdes_uw").f64(b.serdes_uw);
+        j.key("buffers_uw").f64(b.buffers_uw);
+        j.key("other_uw").f64(b.other_uw);
+        j.key("total_uw").f64(b.total_uw);
+        j.end();
         let o = &self.occupancy;
-        out.push_str(&format!(
-            "  \"occupancy\": {{\"in_use_ns\": {}, \"window_ns\": {}, \"busy_ns\": {}, \
-             \"busy_fraction\": {}, \"idle_fraction\": {}}},\n",
-            json_f64(o.in_use.as_ns()),
-            json_f64(o.window.as_ns()),
-            json_f64(o.busy.as_ns()),
-            json_f64(o.busy_fraction),
-            json_f64(o.idle_fraction),
-        ));
-        out.push_str(&format!(
-            "  \"in_flight\": {{\"max\": {}, \"mean\": {}}},\n",
-            self.in_flight.max,
-            json_f64(self.in_flight.mean),
-        ));
-        match &self.burst {
-            Some(bu) => out.push_str(&format!(
-                "  \"burst\": {{\"strobe\": \"{}\", \"slices\": {}, \"gap\": {}}},\n",
-                json_escape(&bu.strobe_path),
-                bu.slices,
-                bu.gap.to_json(),
-            )),
-            None => out.push_str("  \"burst\": null,\n"),
+        j.key("occupancy").obj();
+        j.key("in_use_ns").f64(o.in_use.as_ns());
+        j.key("window_ns").f64(o.window.as_ns());
+        j.key("busy_ns").f64(o.busy.as_ns());
+        j.key("busy_fraction").f64(o.busy_fraction);
+        j.key("idle_fraction").f64(o.idle_fraction);
+        j.end();
+        j.key("in_flight").obj();
+        j.key("max").num(self.in_flight.max);
+        j.key("mean").f64(self.in_flight.mean);
+        j.end();
+        j.key("burst").opt(self.burst.as_ref(), |j, bu| {
+            j.obj();
+            j.key("strobe").str(&bu.strobe_path);
+            j.key("slices").num(bu.slices);
+            bu.gap.write_json(j.key("gap"), Json::f64);
+            j.end()
+        });
+        j.key("handshakes").arr_block();
+        for h in &self.handshakes {
+            j.obj();
+            j.key("label").str(&h.label);
+            j.key("req").str(&h.req_path);
+            j.key("ack").str(&h.ack_path);
+            j.key("completed").num(h.completed);
+            j.key("open").bool(h.open);
+            h.latency.write_json(j.key("latency"), Json::f64);
+            h.cycle.write_json(j.key("cycle"), Json::f64);
+            j.end();
         }
-        out.push_str("  \"handshakes\": [\n");
-        for (i, h) in self.handshakes.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"req\": \"{}\", \"ack\": \"{}\", \
-                 \"completed\": {}, \"open\": {}, \"latency\": {}, \"cycle\": {}}}{}\n",
-                json_escape(&h.label),
-                json_escape(&h.req_path),
-                json_escape(&h.ack_path),
-                h.completed,
-                h.open,
-                h.latency.to_json(),
-                h.cycle.to_json(),
-                if i + 1 < self.handshakes.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        j.end();
+        j.end();
+        j.finish()
     }
 }
 
@@ -582,7 +559,12 @@ mod tests {
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.max_ns(), 0.0);
         assert!(h.buckets().is_empty());
-        assert!(h.to_json().contains("\"count\": 0"));
+        let mut j = Json::new();
+        h.write_json(&mut j, Json::f64);
+        assert_eq!(
+            j.finish(),
+            "{\"count\": 0, \"min_ns\": 0.0, \"mean_ns\": 0.0, \"max_ns\": 0.0, \"buckets_fs\": []}\n"
+        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ use crate::config::{ConfigError, LinkConfig, ProtectionMode};
 /// protection. (The pre-spec `LinkKind` enum, whose variants named the
 /// three fixed paper points, is gone — the spec path is the only one.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub enum LinkFamily {
     /// I1 — fully synchronous parallel link (clocked pipeline
     /// buffers, no serialization on the wire).
@@ -99,7 +98,6 @@ impl std::fmt::Display for LinkFamily {
 /// Mirrors the three retry fields of [`LinkConfig`]; `None` on the
 /// spec means "the default policy" (this type's [`Default`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct RetryConfig {
     /// Consecutive failures of one word before the transmitter gives
     /// up and accounts the word as lost. Must be ≥ `resync_retries`.
@@ -256,7 +254,6 @@ impl From<SpecError> for BuildError {
 /// [`LinkSpec::builder`], [`LinkSpec::paper`] or
 /// [`LinkSpec::from_config`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct LinkSpec {
     family: LinkFamily,
     word_width: u8,

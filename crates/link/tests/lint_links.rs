@@ -117,8 +117,8 @@ fn sync_link_is_statically_unconstrained() {
 }
 
 /// Pulls `"first_failure": {"I1": ..., "I2": ..., "I3": ...}` out of
-/// the named section of `BENCH_robustness.json` without a JSON
-/// dependency (the vendored serde is a no-op stand-in).
+/// the named section of `BENCH_robustness.json` (the workspace has a
+/// JSON writer but no parser).
 fn first_failures(json: &str, section: &str) -> Option<[Option<f64>; 3]> {
     let sec = json.find(&format!("\"{section}\""))?;
     let ff = json[sec..].find("\"first_failure\"")? + sec;
@@ -143,12 +143,8 @@ fn first_failures(json: &str, section: &str) -> Option<[Option<f64>; 3]> {
 /// failure mode is the clock period, not a matched delay).
 #[test]
 fn static_margins_reconcile_with_simulated_robustness() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robustness.json");
-    let Ok(json) = std::fs::read_to_string(path) else {
-        eprintln!("BENCH_robustness.json not present; skipping reconciliation");
-        return;
-    };
-    let ff = first_failures(&json, "data_skew_ps")
+    let json = include_str!("../../bench/fixtures/BENCH_robustness.json");
+    let ff = first_failures(json, "data_skew_ps")
         .expect("data_skew_ps.first_failure parses");
     let [i1, i2, i3] = ff;
 

@@ -1,6 +1,8 @@
 //! Finding and report types shared by all passes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+use sal_des::json::Json;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -96,50 +98,31 @@ impl LintReport {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            out.push_str(&format!("[{}] {}: {} — {}\n", f.severity, f.pass, f.path, f.message));
+            writeln!(out, "[{}] {}: {} — {}", f.severity, f.pass, f.path, f.message)
+                .expect("writing to a String cannot fail");
         }
         out
     }
 
-    /// Hand-rolled JSON rendering (the vendored `serde` is a no-op
-    /// stand-in, so every machine-readable artifact in this repo is
-    /// written by hand). Deterministic: call [`LintReport::sort`]
-    /// first (done by `run_all`).
+    /// Deterministic JSON rendering: call [`LintReport::sort`] first
+    /// (done by `run_all`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"errors\": {}, \"warnings\": {}, \"infos\": {},\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info)
-        ));
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"severity\": \"{}\", \"pass\": \"{}\", \"path\": \"{}\", \"message\": \"{}\"}}{}\n",
-                f.severity,
-                f.pass,
-                json_escape(&f.path),
-                json_escape(&f.message),
-                if i + 1 == self.findings.len() { "" } else { "," }
-            ));
+        let mut j = Json::new();
+        j.obj_block();
+        j.key("errors").num(self.count(Severity::Error));
+        j.key("warnings").num(self.count(Severity::Warning));
+        j.key("infos").num(self.count(Severity::Info));
+        j.key("findings").arr_block();
+        for f in &self.findings {
+            j.obj();
+            j.key("severity").str(f.severity.label());
+            j.key("pass").str(f.pass);
+            j.key("path").str(&f.path);
+            j.key("message").str(&f.message);
+            j.end();
         }
-        out.push_str("  ]\n}");
-        out
+        j.end();
+        j.end();
+        j.finish()
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -1,10 +1,9 @@
 //! Dynamic channel fault processes and recovery accounting.
 //!
-//! PR 5 gave the gate-level links NACK/retry/timeout/degrade
-//! semantics; at the network layer loss used to be a *static* derate
-//! ([`LinkModel::with_retransmission`](crate::LinkModel::with_retransmission))
-//! that nothing reacted to. This module makes loss an *event*: every
-//! channel of a [`Network`](crate::Network) can carry a seeded
+//! The gate-level links have NACK/retry/timeout/degrade semantics;
+//! this module gives the network layer the same by making loss an
+//! *event*, not a static derate: every channel of a
+//! [`Network`](crate::Network) can carry a seeded
 //! [`ChannelFaults`] describing a per-word error process (i.i.d. or
 //! bursty Gilbert–Elliott), the protection mode of the underlying
 //! link (which decides whether an upset is *detected* and replayed or
@@ -41,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Per-word (per-flit, at this abstraction) error process.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorProcess {
     /// Independent, identically distributed upsets: each transmitted
     /// flit fails with probability `p`.
@@ -122,7 +121,7 @@ impl ErrorProcess {
 /// what fraction of upsets the receiver *detects* (and therefore
 /// NACKs for replay) versus delivers corrupted, and what the
 /// protection costs in channel bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelProtection {
     /// No link-level check: every upset is delivered as silent
     /// corruption. Only an end-to-end check can save the payload.
@@ -180,7 +179,7 @@ impl ChannelProtection {
 }
 
 /// Seeded dynamic fault configuration for every channel of a network.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelFaults {
     /// The per-flit error process.
     pub process: ErrorProcess,
@@ -238,7 +237,7 @@ impl ChannelFaults {
 
 /// Recovery counters of one channel, the network-level mirror of
 /// `sal_link::RecoveryCounts`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounts {
     /// Upsets the error process produced on delivered-or-replayed
     /// flits (detected + undetected).
@@ -284,7 +283,7 @@ impl RecoveryCounts {
 }
 
 /// Aggregate recovery picture of a whole network run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryTotals {
     /// Sum of all channels' counters (`failed` ORs; see
     /// [`RecoveryTotals::failed_links`] for the count).

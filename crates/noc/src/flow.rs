@@ -55,12 +55,11 @@ use crate::{Direction, NodeId};
 
 /// Flow identifier (index into the flow table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct FlowId(pub u32);
 
 /// One end-to-end flow: `packets` reliable, in-order payload packets
 /// from `src` to `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Source core.
     pub src: NodeId,
@@ -71,7 +70,7 @@ pub struct FlowSpec {
 }
 
 /// Shared transport knobs.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowParams {
     /// Initial congestion window, packets.
     pub init_cwnd: f64,
@@ -98,7 +97,7 @@ impl Default for FlowParams {
 }
 
 /// Progress-watchdog knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Cycles between progress checks.
     pub interval: u64,
@@ -114,7 +113,7 @@ impl Default for WatchdogConfig {
 }
 
 /// A complete flow workload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// The flows.
     pub flows: Vec<FlowSpec>,
@@ -195,7 +194,7 @@ pub struct FlowSend {
 }
 
 /// Per-flow transport counters (monotonic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowCounts {
     /// Payload packets first-transmitted.
     pub sent: u64,
@@ -402,7 +401,7 @@ impl Receiver {
 
 /// One starved flow in a [`StallReport`], with the sender state a
 /// post-mortem needs.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StarvedFlow {
     /// Which flow.
     pub flow: FlowId,
@@ -425,7 +424,7 @@ pub struct StarvedFlow {
 }
 
 /// One stalled channel in a [`StallReport`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StalledChannel {
     /// Upstream node of the channel.
     pub from: NodeId,
@@ -440,7 +439,7 @@ pub struct StalledChannel {
 }
 
 /// A watchdog finding: who starved and what stalled.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StallReport {
     /// Cycle the check fired.
     pub cycle: u64,
@@ -455,7 +454,7 @@ pub struct StallReport {
 }
 
 /// Final per-flow statistics.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowStats {
     /// Which flow.
     pub flow: FlowId,

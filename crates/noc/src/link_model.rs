@@ -11,7 +11,7 @@ use sal_des::Time;
 use sal_link::{LinkConfig, LinkFamily, LinkSpec};
 
 /// A behavioural inter-router channel.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Cycles from a flit leaving the upstream router to it being
     /// enqueued at the downstream router.
@@ -77,43 +77,6 @@ impl LinkModel {
     pub fn from_spec(spec: &LinkSpec, base: &LinkConfig) -> Self {
         Self::from_link(spec.family(), &spec.apply(base))
     }
-
-    /// Derates the channel for a protected link on a noisy medium:
-    /// each word transmission independently fails (is NACKed or timed
-    /// out and retransmitted) with probability `p`, so the expected
-    /// transmissions per delivered word follow the geometric series
-    /// `1/(1-p)`. Sustained bandwidth scales by `1-p`, and the mean
-    /// latency grows by the expected retry round trips — each retry
-    /// costs roughly one full channel traversal (NACK flight back
-    /// plus the replayed serial word).
-    ///
-    /// As `p → 1` the geometric series diverges; the latency
-    /// saturates at `u32::MAX` instead of wrapping through the
-    /// float→int cast (a bare `as u32` of a huge or non-finite float
-    /// would silently clamp-or-garble the derate).
-    ///
-    /// # Panics
-    ///
-    /// `p` must be a probability below 1 — at `p = 1` no word is ever
-    /// delivered and the channel has no finite model.
-    pub fn with_retransmission(self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "word-error probability {p} outside [0, 1)");
-        let expected_tx = 1.0 / (1.0 - p);
-        let retry_cycles = (expected_tx - 1.0) * f64::from(self.latency_cycles);
-        let retry_cycles = retry_cycles.ceil();
-        // Explicit saturating conversion: f64 → u32 only when the
-        // value provably fits, u32::MAX otherwise.
-        let retry_cycles = if retry_cycles.is_finite() && retry_cycles < f64::from(u32::MAX) {
-            retry_cycles as u32
-        } else {
-            u32::MAX
-        };
-        LinkModel {
-            latency_cycles: self.latency_cycles.saturating_add(retry_cycles),
-            flits_per_cycle: self.flits_per_cycle * (1.0 - p),
-            wires: self.wires,
-        }
-    }
 }
 
 /// Per-transfer handshake constants matching the gate-level I2 at the
@@ -166,47 +129,6 @@ mod tests {
         let mf = LinkModel::from_async(LinkFamily::PerWord, &fast);
         assert!(mf.flits_per_cycle < 1.0, "rate {}", mf.flits_per_cycle);
         assert!(mf.flits_per_cycle > 0.5);
-    }
-
-    #[test]
-    fn retransmission_derating_follows_the_geometric_series() {
-        let base = LinkModel::from_link(LinkFamily::PerTransfer, &LinkConfig::default());
-        // A perfect medium is the identity.
-        assert_eq!(base.with_retransmission(0.0), base);
-        // 20% word-error rate: bandwidth scales by exactly 1-p, and
-        // the mean latency grows by the expected retry traversals
-        // ((1/(1-p) - 1) ≈ 0.25 of a round trip, ceiled).
-        let noisy = base.with_retransmission(0.2);
-        assert!((noisy.flits_per_cycle - base.flits_per_cycle * 0.8).abs() < 1e-12);
-        assert!(noisy.latency_cycles > base.latency_cycles);
-        assert_eq!(noisy.wires, base.wires, "derating never changes the wire count");
-        // Monotonic: a noisier medium is never faster.
-        let worse = base.with_retransmission(0.5);
-        assert!(worse.flits_per_cycle < noisy.flits_per_cycle);
-        assert!(worse.latency_cycles >= noisy.latency_cycles);
-    }
-
-    #[test]
-    fn retransmission_near_p_one_saturates_instead_of_wrapping() {
-        let base = LinkModel::from_link(LinkFamily::PerTransfer, &LinkConfig::default());
-        // p = 0.999: expected transmissions = 1000, retry cycles in
-        // the tens of thousands — fine. Push the latency so the
-        // product overflows u32: the old bare `as u32` cast wrapped
-        // here; the fix must saturate monotonically.
-        let huge = LinkModel { latency_cycles: u32::MAX / 2, ..base };
-        let derated = huge.with_retransmission(0.999);
-        assert_eq!(derated.latency_cycles, u32::MAX, "must saturate, not wrap");
-        assert!(derated.flits_per_cycle > 0.0);
-        // And the normal-scale p = 0.999 case stays monotonic and finite.
-        let noisy = base.with_retransmission(0.999);
-        assert!(noisy.latency_cycles > base.latency_cycles);
-        assert!(noisy.latency_cycles < u32::MAX);
-        assert!(
-            noisy.latency_cycles >= base.latency_cycles.saturating_mul(500),
-            "p=0.999 must cost ~1000 traversals (got {})",
-            noisy.latency_cycles
-        );
-        assert!((noisy.flits_per_cycle - base.flits_per_cycle * 0.001).abs() < 1e-12);
     }
 
     #[test]

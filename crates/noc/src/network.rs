@@ -133,7 +133,7 @@ impl Channel {
 
 /// Outcome of a flow-mode run: the transport-level story on top of
 /// the usual [`NetworkStats`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowNetReport {
     /// Cycles simulated.
     pub cycles: u64,

@@ -4,11 +4,10 @@ use crate::NodeId;
 
 /// Unique packet identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct PacketId(pub u64);
 
 /// A network packet, segmented into flits for wormhole switching.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Identifier.
     pub id: PacketId,
@@ -23,7 +22,7 @@ pub struct Packet {
 }
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitKind {
     /// First flit: carries the route.
     Head,
@@ -36,7 +35,7 @@ pub enum FlitKind {
 }
 
 /// One flow-control unit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketId,

@@ -48,7 +48,7 @@ use std::collections::{BTreeSet, VecDeque};
 use crate::{Direction, Mesh, NodeId};
 
 /// How a [`crate::Network`] routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingMode {
     /// Dimension-ordered XY, computed statically from the mesh — the
     /// pre-reroute behaviour. Link failures are *not* routed around:
@@ -81,7 +81,7 @@ impl RoutingMode {
 /// the channel leaving `node` toward `dir` dies. Directed scenarios
 /// (as opposed to storm-driven escalation) make failure placement a
 /// controlled experiment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkKill {
     /// Cycle the channel fails.
     pub cycle: u64,

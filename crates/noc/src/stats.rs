@@ -8,7 +8,7 @@ use crate::topology::{Direction, NodeId};
 /// a quiet or loss-free channel) and sorted by `(node, direction)`,
 /// so two stats from identically-shaped networks always compare
 /// field-for-field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkRecovery {
     /// Upstream node of the channel.
     pub node: NodeId,
@@ -19,7 +19,7 @@ pub struct LinkRecovery {
 }
 
 /// Aggregate statistics over the measurement phase of a network run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Measured cycles.
     pub cycles: u64,

@@ -5,7 +5,6 @@ use std::fmt;
 /// A node (switch + attached core) in the mesh, identified by its
 /// linear index (`y * cols + x`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct NodeId(pub u16);
 
 impl fmt::Display for NodeId {
@@ -17,7 +16,6 @@ impl fmt::Display for NodeId {
 /// A router port direction. `Local` is the core's
 /// injection/ejection port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
 pub enum Direction {
     /// Toward smaller y.
     North,
@@ -64,7 +62,7 @@ impl Direction {
 }
 
 /// A `cols × rows` 2-D mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     /// Number of columns (x extent).
     pub cols: u16,

@@ -5,7 +5,7 @@ use rand::Rng;
 use crate::{Mesh, NodeId};
 
 /// Standard synthetic destination patterns for NoC evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Every node sends to a uniformly random other node.
     UniformRandom,

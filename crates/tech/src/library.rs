@@ -6,7 +6,7 @@ use sal_des::Time;
 use crate::wire::WireModel;
 
 /// A process/voltage/temperature corner of the technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Corner {
     /// Fast silicon, high voltage, low temperature: ~0.8× delays.
     Fast,

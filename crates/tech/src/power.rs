@@ -35,7 +35,7 @@ pub fn clock_power_uw(lib: &St012Library, n_ffs: u32, tree_length_um: f64, freq_
 }
 
 /// One named block's average power over a measurement window.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerBreakdown {
     /// `(scope path, average power in µW)`, exclusive per scope.
     pub scopes: Vec<(String, f64)>,
