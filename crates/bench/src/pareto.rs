@@ -432,6 +432,27 @@ mod tests {
         }
     }
 
+    /// Backs the campaign's "every generated link lints clean": all
+    /// full-grid cells, zero error findings and a positive static margin
+    /// on every bundled capture.
+    #[test]
+    fn every_full_grid_cell_lints_clean() {
+        let opts = MeasureOptions::default();
+        for spec in full_grid() {
+            let graph = build_netgraph(&spec, &opts);
+            let report = run_all(&graph);
+            assert!(!report.has_errors(), "{spec:?}:\n{}", report.to_text());
+            for m in sal_lint::timing_margins(&graph) {
+                assert!(
+                    m.margin_ps > 0.0,
+                    "{spec:?}: margin {:+.1} ps at {}",
+                    m.margin_ps,
+                    m.capture_data
+                );
+            }
+        }
+    }
+
     #[test]
     fn quick_grid_covers_the_acceptance_axes() {
         let grid = quick_grid();

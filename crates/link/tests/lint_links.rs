@@ -6,19 +6,22 @@
 
 use sal_cells::CircuitBuilder;
 use sal_des::Simulator;
-use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, WordRxStyle};
 use sal_lint::{run_all, timing_margins, TimingMargin};
 use sal_tech::St012Library;
 
-fn lint_of(family: LinkFamily, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<TimingMargin>) {
+fn lint_spec(spec: &LinkSpec, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<TimingMargin>) {
     let mut sim = Simulator::new();
     let lib = St012Library::default();
     let mut b = CircuitBuilder::new(&mut sim, &lib);
-    let spec = LinkSpec::from_config(family, cfg).expect("corner configs are valid specs");
-    generate(&mut b, &spec, "link", cfg).expect("link builds cleanly");
+    generate(&mut b, spec, "link", cfg).expect("link builds cleanly");
     b.finish();
     let graph = sim.netgraph();
     (run_all(&graph), timing_margins(&graph))
+}
+
+fn lint_of(family: LinkFamily, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<TimingMargin>) {
+    lint_spec(&LinkSpec::from_config(family, cfg).expect("corner configs are valid specs"), cfg)
 }
 
 /// The configuration corners the robustness and power sweeps visit.
@@ -103,6 +106,29 @@ fn async_link_margins_carry_generator_params() {
             }
         }
     }
+}
+
+/// A protected I2 link at 2:1 has a handshake-cyclic strobe cone with
+/// exponentially many simple paths. Its receiver capture's margin must
+/// come from the exact shortest strobe path; a search that stops early
+/// keeps a longer one (438.6 ps) and over-reports the margin.
+#[test]
+fn protected_i2_strobe_margin_is_exact() {
+    let spec = LinkSpec::builder()
+        .family(LinkFamily::PerTransfer)
+        .word_width(16)
+        .serial_ratio(2)
+        .buffer_depth(2)
+        .protection(ProtectionMode::Parity)
+        .build()
+        .expect("valid lattice cell");
+    let (_, margins) = lint_spec(&spec, &LinkConfig::default());
+    let m = margins
+        .iter()
+        .find(|m| m.capture_trigger == "link.rx_if.cell0.le")
+        .expect("the receiver interface captures on cell0.le");
+    assert!((m.strobe_min_ps - 426.5).abs() < 0.05, "strobe {:.3} ps", m.strobe_min_ps);
+    assert!((m.margin_ps - 215.6).abs() < 0.05, "margin {:+.3} ps", m.margin_ps);
 }
 
 #[test]

@@ -283,6 +283,55 @@ fn timing_fires_on_unreachable_strobe() {
     );
 }
 
+/// A ring of latches whose `d` pins each mux every other latch's output
+/// has factorially many simple data paths, so the longest-path walk
+/// cannot finish. The capture must then fail closed: an error saying
+/// its margin is unknown, never a margin computed from the paths the
+/// walk happened to see.
+#[test]
+fn timing_fails_closed_when_the_data_walk_gives_up() {
+    const LATCHES: usize = 12;
+    let mut sim = Simulator::new();
+    let go = sim.add_signal("go", 1);
+    sim.mark_port(go);
+    let en = sim.add_signal("en", 1);
+    let strobe = sim.add_component("strobe_dly", Nop, &[go]);
+    sim.set_component_class(strobe, CellClass::Comb);
+    sim.set_component_delay(strobe, Time::from_ps(500));
+    sim.connect_driver(strobe, en).unwrap();
+    let q: Vec<_> = (0..LATCHES).map(|i| sim.add_signal(&format!("q{i}"), 1)).collect();
+    let d: Vec<_> = (0..LATCHES).map(|i| sim.add_signal(&format!("d{i}"), 1)).collect();
+    for i in 0..LATCHES {
+        let mut picks: Vec<_> = (0..LATCHES).filter(|&j| j != i).map(|j| q[j]).collect();
+        if i == 0 {
+            picks.push(go);
+        }
+        let mux = sim.add_component(&format!("mux{i}"), Nop, &picks);
+        sim.set_component_class(mux, CellClass::Comb);
+        sim.set_component_delay(mux, Time::from_ps(20));
+        sim.connect_driver(mux, d[i]).unwrap();
+        let latch = sim.add_component(&format!("lat{i}"), Nop, &[d[i], en]);
+        sim.set_component_class(latch, CellClass::Latch);
+        sim.set_component_delay(latch, Time::from_ps(30));
+        sim.set_component_pins(latch, &[d[i]], &[en]);
+        sim.connect_driver(latch, q[i]).unwrap();
+    }
+    sim.register_bundle("ring", go, Time::ZERO);
+    sim.register_capture(d[0], en);
+    let report = run_all(&sim.netgraph());
+    let errs = errors_of(&report, "timing");
+    assert!(
+        errs.iter().any(|f| f.path == "d0" && f.message.contains("unknown")),
+        "expected an unknown-margin error on d0, got:\n{}",
+        report.to_text()
+    );
+    assert!(
+        !report.findings.iter().any(|f| f.pass == "timing" && f.severity == Severity::Info),
+        "a capture whose walk gave up must not report a margin:\n{}",
+        report.to_text()
+    );
+}
+
 // ---------------------------------------------------------------
 // handshake
 // ---------------------------------------------------------------
