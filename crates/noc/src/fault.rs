@@ -292,7 +292,8 @@ pub struct RecoveryTotals {
     pub failed_links: u64,
 }
 
-/// Availability state of a lossy channel.
+/// Availability state of a channel: driven by the escalation ladder
+/// on lossy channels, or set directly by a scheduled link kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChannelState {
     /// Normal operation.
@@ -319,6 +320,17 @@ impl ChannelState {
             ChannelState::Resyncing { .. } => "resyncing",
             ChannelState::Degraded { .. } => "degraded",
             ChannelState::Failed => "failed",
+        }
+    }
+
+    /// Route-choice penalty of this state, in preference order (the
+    /// network adds queue depth; `Failed` is effectively infinite).
+    pub(crate) fn penalty(self) -> u32 {
+        match self {
+            ChannelState::Up => 0,
+            ChannelState::Degraded { .. } => 64,
+            ChannelState::Resyncing { .. } => 256,
+            ChannelState::Failed => 1 << 24,
         }
     }
 }

@@ -242,6 +242,8 @@ struct Sender {
     deadline: Option<u64>,
     /// Cycle the flow completed (all packets acked), if it did.
     completed_at: Option<u64>,
+    /// The flow's transport counters, both ends' (the receiver counts
+    /// into its sender's).
     counts: FlowCounts,
 }
 
@@ -267,17 +269,19 @@ impl Sender {
         self.cum_acked >= self.spec.packets
     }
 
-    /// The effective (backed-off) RTO.
+    /// The effective (backed-off) RTO. `backoff` is capped at 16, so
+    /// the multiplier `2^backoff` always fits.
     fn rto_eff(&self, p: &FlowParams) -> u64 {
-        self.rto.saturating_shl_cap(self.backoff).min(p.rto_max)
+        self.rto.saturating_mul(1 << self.backoff).min(p.rto_max)
     }
 
     fn window(&self) -> u64 {
         (self.cwnd.floor() as u64).max(1)
     }
 
-    /// Timer + window pass: returns `(seq, is_retx)` to transmit now.
-    fn poll(&mut self, now: u64, p: &FlowParams) -> Vec<(u64, bool)> {
+    /// Timer + window pass: returns the sequence numbers to transmit
+    /// now.
+    fn poll(&mut self, now: u64, p: &FlowParams) -> Vec<u64> {
         let mut out = Vec::new();
         if self.complete() {
             return out;
@@ -288,14 +292,11 @@ impl Sender {
             self.counts.timeouts += 1;
             self.cwnd = (self.cwnd / 2.0).max(1.0);
             self.backoff = (self.backoff + 1).min(16);
-            if let Some((&seq, &mut (first, ref mut retx))) =
-                self.outstanding.iter_mut().next()
-            {
+            if let Some((&seq, (_, retx))) = self.outstanding.iter_mut().next() {
                 debug_assert_eq!(seq, self.cum_acked, "earliest unacked is the cumulative edge");
-                let _ = first;
                 *retx += 1;
                 self.counts.retx += 1;
-                out.push((seq, true));
+                out.push(seq);
             }
             self.deadline = Some(now + self.rto_eff(p));
         }
@@ -304,7 +305,7 @@ impl Sender {
             && self.next_seq - self.cum_acked < self.window()
         {
             self.outstanding.insert(self.next_seq, (now, 0));
-            out.push((self.next_seq, false));
+            out.push(self.next_seq);
             self.next_seq += 1;
             self.counts.sent += 1;
             if self.deadline.is_none() {
@@ -356,21 +357,6 @@ impl Sender {
     }
 }
 
-/// Saturating `u64 << u32` capped at `u64::MAX`.
-trait ShlCap {
-    fn saturating_shl_cap(self, by: u32) -> u64;
-}
-
-impl ShlCap for u64 {
-    fn saturating_shl_cap(self, by: u32) -> u64 {
-        if by >= 64 || self.leading_zeros() < by {
-            u64::MAX
-        } else {
-            self << by
-        }
-    }
-}
-
 /// Receiver-side state of one flow.
 #[derive(Debug, Default)]
 struct Receiver {
@@ -384,18 +370,18 @@ struct Receiver {
 }
 
 impl Receiver {
-    /// Accepts a payload; returns the cumulative ack to send back.
-    fn on_payload(&mut self, seq: u64, counts: &mut FlowCounts) -> u64 {
+    /// Accepts an intact payload: a duplicate is counted and absorbed,
+    /// anything else parks until the cumulative edge reaches it.
+    fn on_payload(&mut self, seq: u64, counts: &mut FlowCounts) {
         if seq < self.cum || self.ooo.contains(&seq) {
             counts.dup_rx += 1;
-            return self.cum;
+            return;
         }
         self.ooo.insert(seq);
         while self.ooo.remove(&self.cum) {
             self.cum += 1;
             self.delivered += 1;
         }
-        self.cum
     }
 }
 
@@ -470,8 +456,7 @@ pub struct FlowStats {
     pub goodput_ppc: f64,
     /// Final congestion window.
     pub final_cwnd: f64,
-    /// Final smoothed RTT, cycles (`NaN` before the first sample —
-    /// serialised as null-ish by the consumer).
+    /// Final smoothed RTT, cycles (`None` before the first sample).
     pub srtt: Option<f64>,
     /// Transport counters.
     pub counts: FlowCounts,
@@ -499,7 +484,6 @@ pub struct FlowEngine {
     watchdog: WatchdogConfig,
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
-    counts: Vec<FlowCounts>,
     /// Watchdog snapshot: cumulative acks at the last check.
     last_cum: Vec<u64>,
     /// Starved set at the last reported stall (dedup).
@@ -520,7 +504,6 @@ impl FlowEngine {
             watchdog: cfg.watchdog,
             senders,
             receivers: (0..n).map(|_| Receiver::default()).collect(),
-            counts: vec![FlowCounts::default(); n],
             last_cum: vec![0; n],
             last_starved: Vec::new(),
             no_progress_checks: 0,
@@ -550,18 +533,13 @@ impl FlowEngine {
         let mut out = Vec::new();
         for (i, s) in self.senders.iter_mut().enumerate() {
             let flow = FlowId(i as u32);
-            for (seq, is_retx) in s.poll(now, &self.params) {
-                let _ = is_retx;
+            for seq in s.poll(now, &self.params) {
                 out.push(FlowSend {
                     from: s.spec.src,
                     to: s.spec.dst,
                     tag: FlowTag::Payload { flow, seq, payload: payload_word(flow, seq) },
                 });
             }
-            self.counts[i].sent = s.counts.sent;
-            self.counts[i].retx = s.counts.retx;
-            self.counts[i].timeouts = s.counts.timeouts;
-            self.counts[i].stale_acks = s.counts.stale_acks;
         }
         out
     }
@@ -574,30 +552,30 @@ impl FlowEngine {
         match tag {
             FlowTag::Payload { flow, seq, payload } => {
                 let i = flow.0 as usize;
-                let spec = self.senders[i].spec;
+                let (sender, receiver) = (&mut self.senders[i], &mut self.receivers[i]);
+                let spec = sender.spec;
                 debug_assert_eq!(node, spec.dst, "payload ejected at the wrong core");
                 let received = payload ^ xor;
                 if received != payload_word(flow, seq) {
                     // End-to-end check caught in-flight corruption:
                     // drop; the retransmission timer heals the hole.
-                    self.counts[i].corrupt_payloads += 1;
+                    sender.counts.corrupt_payloads += 1;
                 } else if xor != 0 {
                     // Structurally unreachable (xor≠0 flips the word);
                     // counted so the campaign's headline claim is a
                     // measurement, not an assumption.
-                    self.counts[i].accepted_corrupt += 1;
+                    sender.counts.accepted_corrupt += 1;
                 } else {
-                    let before = self.receivers[i].delivered;
-                    let already = seq < self.receivers[i].cum || self.receivers[i].ooo.contains(&seq);
-                    let _ = self.receivers[i].on_payload(seq, &mut self.counts[i]);
-                    let after = self.receivers[i].delivered;
-                    if already && after > before {
-                        self.counts[i].dup_delivered += 1;
+                    let before = receiver.delivered;
+                    let already = seq < receiver.cum || receiver.ooo.contains(&seq);
+                    receiver.on_payload(seq, &mut sender.counts);
+                    if already && receiver.delivered > before {
+                        sender.counts.dup_delivered += 1;
                     }
                 }
                 // Ack the current cumulative edge regardless: a dup or
                 // a drop still tells the sender where the edge is.
-                let cum = self.receivers[i].cum;
+                let cum = receiver.cum;
                 Some(FlowSend {
                     from: spec.dst,
                     to: spec.src,
@@ -610,7 +588,7 @@ impl FlowEngine {
                 let received_cum = cum ^ xor;
                 if ack_check(flow, received_cum) != check {
                     // Corrupted ack: self-check failed — never trust it.
-                    self.counts[i].corrupt_acks += 1;
+                    self.senders[i].counts.corrupt_acks += 1;
                 } else {
                     self.senders[i].on_ack(received_cum, now, &self.params);
                 }
@@ -674,30 +652,21 @@ impl FlowEngine {
         self.senders
             .iter()
             .zip(&self.receivers)
-            .zip(&self.counts)
             .enumerate()
-            .map(|(i, ((s, r), engine_counts))| {
-                let mut counts = s.counts;
-                counts.dup_rx = engine_counts.dup_rx;
-                counts.corrupt_payloads = engine_counts.corrupt_payloads;
-                counts.accepted_corrupt = engine_counts.accepted_corrupt;
-                counts.dup_delivered = engine_counts.dup_delivered;
-                counts.corrupt_acks = engine_counts.corrupt_acks;
-                FlowStats {
-                    flow: FlowId(i as u32),
-                    spec: s.spec,
-                    delivered: r.delivered,
-                    acked: s.cum_acked,
-                    completed_at: s.completed_at,
-                    goodput_ppc: if cycles == 0 {
-                        0.0
-                    } else {
-                        r.delivered as f64 / cycles as f64
-                    },
-                    final_cwnd: s.cwnd,
-                    srtt: s.srtt,
-                    counts,
-                }
+            .map(|(i, (s, r))| FlowStats {
+                flow: FlowId(i as u32),
+                spec: s.spec,
+                delivered: r.delivered,
+                acked: s.cum_acked,
+                completed_at: s.completed_at,
+                goodput_ppc: if cycles == 0 {
+                    0.0
+                } else {
+                    r.delivered as f64 / cycles as f64
+                },
+                final_cwnd: s.cwnd,
+                srtt: s.srtt,
+                counts: s.counts,
             })
             .collect()
     }
@@ -792,8 +761,8 @@ mod tests {
         let first = sends[0];
         let ack1 = deliver(&mut e, first, 0, 10).unwrap();
         let ack2 = deliver(&mut e, first, 0, 11).unwrap(); // duplicate
-        assert_eq!(e.counts[0].dup_rx, 1);
-        assert_eq!(e.counts[0].dup_delivered, 0);
+        assert_eq!(e.senders[0].counts.dup_rx, 1);
+        assert_eq!(e.senders[0].counts.dup_delivered, 0);
         assert_eq!(e.receivers[0].delivered, 1);
         // Both acks carry the same cumulative edge.
         let (FlowTag::Ack { cum: c1, .. }, FlowTag::Ack { cum: c2, .. }) = (ack1.tag, ack2.tag)
@@ -838,7 +807,7 @@ mod tests {
         let ack = deliver(&mut e, sends[0], 0, 5).unwrap();
         // Corrupt the ack in flight: sender must ignore it.
         deliver(&mut e, ack, 1 << 3, 9);
-        assert_eq!(e.counts[0].corrupt_acks, 1);
+        assert_eq!(e.senders[0].counts.corrupt_acks, 1);
         assert_eq!(e.senders[0].cum_acked, 0, "corrupted ack must not advance the window");
     }
 
@@ -852,7 +821,7 @@ mod tests {
             e.on_delivery(NodeId(3), tag, 0, 1);
             assert_eq!(e.receivers[0].delivered, expect_delivered, "after seq {seq}");
         }
-        assert_eq!(e.counts[0].dup_rx, 0);
+        assert_eq!(e.senders[0].counts.dup_rx, 0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The cycle-driven network simulator.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{ChannelFaults, ChannelState, FaultDice, RecoveryCounts, Upset};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats, FlowTag, StallReport, StalledChannel, jain_index};
-use crate::routing::{LinkHealth, LinkKill, RouteTable, RoutingMode};
+use crate::routing::{LinkKill, RouteTable, RoutingMode};
 use crate::stats::LinkRecovery;
 use crate::{
     Direction, Flit, LinkModel, Mesh, NetworkStats, NodeId, Packet, PacketId, Router,
@@ -54,6 +54,8 @@ struct Lossy {
 #[derive(Debug)]
 struct Channel {
     model: LinkModel,
+    /// The downstream router.
+    to: NodeId,
     /// Flits in flight: `(deliver_at_cycle, flit)`.
     in_flight: VecDeque<(u64, Flit)>,
     /// Bandwidth accumulator (≥ 1 permits a send).
@@ -75,9 +77,10 @@ struct Channel {
 }
 
 impl Channel {
-    fn new(model: LinkModel, downstream_capacity: usize, lossy: Option<Lossy>) -> Self {
+    fn new(model: LinkModel, to: NodeId, downstream_capacity: usize, lossy: Option<Lossy>) -> Self {
         Channel {
             model,
+            to,
             in_flight: VecDeque::new(),
             rate_credit: 1.0,
             buffer_credits: downstream_capacity,
@@ -96,16 +99,6 @@ impl Channel {
 
     fn can_accept(&self) -> bool {
         self.is_open() && self.rate_credit >= 1.0 && self.buffer_credits > self.in_flight.len()
-    }
-
-    /// The health class the route table's bias sees.
-    fn health(&self) -> LinkHealth {
-        match self.state {
-            ChannelState::Up => LinkHealth::Up,
-            ChannelState::Degraded { .. } => LinkHealth::Degraded,
-            ChannelState::Resyncing { .. } => LinkHealth::Resyncing,
-            ChannelState::Failed => LinkHealth::Failed,
-        }
     }
 
     fn send(&mut self, now: u64, flit: Flit) {
@@ -128,6 +121,58 @@ impl Channel {
             _ => {}
         }
         self.rate_credit = (self.rate_credit + rate).min(2.0);
+    }
+}
+
+/// What the network remembers about one packet in the fabric; its
+/// route rides in every flit.
+#[derive(Debug, Clone, Copy)]
+struct PacketSlot {
+    /// Cycle the packet was created at the source core.
+    inject_cycle: u64,
+    /// Accumulated undetected-corruption bit-flip mask.
+    corrupt_xor: u64,
+    /// Flow-level content (flow mode).
+    tag: Option<FlowTag>,
+    /// Already counted stranded: static XY leaves a severed packet's
+    /// upstream fragments wedged in place, and a later failure must
+    /// not count the same packet twice.
+    stranded: bool,
+}
+
+/// Every packet in the fabric, indexed by [`PacketId`]: a slot is
+/// taken at creation and freed for reuse when the packet's tail
+/// ejects or reconfiguration purges it.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    slots: Vec<Option<PacketSlot>>,
+    free: Vec<PacketId>,
+}
+
+impl PacketSlab {
+    fn insert(&mut self, slot: PacketSlot) -> PacketId {
+        if let Some(id) = self.free.pop() {
+            self.slots[id.0 as usize] = Some(slot);
+            id
+        } else {
+            self.slots.push(Some(slot));
+            PacketId(self.slots.len() as u64 - 1)
+        }
+    }
+
+    fn get_mut(&mut self, id: PacketId) -> &mut PacketSlot {
+        self.slots[id.0 as usize].as_mut().expect("flit of a packet not in the fabric")
+    }
+
+    fn remove(&mut self, id: PacketId) -> PacketSlot {
+        let slot = self.slots[id.0 as usize].take().expect("packet not in the fabric");
+        self.free.push(id);
+        slot
+    }
+
+    /// Packets in the fabric that were not counted stranded.
+    fn in_flight(&self) -> u64 {
+        self.slots.iter().flatten().filter(|s| !s.stranded).count() as u64
     }
 }
 
@@ -171,18 +216,11 @@ pub struct Network {
     inject_rate: f64,
     rng: StdRng,
     routers: Vec<Router>,
-    /// Outgoing channel per (node, direction index 0..4).
-    ///
-    /// Iterated in hash order, which is fine *only because* all
-    /// per-channel state (including each lossy channel's own RNG) is
-    /// disjoint — nothing drawn while iterating is shared.
-    channels: HashMap<(u16, usize), Channel>,
+    /// Outgoing channels by dense id ([`Mesh::channel_id`]); `None`
+    /// where the port faces the mesh edge.
+    channels: Vec<Option<Channel>>,
     inject_q: Vec<VecDeque<Flit>>,
-    packets: HashMap<PacketId, Packet>,
-    /// Accumulated undetected-corruption bit-flip mask per packet.
-    corrupt_xor: HashMap<PacketId, u64>,
-    /// Flow-level content of in-flight packets (flow mode).
-    flow_tags: HashMap<PacketId, FlowTag>,
+    packets: PacketSlab,
     /// The transport engine (flow mode only).
     flows: Option<FlowEngine>,
     /// The live routing function (used in adaptive mode; rebuilt on
@@ -194,11 +232,6 @@ pub struct Network {
     kill_idx: usize,
     /// Injection is paused until this cycle (reconfiguration epoch).
     inject_frozen_until: u64,
-    /// Packets already counted stranded (static XY leaves a severed
-    /// packet's upstream fragments wedged in place, and a later
-    /// failure must not count the same packet twice).
-    stranded_ids: HashSet<PacketId>,
-    next_packet: u64,
     cycle: u64,
 }
 
@@ -208,14 +241,15 @@ impl Network {
     /// # Panics
     ///
     /// Panics on nonsensical configuration (zero-length packets, zero
-    /// queues, negative rate).
+    /// queues, negative rate, a scheduled kill of a channel the mesh
+    /// does not have).
     pub fn new(cfg: NetworkConfig, pattern: TrafficPattern, inject_rate: f64, seed: u64) -> Self {
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.input_queue_flits >= 1, "routers need input buffering");
         assert!(inject_rate >= 0.0, "negative injection rate");
         let mesh = cfg.mesh;
-        let routers: Vec<Router> =
-            mesh.node_ids().map(|n| Router::new(n, cfg.input_queue_flits)).collect();
+        let nodes = mesh.nodes();
+        let routers: Vec<Router> = (0..nodes).map(|_| Router::new(cfg.input_queue_flits)).collect();
         // The protection mode taxes the link: CRC check bytes ride the
         // serial wire, parity rides an extra physical wire.
         let model = match cfg.faults {
@@ -226,30 +260,31 @@ impl Network {
             },
             None => cfg.link,
         };
-        let mut channels = HashMap::new();
-        for (n, dir) in mesh.directed_channels() {
-            let lossy = cfg.faults.map(|fc| Lossy {
-                dice: FaultDice::new(fc, seed, n.0, dir.index()),
-                consec: 0,
-                head_resyncs: 0,
-                counts: RecoveryCounts::default(),
-            });
-            channels.insert(
-                (n.0, dir.index()),
-                Channel::new(model, cfg.input_queue_flits, lossy),
-            );
-        }
+        let channels = (0..4 * nodes)
+            .map(|id| {
+                let (n, dir) = mesh.channel(id);
+                let to = mesh.neighbor(n, dir)?;
+                let lossy = cfg.faults.map(|fc| Lossy {
+                    dice: FaultDice::new(fc, seed, n.0, dir.index()),
+                    consec: 0,
+                    head_resyncs: 0,
+                    counts: RecoveryCounts::default(),
+                });
+                Some(Channel::new(model, to, cfg.input_queue_flits, lossy))
+            })
+            .collect();
         let mut kills = cfg.link_kills.clone();
         kills.sort_by_key(|k| (k.cycle, k.node.0, k.dir.index()));
         for k in &kills {
+            // Checked before any id is formed: `node * 4 + dir` would
+            // alias a Local kill onto the next node's North channel.
             assert!(
-                channels.contains_key(&(k.node.0, k.dir.index())),
+                usize::from(k.node.0) < nodes && mesh.neighbor(k.node, k.dir).is_some(),
                 "scheduled kill of a channel that does not exist: {} {:?}",
                 k.node,
                 k.dir
             );
         }
-        let nodes = mesh.nodes();
         Network {
             cfg,
             pattern,
@@ -258,16 +293,12 @@ impl Network {
             routers,
             channels,
             inject_q: vec![VecDeque::new(); nodes],
-            packets: HashMap::new(),
-            corrupt_xor: HashMap::new(),
-            flow_tags: HashMap::new(),
+            packets: PacketSlab::default(),
             flows: None,
             routes: RouteTable::new(mesh),
             kills,
             kill_idx: 0,
             inject_frozen_until: 0,
-            stranded_ids: HashSet::new(),
-            next_packet: 0,
             cycle: 0,
         }
     }
@@ -305,17 +336,11 @@ impl Network {
             nodes: self.cfg.mesh.nodes(),
             ..NetworkStats::default()
         };
-        let mut created_total: u64 = 0;
-        let mut delivered_total: u64 = 0;
         for _ in 0..total_cycles {
             let measuring = self.cycle >= warmup_cycles;
-            let created = self.step_cycle(&mut stats, measuring);
-            created_total += created;
-            delivered_total = stats.delivered_packets;
+            self.step_cycle(&mut stats, measuring);
         }
         stats.cycles = total_cycles - warmup_cycles;
-        stats.in_flight =
-            created_total.saturating_sub(delivered_total + stats.stranded_packets);
         self.finalize(&mut stats);
         stats
     }
@@ -334,10 +359,9 @@ impl Network {
             ..NetworkStats::default()
         };
         let interval = self.flows.as_ref().expect("flow mode").watchdog_interval();
-        let mut created_total: u64 = 0;
         let mut cycles: u64 = 0;
         while cycles < max_cycles {
-            created_total += self.step_cycle(&mut stats, true);
+            self.step_cycle(&mut stats, true);
             cycles += 1;
             if self.flows.as_ref().expect("flow mode").all_complete() {
                 break;
@@ -352,8 +376,6 @@ impl Network {
             }
         }
         stats.cycles = cycles;
-        stats.in_flight =
-            created_total.saturating_sub(stats.delivered_packets + stats.stranded_packets);
         self.finalize(&mut stats);
         // Flow mode measures from cycle 0, so the flit conservation
         // law is exact: every injected flit was delivered, stranded
@@ -378,35 +400,38 @@ impl Network {
     }
 
     /// End-of-run bookkeeping: sort latencies once (quantiles index
-    /// directly afterwards) and collect the per-channel recovery rows
-    /// in deterministic `(node, direction)` order — rows exist for
-    /// every channel, all-zero when nothing happened, so loss-free
-    /// and `p = 0` runs compare equal field-for-field.
+    /// directly afterwards), count what is still in the fabric, and
+    /// collect the per-channel recovery rows in channel-id, i.e.
+    /// `(node, direction)`, order — rows exist for every channel,
+    /// all-zero when nothing happened, so loss-free and `p = 0` runs
+    /// compare equal field-for-field.
     fn finalize(&self, stats: &mut NetworkStats) {
         stats.finalize_latencies();
+        stats.in_flight = self.packets.in_flight();
         // Flits still queued anywhere in the fabric (conservation).
         stats.residual_flits = self
             .routers
             .iter()
             .map(|r| r.occupancy() as u64)
             .sum::<u64>()
-            + self.channels.values().map(|c| c.in_flight.len() as u64).sum::<u64>()
+            + self.channels.iter().flatten().map(|c| c.in_flight.len() as u64).sum::<u64>()
             + self.inject_q.iter().map(|q| q.len() as u64).sum::<u64>();
-        let mut rows: Vec<LinkRecovery> = self
+        stats.link_recovery = self
             .channels
             .iter()
-            .map(|((node, diri), ch)| {
+            .enumerate()
+            .filter_map(|(id, ch)| {
+                let ch = ch.as_ref()?;
+                let (node, dir) = self.cfg.mesh.channel(id);
                 let mut counts = ch.lossy.as_ref().map(|l| l.counts).unwrap_or_default();
                 // Scheduled kills fail channels without fault
                 // machinery, and a retrained channel no longer *is*
                 // Failed — the sticky bit surfaces both in the
                 // recovery rows.
                 counts.failed = counts.failed || ch.ever_failed;
-                LinkRecovery { node: NodeId(*node), dir: Direction::ALL[*diri], counts }
+                Some(LinkRecovery { node, dir, counts })
             })
             .collect();
-        rows.sort_by_key(|r| (r.node, r.dir.index()));
-        stats.link_recovery = rows;
         stats.finalize_recovery();
     }
 
@@ -414,45 +439,38 @@ impl Network {
     /// flits without delivering for a whole watchdog interval.
     fn stalled_channels(&self, interval: u64) -> Vec<StalledChannel> {
         let now = self.cycle;
-        let mut rows: Vec<StalledChannel> = self
-            .channels
+        self.channels
             .iter()
-            .filter_map(|((node, diri), ch)| {
+            .enumerate()
+            .filter_map(|(id, ch)| {
+                let ch = ch.as_ref()?;
                 let state = ch.state.label();
                 let queued = ch.in_flight.len();
                 let wedged = state == "failed"
                     || (queued > 0 && now.saturating_sub(ch.last_delivery) >= interval);
-                wedged.then(|| StalledChannel {
-                    from: NodeId(*node),
-                    dir: Direction::ALL[*diri],
+                let (from, dir) = self.cfg.mesh.channel(id);
+                wedged.then_some(StalledChannel {
+                    from,
+                    dir,
                     state,
                     queued,
                     last_delivery: ch.last_delivery,
                 })
             })
-            .collect();
-        rows.sort_by_key(|r| (r.from, r.dir.index()));
-        rows
+            .collect()
     }
 
     /// Creates a packet at `from` bound for `to` and feeds its flits
     /// into the source queue.
     fn spawn_packet(&mut self, from: NodeId, to: NodeId, len_flits: u32, tag: Option<FlowTag>) {
-        let pkt = Packet {
-            id: PacketId(self.next_packet),
-            src: from,
-            dst: to,
-            len_flits,
+        let id = self.packets.insert(PacketSlot {
             inject_cycle: self.cycle,
-        };
-        self.next_packet += 1;
-        for f in pkt.flits() {
-            self.inject_q[from.0 as usize].push_back(f);
-        }
-        if let Some(tag) = tag {
-            self.flow_tags.insert(pkt.id, tag);
-        }
-        self.packets.insert(pkt.id, pkt);
+            corrupt_xor: 0,
+            tag,
+            stranded: false,
+        });
+        let pkt = Packet { id, src: from, dst: to, len_flits };
+        self.inject_q[from.0 as usize].extend(pkt.flits());
     }
 
     /// One reconfiguration epoch around the channels that entered
@@ -482,13 +500,13 @@ impl Network {
     /// service.
     const RETRAIN_DRAIN: u64 = 256;
 
-    fn handle_failures(&mut self, mut newly: Vec<(u16, usize)>, stats: &mut NetworkStats) {
+    fn handle_failures(&mut self, mut newly: Vec<usize>, stats: &mut NetworkStats) {
         newly.sort_unstable();
         newly.dedup();
         // Drain the dead wires.
         let mut doomed: BTreeSet<PacketId> = BTreeSet::new();
-        for &(node, diri) in &newly {
-            let ch = self.channels.get_mut(&(node, diri)).expect("failed channel exists");
+        for &id in &newly {
+            let ch = self.channels[id].as_mut().expect("failed channel exists");
             for (_, f) in ch.in_flight.drain(..) {
                 stats.stranded_flits += 1;
                 doomed.insert(f.packet);
@@ -499,7 +517,9 @@ impl Network {
             // wedged (the pre-reroute livelock behaviour, preserved
             // and pinned by test); only the accounting is new.
             for pid in doomed {
-                if self.stranded_ids.insert(pid) {
+                let slot = self.packets.get_mut(pid);
+                if !slot.stranded {
+                    slot.stranded = true;
                     stats.stranded_packets += 1;
                 }
             }
@@ -531,11 +551,10 @@ impl Network {
         // stands: a packet's inbound channel may now be classified
         // "down" while its remaining journey needs an "up" move, and
         // such a head would otherwise wait forever.
-        let mut failed: BTreeSet<(u16, u8)> = self
+        let mut failed: Vec<bool> = self
             .channels
             .iter()
-            .filter(|(_, ch)| matches!(ch.state, ChannelState::Failed))
-            .map(|(&(n, d), _)| (n, d as u8))
+            .map(|ch| ch.as_ref().is_some_and(|c| matches!(c.state, ChannelState::Failed)))
             .collect();
         // Last-resort retrain: up*/down* routes every pair only while
         // the surviving directed graph keeps a legal path between all
@@ -544,35 +563,32 @@ impl Network {
         // can save the severed traffic — so rather than abandon a
         // node, the fabric manager revives failed channels one at a
         // time (each greedily chosen to close the most unroutable
-        // pairs) and puts them back through a deep resync. A retrained
-        // link re-enters service with its escalation ladder reset; XY
-        // mode never reaches this code, so its livelock is preserved.
-        let mut revived: Vec<(u16, u8)> = Vec::new();
+        // pairs, ties to the lowest channel id) and puts them back
+        // through a deep resync. A retrained link re-enters service
+        // with its escalation ladder reset; XY mode never reaches this
+        // code, so its livelock is preserved.
         loop {
-            self.routes.rebuild(failed.clone());
-            if self.routes.unroutable_pairs() == 0 || failed.is_empty() {
+            self.routes.rebuild(&failed);
+            if self.routes.unroutable_pairs() == 0 {
                 break;
             }
-            let mut probe = self.routes.clone();
-            let mut best: Option<((u16, u8), u32)> = None;
-            for &c in &failed {
-                let mut f = failed.clone();
-                f.remove(&c);
-                probe.rebuild(f);
+            let mut probe = RouteTable::new(self.cfg.mesh);
+            let mut best: Option<(usize, u32)> = None;
+            for id in 0..failed.len() {
+                if !failed[id] {
+                    continue;
+                }
+                failed[id] = false;
+                probe.rebuild(&failed);
+                failed[id] = true;
                 let gaps = probe.unroutable_pairs();
                 if best.is_none_or(|(_, g)| gaps < g) {
-                    best = Some((c, gaps));
+                    best = Some((id, gaps));
                 }
             }
-            let (c, _) = best.expect("failed set is non-empty");
-            failed.remove(&c);
-            revived.push(c);
-        }
-        for &(node, diri) in &revived {
-            let ch = self
-                .channels
-                .get_mut(&(node, usize::from(diri)))
-                .expect("revived channel exists");
+            let (id, _) = best.expect("an unroutable table has failed channels");
+            failed[id] = false;
+            let ch = self.channels[id].as_mut().expect("revived channel exists");
             ch.state = ChannelState::Resyncing { until: self.cycle + Self::RETRAIN_DRAIN };
             if let Some(l) = &mut ch.lossy {
                 l.consec = 0;
@@ -580,7 +596,6 @@ impl Network {
             }
             stats.retrained_links += 1;
         }
-        let mesh = self.cfg.mesh;
         for (idx, r) in self.routers.iter().enumerate() {
             let at = NodeId(idx as u16);
             for (in_port, f) in r.queued_heads() {
@@ -589,13 +604,11 @@ impl Network {
                 }
             }
         }
-        for (&(node, diri), ch) in &self.channels {
-            let dir = Direction::ALL[diri];
-            let to = mesh.neighbor(NodeId(node), dir).expect("channel to nowhere");
+        for (id, ch) in self.channels.iter().enumerate() {
+            let Some(ch) = ch else { continue };
+            let in_port = self.cfg.mesh.channel(id).1.opposite();
             for (_, f) in &ch.in_flight {
-                if f.is_head()
-                    && self.routes.permitted(f.src, to, dir.opposite(), f.dst).is_empty()
-                {
+                if f.is_head() && self.routes.permitted(f.src, ch.to, in_port, f.dst).is_empty() {
                     doomed.insert(f.packet);
                 }
             }
@@ -619,7 +632,7 @@ impl Network {
         for r in &mut self.routers {
             stats.stranded_flits += r.purge(&doomed);
         }
-        for ch in self.channels.values_mut() {
+        for ch in self.channels.iter_mut().flatten() {
             let before = ch.in_flight.len();
             ch.in_flight.retain(|(_, f)| !doomed.contains(&f.packet));
             stats.stranded_flits += (before - ch.in_flight.len()) as u64;
@@ -630,10 +643,8 @@ impl Network {
             stats.stranded_flits += (before - q.len()) as u64;
         }
         stats.stranded_packets += doomed.len() as u64;
-        for pid in &doomed {
+        for &pid in &doomed {
             self.packets.remove(pid);
-            self.corrupt_xor.remove(pid);
-            self.flow_tags.remove(pid);
         }
         // Open the reconfiguration window (the table itself was
         // rebuilt above, before the routability sweep).
@@ -643,35 +654,32 @@ impl Network {
         }
     }
 
-    /// Advances one cycle; returns packets created this cycle.
+    /// Advances one cycle.
     #[allow(clippy::too_many_lines)]
-    fn step_cycle(&mut self, stats: &mut NetworkStats, measuring: bool) -> u64 {
+    fn step_cycle(&mut self, stats: &mut NetworkStats, measuring: bool) {
         let mesh = self.cfg.mesh;
         let now = self.cycle;
 
         // 0. Scheduled channel deaths due this cycle.
-        let mut newly_failed: Vec<(u16, usize)> = Vec::new();
+        let mut newly_failed: Vec<usize> = Vec::new();
         while self.kill_idx < self.kills.len() && self.kills[self.kill_idx].cycle <= now {
             let k = self.kills[self.kill_idx];
             self.kill_idx += 1;
-            let ch = self
-                .channels
-                .get_mut(&(k.node.0, k.dir.index()))
-                .expect("kills validated at construction");
+            let id = mesh.channel_id(k.node, k.dir);
+            let ch = self.channels[id].as_mut().expect("kills validated at construction");
             if !matches!(ch.state, ChannelState::Failed) {
                 ch.state = ChannelState::Failed;
                 ch.ever_failed = true;
-                newly_failed.push((k.node.0, k.dir.index()));
+                newly_failed.push(id);
             }
         }
 
         // 1. Channel delivery (in-order, blocked by downstream space),
         //    with the fault process rolled per delivery attempt.
-        for ((node, diri), ch) in &mut self.channels {
-            let from = NodeId(*node);
-            let dir = Direction::ALL[*diri];
-            let to = mesh.neighbor(from, dir).expect("channel to nowhere");
-            let in_port = dir.opposite();
+        for (id, ch) in self.channels.iter_mut().enumerate() {
+            let Some(ch) = ch else { continue };
+            let in_port = mesh.channel(id).1.opposite();
+            let router = &mut self.routers[ch.to.0 as usize];
             // Expire transient states.
             let mut open = true;
             match ch.state {
@@ -692,7 +700,7 @@ impl Network {
             }
             while open {
                 let Some(&(at, flit)) = ch.in_flight.front() else { break };
-                if at > now || self.routers[to.0 as usize].free_slots(in_port) == 0 {
+                if at > now || router.free_slots(in_port) == 0 {
                     break;
                 }
                 let upset = match &mut ch.lossy {
@@ -708,10 +716,10 @@ impl Network {
                             let l = ch.lossy.as_mut().expect("corruption needs fault state");
                             l.counts.errors += 1;
                             l.counts.undetected += 1;
-                            *self.corrupt_xor.entry(flit.packet).or_insert(0) ^= mask;
+                            self.packets.get_mut(flit.packet).corrupt_xor ^= mask;
                         }
                         ch.in_flight.pop_front();
-                        self.routers[to.0 as usize].accept(in_port, flit);
+                        router.accept(in_port, flit);
                         ch.last_delivery = now;
                         if let Some(l) = &mut ch.lossy {
                             l.consec = 0;
@@ -747,7 +755,7 @@ impl Network {
                                 ch.state = ChannelState::Failed;
                                 ch.ever_failed = true;
                                 l.counts.failed = true;
-                                newly_failed.push((*node, *diri));
+                                newly_failed.push(id);
                             } else if l.head_resyncs >= cfg.degrade_after {
                                 l.counts.degrades += 1;
                                 ch.state = ChannelState::Degraded {
@@ -772,7 +780,6 @@ impl Network {
         }
 
         // 2. Injection: flow senders or the open-loop pattern.
-        let mut created = 0;
         if self.flows.is_some() {
             let sends = self.flows.as_mut().expect("flow mode").poll(now);
             for s in sends {
@@ -781,7 +788,6 @@ impl Network {
                     FlowTag::Ack { .. } => 1,
                 };
                 self.spawn_packet(s.from, s.to, len, Some(s.tag));
-                created += 1;
                 if measuring {
                     stats.offered_packets += 1;
                     stats.injected_flits += u64::from(len);
@@ -793,7 +799,6 @@ impl Network {
                 if mesh.nodes() > 1 && self.rng.gen_bool(p_packet.min(1.0)) {
                     let dst = self.pattern.destination(&mesh, n, &mut self.rng);
                     self.spawn_packet(n, dst, self.cfg.packet_len_flits, None);
-                    created += 1;
                     if measuring {
                         stats.offered_packets += 1;
                         stats.injected_flits += u64::from(self.cfg.packet_len_flits);
@@ -827,10 +832,10 @@ impl Network {
             let mut can = [true; 5];
             let mut score = [0u32; 5];
             for dir in Direction::CARDINAL {
-                let ch = self.channels.get(&(n.0, dir.index()));
+                let ch = self.channels[mesh.channel_id(n, dir)].as_ref();
                 can[dir.index()] = ch.is_some_and(Channel::can_accept);
-                score[dir.index()] = ch.map_or(LinkHealth::Failed.penalty(), |c| {
-                    c.health().penalty() + c.in_flight.len() as u32
+                score[dir.index()] = ch.map_or(ChannelState::Failed.penalty(), |c| {
+                    c.state.penalty() + c.in_flight.len() as u32
                 });
             }
             let routes = &self.routes;
@@ -848,27 +853,22 @@ impl Network {
                 if out == Direction::Local {
                     // Ejected at the destination core.
                     if flit.is_tail() {
-                        let pkt = self
-                            .packets
-                            .remove(&flit.packet)
-                            .expect("tail of unknown packet");
-                        debug_assert_eq!(pkt.dst, n, "packet ejected at wrong node");
-                        let xor = self.corrupt_xor.remove(&flit.packet).unwrap_or(0);
+                        debug_assert_eq!(flit.dst, n, "packet ejected at wrong node");
+                        let pkt = self.packets.remove(flit.packet);
                         if measuring {
                             let lat = now + 1 - pkt.inject_cycle;
                             stats.delivered_packets += 1;
                             stats.latency_sum += lat;
                             stats.latency_max = stats.latency_max.max(lat);
                             stats.latencies.push(lat);
-                            if xor != 0 {
+                            if pkt.corrupt_xor != 0 {
                                 stats.corrupt_packets += 1;
                             }
                         }
-                        if let Some(tag) = self.flow_tags.remove(&flit.packet) {
+                        if let Some(tag) = pkt.tag {
                             let engine = self.flows.as_mut().expect("tagged packet needs flows");
-                            if let Some(ack) = engine.on_delivery(n, tag, xor, now) {
+                            if let Some(ack) = engine.on_delivery(n, tag, pkt.corrupt_xor, now) {
                                 self.spawn_packet(ack.from, ack.to, 1, Some(ack.tag));
-                                created += 1;
                                 if measuring {
                                     stats.offered_packets += 1;
                                     stats.injected_flits += 1;
@@ -880,11 +880,10 @@ impl Network {
                         stats.delivered_flits += 1;
                     }
                 } else {
-                    let ch = self
-                        .channels
-                        .get_mut(&(n.0, out.index()))
-                        .expect("send over missing channel");
-                    ch.send(now, flit);
+                    self.channels[mesh.channel_id(n, out)]
+                        .as_mut()
+                        .expect("send over missing channel")
+                        .send(now, flit);
                 }
             }
         }
@@ -893,16 +892,13 @@ impl Network {
         //    credit view is refreshed from actual occupancy (simpler
         //    and equivalent to credit return signalling at this
         //    abstraction level).
-        for ((node, diri), ch) in &mut self.channels {
-            let from = NodeId(*node);
-            let dir = Direction::ALL[*diri];
-            let to = mesh.neighbor(from, dir).expect("channel to nowhere");
-            ch.buffer_credits =
-                self.routers[to.0 as usize].free_slots(dir.opposite());
+        for (id, ch) in self.channels.iter_mut().enumerate() {
+            let Some(ch) = ch else { continue };
+            let in_port = mesh.channel(id).1.opposite();
+            ch.buffer_credits = self.routers[ch.to.0 as usize].free_slots(in_port);
         }
 
         self.cycle += 1;
-        created
     }
 }
 
@@ -1003,6 +999,62 @@ mod tests {
             (s.delivered_packets, s.latency_sum, s.delivered_flits)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn in_flight_counts_the_packets_still_in_the_fabric() {
+        // Every packet still in flight holds between one and
+        // `packet_len` of the residual flits, warm-up or not; counting
+        // warm-up deliveries as in flight breaks the upper bound.
+        for warmup in [0, 1_000, 3_000] {
+            let mut net =
+                Network::new(base_cfg(LinkModel::ideal()), TrafficPattern::UniformRandom, 0.05, 7);
+            let stats = net.run(4_000, warmup);
+            let len = u64::from(base_cfg(LinkModel::ideal()).packet_len_flits);
+            assert!(
+                stats.residual_flits.div_ceil(len) <= stats.in_flight
+                    && stats.in_flight <= stats.residual_flits,
+                "warm-up {warmup}: {} in flight for {} residual flits",
+                stats.in_flight,
+                stats.residual_flits
+            );
+        }
+        // Measured from cycle 0, every packet created was delivered,
+        // counted stranded, or is still in flight — XY leaves stranded
+        // packets wedged in the fabric, adaptive routing purges them.
+        for routing in [RoutingMode::XyStatic, RoutingMode::adaptive()] {
+            let cfg = NetworkConfig {
+                routing,
+                link_kills: kill_row0(1_000),
+                ..base_cfg(LinkModel::ideal())
+            };
+            let stats = Network::new(cfg, TrafficPattern::UniformRandom, 0.3, 31).run(3_000, 0);
+            assert!(stats.stranded_packets > 0, "{routing:?}: the kill must strand packets");
+            assert_eq!(
+                stats.in_flight,
+                stats.offered_packets - stats.delivered_packets - stats.stranded_packets,
+                "{routing:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exist")]
+    fn a_kill_on_the_local_port_is_rejected() {
+        let kill = LinkKill { cycle: 10, node: NodeId(5), dir: Direction::Local };
+        let cfg = NetworkConfig { link_kills: vec![kill], ..base_cfg(LinkModel::ideal()) };
+        let _ = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exist")]
+    fn a_kill_off_the_mesh_is_rejected() {
+        // Node 16 is one past the 4x4 mesh, yet its coordinates (0, 4)
+        // give it a North neighbour (node 12), and its channel id lies
+        // past the channel vector.
+        let kill = LinkKill { cycle: 10, node: NodeId(16), dir: Direction::North };
+        let cfg = NetworkConfig { link_kills: vec![kill], ..base_cfg(LinkModel::ideal()) };
+        let _ = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 1);
     }
 
     #[test]
@@ -1301,6 +1353,37 @@ mod tests {
             report.net.retrained_links
         );
         assert_eq!(report.net.recovery.failed_links, 4, "all four kills are recorded");
+    }
+
+    #[test]
+    fn retrain_ties_go_to_the_lowest_channel_id() {
+        // Kill every channel into interior node 5: reviving any one of
+        // the four reconnects it, so the greedy choice is a four-way
+        // tie, and it must fall to the lowest id, 1→South (the order a
+        // sorted failed set iterates in), not to a later one.
+        let mesh = Mesh::new(4, 4);
+        let kills = Direction::CARDINAL
+            .into_iter()
+            .map(|d| {
+                let from = mesh.neighbor(NodeId(5), d).expect("interior node");
+                LinkKill { cycle: 50, node: from, dir: d.opposite() }
+            })
+            .collect();
+        let cfg = NetworkConfig {
+            routing: RoutingMode::adaptive(),
+            link_kills: kills,
+            ..base_cfg(LinkModel::ideal())
+        };
+        let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 3);
+        assert_eq!(net.run(200, 0).retrained_links, 1);
+        let revived: Vec<usize> = (0..net.channels.len())
+            .filter(|&id| {
+                net.channels[id]
+                    .as_ref()
+                    .is_some_and(|c| c.ever_failed && !matches!(c.state, ChannelState::Failed))
+            })
+            .collect();
+        assert_eq!(revived, [mesh.channel_id(NodeId(1), Direction::South)]);
     }
 
     #[test]

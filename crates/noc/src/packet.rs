@@ -2,7 +2,10 @@
 
 use crate::NodeId;
 
-/// Unique packet identifier.
+/// Identifier of a packet in the fabric: the index of its slot in the
+/// network's packet table. A slot is reused once its packet has left
+/// (its tail ejected, or reconfiguration purged it), so an id is
+/// unique among the packets in flight at one time, not over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
@@ -17,8 +20,6 @@ pub struct Packet {
     pub dst: NodeId,
     /// Length in flits (including head and tail).
     pub len_flits: u32,
-    /// Cycle the packet was created at the source core.
-    pub inject_cycle: u64,
 }
 
 /// Position of a flit within its packet.
@@ -95,7 +96,6 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(5),
             len_flits: len,
-            inject_cycle: 0,
         }
     }
 

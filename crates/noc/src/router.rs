@@ -12,7 +12,6 @@ use crate::{Direction, Flit, PacketId};
 /// stays granted until its tail passes).
 #[derive(Debug)]
 pub struct Router {
-    node: crate::NodeId,
     inputs: [VecDeque<Flit>; 5],
     capacity: usize,
     /// Which input and packet currently own each output (wormhole
@@ -30,20 +29,14 @@ impl Router {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(node: crate::NodeId, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "input queue needs capacity");
         Router {
-            node,
             inputs: Default::default(),
             capacity,
             output_owner: [None; 5],
             rr: [0; 5],
         }
-    }
-
-    /// The node this router serves.
-    pub fn node(&self) -> crate::NodeId {
-        self.node
     }
 
     /// Free slots in the input FIFO of `port`.
@@ -64,7 +57,7 @@ impl Router {
     /// [`Router::free_slots`] — the channel models backpressure).
     pub fn accept(&mut self, port: Direction, flit: Flit) {
         let q = &mut self.inputs[port.index()];
-        assert!(q.len() < self.capacity, "input overrun at {} {:?}", self.node, port);
+        assert!(q.len() < self.capacity, "input overrun on the {port:?} port");
         q.push_back(flit);
     }
 
@@ -188,7 +181,7 @@ mod tests {
     use crate::{FlitKind, Mesh, NodeId, Packet};
 
     fn flits_of(id: u64, dst: NodeId, len: u32) -> Vec<Flit> {
-        Packet { id: PacketId(id), src: NodeId(0), dst, len_flits: len, inject_cycle: 0 }.flits()
+        Packet { id: PacketId(id), src: NodeId(0), dst, len_flits: len }.flits()
     }
 
     /// The pre-reroute behaviour: static XY from the mesh.
@@ -200,7 +193,7 @@ mod tests {
     fn routes_local_injection_east() {
         let mesh = Mesh::new(3, 1);
         let node = mesh.node(0, 0);
-        let mut r = Router::new(node, 4);
+        let mut r = Router::new(4);
         for f in flits_of(1, mesh.node(2, 0), 3) {
             r.accept(Direction::Local, f);
         }
@@ -220,7 +213,7 @@ mod tests {
         // not interleave.
         let mesh = Mesh::new(3, 3);
         let mid = mesh.node(1, 1);
-        let mut r = Router::new(mid, 8);
+        let mut r = Router::new(8);
         let dst = mesh.node(2, 1);
         for f in flits_of(1, dst, 3) {
             r.accept(Direction::West, f);
@@ -244,7 +237,7 @@ mod tests {
     fn backpressure_holds_flits() {
         let mesh = Mesh::new(2, 1);
         let node = mesh.node(0, 0);
-        let mut r = Router::new(node, 4);
+        let mut r = Router::new(4);
         for f in flits_of(1, mesh.node(1, 0), 2) {
             r.accept(Direction::Local, f);
         }
@@ -259,7 +252,7 @@ mod tests {
     fn ejects_at_destination() {
         let mesh = Mesh::new(2, 2);
         let n = mesh.node(1, 1);
-        let mut r = Router::new(n, 4);
+        let mut r = Router::new(4);
         for f in flits_of(9, n, 1) {
             r.accept(Direction::North, f);
         }
@@ -272,7 +265,7 @@ mod tests {
     fn unroutable_head_waits() {
         let mesh = Mesh::new(3, 1);
         let node = mesh.node(0, 0);
-        let mut r = Router::new(node, 4);
+        let mut r = Router::new(4);
         for f in flits_of(1, mesh.node(2, 0), 2) {
             r.accept(Direction::Local, f);
         }
@@ -287,9 +280,8 @@ mod tests {
     #[test]
     fn a_flapping_route_cannot_split_a_worm_across_outputs() {
         let mesh = Mesh::new(3, 3);
-        let mid = mesh.node(1, 1);
         let dst = mesh.node(2, 2);
-        let mut r = Router::new(mid, 8);
+        let mut r = Router::new(8);
         for f in flits_of(7, dst, 3) {
             r.accept(Direction::Local, f);
         }
@@ -321,7 +313,7 @@ mod tests {
     fn purge_removes_flits_and_releases_locks() {
         let mesh = Mesh::new(3, 1);
         let node = mesh.node(0, 0);
-        let mut r = Router::new(node, 8);
+        let mut r = Router::new(8);
         let dst = mesh.node(2, 0);
         for f in flits_of(1, dst, 3) {
             r.accept(Direction::West, f);
@@ -347,7 +339,7 @@ mod tests {
         let node = mesh.node(0, 0);
         let dst = mesh.node(2, 0);
         // Case 1: lock granted, head forwarded — severed.
-        let mut r = Router::new(node, 8);
+        let mut r = Router::new(8);
         for f in flits_of(1, dst, 3) {
             r.accept(Direction::Local, f);
         }
@@ -355,7 +347,7 @@ mod tests {
         assert_eq!(r.disown_output(Direction::East), Some((PacketId(1), false)));
         // Case 2: lock granted but channel refused — head still here,
         // salvageable.
-        let mut r = Router::new(node, 8);
+        let mut r = Router::new(8);
         for f in flits_of(2, dst, 3) {
             r.accept(Direction::Local, f);
         }

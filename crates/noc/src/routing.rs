@@ -43,7 +43,7 @@
 //! pauses injection for a bounded number of cycles. See DESIGN.md §5h
 //! for the deadlock-freedom argument across an epoch boundary.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{Direction, Mesh, NodeId};
 
@@ -107,34 +107,6 @@ impl LinkKill {
     }
 }
 
-/// Channel health classes the route choice biases on, in preference
-/// order. Fed by the per-node link monitors (the network observes
-/// each directed channel's `ChannelState` and queue depth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkHealth {
-    /// Fully operational.
-    Up,
-    /// Transiently at half bandwidth.
-    Degraded,
-    /// Draining; refuses new flits until the drain window ends.
-    Resyncing,
-    /// Permanently dead.
-    Failed,
-}
-
-impl LinkHealth {
-    /// Score penalty of this class (composed with queue depth by the
-    /// network's scoring closure; `Failed` is effectively infinite).
-    pub fn penalty(self) -> u32 {
-        match self {
-            LinkHealth::Up => 0,
-            LinkHealth::Degraded => 64,
-            LinkHealth::Resyncing => 256,
-            LinkHealth::Failed => 1 << 24,
-        }
-    }
-}
-
 const INF: u32 = u32::MAX;
 
 /// Up phase: the packet may still take up or down channels.
@@ -148,13 +120,13 @@ const DOWN: usize = 1;
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     mesh: Mesh,
-    /// Directed channels currently failed, as `(node, dir index)`.
-    failed: BTreeSet<(u16, u8)>,
-    /// Reconfiguration epochs performed (0 = pristine table).
-    epoch: u64,
+    /// Failed flag per dense channel id ([`Mesh::channel_id`]); only
+    /// read in the up*/down* regime.
+    failed: Vec<bool>,
     /// Up*/down* total order per node (`INF`: unreachable from the
     /// root over the surviving topology). Empty while the mesh is
-    /// whole (odd-even mode needs no precomputation).
+    /// whole: the odd-even regime needs no precomputation, and an
+    /// empty order is what selects it.
     order: Vec<u32>,
     /// `dist[dst][node][phase]`: shortest legal-path length to `dst`
     /// from `node` in `phase`, hops; `INF` when no legal path exists.
@@ -164,32 +136,29 @@ pub struct RouteTable {
 impl RouteTable {
     /// A pristine table for a whole mesh (odd-even regime).
     pub fn new(mesh: Mesh) -> Self {
-        RouteTable { mesh, failed: BTreeSet::new(), epoch: 0, order: Vec::new(), dist: Vec::new() }
+        RouteTable { mesh, failed: Vec::new(), order: Vec::new(), dist: Vec::new() }
     }
 
-    /// Reconfiguration epochs performed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The current failed-channel set.
-    pub fn failed(&self) -> &BTreeSet<(u16, u8)> {
-        &self.failed
-    }
-
-    /// Rebuilds the table against a new failed-channel set (one
-    /// reconfiguration epoch). With an empty set the table returns to
-    /// the odd-even regime; otherwise the up*/down* order and
-    /// legal-path distances are recomputed over the survivors.
-    pub fn rebuild(&mut self, failed: BTreeSet<(u16, u8)>) {
-        self.failed = failed;
-        self.epoch += 1;
-        if self.failed.is_empty() {
+    /// Rebuilds the table against a new failed-channel set, one flag
+    /// per dense channel id (one reconfiguration epoch). With nothing
+    /// failed the table returns to the odd-even regime; otherwise the
+    /// up*/down* order and legal-path distances are recomputed over
+    /// the survivors.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `failed` has one flag per channel id
+    /// (`4 * mesh.nodes()`).
+    pub fn rebuild(&mut self, failed: &[bool]) {
+        let n = self.mesh.nodes();
+        assert_eq!(failed.len(), 4 * n, "one failed flag per channel id");
+        self.failed.clear();
+        self.failed.extend_from_slice(failed);
+        if !failed.contains(&true) {
             self.order.clear();
             self.dist.clear();
             return;
         }
-        let n = self.mesh.nodes();
         // Total order: BFS from node 0 over links with at least one
         // surviving direction. BFS discovery order is level-monotone,
         // so every reachable non-root node has a lower-ordered
@@ -203,8 +172,8 @@ impl RouteTable {
         while let Some(u) = q.pop_front() {
             for dir in [Direction::North, Direction::South, Direction::East, Direction::West] {
                 let Some(v) = self.mesh.neighbor(u, dir) else { continue };
-                let either_alive = !self.failed.contains(&(u.0, dir.index() as u8))
-                    || !self.failed.contains(&(v.0, dir.opposite().index() as u8));
+                let either_alive = !self.failed[self.mesh.channel_id(u, dir)]
+                    || !self.failed[self.mesh.channel_id(v, dir.opposite())];
                 if order[v.0 as usize] == INF && either_alive {
                     order[v.0 as usize] = next;
                     next += 1;
@@ -223,8 +192,7 @@ impl RouteTable {
 
     /// True if the directed channel `at → dir` survives.
     fn usable(&self, at: NodeId, dir: Direction) -> bool {
-        self.mesh.neighbor(at, dir).is_some()
-            && !self.failed.contains(&(at.0, dir.index() as u8))
+        self.mesh.neighbor(at, dir).is_some() && !self.failed[self.mesh.channel_id(at, dir)]
     }
 
     /// Channel orientation: `at → v` is up iff `v` is closer to the
@@ -275,7 +243,7 @@ impl RouteTable {
     /// routability test behind the last-resort link retrain in
     /// `Network::handle_failures`.
     pub fn unroutable_pairs(&self) -> u32 {
-        if self.failed.is_empty() {
+        if self.order.is_empty() {
             // Odd-even on a whole mesh routes every pair.
             return 0;
         }
@@ -315,7 +283,7 @@ impl RouteTable {
         if at == dst {
             return vec![Direction::Local];
         }
-        if self.failed.is_empty() {
+        if self.order.is_empty() {
             self.odd_even_permitted(src, at, dst)
         } else {
             self.updown_permitted(at, in_port, dst)
@@ -413,6 +381,18 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ChannelState;
+
+    /// Failed flags for both directions of each listed physical link.
+    fn failed_links(mesh: Mesh, links: &[(NodeId, Direction)]) -> Vec<bool> {
+        let mut failed = vec![false; 4 * mesh.nodes()];
+        for &(n, d) in links {
+            for k in LinkKill::both_ways(&mesh, 0, n, d) {
+                failed[mesh.channel_id(k.node, k.dir)] = true;
+            }
+        }
+        failed
+    }
 
     /// Walks every adaptive branch from `src` toward `dst`, asserting
     /// minimality and collecting `(travel_from, travel_to, column)`
@@ -513,12 +493,8 @@ mod tests {
                     continue;
                 }
                 let mut t = RouteTable::new(mesh);
-                let mut failed = BTreeSet::new();
-                for k in LinkKill::both_ways(&mesh, 0, n, dir) {
-                    failed.insert((k.node.0, k.dir.index() as u8));
-                }
-                t.rebuild(failed);
-                assert_eq!(t.epoch(), 1);
+                let failed = failed_links(mesh, &[(n, dir)]);
+                t.rebuild(&failed);
                 for src in mesh.node_ids() {
                     for dst in mesh.node_ids() {
                         if src == dst {
@@ -534,7 +510,7 @@ mod tests {
                                 .choose(src, at, in_port, dst, |_| 0)
                                 .unwrap_or_else(|| panic!("unroutable {src}->{dst} killing {n} {dir:?}"));
                             assert!(
-                                !t.failed().contains(&(at.0, d.index() as u8)),
+                                !failed[mesh.channel_id(at, d)],
                                 "routed into the dead channel"
                             );
                             at = mesh.neighbor(at, d).expect("off mesh");
@@ -554,11 +530,7 @@ mod tests {
     fn updown_never_turns_down_then_up() {
         let mesh = Mesh::new(4, 4);
         let mut t = RouteTable::new(mesh);
-        let mut failed = BTreeSet::new();
-        for k in LinkKill::both_ways(&mesh, 0, NodeId(5), Direction::East) {
-            failed.insert((k.node.0, k.dir.index() as u8));
-        }
-        t.rebuild(failed);
+        t.rebuild(&failed_links(mesh, &[(NodeId(5), Direction::East)]));
         for src in mesh.node_ids() {
             for dst in mesh.node_ids() {
                 if src == dst {
@@ -586,14 +558,12 @@ mod tests {
     fn severed_destination_is_reported_unroutable() {
         // Cut node 0 (corner) off entirely: both its links die.
         let mesh = Mesh::new(4, 4);
-        let mut failed = BTreeSet::new();
-        for (n, d) in [(NodeId(0), Direction::East), (NodeId(0), Direction::South)] {
-            for k in LinkKill::both_ways(&mesh, 0, n, d) {
-                failed.insert((k.node.0, k.dir.index() as u8));
-            }
-        }
         let mut t = RouteTable::new(mesh);
-        t.rebuild(failed);
+        t.rebuild(&failed_links(
+            mesh,
+            &[(NodeId(0), Direction::East), (NodeId(0), Direction::South)],
+        ));
+        assert!(t.unroutable_pairs() > 0);
         assert_eq!(
             t.choose(NodeId(5), NodeId(5), Direction::Local, NodeId(0), |_| 0),
             None,
@@ -614,11 +584,11 @@ mod tests {
         let p = t.permitted(src, src, Direction::Local, NodeId(15));
         assert!(p.contains(&Direction::East) && p.contains(&Direction::South), "{p:?}");
         let east_bad = t.choose(src, src, Direction::Local, NodeId(15), |d| {
-            u32::from(d == Direction::East) * LinkHealth::Degraded.penalty()
+            u32::from(d == Direction::East) * ChannelState::Degraded { until: 0 }.penalty()
         });
         assert_eq!(east_bad, Some(Direction::South));
         let south_bad = t.choose(src, src, Direction::Local, NodeId(15), |d| {
-            u32::from(d == Direction::South) * LinkHealth::Degraded.penalty()
+            u32::from(d == Direction::South) * ChannelState::Degraded { until: 0 }.penalty()
         });
         assert_eq!(south_bad, Some(Direction::East));
     }
@@ -627,12 +597,12 @@ mod tests {
     fn rebuild_to_empty_returns_to_odd_even() {
         let mesh = Mesh::new(4, 4);
         let mut t = RouteTable::new(mesh);
-        let mut failed = BTreeSet::new();
-        failed.insert((5u16, Direction::East.index() as u8));
-        t.rebuild(failed);
-        assert!(!t.failed().is_empty());
-        t.rebuild(BTreeSet::new());
-        assert_eq!(t.epoch(), 2);
+        let mut failed = vec![false; 4 * mesh.nodes()];
+        failed[mesh.channel_id(NodeId(5), Direction::East)] = true;
+        t.rebuild(&failed);
+        assert!(!t.order.is_empty(), "a failure selects up*/down*");
+        t.rebuild(&vec![false; 4 * mesh.nodes()]);
+        assert!(t.order.is_empty(), "a whole mesh selects odd-even");
         // Odd-even again: minimal everywhere.
         assert_eq!(
             t.choose(NodeId(0), NodeId(0), Direction::Local, NodeId(3), |_| 0),

@@ -5,8 +5,8 @@ use crate::topology::{Direction, NodeId};
 
 /// Recovery counters of one channel, addressed by its upstream node
 /// and direction. Rows are emitted for *every* channel (all zeros on
-/// a quiet or loss-free channel) and sorted by `(node, direction)`,
-/// so two stats from identically-shaped networks always compare
+/// a quiet or loss-free channel) in `(node, direction)` order, so two
+/// stats from identically-shaped networks always compare
 /// field-for-field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkRecovery {
@@ -39,7 +39,9 @@ pub struct NetworkStats {
     /// at the end of [`crate::Network::run`]; quantiles index into it
     /// directly.
     pub latencies: Vec<u64>,
-    /// Packets still in flight at the end (non-zero near saturation).
+    /// Packets still in the fabric when the run ends, whenever they
+    /// were created, not counting stranded ones (non-zero near
+    /// saturation).
     pub in_flight: u64,
     /// Packets ejected carrying an undetected payload corruption
     /// (nonzero accumulated bit-flip mask from the lossy channels).
@@ -72,7 +74,7 @@ pub struct NetworkStats {
     /// destination), and rather than abandon the node the fabric
     /// manager put the link back through a long resync.
     pub retrained_links: u64,
-    /// Per-channel recovery counters, sorted by `(node, direction)`.
+    /// Per-channel recovery counters, in `(node, direction)` order.
     pub link_recovery: Vec<LinkRecovery>,
     /// Network-wide recovery totals.
     pub recovery: RecoveryTotals,

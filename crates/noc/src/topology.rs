@@ -149,16 +149,20 @@ impl Mesh {
         (0..self.nodes() as u16).map(NodeId)
     }
 
-    /// Iterates over all directed inter-router channels as
-    /// `(upstream node, direction)`, in node-then-direction order.
-    pub fn directed_channels(&self) -> impl Iterator<Item = (NodeId, Direction)> + '_ {
-        let mesh = *self;
-        self.node_ids().flat_map(move |n| {
-            Direction::CARDINAL
-                .into_iter()
-                .filter(move |&d| mesh.neighbor(n, d).is_some())
-                .map(move |d| (n, d))
-        })
+    /// Dense id of the directed channel leaving `n` toward the cardinal
+    /// direction `dir`: `n * 4 + dir`. Ids run over `0..4 * nodes()` in
+    /// `(node, direction)` order; an id whose port faces the mesh edge
+    /// names no channel.
+    pub fn channel_id(&self, n: NodeId, dir: Direction) -> usize {
+        debug_assert!(dir != Direction::Local && usize::from(n.0) < self.nodes());
+        usize::from(n.0) * 4 + dir.index()
+    }
+
+    /// The directed channel with dense id `id`, as `(upstream node,
+    /// direction)`: the inverse of [`Mesh::channel_id`].
+    pub fn channel(&self, id: usize) -> (NodeId, Direction) {
+        debug_assert!(id < 4 * self.nodes());
+        (NodeId((id / 4) as u16), Direction::CARDINAL[id % 4])
     }
 
     /// Number of unidirectional inter-router channels in the mesh.
@@ -234,17 +238,15 @@ mod tests {
     }
 
     #[test]
-    fn directed_channels_enumerates_every_channel_once() {
+    fn channel_ids_are_dense_and_round_trip() {
         let m = Mesh::new(4, 3);
-        let chans: Vec<_> = m.directed_channels().collect();
-        assert_eq!(chans.len(), m.channel_count());
-        for &(n, d) in &chans {
-            assert!(m.neighbor(n, d).is_some());
+        let mut existing = 0;
+        for id in 0..4 * m.nodes() {
+            let (n, d) = m.channel(id);
+            assert_eq!(m.channel_id(n, d), id);
+            existing += usize::from(m.neighbor(n, d).is_some());
         }
-        let mut dedup = chans.clone();
-        dedup.sort_by_key(|&(n, d)| (n.0, d.index()));
-        dedup.dedup();
-        assert_eq!(dedup.len(), chans.len());
+        assert_eq!(existing, m.channel_count());
     }
 
     #[test]
