@@ -420,7 +420,7 @@ pub struct NocRow {
 }
 
 /// Mesh-level evaluation: a 4×4 mesh under uniform traffic, channels
-/// modelled after each link at 100 MHz and 400 MHz (where the serial
+/// modelled after each link at 100 MHz and 600 MHz (where the serial
 /// links saturate below one flit per cycle).
 pub fn noc_study() -> Vec<NocRow> {
     let mut points = Vec::new();

@@ -455,6 +455,23 @@ mod tests {
     }
 
     #[test]
+    fn stepped_cycles_are_pinned() {
+        // Fixpoint stepping jumps over the cycles in which nothing can
+        // change; a change that stops it skipping moves these counts.
+        let lossy = tiny_cell(ChannelProtection::Off, 0.05);
+        assert_eq!((lossy.report.cycles, lossy.report.stepped_cycles), (400_000, 3_319));
+        let storm = run_cell(CellSpec {
+            layout: "corners",
+            process: "bursty",
+            protection: ChannelProtection::Crc8,
+            rate: 0.10,
+            seed: SEEDS[0],
+            kill_links: false,
+        });
+        assert_eq!((storm.report.cycles, storm.report.stepped_cycles), (11_051, 7_549));
+    }
+
+    #[test]
     fn link_killer_cell_is_named_not_hung() {
         let cell = run_cell(CellSpec {
             layout: "corners",

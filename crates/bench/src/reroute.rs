@@ -409,6 +409,14 @@ mod tests {
     }
 
     #[test]
+    fn xy_single_kill_steps_a_pinned_few_cycles() {
+        // The wedged XY worms wait on RTO backoff until the watchdog
+        // aborts; fixpoint stepping jumps over the waiting.
+        let xy = single_cell("xy");
+        assert_eq!((xy.report.cycles, xy.report.stepped_cycles), (36_864, 326));
+    }
+
+    #[test]
     fn cells_are_deterministic() {
         let a = single_cell("adaptive");
         let b = single_cell("adaptive");

@@ -143,15 +143,23 @@ impl Json {
         self.value(format_args!("{v}"))
     }
 
-    /// Writes a float with exactly `decimals` digits after the point.
+    /// Writes a float with exactly `decimals` digits after the point;
+    /// `null` for NaN and the infinities, which JSON cannot spell.
     pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
-        self.value(format_args!("{v:.decimals$}"))
+        if v.is_finite() {
+            self.value(format_args!("{v:.decimals$}"))
+        } else {
+            self.null()
+        }
     }
 
     /// Writes a float in canonical form: integral values below 1e15 as
-    /// `2.0`, everything else as the shortest string that round-trips.
+    /// `2.0`, everything else as the shortest string that round-trips;
+    /// `null` for NaN and the infinities, which JSON cannot spell.
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        if v.fract() == 0.0 && v.abs() < 1e15 {
+        if !v.is_finite() {
+            self.null()
+        } else if v.fract() == 0.0 && v.abs() < 1e15 {
             self.value(format_args!("{v:.1}"))
         } else {
             self.value(format_args!("{v}"))
@@ -256,6 +264,18 @@ mod tests {
         assert_eq!(one(|j| j.fixed(0.0, 3)), "0.000");
         assert_eq!(one(|j| j.opt(None::<f64>, Json::f64)), "null");
         assert_eq!(one(|j| j.opt(Some(8.0), Json::f64)), "8.0");
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(one(|j| j.f64(v)), "null", "{v}");
+            assert_eq!(one(|j| j.fixed(v, 3)), "null", "{v}");
+        }
+        assert_eq!(
+            one(|j| j.obj().key("jain").f64(f64::NAN).key("x").fixed(f64::INFINITY, 2).end()),
+            r#"{"jain": null, "x": null}"#
+        );
     }
 
     #[test]

@@ -99,7 +99,8 @@ impl Default for FlowParams {
 /// Progress-watchdog knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
-    /// Cycles between progress checks.
+    /// Cycles between progress checks; 0 disables the watchdog (no
+    /// check ever fires, so a starved run lasts until `max_cycles`).
     pub interval: u64,
     /// Consecutive checks with zero progress on *every* incomplete
     /// flow before the run is declared livelocked.
@@ -279,6 +280,24 @@ impl Sender {
         (self.cwnd.floor() as u64).max(1)
     }
 
+    /// Room in the window for a fresh transmission.
+    fn window_open(&self) -> bool {
+        self.next_seq < self.spec.packets && self.next_seq - self.cum_acked < self.window()
+    }
+
+    /// The earliest cycle at or after `from` whose `poll` transmits,
+    /// provided nothing is acked before then: `poll`'s two predicates
+    /// solved for time.
+    fn next_deadline(&self, from: u64) -> Option<u64> {
+        if self.complete() {
+            None
+        } else if self.window_open() {
+            Some(from)
+        } else {
+            self.deadline.map(|d| d.max(from))
+        }
+    }
+
     /// Timer + window pass: returns the sequence numbers to transmit
     /// now.
     fn poll(&mut self, now: u64, p: &FlowParams) -> Vec<u64> {
@@ -301,9 +320,7 @@ impl Sender {
             self.deadline = Some(now + self.rto_eff(p));
         }
         // 2. Window space: fresh transmissions.
-        while self.next_seq < self.spec.packets
-            && self.next_seq - self.cum_acked < self.window()
-        {
+        while self.window_open() {
             self.outstanding.insert(self.next_seq, (now, 0));
             out.push(self.next_seq);
             self.next_seq += 1;
@@ -544,6 +561,14 @@ impl FlowEngine {
         out
     }
 
+    /// The earliest cycle at or after `from` at which [`FlowEngine::poll`]
+    /// sends anything, provided no packet is delivered before then: a
+    /// window with room sends at `from`, otherwise the earliest armed
+    /// retransmission timer fires. `None` once every flow is complete.
+    pub(crate) fn next_deadline(&self, from: u64) -> Option<u64> {
+        self.senders.iter().filter_map(|s| s.next_deadline(from)).min()
+    }
+
     /// Handles a packet ejected at `node`; `xor` is the accumulated
     /// undetected-corruption bit-flip mask the channels applied to the
     /// packet's payload (0 = intact). Returns the ack to send back,
@@ -719,6 +744,28 @@ mod tests {
         assert_eq!(sends.len() as u64, FlowParams::default().init_cwnd as u64);
         // No acks, no timer expiry: polling again sends nothing new.
         assert!(e.poll(1).is_empty());
+    }
+
+    #[test]
+    fn next_deadline_is_the_first_cycle_poll_sends_at() {
+        let mut e = engine(3);
+        assert_eq!(e.next_deadline(5), Some(5), "an open window sends at once");
+        let sent = e.poll(5);
+        let rto = e.senders[0].rto_eff(&e.params);
+        assert_eq!(e.next_deadline(6), Some(5 + rto), "a full window waits for the timer");
+        assert!(e.poll(5 + rto - 1).is_empty());
+        assert_eq!(e.next_deadline(9_999), Some(9_999), "an overdue timer fires at once");
+        for s in sent {
+            let ack = deliver(&mut e, s, 0, 10).unwrap();
+            deliver(&mut e, ack, 0, 20);
+        }
+        assert_eq!(e.next_deadline(21), Some(21), "acks reopen the window");
+        for s in e.poll(21) {
+            let ack = deliver(&mut e, s, 0, 30).unwrap();
+            deliver(&mut e, ack, 0, 40);
+        }
+        assert!(e.all_complete());
+        assert_eq!(e.next_deadline(41), None);
     }
 
     #[test]

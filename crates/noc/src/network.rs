@@ -50,6 +50,9 @@ struct Lossy {
     counts: RecoveryCounts,
 }
 
+/// The most bandwidth credit a channel banks: two flits of burst.
+const CREDIT_CAP: f64 = 2.0;
+
 /// One unidirectional inter-router channel instance.
 #[derive(Debug)]
 struct Channel {
@@ -120,7 +123,7 @@ impl Channel {
             }
             _ => {}
         }
-        self.rate_credit = (self.rate_credit + rate).min(2.0);
+        self.rate_credit = (self.rate_credit + rate).min(CREDIT_CAP);
     }
 }
 
@@ -180,8 +183,11 @@ impl PacketSlab {
 /// the usual [`NetworkStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowNetReport {
-    /// Cycles simulated.
+    /// Cycles simulated, including those fixpoint stepping jumped over.
     pub cycles: u64,
+    /// Cycles actually stepped: `cycles` less the ones in which
+    /// nothing could change (see [`Network::run_flows`]).
+    pub stepped_cycles: u64,
     /// Every flow fully acknowledged.
     pub completed: bool,
     /// The progress watchdog declared livelock and aborted the run.
@@ -346,7 +352,14 @@ impl Network {
     }
 
     /// Runs flow mode until every flow completes, the watchdog
-    /// declares livelock, or `max_cycles` elapse.
+    /// declares livelock, or `max_cycles` simulated cycles elapse.
+    ///
+    /// The run steps by fixpoint: after a step that changed nothing,
+    /// `cycle` jumps to the first cycle whose step can differ
+    /// (DESIGN.md §5f). Skipped cycles count as simulated in
+    /// [`FlowNetReport::cycles`] and [`NetworkStats::cycles`], and every
+    /// statistic equals the one stepping each cycle would give;
+    /// [`FlowNetReport::stepped_cycles`] counts the steps taken.
     ///
     /// # Panics
     ///
@@ -358,23 +371,98 @@ impl Network {
             nodes: self.cfg.mesh.nodes(),
             ..NetworkStats::default()
         };
-        let interval = self.flows.as_ref().expect("flow mode").watchdog_interval();
-        let mut cycles: u64 = 0;
-        while cycles < max_cycles {
-            self.step_cycle(&mut stats, true);
-            cycles += 1;
+        let start = self.cycle;
+        let end = start.saturating_add(max_cycles);
+        let mut stepped: u64 = 0;
+        while self.cycle < end {
+            let changed = self.step_cycle(&mut stats, true);
+            stepped += 1;
             if self.flows.as_ref().expect("flow mode").all_complete() {
                 break;
             }
-            if self.cycle.is_multiple_of(interval) {
-                let stalled = self.stalled_channels(interval);
-                let engine = self.flows.as_mut().expect("flow mode");
-                engine.watchdog_check(self.cycle, stalled);
-                if engine.livelocked() {
-                    break;
+            if !changed {
+                self.skip_quiet_cycles(end);
+            }
+            if self.watchdog_declares_livelock() {
+                break;
+            }
+        }
+        self.flow_report(stats, self.cycle - start, stepped)
+    }
+
+    /// Runs the progress watchdog's check if one falls due at the
+    /// current cycle (never with `interval == 0`); returns whether it
+    /// declared livelock.
+    fn watchdog_declares_livelock(&mut self) -> bool {
+        let interval = self.flows.as_ref().expect("flow mode").watchdog_interval();
+        if interval == 0 || !self.cycle.is_multiple_of(interval) {
+            return false;
+        }
+        let stalled = self.stalled_channels(interval);
+        let engine = self.flows.as_mut().expect("flow mode");
+        engine.watchdog_check(self.cycle, stalled);
+        engine.livelocked()
+    }
+
+    /// Fixpoint stepping, after a step that changed nothing (see
+    /// [`Network::step_cycle`]): every later step changes nothing either
+    /// until a kill, a head flit's delivery, a `Resyncing` or `Degraded`
+    /// expiry, the end of a freeze, a flow send or RTO deadline or a
+    /// watchdog check falls due, so `cycle` jumps to the earliest, or
+    /// to `end` (DESIGN.md §5f). A head flit already due waits on
+    /// downstream space or a closed channel, which only a change opens,
+    /// so only heads still to come are wakes. A live channel below its
+    /// credit cap changes every cycle, so nothing is skipped until all
+    /// sit at the cap. The skipped cycles would only have counted
+    /// `degraded_cycles`, added in closed form.
+    fn skip_quiet_cycles(&mut self, end: u64) {
+        let now = self.cycle;
+        let mut wake = end;
+        for ch in self.channels.iter().flatten() {
+            match ch.state {
+                ChannelState::Failed => continue,
+                ChannelState::Resyncing { until } | ChannelState::Degraded { until } => {
+                    wake = wake.min(until);
+                }
+                ChannelState::Up => {}
+            }
+            if ch.rate_credit < CREDIT_CAP {
+                return;
+            }
+            if let Some(&(at, _)) = ch.in_flight.front() {
+                if at >= now {
+                    wake = wake.min(at);
                 }
             }
         }
+        if let Some(k) = self.kills.get(self.kill_idx) {
+            wake = wake.min(k.cycle);
+        }
+        if self.inject_frozen_until >= now {
+            wake = wake.min(self.inject_frozen_until);
+        }
+        let engine = self.flows.as_ref().expect("flow mode");
+        if let Some(t) = engine.next_deadline(now) {
+            wake = wake.min(t);
+        }
+        let interval = engine.watchdog_interval();
+        if interval > 0 {
+            wake = wake.min(now.next_multiple_of(interval));
+        }
+        if wake <= now {
+            return;
+        }
+        for ch in self.channels.iter_mut().flatten() {
+            if let (ChannelState::Degraded { until }, Some(l)) = (ch.state, &mut ch.lossy) {
+                l.counts.degraded_cycles += until.min(wake).saturating_sub(now);
+            }
+        }
+        self.cycle = wake;
+    }
+
+    /// The flow-mode report of a run of `cycles` simulated cycles,
+    /// `stepped` of them stepped.
+    fn flow_report(&self, mut stats: NetworkStats, cycles: u64, stepped: u64) -> FlowNetReport {
         stats.cycles = cycles;
         self.finalize(&mut stats);
         // Flow mode measures from cycle 0, so the flit conservation
@@ -390,6 +478,7 @@ impl Network {
         let goodputs: Vec<f64> = flows.iter().map(|f| f.goodput_ppc).collect();
         FlowNetReport {
             cycles,
+            stepped_cycles: stepped,
             completed: engine.all_complete(),
             livelocked: engine.livelocked(),
             jain: jain_index(&goodputs),
@@ -654,17 +743,25 @@ impl Network {
         }
     }
 
-    /// Advances one cycle.
+    /// Advances one cycle. Returns whether the step changed anything in
+    /// flow mode: a kill, a `Resyncing` or `Degraded` expiry, a delivery
+    /// attempt (the only place fault dice roll), a flow send, a
+    /// source-queue move or a router move. A wormhole grant alone does
+    /// not count: its output stays blocked, and a step after it grants
+    /// nothing new, so that step changes nothing. Open loop draws from
+    /// its RNG every cycle, which the flag does not track.
     #[allow(clippy::too_many_lines)]
-    fn step_cycle(&mut self, stats: &mut NetworkStats, measuring: bool) {
+    fn step_cycle(&mut self, stats: &mut NetworkStats, measuring: bool) -> bool {
         let mesh = self.cfg.mesh;
         let now = self.cycle;
+        let mut changed = false;
 
         // 0. Scheduled channel deaths due this cycle.
         let mut newly_failed: Vec<usize> = Vec::new();
         while self.kill_idx < self.kills.len() && self.kills[self.kill_idx].cycle <= now {
             let k = self.kills[self.kill_idx];
             self.kill_idx += 1;
+            changed = true;
             let id = mesh.channel_id(k.node, k.dir);
             let ch = self.channels[id].as_mut().expect("kills validated at construction");
             if !matches!(ch.state, ChannelState::Failed) {
@@ -687,6 +784,7 @@ impl Network {
                 ChannelState::Resyncing { until } => {
                     if now >= until {
                         ch.state = ChannelState::Up;
+                        changed = true;
                     } else {
                         open = false;
                     }
@@ -694,6 +792,7 @@ impl Network {
                 ChannelState::Degraded { until } => {
                     if now >= until {
                         ch.state = ChannelState::Up;
+                        changed = true;
                     }
                 }
                 ChannelState::Up => {}
@@ -703,6 +802,7 @@ impl Network {
                 if at > now || router.free_slots(in_port) == 0 {
                     break;
                 }
+                changed = true;
                 let upset = match &mut ch.lossy {
                     Some(l) => l.dice.roll(),
                     None => Upset::Clean,
@@ -782,6 +882,7 @@ impl Network {
         // 2. Injection: flow senders or the open-loop pattern.
         if self.flows.is_some() {
             let sends = self.flows.as_mut().expect("flow mode").poll(now);
+            changed |= !sends.is_empty();
             for s in sends {
                 let len = match s.tag {
                     FlowTag::Payload { .. } => self.cfg.packet_len_flits,
@@ -814,7 +915,10 @@ impl Network {
                 let r = &mut self.routers[n.0 as usize];
                 while r.free_slots(Direction::Local) > 0 {
                     match self.inject_q[n.0 as usize].pop_front() {
-                        Some(f) => r.accept(Direction::Local, f),
+                        Some(f) => {
+                            r.accept(Direction::Local, f);
+                            changed = true;
+                        }
                         None => break,
                     }
                 }
@@ -849,6 +953,7 @@ impl Network {
                 },
                 |d| can[d.index()],
             );
+            changed |= !moves.is_empty();
             for (out, flit) in moves {
                 if out == Direction::Local {
                     // Ejected at the destination core.
@@ -899,6 +1004,7 @@ impl Network {
         }
 
         self.cycle += 1;
+        changed
     }
 }
 
@@ -906,7 +1012,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::fault::{ChannelProtection, ErrorProcess};
-    use crate::flow::FlowSpec;
+    use crate::flow::{FlowSpec, WatchdogConfig};
 
     fn base_cfg(link: LinkModel) -> NetworkConfig {
         NetworkConfig {
@@ -1384,6 +1490,138 @@ mod tests {
             })
             .collect();
         assert_eq!(revived, [mesh.channel_id(NodeId(1), Direction::South)]);
+    }
+
+    /// `run_flows` without fixpoint stepping: every cycle stepped. The
+    /// reference the skip is checked against.
+    fn run_flows_every_cycle(net: &mut Network, max_cycles: u64) -> FlowNetReport {
+        let mut stats = NetworkStats { nodes: net.cfg.mesh.nodes(), ..NetworkStats::default() };
+        let start = net.cycle;
+        while net.cycle < start + max_cycles {
+            net.step_cycle(&mut stats, true);
+            if net.flows.as_ref().expect("flow mode").all_complete()
+                || net.watchdog_declares_livelock()
+            {
+                break;
+            }
+        }
+        let cycles = net.cycle - start;
+        net.flow_report(stats, cycles, cycles)
+    }
+
+    /// A random flow-mode run on the 4×4 mesh, drawn from `seed`: every
+    /// knob that feeds a wake or the credit guard varies. Returns the
+    /// network and its `max_cycles`.
+    fn random_flow_run(seed: u64) -> (Network, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mesh = Mesh::new(4, 4);
+        let permille = |rng: &mut StdRng, lo: u32, hi: u32| f64::from(rng.gen_range(lo..hi)) / 1e3;
+        let kills = (0..rng.gen_range(0..5))
+            .map(|_| {
+                let node = NodeId(rng.gen_range(0..16));
+                let dir = Direction::CARDINAL[rng.gen_range(0..4)];
+                // An edge port's opposite always leads into a 4×4 mesh.
+                let dir = if mesh.neighbor(node, dir).is_some() { dir } else { dir.opposite() };
+                LinkKill { cycle: rng.gen_range(0..3_001), node, dir }
+            })
+            .collect();
+        // Long bad states push channels up the resync/degrade ladder.
+        let process = match rng.gen_range(0..5) {
+            0 => None,
+            1 => Some(ErrorProcess::Iid { p: permille(&mut rng, 0, 200) }),
+            2 => Some(ErrorProcess::bursty(permille(&mut rng, 0, 300), 0.6, 0.05)),
+            _ => Some(ErrorProcess::GilbertElliott {
+                p_good: permille(&mut rng, 0, 50),
+                p_bad: permille(&mut rng, 500, 1_001),
+                good_to_bad: permille(&mut rng, 0, 50),
+                bad_to_good: permille(&mut rng, 1, 100),
+            }),
+        };
+        let protections = [ChannelProtection::Off, ChannelProtection::Parity, ChannelProtection::Crc8];
+        let faults = process.map(|p| {
+            let faults = ChannelFaults::new(p, protections[rng.gen_range(0..3)]);
+            match rng.gen_range(0..4) {
+                0 => faults,
+                n => faults.with_permanent_failure(n),
+            }
+        });
+        let routing = if rng.gen() {
+            RoutingMode::XyStatic
+        } else {
+            RoutingMode::Adaptive { reconfig_pause: rng.gen_range(0..300) }
+        };
+        // Serial links bank credit below one flit per cycle, so the
+        // credit guard matters on them.
+        let link = if rng.gen() {
+            LinkModel::ideal()
+        } else {
+            LinkModel {
+                latency_cycles: rng.gen_range(1..7),
+                flits_per_cycle: permille(&mut rng, 150, 1_000),
+                wires: 10,
+            }
+        };
+        let cfg = NetworkConfig {
+            mesh,
+            link,
+            input_queue_flits: rng.gen_range(2..9),
+            packet_len_flits: rng.gen_range(1..5),
+            faults,
+            routing,
+            link_kills: kills,
+        };
+        let specs = (0..rng.gen_range(1..5))
+            .map(|_| {
+                let src = rng.gen_range(0..16);
+                let dst = (src + rng.gen_range(1..16)) % 16;
+                FlowSpec { src: NodeId(src), dst: NodeId(dst), packets: rng.gen_range(1..41) }
+            })
+            .collect();
+        let mut flows = FlowConfig::new(specs);
+        flows.watchdog = WatchdogConfig {
+            interval: [0, 0, 1, 64, 512, 1_024, 4_096, 4_096][rng.gen_range(0..8)],
+            hard_stall_checks: rng.gen_range(1..9),
+        };
+        let max_cycles = rng.gen_range(1..30_000);
+        (Network::with_flows(cfg, &flows, rng.gen()), max_cycles)
+    }
+
+    #[test]
+    fn fixpoint_stepping_matches_stepping_every_cycle() {
+        // Reports compare as `Debug` text: `jain` is NaN when no flow
+        // delivers, and NaN != NaN.
+        let (mut simulated, mut stepped) = (0, 0);
+        for case in 0..32 {
+            let (mut net, max_cycles) = random_flow_run(case);
+            let skipped = net.run_flows(max_cycles);
+            let (mut net, _) = random_flow_run(case);
+            let every = run_flows_every_cycle(&mut net, max_cycles);
+            assert!(skipped.stepped_cycles <= skipped.cycles, "case {case}");
+            simulated += skipped.cycles;
+            stepped += skipped.stepped_cycles;
+            let skipped = FlowNetReport { stepped_cycles: every.stepped_cycles, ..skipped };
+            let (a, b) = (format!("{skipped:#?}"), format!("{every:#?}"));
+            if let Some((x, y)) = a.lines().zip(b.lines()).find(|(x, y)| x != y) {
+                panic!("case {case}: skipping gives `{x}`, stepping every cycle `{y}`");
+            }
+            assert_eq!(a, b, "case {case}");
+        }
+        assert!(stepped * 2 < simulated, "the skip barely fired: {stepped} of {simulated} stepped");
+    }
+
+    #[test]
+    fn a_zero_watchdog_interval_disables_the_watchdog() {
+        // The XY twin of the scheduled kill starves its flows; with no
+        // watchdog the run neither reports nor aborts, and it lasts
+        // until `max_cycles`, mostly skipped.
+        let cfg = NetworkConfig { link_kills: kill_row0(100), ..base_cfg(LinkModel::ideal()) };
+        let mut flows = row0_flows();
+        flows.watchdog.interval = 0;
+        let report = Network::with_flows(cfg, &flows, 9).run_flows(200_000);
+        assert!(!report.completed && !report.livelocked);
+        assert!(report.stalls.is_empty(), "no check ever ran");
+        assert_eq!(report.cycles, 200_000);
+        assert!(report.stepped_cycles < 20_000, "{} cycles stepped", report.stepped_cycles);
     }
 
     #[test]

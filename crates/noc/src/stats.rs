@@ -21,7 +21,8 @@ pub struct LinkRecovery {
 /// Aggregate statistics over the measurement phase of a network run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Measured cycles.
+    /// Measured cycles, simulated: in flow mode they include the
+    /// cycles fixpoint stepping jumped over.
     pub cycles: u64,
     /// Nodes in the network.
     pub nodes: usize,

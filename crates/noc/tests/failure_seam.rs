@@ -112,7 +112,7 @@ fn check(s: &Scenario) -> Result<(), String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12 })]
+    #![proptest_config(ProptestConfig { cases: 128 })]
 
     #[test]
     fn failure_schedules_keep_the_transport_promises(
