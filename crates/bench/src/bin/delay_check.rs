@@ -1,15 +1,6 @@
 //! Validates the paper's per-word delay equation against the
 //! gate-level simulation (paper §V).
 
-use sal_bench::experiments;
-
 fn main() {
-    let d = experiments::delay_check();
-    println!("Per-word delay equation validation (paper SectionV)\n");
-    println!("paper's example terms      -> {:>6.1} MFlit/s (paper quotes ~311)", d.paper_analytic_mflits);
-    println!("our gate-level terms       -> {:>6.1} MFlit/s", d.our_analytic_mflits);
-    println!("simulated I3 at saturation -> {:>6.1} MFlit/s", d.simulated_mflits);
-    println!();
-    println!("per-transfer (I2) equation  -> {:>6.1} MFlit/s", d.i2_analytic_mflits);
-    println!("simulated I2 at saturation  -> {:>6.1} MFlit/s", d.i2_simulated_mflits);
+    sal_bench::print::delay_check();
 }

@@ -1,120 +1,20 @@
-//! Runs every experiment in order (the full paper reproduction).
+//! Runs every experiment in order (the full paper reproduction): the
+//! banner, then each figure/table binary's output.
+
+use sal_bench::print;
 
 fn main() {
-    {
-        let (name, bin) = ("fig10", ""); let _ = (name, bin); }
-    // Inline each experiment's printout by invoking the same code the
-    // individual binaries use.
     println!("==================================================================");
     println!("Reproduction of 'Serialized Asynchronous Links for NoC' (DATE'08)");
     println!("==================================================================\n");
-    run_all();
-}
-
-fn run_all() {
-    use sal_bench::{experiments as e, table};
-    // Fig 10
-    let f = e::fig10();
-    println!("--- Fig 10: Bandwidth vs Wires (upper bound {:.0} MFlit/s)", f.upper_bound_mflits);
-    for p in &f.series {
-        println!(
-            "  {:>3.0} MFlit/s: I1@100={:>3} I1@200={:>3} I1@300={:>3} I3={}",
-            p.bandwidth_mflits,
-            p.sync_100,
-            p.sync_200,
-            p.sync_300,
-            p.async_proposed.map_or("-".to_string(), |w| w.to_string())
-        );
-    }
-    for (mhz, meas) in &f.measured_i3_mflits {
-        println!("  measured I3 @ {mhz:.0} MHz clock: {meas:.1} MFlit/s");
-    }
-    // Fig 11
-    println!("\n--- Fig 11: Wire Area");
-    for r in e::fig11() {
-        println!(
-            "  L={:>5.0}um  I1={:>6.0}um2  I2/I3={:>6.0}um2",
-            r.length_um, r.sync_area_um2, r.async_area_um2
-        );
-    }
-    // Fig 12 / 13
-    println!("\n--- Fig 12: Power vs Buffers @100MHz (uW)");
-    print_power_rows(&e::fig12());
-    println!("\n--- Fig 13: Power vs Buffers @300MHz (uW)");
-    print_power_rows(&e::fig13());
-    // Fig 14
-    println!("\n--- Fig 14: Power breakdown @ 50% usage (uW)");
-    for r in e::fig14() {
-        println!(
-            "  {}: serdes={:>4.0} buffers={:>4.0} conv={:>4.0} other={:>4.0} total={:>5.0}",
-            r.family.label(),
-            r.blocks.serdes_uw,
-            r.blocks.buffers_uw,
-            r.blocks.conv_uw,
-            r.blocks.other_uw,
-            r.blocks.total_uw
-        );
-    }
-    // Tables
-    println!("\n--- Table 1: Link area (um2)");
-    for r in e::table1() {
-        println!("  {}: {:.0}", r.family.label(), r.area_um2);
-    }
-    println!("\n--- Table 2: I2 breakdown (um2)");
-    let t2 = e::table2();
-    for r in &t2 {
-        println!("  {:<30} {:>6.0} x{}", r.module, r.area_um2, r.qty);
-    }
-    let total: f64 = t2.iter().map(|r| r.area_um2 * r.qty as f64).sum();
-    println!("  {:<30} {total:>6.0}", "Total");
-    // Delay check
-    let d = e::delay_check();
-    println!("\n--- Delay-equation validation");
-    println!("  paper terms:   {:>6.1} MFlit/s (paper ~311)", d.paper_analytic_mflits);
-    println!("  our terms:     {:>6.1} MFlit/s", d.our_analytic_mflits);
-    println!("  simulated I3:  {:>6.1} MFlit/s", d.simulated_mflits);
-    println!("  I2 equation:   {:>6.1} MFlit/s", d.i2_analytic_mflits);
-    println!("  simulated I2:  {:>6.1} MFlit/s", d.i2_simulated_mflits);
-    // Headline
-    let h = e::headline();
-    println!("\n--- Headline claims");
-    println!("  wire reduction:  {:.0}% (paper 75%)", h.wire_reduction * 100.0);
-    println!("  power reduction: {:.0}% (paper 65%)", h.power_reduction * 100.0);
-    println!("  area overhead:   {:.0}% (paper ~20%)", h.area_overhead * 100.0);
-    // NoC
-    println!("\n--- NoC study (4x4 mesh, uniform)");
-    let rows: Vec<Vec<String>> = e::noc_study()
-        .iter()
-        .map(|r| {
-            vec![
-                r.family.label().into(),
-                format!("{:.0}", r.clk_mhz),
-                format!("{:.2}", r.offered),
-                format!("{:.3}", r.accepted),
-                format!("{:.1}", r.avg_latency),
-                r.total_wires.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table::render(&["link", "MHz", "offered", "accepted", "latency", "wires"], &rows)
-    );
-}
-
-fn print_power_rows(rows: &[sal_bench::experiments::PowerRow]) {
-    use sal_link::LinkFamily;
-    for buffers in sal_bench::experiments::BUFFER_SWEEP {
-        let p = |k: LinkFamily| {
-            rows.iter()
-                .find(|r| r.family == k && r.buffers == buffers)
-                .map_or(f64::NAN, |r| r.power_uw)
-        };
-        println!(
-            "  {buffers} buffers: I1={:>5.0} I2={:>5.0} I3={:>5.0}",
-            p(LinkFamily::Sync),
-            p(LinkFamily::PerTransfer),
-            p(LinkFamily::PerWord)
-        );
-    }
+    print::fig10();
+    print::fig11();
+    print::fig12();
+    print::fig13();
+    print::fig14();
+    print::table1();
+    print::table2();
+    print::delay_check();
+    print::headline();
+    print::noc_study();
 }

@@ -1,36 +1,5 @@
 //! Regenerates the paper's Fig 10: bandwidth vs. number of wires.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    let f = experiments::fig10();
-    println!("Fig 10 — Bandwidth vs. Wires (paper: Fig 10)");
-    println!(
-        "async self-timed upper bound: {:.0} MFlit/s (paper: ~311)\n",
-        f.upper_bound_mflits
-    );
-    let rows: Vec<Vec<String>> = f
-        .series
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.bandwidth_mflits),
-                p.sync_100.to_string(),
-                p.sync_200.to_string(),
-                p.sync_300.to_string(),
-                p.async_proposed.map_or("-".into(), |w| w.to_string()),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table::render(
-            &["MFlit/s", "I1@100MHz", "I1@200MHz", "I1@300MHz", "I3-async"],
-            &rows
-        )
-    );
-    println!("\nGate-level validation (measured I3 delivery rate):");
-    for (mhz, meas) in &f.measured_i3_mflits {
-        println!("  switch clock {mhz:>5.0} MHz -> {meas:>6.1} MFlit/s");
-    }
+    sal_bench::print::fig10();
 }

@@ -1,21 +1,5 @@
 //! Regenerates the paper's Fig 11: wiring area vs. wire length.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Fig 11 — Wire Area (METAL6: MetW=0.44um, MetG=0.46um)\n");
-    let rows: Vec<Vec<String>> = experiments::fig11()
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}", r.length_um),
-                format!("{:.0}", r.sync_area_um2),
-                format!("{:.0}", r.async_area_um2),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table::render(&["length(um)", "I1-Synch(um2)", "I2&I3-Asynch(um2)"], &rows)
-    );
+    sal_bench::print::fig11();
 }

@@ -1,30 +1,5 @@
 //! Regenerates the paper's Fig 12: power vs. buffers at 100 MHz.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Fig 12 — Number of Buffers vs. Power @ 100 MHz (50% usage)\n");
-    print_power(&experiments::fig12());
-}
-
-pub(crate) fn print_power(rows: &[experiments::PowerRow]) {
-    let mut out = Vec::new();
-    for buffers in experiments::BUFFER_SWEEP {
-        let p = |k: sal_link::LinkFamily| {
-            rows.iter()
-                .find(|r| r.family == k && r.buffers == buffers)
-                .map(|r| format!("{:.0}", r.power_uw))
-                .unwrap_or_default()
-        };
-        out.push(vec![
-            buffers.to_string(),
-            p(sal_link::LinkFamily::Sync),
-            p(sal_link::LinkFamily::PerTransfer),
-            p(sal_link::LinkFamily::PerWord),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(&["buffers", "I1-Synch(uW)", "I2-Asynch(uW)", "I3-Asynch(uW)"], &out)
-    );
+    sal_bench::print::fig12();
 }

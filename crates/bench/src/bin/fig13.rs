@@ -1,27 +1,5 @@
 //! Regenerates the paper's Fig 13: power vs. buffers at 300 MHz.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Fig 13 — Buffers vs. Power @ 300 MHz (windows carried over from 100 MHz, per the paper)\n");
-    let rows = experiments::fig13();
-    let mut out = Vec::new();
-    for buffers in experiments::BUFFER_SWEEP {
-        let p = |k: sal_link::LinkFamily| {
-            rows.iter()
-                .find(|r| r.family == k && r.buffers == buffers)
-                .map(|r| format!("{:.0}", r.power_uw))
-                .unwrap_or_default()
-        };
-        out.push(vec![
-            buffers.to_string(),
-            p(sal_link::LinkFamily::Sync),
-            p(sal_link::LinkFamily::PerTransfer),
-            p(sal_link::LinkFamily::PerWord),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(&["buffers", "I1-Synch(uW)", "I2-Asynch(uW)", "I3-Asynch(uW)"], &out)
-    );
+    sal_bench::print::fig13();
 }

@@ -1,27 +1,5 @@
 //! Regenerates the paper's Fig 14: average power breakdown at 50% usage.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Fig 14 — Average Power for 50% usage (100 MHz, 4 buffers)\n");
-    let rows: Vec<Vec<String>> = experiments::fig14()
-        .iter()
-        .map(|r| {
-            vec![
-                r.family.label().to_string(),
-                format!("{:.0}", r.blocks.serdes_uw),
-                format!("{:.0}", r.blocks.buffers_uw),
-                format!("{:.0}", r.blocks.conv_uw),
-                format!("{:.0}", r.blocks.other_uw),
-                format!("{:.0}", r.blocks.total_uw),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table::render(
-            &["link", "Ser/Des(uW)", "Buffers(uW)", "Conv(uW)", "Other(uW)", "Total(uW)"],
-            &rows
-        )
-    );
+    sal_bench::print::fig14();
 }

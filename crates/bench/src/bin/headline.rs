@@ -1,11 +1,5 @@
 //! Regenerates the paper's headline claims (abstract / conclusions).
 
-use sal_bench::experiments;
-
 fn main() {
-    let h = experiments::headline();
-    println!("Headline claims (paper: 75% wires, 65% power, ~20% area overhead)\n");
-    println!("wire reduction (serialized 32 -> 8):       {:.0}%", h.wire_reduction * 100.0);
-    println!("power reduction I3 vs I1 @300MHz, 8 buf:   {:.0}%", h.power_reduction * 100.0);
-    println!("cell-area overhead I2 vs I1:               {:.0}%", h.area_overhead * 100.0);
+    sal_bench::print::headline();
 }

@@ -1,27 +1,5 @@
 //! Mesh-level study (extension): 4x4 NoC with each link model.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("NoC study — 4x4 mesh, uniform random, 4-flit packets\n");
-    let rows: Vec<Vec<String>> = experiments::noc_study()
-        .iter()
-        .map(|r| {
-            vec![
-                r.family.label().to_string(),
-                format!("{:.0}", r.clk_mhz),
-                format!("{:.2}", r.offered),
-                format!("{:.3}", r.accepted),
-                format!("{:.1}", r.avg_latency),
-                r.total_wires.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table::render(
-            &["link", "clk(MHz)", "offered", "accepted(f/n/c)", "latency(cyc)", "mesh wires"],
-            &rows
-        )
-    );
+    sal_bench::print::noc_study();
 }

@@ -1,15 +1,12 @@
 //! Design-space Pareto campaign over the declarative `LinkSpec`
 //! lattice. Sweeps family × width × ratio × depth × protection,
-//! measures every valid cell at gate level (memoized through a
-//! content-addressed JSONL store), extracts per-family Pareto fronts
-//! over (energy-per-word, latency, cells), and writes the bytewise
-//! deterministic `BENCH_pareto.json`.
+//! measures every valid cell at gate level, extracts per-family Pareto
+//! fronts over (energy-per-word, latency, cells), and writes the
+//! bytewise deterministic `BENCH_pareto.json`.
 //!
 //! Flags:
 //!   --quick         sweep the reduced CI subset instead of the full grid
-//!   --cache PATH    store location (default target/pareto-cache.jsonl)
 //!   --out PATH      artifact location (default BENCH_pareto.json)
-//!   --expect-warm   fail unless every cell was a store hit
 
 use sal_bench::pareto::{campaign, full_grid, pareto_front, quick_grid, to_json};
 use sal_link::LinkFamily;
@@ -17,15 +14,11 @@ use std::path::PathBuf;
 
 fn main() {
     let mut quick = false;
-    let mut expect_warm = false;
-    let mut cache = PathBuf::from("target/pareto-cache.jsonl");
     let mut out = PathBuf::from("BENCH_pareto.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--expect-warm" => expect_warm = true,
-            "--cache" => cache = PathBuf::from(args.next().expect("--cache needs a path")),
             "--out" => out = PathBuf::from(args.next().expect("--out needs a path")),
             other => {
                 eprintln!("unknown flag {other}; see the module docs for usage");
@@ -36,26 +29,17 @@ fn main() {
 
     let grid = if quick { quick_grid() } else { full_grid() };
     eprintln!(
-        "== pareto campaign: {} grid, {} cells, store {} ==",
+        "== pareto campaign: {} grid, {} cells ==",
         if quick { "quick" } else { "full" },
-        grid.len(),
-        cache.display()
+        grid.len()
     );
-    let report = campaign(&grid, &cache);
-    eprintln!("store: {} hits, {} misses", report.stats.hits, report.stats.misses);
-    if expect_warm && report.stats.misses != 0 {
-        eprintln!(
-            "--expect-warm: {} cells missed the store; the cache is not warm",
-            report.stats.misses
-        );
-        std::process::exit(1);
-    }
+    let cells = campaign(&grid);
 
     println!(
         "{:<4} {:>5} {:>5} {:>5} {:>7} {:>6} {:>12} {:>10} {:>7}",
         "link", "width", "ratio", "depth", "protect", "wires", "energy/word", "latency", "cells"
     );
-    for cell in &report.cells {
+    for cell in &cells {
         let s = &cell.spec;
         println!(
             "{:<4} {:>5} {:>5} {:>5} {:>7} {:>6} {:>9.3} pJ {:>7.3} ns {:>7}",
@@ -72,13 +56,13 @@ fn main() {
     }
     println!("\n== pareto fronts (energy-per-word, latency, cells) ==");
     for family in LinkFamily::ALL {
-        let front = pareto_front(&report.cells, family);
+        let front = pareto_front(&cells, family);
         println!("{}: {} of {} cells on the front", family.label(), front.len(), {
-            report.cells.iter().filter(|c| c.spec.family() == family).count()
+            cells.iter().filter(|c| c.spec.family() == family).count()
         });
     }
 
-    let json = to_json(&report, quick);
+    let json = to_json(&cells, quick);
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("\nwrote {} ({} bytes)", out.display(), json.len());
 }

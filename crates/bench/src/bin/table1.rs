@@ -1,19 +1,5 @@
 //! Regenerates the paper's Table 1: link area overhead.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Table 1 — Area overhead of the synchronous and proposed links\n");
-    let rows: Vec<Vec<String>> = experiments::table1()
-        .iter()
-        .map(|r| {
-            let name = match r.family {
-                sal_link::LinkFamily::Sync => "Synchronous (I1)",
-                sal_link::LinkFamily::PerTransfer => "Asynchronous per-transfer ack. (I2)",
-                sal_link::LinkFamily::PerWord => "Asynchronous per-word ack. (I3)",
-            };
-            vec![name.to_string(), format!("{:.0}", r.area_um2)]
-        })
-        .collect();
-    print!("{}", table::render(&["Implementation", "Area (um2)"], &rows));
+    sal_bench::print::table1();
 }

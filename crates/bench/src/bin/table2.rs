@@ -1,17 +1,5 @@
 //! Regenerates the paper's Table 2: breakdown of implementation I2.
 
-use sal_bench::{experiments, table};
-
 fn main() {
-    println!("Table 2 — Breakdown of Implementation I2\n");
-    let rows = experiments::table2();
-    let mut out: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![r.module.to_string(), format!("{:.0}", r.area_um2), r.qty.to_string()]
-        })
-        .collect();
-    let total: f64 = rows.iter().map(|r| r.area_um2 * r.qty as f64).sum();
-    out.push(vec!["Total".into(), format!("{total:.0}"), String::new()]);
-    print!("{}", table::render(&["Module", "Area (um2)", "Qty."], &out));
+    sal_bench::print::table2();
 }

@@ -1,9 +1,9 @@
 //! # sal-bench — the experiment harness
 //!
 //! One function per table/figure of the paper's evaluation (§V), each
-//! returning structured rows so binaries can print them, tests can
-//! assert the paper's qualitative claims, and Criterion benches can
-//! time them. The binaries under `src/bin/` regenerate:
+//! returning structured rows so binaries can print them (through
+//! [`print`]) and tests can assert the paper's qualitative claims. The
+//! binaries under `src/bin/` regenerate:
 //!
 //! | Target | Paper artifact |
 //! |--------|----------------|
@@ -18,11 +18,14 @@
 //! | `headline` | The abstract's 75 % wires / 65 % power / 20 % area claims |
 //! | `noc_study` | Mesh-level latency/throughput with each link (extension) |
 //! | `experiments` | All of the above, in order |
+//! | `noc_curves` | Mesh load/latency curves with each link (extension) |
 //! | `ablations` | Early-ack / slice-width / receiver-style / corner studies |
 //! | `margins` | Timing-margin / fault-injection sweep (robustness extension) |
 //! | `recovery` | Link-level error detection & retransmission chaos soak |
 //! | `flows` | End-to-end flows over lossy mesh channels (goodput-collapse curves) |
 //! | `compile` | Compiled-engine equivalence + bit-sliced seed campaigns |
+//! | `observability` | Traced, fully metered I2/I3 runs (observability extension) |
+//! | `sal-lint` | Static analysis of I1/I2/I3 across configuration corners |
 //! | `pareto` | Design-space sweep over the `LinkSpec` lattice (extension) |
 //! | `reroute` | Fault-tolerant routing vs link failure (reconfiguration extension) |
 
@@ -33,6 +36,7 @@ pub mod compile_report;
 pub mod experiments;
 pub mod flows;
 pub mod pareto;
+pub mod print;
 pub mod recovery;
 pub mod reroute;
 pub mod robustness;

@@ -9,25 +9,15 @@
 //! (energy-per-word, word latency, cell count). The output
 //! `BENCH_pareto.json` is bytewise deterministic, so CI diffs the
 //! quick subset against a committed fixture.
-//!
-//! Measurements are memoized in a content-addressed store: each cell
-//! keys on the spec's [`content_hash`](LinkSpec::content_hash) plus a
-//! *fingerprint* of the measurement context (engine revision, netlist
-//! shape, stimulus length), persisted as JSONL. A warm rerun replays
-//! every record verbatim — zero simulations, byte-identical artifact —
-//! while any engine or generator change shifts the fingerprint and
-//! forces a re-measure of exactly the affected cells.
 
 use crate::sweep::parallel_map;
 use sal_cells::CircuitBuilder;
 use sal_des::json::Json;
-use sal_des::{Simulator, ENGINE_REV};
+use sal_des::Simulator;
 use sal_link::measure::{run_spec, MeasureOptions};
 use sal_link::testbench::worst_case_pattern;
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode};
 use sal_lint::run_all;
-use std::collections::HashMap;
-use std::path::Path;
 
 /// Flits pushed through every cell (the paper's worst-case pattern).
 pub const CAMPAIGN_WORDS: usize = 4;
@@ -113,8 +103,7 @@ pub fn quick_grid() -> Vec<LinkSpec> {
 }
 
 /// One measured cell: the numbers the Pareto extraction needs plus
-/// the verbatim record JSON the artifact embeds (verbatim so a
-/// cache-warm rerun cannot drift by a formatting detail).
+/// the record JSON the artifact embeds.
 #[derive(Debug, Clone)]
 pub struct MeasuredCell {
     /// The spec this cell measured.
@@ -131,38 +120,8 @@ pub struct MeasuredCell {
     pub json: String,
 }
 
-/// Hit/miss accounting for one campaign run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cells replayed from the store without simulation.
-    pub hits: usize,
-    /// Cells measured (and stored) this run.
-    pub misses: usize,
-}
-
-/// A full campaign result.
-#[derive(Debug)]
-pub struct ParetoReport {
-    /// Every measured cell, in grid order.
-    pub cells: Vec<MeasuredCell>,
-    /// Store accounting for this run.
-    pub stats: CacheStats,
-}
-
-/// 64-bit FNV-1a, the same construction `LinkSpec::content_hash`
-/// uses, over an arbitrary byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Builds the bare link netlist for `spec` and returns the netlist
-/// graph (for cell counting, linting and fingerprinting). Cheap: no
-/// simulation is run.
+/// graph the campaign counts cells on and lints.
 fn build_netgraph(spec: &LinkSpec, opts: &MeasureOptions) -> sal_des::NetGraph {
     let base = LinkConfig::default();
     let mut sim = Simulator::new();
@@ -172,28 +131,11 @@ fn build_netgraph(spec: &LinkSpec, opts: &MeasureOptions) -> sal_des::NetGraph {
     sim.netgraph()
 }
 
-/// The measurement-context fingerprint a cached record is valid for:
-/// engine revision, generated-netlist shape and stimulus length. Any
-/// kernel behaviour bump ([`ENGINE_REV`]), generator change (shape)
-/// or campaign protocol change (words) invalidates the entry.
-fn fingerprint(spec: &LinkSpec, graph: &sal_des::NetGraph) -> u64 {
-    let summary = format!(
-        "{ENGINE_REV}|{:016x}|c{}|s{}|b{}|k{}|w{}|n{}",
-        spec.content_hash(),
-        graph.components.len(),
-        graph.signals.len(),
-        graph.bundles.len(),
-        graph.captures.len(),
-        graph.watches.len(),
-        CAMPAIGN_WORDS,
-    );
-    fnv1a(summary.as_bytes())
-}
-
 /// Measures one cell at gate level and serialises its record.
-fn measure(spec: &LinkSpec, graph: &sal_des::NetGraph, opts: &MeasureOptions) -> MeasuredCell {
+fn measure(spec: &LinkSpec, opts: &MeasureOptions) -> MeasuredCell {
+    let graph = build_netgraph(spec, opts);
     let cells = graph.components.len();
-    let lint_errors = run_all(graph).errors().count();
+    let lint_errors = run_all(&graph).errors().count();
     let words = worst_case_pattern(CAMPAIGN_WORDS, spec.word_width());
     let run = run_spec(spec, &LinkConfig::default(), &words, opts)
         .unwrap_or_else(|e| panic!("campaign cell {spec:?} failed its clean run: {e}"));
@@ -226,7 +168,6 @@ fn measure(spec: &LinkSpec, graph: &sal_des::NetGraph, opts: &MeasureOptions) ->
     j.key("lint_errors").num(lint_errors);
     j.key("spec_hash").str(&format!("{:016x}", spec.content_hash()));
     j.end();
-    // The record is embedded verbatim in store lines and the artifact.
     let json = j.finish().trim_end().to_string();
     MeasuredCell {
         spec: spec.clone(),
@@ -238,102 +179,17 @@ fn measure(spec: &LinkSpec, graph: &sal_des::NetGraph, opts: &MeasureOptions) ->
     }
 }
 
-/// Pulls `"key": <number>` out of a record line (the campaign's own
-/// serialisation, so the shape is fixed; the workspace has a JSON
-/// writer but no parser).
-fn field_f64(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\": "))? + key.len() + 4;
-    let rest = &json[at..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().trim_matches('"').parse().ok()
-}
-
-/// One parsed line of the on-disk store.
-struct StoreLine {
-    spec_hex: String,
-    fp_hex: String,
-    record: String,
-}
-
-fn parse_store_line(line: &str) -> Option<StoreLine> {
-    let spec_at = line.find("\"spec\": \"")? + 9;
-    let spec_hex = line.get(spec_at..spec_at + 16)?.to_string();
-    let fp_at = line.find("\"fp\": \"")? + 7;
-    let fp_hex = line.get(fp_at..fp_at + 16)?.to_string();
-    let rec_at = line.find("\"record\": ")? + 10;
-    let record = line.get(rec_at..line.rfind('}')?)?.trim().to_string();
-    Some(StoreLine { spec_hex, fp_hex, record })
-}
-
-/// Loads the store into a `(spec_hash, fingerprint) → record` map.
-/// A missing or partially unreadable file is simply a colder cache.
-fn load_store(path: &Path) -> HashMap<(String, String), String> {
-    let mut map = HashMap::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        for line in text.lines() {
-            if let Some(l) = parse_store_line(line) {
-                map.insert((l.spec_hex, l.fp_hex), l.record);
-            }
-        }
-    }
-    map
-}
-
-/// Runs the campaign over `specs`, memoizing through the store at
-/// `cache_path`. Cells run under [`parallel_map`]; results land in
-/// grid order. The store is rewritten afterwards in grid order, so
-/// the file itself is deterministic too.
+/// Runs the campaign over `specs`, measuring every cell at gate
+/// level. Cells run under [`parallel_map`]; results land in grid
+/// order.
 ///
 /// # Panics
 ///
 /// Panics if a sweep worker dies or a cell fails its clean run — a
 /// campaign with holes would silently bias the fronts.
-pub fn campaign(specs: &[LinkSpec], cache_path: &Path) -> ParetoReport {
-    let store = load_store(cache_path);
+pub fn campaign(specs: &[LinkSpec]) -> Vec<MeasuredCell> {
     let opts = MeasureOptions::default();
-    let outcomes = parallel_map(specs.to_vec(), |spec| {
-        let graph = build_netgraph(&spec, &opts);
-        let fp = fingerprint(&spec, &graph);
-        let key = (format!("{:016x}", spec.content_hash()), format!("{fp:016x}"));
-        if let Some(record) = store.get(&key) {
-            let cell = MeasuredCell {
-                spec: spec.clone(),
-                energy_per_word_pj: field_f64(record, "energy_per_word_pj")
-                    .expect("stored record carries energy"),
-                latency_ns: field_f64(record, "latency_ns").expect("stored record carries latency"),
-                cells: field_f64(record, "cells").expect("stored record carries cells") as usize,
-                lint_errors: field_f64(record, "lint_errors")
-                    .expect("stored record carries lint_errors")
-                    as usize,
-                json: record.clone(),
-            };
-            (cell, fp, true)
-        } else {
-            (measure(&spec, &graph, &opts), fp, false)
-        }
-    })
-    .unwrap_or_else(|e| panic!("{e}"));
-    let hits = outcomes.iter().filter(|(_, _, hit)| *hit).count();
-    let stats = CacheStats { hits, misses: outcomes.len() - hits };
-
-    // Persist: every cell of this run, grid-ordered, fingerprint-keyed.
-    let mut out = String::new();
-    for (cell, fp, _) in &outcomes {
-        let mut j = Json::new();
-        j.obj();
-        j.key("spec").str(&format!("{:016x}", cell.spec.content_hash()));
-        j.key("fp").str(&format!("{fp:016x}"));
-        j.key("record").raw(&cell.json);
-        j.end();
-        out.push_str(&j.finish());
-    }
-    let cells: Vec<MeasuredCell> = outcomes.into_iter().map(|(c, _, _)| c).collect();
-    if let Some(dir) = cache_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(cache_path, out).expect("write pareto cache store");
-
-    ParetoReport { cells, stats }
+    parallel_map(specs.to_vec(), |spec| measure(&spec, &opts)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `true` if `a` dominates `b`: no worse on every objective, strictly
@@ -361,25 +217,23 @@ pub fn pareto_front(cells: &[MeasuredCell], family: LinkFamily) -> Vec<usize> {
 }
 
 /// Serialises the campaign as the `BENCH_pareto.json` artifact.
-/// Records are embedded verbatim, so a warm rerun is byte-identical.
-pub fn to_json(report: &ParetoReport, quick: bool) -> String {
+pub fn to_json(cells: &[MeasuredCell], quick: bool) -> String {
     let mut j = Json::new();
     j.obj_block();
     j.key("experiment").str("pareto");
-    j.key("engine_rev").str(ENGINE_REV);
     j.key("grid").str(if quick { "quick" } else { "full" });
     j.key("words_per_cell").num(CAMPAIGN_WORDS);
-    j.key("cells").num(report.cells.len());
+    j.key("cells").num(cells.len());
     j.key("records").arr_block();
-    for c in &report.cells {
+    for c in cells {
         j.raw(&c.json);
     }
     j.end();
     j.key("fronts").obj_block();
     for family in LinkFamily::ALL {
         j.key(family.label()).arr_block();
-        for i in pareto_front(&report.cells, family) {
-            let c = &report.cells[i];
+        for i in pareto_front(cells, family) {
+            let c = &cells[i];
             j.obj();
             j.key("spec_hash").str(&format!("{:016x}", c.spec.content_hash()));
             j.key("word_width").num(c.spec.word_width());
@@ -505,69 +359,11 @@ mod tests {
         assert_eq!(pareto_front(&cells, f), vec![0, 1], "ties dominate neither way");
     }
 
+    /// Re-measuring the quick grid reproduces the committed artifact
+    /// byte for byte.
     #[test]
-    fn record_field_parser_round_trips() {
-        let json = "{\"cells\": 123, \"energy_per_word_pj\": 4.567, \"latency_ns\": 0.125, \
-                    \"lint_errors\": 0, \"spec_hash\": \"00ff\"}";
-        assert_eq!(field_f64(json, "cells"), Some(123.0));
-        assert_eq!(field_f64(json, "energy_per_word_pj"), Some(4.567));
-        assert_eq!(field_f64(json, "lint_errors"), Some(0.0));
-        assert_eq!(field_f64(json, "missing"), None);
-    }
-
-    #[test]
-    fn store_line_round_trips() {
-        let line = "{\"spec\": \"00000000deadbeef\", \"fp\": \"0123456789abcdef\", \
-                    \"record\": {\"family\": \"I3\", \"cells\": 7}}";
-        let l = parse_store_line(line).expect("line parses");
-        assert_eq!(l.spec_hex, "00000000deadbeef");
-        assert_eq!(l.fp_hex, "0123456789abcdef");
-        assert_eq!(l.record, "{\"family\": \"I3\", \"cells\": 7}");
-    }
-
-    /// End-to-end store behaviour on a two-cell micro-grid: a cold
-    /// run measures and fills the store, a warm rerun is 100% hits
-    /// and produces a byte-identical artifact, and an engine bump
-    /// (simulated by corrupting the stored fingerprints) re-measures.
-    #[test]
-    fn warm_rerun_is_all_hits_and_byte_identical() {
-        let grid = vec![
-            LinkSpec::builder()
-                .family(LinkFamily::PerWord)
-                .word_width(16)
-                .serial_ratio(2)
-                .buffer_depth(2)
-                .build()
-                .unwrap(),
-            LinkSpec::builder()
-                .family(LinkFamily::Sync)
-                .word_width(16)
-                .serial_ratio(2)
-                .buffer_depth(2)
-                .build()
-                .unwrap(),
-        ];
-        let dir = std::env::temp_dir().join(format!("sal-pareto-test-{}", std::process::id()));
-        let cache = dir.join("store.jsonl");
-        let _ = std::fs::remove_file(&cache);
-
-        let cold = campaign(&grid, &cache);
-        assert_eq!(cold.stats, CacheStats { hits: 0, misses: 2 });
-        let cold_json = to_json(&cold, true);
-
-        let warm = campaign(&grid, &cache);
-        assert_eq!(warm.stats, CacheStats { hits: 2, misses: 0 });
-        assert_eq!(to_json(&warm, true), cold_json, "warm artifact must be byte-identical");
-
-        // A fingerprint shift (engine/generator change) is a miss.
-        let poisoned = std::fs::read_to_string(&cache)
-            .unwrap()
-            .replace("\"fp\": \"", "\"fp\": \"ffff");
-        std::fs::write(&cache, poisoned).unwrap();
-        let bumped = campaign(&grid, &cache);
-        assert_eq!(bumped.stats, CacheStats { hits: 0, misses: 2 });
-        assert_eq!(to_json(&bumped, true), cold_json, "re-measure reproduces the artifact");
-
-        let _ = std::fs::remove_dir_all(&dir);
+    fn quick_grid_reproduces_the_committed_fixture() {
+        let json = to_json(&campaign(&quick_grid()), true);
+        assert_eq!(json, include_str!("../fixtures/BENCH_pareto.json"));
     }
 }

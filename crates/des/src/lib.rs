@@ -54,16 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Behavioural revision of the simulation engine.
-///
-/// Bump whenever a change can alter *observable* simulation results —
-/// event ordering, delay or energy models, fault semantics — i.e.
-/// whenever the golden replay fixture has to be regenerated. Cached
-/// measurement stores (the `sal-bench` Pareto campaign) key their
-/// entries on this revision so stale results are re-measured instead
-/// of replayed.
-pub const ENGINE_REV: &str = "sal-des-r1";
-
 mod compile;
 mod component;
 mod error;

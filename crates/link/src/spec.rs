@@ -19,7 +19,7 @@
 //! [`RunFailure`](crate::RunFailure) via `source()`), so
 //! [`generate`] and [`run_spec`](crate::measure::run_spec) can assume
 //! consistency. [`LinkSpec::content_hash`] gives a canonical 64-bit
-//! digest used by the content-addressed result store in `sal-bench`.
+//! digest, the `spec_hash` of `sal-bench`'s Pareto records.
 //!
 //! ```
 //! use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
@@ -250,7 +250,7 @@ impl From<SpecError> for BuildError {
 ///
 /// Fields are private: every `LinkSpec` in existence passed
 /// [`LinkSpecBuilder::build`], so downstream code (the generator, the
-/// campaign cache) never re-validates. Construct with
+/// Pareto campaign) never re-validates. Construct with
 /// [`LinkSpec::builder`], [`LinkSpec::paper`] or
 /// [`LinkSpec::from_config`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -376,8 +376,8 @@ impl LinkSpec {
     /// Canonical FNV-1a content hash over the spec's logical fields.
     ///
     /// Stable across processes and runs — two specs hash equal iff
-    /// they are equal — so it keys the content-addressed result store
-    /// (`spec-hash → measured record`) in `sal-bench`.
+    /// they are equal — so it is the `spec_hash` that keys each record
+    /// of `sal-bench`'s committed `BENCH_pareto.json`.
     ///
     /// ```
     /// use sal_link::{LinkFamily, LinkSpec};
@@ -666,7 +666,8 @@ mod tests {
 
     #[test]
     fn content_hash_is_stable_and_injective_over_the_sweep() {
-        // Pinned value: the store on disk depends on this encoding.
+        // The committed `BENCH_pareto.json` records this hash as each
+        // cell's `spec_hash`, so the encoding must not drift.
         assert_eq!(
             LinkSpec::paper(LinkFamily::PerTransfer).content_hash(),
             LinkSpec::builder().build().unwrap().content_hash()

@@ -226,6 +226,30 @@ mod tests {
     }
 
     #[test]
+    fn three_switch_row_delivers_all_to_all_traffic() {
+        // Every switch sends one flit to each of the other two.
+        let mut traffic = Vec::new();
+        for s in 0..3usize {
+            for d in (0..3u8).filter(|&d| usize::from(d) != s) {
+                traffic.push((s, d, (s * 16 + usize::from(d)) as u64));
+            }
+        }
+        for family in [LinkFamily::Sync, LinkFamily::PerWord] {
+            let got = run_fabric(3, family, traffic.clone(), 200);
+            for (d, flits) in got.iter().enumerate() {
+                let mut payloads: Vec<u64> = flits.iter().map(|&(_, _, p)| p).collect();
+                payloads.sort_unstable();
+                let want: Vec<u64> = traffic
+                    .iter()
+                    .filter(|&&(_, dx, _)| usize::from(dx) == d)
+                    .map(|&(_, _, p)| p)
+                    .collect();
+                assert_eq!(payloads, want, "{} sink {d}", family.label());
+            }
+        }
+    }
+
+    #[test]
     fn parallel_link_fabric_matches() {
         let got = run_fabric(
             2,
