@@ -71,43 +71,45 @@ impl Router {
     /// cases). `can_send(output)` tells the router whether the
     /// downstream channel can accept a flit this cycle (`Local`
     /// ejection is always possible).
+    ///
+    /// Arbitration runs on request masks. At the start of the step
+    /// every input whose front flit is a head of a packet owning no
+    /// output here is routed once, and sets its bit in the 5-bit mask
+    /// of the output it names (a U-turn request is dropped). Outputs
+    /// are then visited in [`Direction::ALL`] order: a free output
+    /// grants the first requesting input at or after its round-robin
+    /// pointer, and an owned output forwards one flit of its packet.
+    /// Each pop lets the input's new front request in turn, so a
+    /// forwarded single-flit packet can expose a head that a later
+    /// output grants in the same step.
+    ///
+    /// `route` is called at most once per input head per step and must
+    /// be pure within a step: static XY is a function of the head, and
+    /// adaptive routing chooses over scores frozen before the step.
+    /// A packet's flits sit in one input, so no packet requests twice.
     pub fn step<R, F>(&mut self, mut route: R, mut can_send: F) -> Vec<(Direction, Flit)>
     where
         R: FnMut(Direction, &Flit) -> Option<Direction>,
         F: FnMut(Direction) -> bool,
     {
+        let mut requests = [0u32; 5];
+        for ii in 0..5 {
+            self.request(ii, &mut route, &mut requests);
+        }
         let mut moves = Vec::new();
         for out in Direction::ALL {
             let oi = out.index();
-            // Grant the output if free: round-robin over inputs whose
-            // head flit routes to this output.
-            if self.output_owner[oi].is_none() {
-                for k in 0..5 {
-                    let ii = (self.rr[oi] + k) % 5;
-                    if ii == oi && out != Direction::Local {
-                        continue; // no U-turns
-                    }
-                    if let Some(head) = self.inputs[ii].front() {
-                        // An adaptive route may prefer a different
-                        // output each cycle as queue depths shift; a
-                        // packet that already owns an output must not
-                        // be granted a second one, or the worm splits
-                        // across outputs and the abandoned lock is
-                        // orphaned forever.
-                        let already_owns = self
-                            .output_owner
-                            .iter()
-                            .any(|o| o.is_some_and(|(_, p)| p == head.packet));
-                        if head.is_head()
-                            && !already_owns
-                            && route(Direction::ALL[ii], head) == Some(out)
-                        {
-                            self.output_owner[oi] = Some((ii, head.packet));
-                            self.rr[oi] = (ii + 1) % 5;
-                            break;
-                        }
-                    }
-                }
+            // Grant the output if free: rotating the mask by the
+            // round-robin pointer puts the first requester in scan
+            // order (rr, rr+1, … mod 5) at the lowest bit.
+            let mask = requests[oi];
+            if self.output_owner[oi].is_none() && mask != 0 {
+                let rr = self.rr[oi];
+                let rotated = (mask >> rr | mask << (5 - rr)) & 0x1f;
+                let ii = (rr + rotated.trailing_zeros() as usize) % 5;
+                let head = self.inputs[ii].front().expect("a request has a head flit");
+                self.output_owner[oi] = Some((ii, head.packet));
+                self.rr[oi] = (ii + 1) % 5;
             }
             // Traverse: forward one flit from the owning input.
             if let Some((ii, pid)) = self.output_owner[oi] {
@@ -129,9 +131,35 @@ impl Router {
                     self.output_owner[oi] = None;
                 }
                 moves.push((out, flit));
+                // The popped front belonged to this output's packet, so
+                // the input held no request; its new front may.
+                self.request(ii, &mut route, &mut requests);
             }
         }
         moves
+    }
+
+    /// Sets input `ii`'s bit in the mask of the output its front flit
+    /// routes to, if that flit is a head whose packet owns no output.
+    fn request<R>(&self, ii: usize, route: &mut R, requests: &mut [u32; 5])
+    where
+        R: FnMut(Direction, &Flit) -> Option<Direction>,
+    {
+        let Some(head) = self.inputs[ii].front() else { return };
+        // An adaptive route may prefer a different output each cycle
+        // as queue depths shift; a packet that already owns an output
+        // must not be granted a second one, or the worm splits across
+        // outputs and the abandoned lock is orphaned forever.
+        if !head.is_head()
+            || self.output_owner.iter().any(|o| o.is_some_and(|(_, p)| p == head.packet))
+        {
+            return;
+        }
+        let Some(out) = route(Direction::ALL[ii], head) else { return };
+        // No U-turns.
+        if out.index() != ii || out == Direction::Local {
+            requests[out.index()] |= 1 << ii;
+        }
     }
 
     /// Reconfiguration surgery: removes every queued flit of the
@@ -177,6 +205,10 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::{FlitKind, Mesh, NodeId, Packet};
 
@@ -355,5 +387,206 @@ mod tests {
         assert_eq!(r.disown_output(Direction::East), Some((PacketId(2), true)));
         // Unlocked outputs report nothing.
         assert_eq!(r.disown_output(Direction::West), None);
+    }
+
+    /// The scan-per-output allocator the request masks replaced: each
+    /// free output scans the inputs from its round-robin pointer and
+    /// routes every eligible head it meets. The oracle for `step`.
+    fn reference_step<R, F>(r: &mut Router, mut route: R, mut can_send: F) -> Vec<(Direction, Flit)>
+    where
+        R: FnMut(Direction, &Flit) -> Option<Direction>,
+        F: FnMut(Direction) -> bool,
+    {
+        let mut moves = Vec::new();
+        for out in Direction::ALL {
+            let oi = out.index();
+            if r.output_owner[oi].is_none() {
+                for k in 0..5 {
+                    let ii = (r.rr[oi] + k) % 5;
+                    if ii == oi && out != Direction::Local {
+                        continue;
+                    }
+                    if let Some(head) = r.inputs[ii].front() {
+                        let already_owns =
+                            r.output_owner.iter().any(|o| o.is_some_and(|(_, p)| p == head.packet));
+                        if head.is_head()
+                            && !already_owns
+                            && route(Direction::ALL[ii], head) == Some(out)
+                        {
+                            r.output_owner[oi] = Some((ii, head.packet));
+                            r.rr[oi] = (ii + 1) % 5;
+                            break;
+                        }
+                    }
+                }
+            }
+            if let Some((ii, pid)) = r.output_owner[oi] {
+                if !can_send(out) {
+                    continue;
+                }
+                let Some(front) = r.inputs[ii].front() else { continue };
+                if front.packet != pid {
+                    continue;
+                }
+                let flit = *front;
+                r.inputs[ii].pop_front();
+                if flit.is_tail() {
+                    r.output_owner[oi] = None;
+                }
+                moves.push((out, flit));
+            }
+        }
+        moves
+    }
+
+    /// Packet ids a drawn router can hold: three per input plus one
+    /// lock owner per empty input.
+    const MAX_PACKETS: usize = 20;
+
+    /// Entries of one step's route table, input × packet.
+    const ROUTES: usize = 5 * MAX_PACKETS;
+
+    /// Builds a drawn router. Input `i` holds the in-order flits of
+    /// `fifos[i]`'s packets, each `(length, flits already gone)` (only
+    /// the first may have lost flits), cut at `capacity`. `locks[i] <
+    /// 5` locks that output to input `i`'s front packet, or to a packet
+    /// still upstream if the input is empty. Returns the router and
+    /// each packet id's input.
+    fn build(
+        capacity: usize,
+        fifos: &[Vec<(u32, u32)>],
+        locks: &[usize],
+        rr: &[usize],
+    ) -> (Router, Vec<usize>) {
+        let mut r = Router::new(capacity);
+        let mut input_of = Vec::new();
+        for (ii, packets) in fifos.iter().enumerate() {
+            let port = Direction::ALL[ii];
+            for (k, &(len, gone)) in packets.iter().enumerate() {
+                let id = input_of.len() as u64;
+                input_of.push(ii);
+                let skip = if k == 0 { gone % len } else { 0 };
+                for f in flits_of(id, NodeId(0), len).into_iter().skip(skip as usize) {
+                    if r.free_slots(port) > 0 {
+                        r.accept(port, f);
+                    }
+                }
+            }
+            let out = locks[ii];
+            if out < 5 && r.output_owner[out].is_none() {
+                let owner = match r.inputs[ii].front() {
+                    Some(f) => f.packet,
+                    None => {
+                        input_of.push(ii);
+                        PacketId(input_of.len() as u64 - 1)
+                    }
+                };
+                r.output_owner[out] = Some((ii, owner));
+            }
+        }
+        r.rr.copy_from_slice(rr);
+        (r, input_of)
+    }
+
+    thread_local! {
+        /// Steps of the oracle run that met each case the masks must
+        /// get right: a single-flit packet exposing a head that a later
+        /// output grants; a head refused a second output while its
+        /// packet owns a blocked one; a router holding no flit.
+        static SEEN: Cell<[u32; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    fn note(case: usize) {
+        SEEN.with(|s| {
+            let mut seen = s.get();
+            seen[case] += 1;
+            s.set(seen);
+        });
+    }
+
+    // No `#[test]`: the test below runs it, then checks `SEEN`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        fn masks_agree_with_the_scan(
+            capacity in 1usize..9,
+            fifos in proptest::collection::vec(
+                proptest::collection::vec((1u32..5, 0u32..4), 0..4),
+                5..6,
+            ),
+            locks in proptest::collection::vec(0usize..10, 5..6),
+            rr in proptest::collection::vec(0usize..5, 5..6),
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0usize..7, ROUTES..ROUTES + 1), 0u32..32),
+                1..8,
+            ),
+        ) {
+            let (mut fast, input_of) = build(capacity, &fifos, &locks, &rr);
+            let (mut slow, _) = build(capacity, &fifos, &locks, &rr);
+            for (table, can) in &steps {
+                // A fresh pure route table per step, U-turns included:
+                // a locked packet's head may "flap" between steps.
+                let route = |i: Direction, f: &Flit| {
+                    let entry = table[i.index() * MAX_PACKETS + f.packet.0 as usize];
+                    Direction::ALL.get(entry).copied()
+                };
+                let can_send = |d: Direction| can & 1 << d.index() != 0;
+                let before = (fast.inputs.clone(), fast.output_owner, fast.rr);
+                // A head whose packet owns a blocked output and routes
+                // to another free one, which it must not be granted.
+                for (out, owner) in fast.output_owner.iter().enumerate() {
+                    let Some((ii, pid)) = *owner else { continue };
+                    let head = fast.inputs[ii].front().filter(|f| f.packet == pid && f.is_head());
+                    let other = head.and_then(|h| route(Direction::ALL[ii], h)).map(Direction::index);
+                    let grantable = |o: usize| fast.output_owner[o].is_none() && (o != ii || o == 4);
+                    if !can_send(Direction::ALL[out]) && other.is_some_and(grantable) {
+                        note(1);
+                    }
+                }
+                let mut routed = Vec::new();
+                let moves = fast.step(
+                    |i, f| {
+                        routed.push((i.index(), f.packet));
+                        route(i, f)
+                    },
+                    can_send,
+                );
+                let expected = reference_step(&mut slow, route, can_send);
+                prop_assert_eq!(&moves, &expected);
+                prop_assert_eq!(&fast.inputs, &slow.inputs);
+                prop_assert_eq!(fast.output_owner, slow.output_owner);
+                prop_assert_eq!(fast.rr, slow.rr);
+                let calls = routed.len();
+                routed.sort();
+                routed.dedup();
+                prop_assert_eq!(routed.len(), calls, "a head was routed twice in one step");
+                let mut owners: Vec<_> = fast.output_owner.iter().flatten().map(|o| o.1).collect();
+                owners.sort();
+                owners.dedup();
+                let locks = fast.output_owner.iter().flatten().count();
+                prop_assert_eq!(owners.len(), locks, "a packet owns two outputs");
+                if before.0.iter().all(VecDeque::is_empty) {
+                    note(2);
+                    prop_assert!(moves.is_empty());
+                    prop_assert_eq!((fast.inputs.clone(), fast.output_owner, fast.rr), before);
+                }
+                let exposed = moves.iter().enumerate().any(|(k, (_, a))| {
+                    a.kind == FlitKind::HeadTail
+                        && moves[k + 1..].iter().any(|(_, b)| {
+                            b.is_head()
+                                && input_of[b.packet.0 as usize] == input_of[a.packet.0 as usize]
+                        })
+                });
+                if exposed {
+                    note(0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn request_masks_match_the_scan_per_output_allocator() {
+        masks_agree_with_the_scan();
+        let seen = SEEN.with(Cell::get);
+        assert!(seen.iter().all(|&n| n > 0), "the oracle run missed a case: {seen:?}");
     }
 }

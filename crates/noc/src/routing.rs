@@ -109,6 +109,26 @@ impl LinkKill {
 
 const INF: u32 = u32::MAX;
 
+/// A set of output directions, one bit per [`Direction::index`]: the
+/// routing functions fill it without allocating.
+#[derive(Debug, Clone, Copy, Default)]
+struct DirSet(u8);
+
+impl DirSet {
+    fn insert(&mut self, d: Direction) {
+        self.0 |= 1 << d.index();
+    }
+
+    fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members in direction-index order.
+    fn iter(self) -> impl Iterator<Item = Direction> {
+        Direction::ALL.into_iter().filter(move |d| self.0 & 1 << d.index() != 0)
+    }
+}
+
 /// Up phase: the packet may still take up or down channels.
 const UP: usize = 0;
 /// Down phase: the packet has committed to descending.
@@ -271,8 +291,9 @@ impl RouteTable {
         }
     }
 
-    /// Permitted outputs under the active regime, unbiased. Empty
-    /// means unroutable (destination severed from the survivors).
+    /// Permitted outputs under the active regime, unbiased, in
+    /// direction-index order. Empty means unroutable (destination
+    /// severed from the survivors).
     pub fn permitted(
         &self,
         src: NodeId,
@@ -280,8 +301,12 @@ impl RouteTable {
         in_port: Direction,
         dst: NodeId,
     ) -> Vec<Direction> {
+        self.permitted_set(src, at, in_port, dst).iter().collect()
+    }
+
+    fn permitted_set(&self, src: NodeId, at: NodeId, in_port: Direction, dst: NodeId) -> DirSet {
         if at == dst {
-            return vec![Direction::Local];
+            return DirSet(1 << Direction::Local.index());
         }
         if self.order.is_empty() {
             self.odd_even_permitted(src, at, dst)
@@ -293,7 +318,9 @@ impl RouteTable {
     /// The single routing decision point: permitted outputs ranked by
     /// `(score, direction index)` — the network's score feeds channel
     /// health and queue depth in, so route choice bends away from
-    /// Degraded and Resyncing links deterministically.
+    /// Degraded and Resyncing links deterministically. The permitted
+    /// set is walked in index order and the first minimum kept, so the
+    /// call allocates nothing.
     pub fn choose(
         &self,
         src: NodeId,
@@ -302,23 +329,21 @@ impl RouteTable {
         dst: NodeId,
         mut score: impl FnMut(Direction) -> u32,
     ) -> Option<Direction> {
-        self.permitted(src, at, in_port, dst)
-            .into_iter()
-            .min_by_key(|&d| (score(d), d.index()))
+        self.permitted_set(src, at, in_port, dst).iter().min_by_key(|&d| score(d))
     }
 
     /// Chiu's odd-even ROUTE function: the minimal outputs whose
     /// turns respect the column-parity restrictions. Needs the source
     /// column (packets may turn freely in it — no eastward travel has
     /// happened yet).
-    fn odd_even_permitted(&self, src: NodeId, at: NodeId, dst: NodeId) -> Vec<Direction> {
+    fn odd_even_permitted(&self, src: NodeId, at: NodeId, dst: NodeId) -> DirSet {
         let (cx, cy) = self.mesh.coords(at);
         let (dx, dy) = self.mesh.coords(dst);
         let (sx, _) = self.mesh.coords(src);
         let ydir = if dy > cy { Direction::South } else { Direction::North };
-        let mut out = Vec::with_capacity(2);
+        let mut out = DirSet::default();
         match dx.cmp(&cx) {
-            std::cmp::Ordering::Equal => out.push(ydir),
+            std::cmp::Ordering::Equal => out.insert(ydir),
             std::cmp::Ordering::Greater => {
                 // Eastbound: E→N/E→S turns are only legal in odd
                 // columns, so the Y moves are offered there (and in
@@ -326,13 +351,13 @@ impl RouteTable {
                 // happened); the final E hop into an even destination
                 // column must land with the Y offset already resolved.
                 if dy == cy {
-                    out.push(Direction::East);
+                    out.insert(Direction::East);
                 } else {
                     if cx % 2 == 1 || cx == sx {
-                        out.push(ydir);
+                        out.insert(ydir);
                     }
                     if dx % 2 == 1 || dx - cx != 1 {
-                        out.push(Direction::East);
+                        out.insert(Direction::East);
                     }
                 }
             }
@@ -340,9 +365,9 @@ impl RouteTable {
                 // Westbound: N→W/S→W turns are only legal in even
                 // columns, so Y detour capacity is offered there; West
                 // itself is always minimal and legal.
-                out.push(Direction::West);
+                out.insert(Direction::West);
                 if cx % 2 == 0 && dy != cy {
-                    out.push(ydir);
+                    out.insert(ydir);
                 }
             }
         }
@@ -352,10 +377,10 @@ impl RouteTable {
 
     /// Up*/down* permitted outputs: usable channels legal from the
     /// current phase that strictly decrease the legal-path distance.
-    fn updown_permitted(&self, at: NodeId, in_port: Direction, dst: NodeId) -> Vec<Direction> {
+    fn updown_permitted(&self, at: NodeId, in_port: Direction, dst: NodeId) -> DirSet {
         let phase = self.phase_of(at, in_port);
         let dcur = self.dist[dst.0 as usize][at.0 as usize][phase];
-        let mut out = Vec::with_capacity(4);
+        let mut out = DirSet::default();
         if dcur == INF {
             return out;
         }
@@ -370,7 +395,7 @@ impl RouteTable {
             }
             let nphase = if up { UP } else { DOWN };
             if self.dist[dst.0 as usize][v.0 as usize][nphase].saturating_add(1) == dcur {
-                out.push(dir);
+                out.insert(dir);
             }
         }
         debug_assert!(!out.is_empty(), "finite legal distance but no decreasing output");
@@ -380,6 +405,8 @@ impl RouteTable {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::fault::ChannelState;
 
@@ -608,5 +635,42 @@ mod tests {
             t.choose(NodeId(0), NodeId(0), Direction::Local, NodeId(3), |_| 0),
             Some(Direction::East)
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn choose_is_the_argmin_of_permitted(
+            dims in (2u16..7, 2u16..7),
+            kills in proptest::collection::vec((any::<u16>(), 0usize..4), 0..7),
+            picks in (any::<u16>(), any::<u16>(), any::<u16>(), 0usize..5),
+            scores in proptest::collection::vec(0u32..3, 5..6),
+        ) {
+            let mesh = Mesh::new(dims.0, dims.1);
+            let n = mesh.nodes() as u16;
+            let mut failed = vec![false; 4 * mesh.nodes()];
+            for &(node, dir) in &kills {
+                let node = NodeId(node % n);
+                let dir = Direction::CARDINAL[dir];
+                // Both dimensions are at least 2, so an edge port's
+                // opposite always has a neighbour.
+                let dir = if mesh.neighbor(node, dir).is_some() { dir } else { dir.opposite() };
+                failed[mesh.channel_id(node, dir)] = true;
+            }
+            let mut t = RouteTable::new(mesh);
+            t.rebuild(&failed);
+            let (src, at, dst) = (NodeId(picks.0 % n), NodeId(picks.1 % n), NodeId(picks.2 % n));
+            let ports: Vec<Direction> = Direction::ALL
+                .into_iter()
+                .filter(|&d| d == Direction::Local || mesh.neighbor(at, d).is_some())
+                .collect();
+            let in_port = ports[picks.3 % ports.len()];
+            let score = |d: Direction| scores[d.index()];
+            let argmin = t
+                .permitted(src, at, in_port, dst)
+                .into_iter()
+                .min_by_key(|&d| (score(d), d.index()));
+            prop_assert_eq!(t.choose(src, at, in_port, dst, score), argmin);
+        }
     }
 }
