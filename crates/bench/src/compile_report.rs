@@ -26,8 +26,8 @@ use crate::sliced;
 pub const LINK_WORDS: usize = 64;
 
 /// Storm seeds pinned in the sliced section: the golden storm (one
-/// demoted lane), a fully converged quiet storm, and a fully demoted
-/// mid-transition storm.
+/// demoted lane), a fully converged quiet storm, and a mid-transition
+/// storm whose pass keeps only the lanes on its pilot's timing.
 pub const SLICED_SEEDS: [u64; 3] = [73, 7, 3];
 
 /// One engine's integer counters for one workload.

@@ -10,8 +10,11 @@
 //!    `(segment, time, width)` upset windows — and one mask per lane
 //!    per site (lane 0 keeps all-zero masks as the clean control);
 //! 2. run the carrier once with per-lane injection and taps on the
-//!    delivery-side signals;
-//! 3. scalar-replay the lanes the pass demoted;
+//!    delivery-side signals. The carrier runs its pilot's glitches —
+//!    at each site the lowest lane that glitches it, lane 1 here — so
+//!    it is that lane's own timeline;
+//! 3. scalar-replay the lanes the pass demoted: those whose timing
+//!    left the pilot's;
 //! 4. verify fidelity: every healthy lane's tap history must be
 //!    **byte-identical** to a scalar run seeded with that lane's
 //!    masks.

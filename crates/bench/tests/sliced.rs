@@ -10,14 +10,15 @@ use sal_bench::sliced::{scalar_run, sliced_campaign};
 /// A storm whose sites straddle latch-capture windows without
 /// catching a segment mid-transition: every masked lane corrupts its
 /// own wire bit (observably different delivered flits) yet stays
-/// converged, so only the zero-mask control lane is demoted — a
-/// union-glitch force cancels an in-flight carrier drive that the
-/// clean lane's own timeline would have kept.
+/// converged with the carrier, which runs lane 1's glitches. Only the
+/// zero-mask control lane is demoted: the pilot's glitch force cancels
+/// an in-flight carrier drive that the clean lane's own timeline would
+/// have kept.
 const GOLDEN_STORM: u64 = 73;
 
-/// A storm that catches segments mid-transition: conservative
-/// divergence demotes every lane and the driver falls back to
-/// scalar replays.
+/// A storm that catches segments mid-transition: every lane whose
+/// timing leaves the pilot's is demoted and replays scalar. At 8 lanes
+/// the pass keeps only its pilot; at 64 lanes it keeps 8.
 const STORMY: u64 = 3;
 
 #[test]
@@ -78,5 +79,52 @@ fn demoted_lanes_fall_back_to_faithful_scalar_replay() {
             scalar_run(STORMY, k, lanes),
             "lane {k}: replay series differs from scalar ground truth"
         );
+    }
+}
+
+#[test]
+fn a_stormy_64_lane_pass_keeps_its_pilot() {
+    let lanes = 64u8;
+    let r = sliced_campaign(STORMY, lanes);
+    assert_eq!(r.diverged & 0b10, 0, "the pilot, lane 1, is the carrier's own timeline");
+    assert_ne!(r.diverged, 0, "lanes off the pilot's timing replay scalar");
+    assert_eq!(r.profile.scalar_fallbacks, u64::from(r.diverged.count_ones()));
+    for k in 0..lanes {
+        assert_eq!(
+            r.flit_series[k as usize],
+            scalar_run(STORMY, k, lanes),
+            "lane {k}: sliced series differs from scalar ground truth"
+        );
+    }
+}
+
+#[test]
+fn one_lane_campaigns_equal_the_clean_scalar_run() {
+    // With one lane no site has a glitching lane, so the carrier must
+    // run no force at all: on these storms a force that changes
+    // nothing would still cancel a drive the clean run keeps.
+    for storm in [22, 23, 44, 46] {
+        let r = sliced_campaign(storm, 1);
+        assert_eq!(r.diverged, 0);
+        assert_eq!(r.flit_series[0], scalar_run(storm, 0, 1), "storm {storm}");
+    }
+}
+
+/// Release-mode sweep: every lane of 64-lane campaigns over a few
+/// dozen storms against its scalar run. Run it with
+/// `cargo test --release -p sal-bench --test sliced -- --include-ignored`.
+#[test]
+#[ignore = "release-mode sweep, a few seconds"]
+fn sweep_every_lane_of_64_lane_storms_matches_scalar() {
+    let lanes = 64u8;
+    for storm in 0..32 {
+        let r = sliced_campaign(storm, lanes);
+        for k in 0..lanes {
+            assert_eq!(
+                r.flit_series[k as usize],
+                scalar_run(storm, k, lanes),
+                "storm {storm} lane {k}"
+            );
+        }
     }
 }

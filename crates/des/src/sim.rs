@@ -97,6 +97,14 @@ impl Kernel {
         sl.on_commit(time, signal, old, new, forced, driver, |s| signals[s.index()].value);
     }
 
+    /// Reports a force that committed nothing but cancelled an
+    /// in-flight drive to the active sliced campaign pass.
+    fn slice_silent_force(&mut self, signal: SignalId) {
+        let (signals, sliced, now) = (&self.signals, &mut self.sliced, self.now);
+        let Some(sl) = sliced else { return };
+        sl.on_silent_force(now, signal, |s| signals[s.index()].value);
+    }
+
     /// Reports a skipped dynamic drive to the active sliced pass (the
     /// inertial no-op rules in [`Ctx::drive`] fired).
     pub(crate) fn slice_dyn_skip(&mut self, comp: ComponentId, out: SignalId, v: &Value) {
@@ -168,10 +176,10 @@ pub struct Simulator {
     /// [`Simulator::slice_begin`].
     capture_rules: Vec<(SignalId, SignalId)>,
     /// Lanes carried by the last bit-sliced campaign pass attached to
-    /// this simulator (recorded by the lane executor; profiling only).
+    /// this simulator (set by `slice_begin`; profiling only).
     lanes_active: u64,
     /// Lanes the last bit-sliced campaign pass demoted to scalar
-    /// replay (recorded by the lane executor; profiling only).
+    /// replay (set by `slice_seal`; profiling only).
     scalar_fallbacks: u64,
 }
 
@@ -541,13 +549,6 @@ impl Simulator {
         members
     }
 
-    /// Records bit-sliced campaign statistics for
-    /// [`Simulator::profile`] (called by the lane executor).
-    pub fn note_lane_stats(&mut self, lanes_active: u64, scalar_fallbacks: u64) {
-        self.lanes_active = lanes_active;
-        self.scalar_fallbacks = scalar_fallbacks;
-    }
-
     // ------------------------------------------------------------------
     // Bit-sliced campaigns
     // ------------------------------------------------------------------
@@ -611,10 +612,12 @@ impl Simulator {
     }
 
     /// Schedules a sliced glitch: at `at`, lane `k` XORs `masks[k]`
-    /// into `signal` for `width`. The carrier executes the *union* of
-    /// all lanes' masks through the regular fault machinery, so every
-    /// lane's disturbance exists in the carrier's event stream; each
-    /// lane's planes take only its own mask.
+    /// into `signal` for `width`. The carrier executes the *pilot's*
+    /// mask through the regular fault machinery — the pilot is the
+    /// lowest lane with a non-zero mask at this site — so a carrier
+    /// whose every site has the same pilot runs exactly that lane's
+    /// scalar timeline; each lane's planes take only its own mask. A
+    /// site no lane glitches schedules no carrier force at all.
     ///
     /// # Panics
     ///
@@ -625,7 +628,9 @@ impl Simulator {
         assert!(at >= self.kernel.now, "sliced glitch scheduled in the past");
         let sliced = self.kernel.sliced.as_mut().expect("slice_begin first");
         sliced.add_glitch(at, signal, width, masks);
-        let union = masks.iter().fold(0u64, |acc, &m| acc | m);
+        let Some(&mask) = masks.iter().find(|&&m| m != 0) else {
+            return;
+        };
         // An empty fault state transforms every drive to itself, so
         // installing one here keeps clean-path behaviour bit-identical.
         let fault = self.kernel.fault.get_or_insert_with(|| {
@@ -638,7 +643,7 @@ impl Simulator {
             })
         });
         let action = fault.actions.len() as u32;
-        fault.actions.push(FaultAction::Glitch { signal, mask: union, width });
+        fault.actions.push(FaultAction::Glitch { signal, mask, width });
         self.kernel.queue.push(at, EventKind::Fault { action });
     }
 
@@ -1257,8 +1262,12 @@ impl Simulator {
         st.drive_epoch += 1;
         st.pending = false;
         if st.value == value {
-            // No commit, so no sliced hook fires: a missed injection
-            // is caught by the sliced pass's expected-force sweep.
+            // No commit. A force that cancelled an in-flight drive
+            // still reaches the sliced pass; a missed injection is
+            // caught by the pass's expected-force sweep.
+            if was_pending && kernel.sliced.is_some() {
+                kernel.slice_silent_force(signal);
+            }
             return;
         }
         let toggles = st.value.toggles_to(&value);
@@ -2358,6 +2367,64 @@ mod tests {
         assert!(p.deltas > 0 && p.deltas <= p.events);
         assert!(p.queue_mean >= 0.0);
         assert_eq!(p.sim_time, sim.now());
+    }
+
+    /// A restore force that finds the value already back while a drive
+    /// is in flight commits nothing, yet cancels that drive: the pilot
+    /// lane, whose timeline the carrier runs, loses the edge with it,
+    /// while a lane with no glitch at the site keeps it. The sliced
+    /// pass must demote that lane.
+    #[test]
+    fn silent_restore_cancelling_a_drive_demotes_unforced_lanes() {
+        struct Or10 {
+            a: SignalId,
+            b: SignalId,
+            y: SignalId,
+        }
+        impl Component for Or10 {
+            fn on_input(&mut self, ctx: &mut Ctx<'_>) {
+                let v = ctx.read(self.a).or(&ctx.read(self.b));
+                ctx.drive(self.y, v, Time::from_ps(10));
+            }
+        }
+        let ps = Time::from_ps;
+        // s = a | b settles at 1. The glitch (100..200 ps) flips it to
+        // 0, b's rise re-drives 1 at 130 ps, and b's fall at 195 ps puts
+        // a drive of 0 in flight for 205 ps, across the restore.
+        let build = |sim: &mut Simulator| {
+            let a = sim.add_signal("a", 1);
+            let b = sim.add_signal("b", 1);
+            let s = sim.add_signal("s", 1);
+            let g = sim.add_component("or", Or10 { a, b, y: s }, &[a, b]);
+            sim.connect_driver(g, s).unwrap();
+            sim.stimulus(a, &[(Time::ZERO, Value::one(1)), (ps(150), Value::zero(1))]);
+            sim.stimulus(
+                b,
+                &[(Time::ZERO, Value::zero(1)), (ps(120), Value::one(1)), (ps(195), Value::zero(1))],
+            );
+            s
+        };
+        let scalar = |mask: u64| {
+            let mut sim = Simulator::new();
+            let s = build(&mut sim);
+            if mask != 0 {
+                let plan = FaultPlan::new(0).glitch("s", ps(100), ps(100), mask);
+                sim.apply_fault_plan(&plan).unwrap();
+            }
+            sim.run_until(ps(300)).unwrap();
+            sim.value(s)
+        };
+        assert_eq!(scalar(1), Value::one(1), "the restore cancels the fall");
+        assert_eq!(scalar(0), Value::zero(1), "without the glitch s falls at 205 ps");
+
+        let mut sim = Simulator::new();
+        let s = build(&mut sim);
+        sim.compile();
+        sim.slice_begin(2);
+        sim.slice_glitch(ps(100), s, ps(100), &[1, 0]);
+        sim.run_until(ps(300)).unwrap();
+        assert_eq!(sim.value(s), Value::one(1), "the carrier runs lane 0's timeline");
+        assert_eq!(sim.slice_seal(), 0b10, "lane 1 kept the drive the carrier lost");
     }
 
     #[test]

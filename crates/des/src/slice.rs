@@ -7,9 +7,12 @@
 //! exploits that by packing up to 64 campaign seeds ("lanes") into
 //! the bit-planes of one **carrier** simulation:
 //!
-//! - the carrier executes the *union* of every lane's glitches, so
-//!   every commit any lane would see exists in the carrier's event
-//!   stream;
+//! - the carrier executes one lane's glitches, the *pilot*'s: at each
+//!   site, the lowest lane that glitches it. When every site has the
+//!   same pilot the carrier *is* that lane's scalar run, and the
+//!   other lanes ride along as planes. (The union of all lanes'
+//!   masks is no lane's disturbance: at 64 lanes it flips every wire
+//!   bit, and a carrier running it skips edges no real lane skips.)
 //! - every tracked signal additionally carries a [`LaneValues`]
 //!   plane set, advanced lane-parallel through the compiled engine's
 //!   `eval_lanes` — one bitwise operation per plane advances all 64
@@ -153,7 +156,7 @@ impl Sliced {
 
     /// Registers a glitch site: at `at`, XOR `masks[k]` into lane `k`
     /// of `signal` for `width`. The carrier must separately execute
-    /// the union glitch at the same site (the simulator's
+    /// the pilot's glitch at the same site (the simulator's
     /// `slice_glitch` wrapper schedules both halves).
     ///
     /// # Panics
@@ -398,6 +401,28 @@ impl Sliced {
         }
     }
 
+    /// Records a carrier force that committed nothing — the signal
+    /// already held the forced value — yet cancelled an in-flight
+    /// drive. Lanes without a force at this site keep that drive in
+    /// their scalar runs and diverge, the rule a committing force
+    /// applies too; the lanes whose own force would have committed are
+    /// settled as a missed force. A force no site expects hits every
+    /// lane alike and demotes nothing.
+    pub fn on_silent_force<F: Fn(SignalId) -> Value>(
+        &mut self,
+        time: Time,
+        signal: SignalId,
+        read: F,
+    ) {
+        self.sweep(time, &read);
+        self.pending[signal.index()] = None;
+        if let Some(i) = self.match_expected(time, signal) {
+            let e = self.sched[i];
+            self.diverged |= !self.sites[e.site as usize].nonzero & self.lane_mask();
+            self.miss(e, &read);
+        }
+    }
+
     /// Finds the not-yet-done expected force matching this commit.
     fn match_expected(&mut self, time: Time, signal: SignalId) -> Option<usize> {
         let mut i = self.cursor;
@@ -457,27 +482,32 @@ impl Sliced {
         }
     }
 
-    /// Processes expected forces the carrier never committed (the
-    /// force found the value already equal): conservative divergence
-    /// for the lanes whose scalar runs *would* have committed.
+    /// Settles every expected force before `now` that the carrier
+    /// never committed.
     fn sweep<F: Fn(SignalId) -> Value>(&mut self, now: Time, read: &F) {
         while self.cursor < self.sched.len() && self.sched[self.cursor].time < now {
             let e = self.sched[self.cursor];
             self.cursor += 1;
-            if e.done {
-                continue;
+            if !e.done {
+                self.miss(e, read);
             }
-            let site = &mut self.sites[e.site as usize];
-            let si = site.signal.index();
-            if !e.restore {
-                self.diverged |= site.nonzero;
-            } else if let Some(saved) = site.saved.take() {
-                let ne = match &self.committed[si] {
-                    Some(cur) => cur.lanes_ne(&saved),
-                    None => saved.lanes_ne_value(&read(site.signal)),
-                };
-                self.diverged |= ne & site.nonzero;
-            }
+        }
+    }
+
+    /// Settles one expected force the carrier never committed (none
+    /// was scheduled, or it found the value already equal):
+    /// conservative divergence for the lanes whose scalar runs *would*
+    /// have committed.
+    fn miss<F: Fn(SignalId) -> Value>(&mut self, e: Expected, read: &F) {
+        let site = &mut self.sites[e.site as usize];
+        if !e.restore {
+            self.diverged |= site.nonzero;
+        } else if let Some(saved) = site.saved.take() {
+            let ne = match &self.committed[site.signal.index()] {
+                Some(cur) => cur.lanes_ne(&saved),
+                None => saved.lanes_ne_value(&read(site.signal)),
+            };
+            self.diverged |= ne & site.nonzero;
         }
     }
 
@@ -541,8 +571,8 @@ mod tests {
         let v = Value::from_u64(8, 0xA5);
         let read = |_: SignalId| Value::from_u64(8, 0xA5);
         sl.add_glitch(Time::from_ps(10), sig(1), Time::from_ps(5), &[0, 0x0F, 0xF0, 0]);
-        // Carrier applies the union glitch at t=10.
-        let glitched = v.xor(&Value::from_u64(8, 0xFF));
+        // Carrier applies the pilot's (lane 1's) glitch at t=10.
+        let glitched = v.xor(&Value::from_u64(8, 0x0F));
         sl.on_commit(Time::from_ps(10), sig(1), &v, &glitched, Some(false), None, read);
         let p = sl.committed[1].as_ref().expect("planes tracked");
         assert_eq!(p.unpack(0), v, "unglitched lane keeps its value");
