@@ -44,16 +44,16 @@ fn main() {
             "{:<8} seed {:>3}: {:<22} cycles {:>8}  failed_links {:>2}  starved_named {}",
             cell.spec.layout,
             cell.spec.seed,
-            cell.outcome(),
+            cell.report.outcome(),
             cell.report.cycles,
             cell.report.net.recovery.failed_links,
             named
         );
     }
 
-    let accepted: u64 = report.cells.iter().map(|c| c.accepted_corrupt()).sum();
-    let dups: u64 = report.cells.iter().map(|c| c.dup_delivered()).sum();
-    let unnamed = report.cells.iter().filter(|c| c.unnamed_livelock()).count();
+    let accepted: u64 = report.cells.iter().map(|c| c.report.accepted_corrupt()).sum();
+    let dups: u64 = report.cells.iter().map(|c| c.report.dup_delivered()).sum();
+    let unnamed = report.cells.iter().filter(|c| c.report.unnamed_livelock()).count();
     println!(
         "\ninvariants: accepted_corrupt={accepted} dup_delivered={dups} unnamed_livelocks={unnamed}"
     );

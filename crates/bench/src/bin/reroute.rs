@@ -50,14 +50,14 @@ fn main() {
             c.spec.layout,
             c.spec.mode,
             c.spec.seed,
-            c.outcome(),
+            c.report.outcome(),
             c.report.cycles,
             c.report.net.recovery.failed_links,
             c.report.net.reconfig_epochs,
             c.report.net.retrained_links,
             c.report.net.stranded_packets,
             c.report.net.salvaged_packets,
-            c.agg_goodput(),
+            c.report.agg_goodput(),
         );
     }
 

@@ -78,46 +78,6 @@ pub struct FlowCell {
     pub report: FlowNetReport,
 }
 
-impl FlowCell {
-    /// Outcome tag for tables and JSON: `completed`, `livelocked`, or
-    /// `progressing_at_cutoff`.
-    pub fn outcome(&self) -> &'static str {
-        if self.report.completed {
-            "completed"
-        } else if self.report.livelocked {
-            "livelocked"
-        } else {
-            "progressing_at_cutoff"
-        }
-    }
-
-    /// Aggregate goodput: payload packets delivered in order per
-    /// cycle, summed over flows.
-    pub fn agg_goodput(&self) -> f64 {
-        self.report.flows.iter().map(|f| f.goodput_ppc).sum()
-    }
-
-    /// Corrupted payloads the receivers *accepted* — the campaign's
-    /// most load-bearing zero.
-    pub fn accepted_corrupt(&self) -> u64 {
-        self.report.flows.iter().map(|f| f.counts.accepted_corrupt).sum()
-    }
-
-    /// Payloads delivered to an application more than once — the
-    /// second load-bearing zero.
-    pub fn dup_delivered(&self) -> u64 {
-        self.report.flows.iter().map(|f| f.counts.dup_delivered).sum()
-    }
-
-    /// A stall the watchdog flagged but could not attribute: a hard
-    /// livelock whose final report names no starved flow. Must never
-    /// happen.
-    pub fn unnamed_livelock(&self) -> bool {
-        self.report.livelocked
-            && !self.report.stalls.last().is_some_and(|s| s.hard && !s.starved.is_empty())
-    }
-}
-
 /// The flow layout of a cell: `corners` is four disjoint long-haul
 /// flows (fairness should stay near 1); `hotspot` aims four flows at
 /// one core so the AIMD windows compete for the same ejection port.
@@ -259,7 +219,7 @@ pub fn curve(
             let n = slice.len().max(1) as f64;
             CurveRow {
                 rate,
-                goodput: slice.iter().map(|c| c.agg_goodput()).sum::<f64>() / n,
+                goodput: slice.iter().map(|c| c.report.agg_goodput()).sum::<f64>() / n,
                 jain: slice.iter().map(|c| c.report.jain).sum::<f64>() / n,
                 completed_frac: slice.iter().filter(|c| c.report.completed).count() as f64 / n,
             }
@@ -331,9 +291,9 @@ fn cell_json(j: &mut Json, c: &FlowCell) {
     j.key("rate").fixed(c.spec.rate, 3);
     j.key("seed").num(c.spec.seed);
     j.key("kill_links").bool(c.spec.kill_links);
-    j.key("outcome").str(c.outcome());
+    j.key("outcome").str(c.report.outcome());
     j.key("cycles").num(c.report.cycles);
-    j.key("agg_goodput").fixed(c.agg_goodput(), 6);
+    j.key("agg_goodput").fixed(c.report.agg_goodput(), 6);
     j.key("jain").fixed(c.report.jain, 4);
     j.key("recovery").obj();
     j.key("errors").num(rec.counts.errors);
@@ -367,9 +327,9 @@ pub fn to_json(r: &FlowsReport) -> String {
     }
     j.end();
     j.key("invariants").obj();
-    j.key("accepted_corrupt").num(r.cells.iter().map(FlowCell::accepted_corrupt).sum::<u64>());
-    j.key("dup_delivered").num(r.cells.iter().map(FlowCell::dup_delivered).sum::<u64>());
-    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.unnamed_livelock()).count());
+    j.key("accepted_corrupt").num(r.cells.iter().map(|c| c.report.accepted_corrupt()).sum::<u64>());
+    j.key("dup_delivered").num(r.cells.iter().map(|c| c.report.dup_delivered()).sum::<u64>());
+    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.report.unnamed_livelock()).count());
     j.end();
     j.key("curves").arr_block();
     for layout in LAYOUTS {
@@ -422,10 +382,10 @@ mod tests {
     #[test]
     fn clean_cell_completes_fairly() {
         let cell = tiny_cell(ChannelProtection::Crc8, 0.0);
-        assert_eq!(cell.outcome(), "completed");
+        assert_eq!(cell.report.outcome(), "completed");
         assert!(cell.report.jain > 0.9, "jain {}", cell.report.jain);
-        assert_eq!(cell.accepted_corrupt(), 0);
-        assert_eq!(cell.dup_delivered(), 0);
+        assert_eq!(cell.report.accepted_corrupt(), 0);
+        assert_eq!(cell.report.dup_delivered(), 0);
         assert_eq!(cell.report.net.recovery.counts.errors, 0);
     }
 
@@ -438,9 +398,9 @@ mod tests {
         let caught: u64 =
             cell.report.flows.iter().map(|f| f.counts.corrupt_payloads).sum();
         assert!(caught > 0, "the e2e check never fired");
-        assert_eq!(cell.accepted_corrupt(), 0, "corruption was accepted");
-        assert_eq!(cell.dup_delivered(), 0, "duplicate delivery");
-        assert!(!cell.unnamed_livelock());
+        assert_eq!(cell.report.accepted_corrupt(), 0, "corruption was accepted");
+        assert_eq!(cell.report.dup_delivered(), 0, "duplicate delivery");
+        assert!(!cell.report.unnamed_livelock());
     }
 
     #[test]
@@ -481,13 +441,13 @@ mod tests {
             seed: SEEDS[0],
             kill_links: true,
         });
-        if cell.outcome() == "livelocked" {
-            assert!(!cell.unnamed_livelock(), "livelock must name its victims");
+        if cell.report.outcome() == "livelocked" {
+            assert!(!cell.report.unnamed_livelock(), "livelock must name its victims");
             let last = cell.report.stalls.last().unwrap();
             assert!(!last.starved.is_empty());
         }
-        assert_eq!(cell.accepted_corrupt(), 0);
-        assert_eq!(cell.dup_delivered(), 0);
+        assert_eq!(cell.report.accepted_corrupt(), 0);
+        assert_eq!(cell.report.dup_delivered(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper's evaluation (§V), each
 //! returning structured rows so binaries can print them (through
-//! [`print`]) and tests can assert the paper's qualitative claims. The
-//! binaries under `src/bin/` regenerate:
+//! [`print`](mod@print)) and tests can assert the paper's qualitative
+//! claims. The binaries under `src/bin/` regenerate:
 //!
 //! | Target | Paper artifact |
 //! |--------|----------------|

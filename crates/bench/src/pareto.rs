@@ -286,6 +286,20 @@ mod tests {
         }
     }
 
+    /// Every full-grid `spec_hash` is pinned: the FNV-1a fold of the
+    /// 219 cells' `content_hash`es, in grid order. A changed hash
+    /// would orphan the `BENCH_pareto.json` records and benchmark
+    /// fixture entries keyed by it.
+    #[test]
+    fn full_grid_content_hashes_are_pinned() {
+        let grid = full_grid();
+        assert_eq!(grid.len(), 219);
+        let fold = grid.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+            (h ^ s.content_hash()).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(fold, 0x2f96_abfc_fd26_47f9);
+    }
+
     /// Backs the campaign's "every generated link lints clean": all
     /// full-grid cells, zero error findings and a positive static margin
     /// on every bundled capture.

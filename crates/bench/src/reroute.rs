@@ -63,44 +63,11 @@ pub struct RerouteCell {
 }
 
 impl RerouteCell {
-    /// Outcome tag: `completed`, `livelocked`, or
-    /// `progressing_at_cutoff`.
-    pub fn outcome(&self) -> &'static str {
-        if self.report.completed {
-            "completed"
-        } else if self.report.livelocked {
-            "livelocked"
-        } else {
-            "progressing_at_cutoff"
-        }
-    }
-
-    /// Aggregate goodput, payload packets per cycle summed over flows.
-    pub fn agg_goodput(&self) -> f64 {
-        self.report.flows.iter().map(|f| f.goodput_ppc).sum()
-    }
-
     /// Fraction of offered payloads delivered in order.
     pub fn delivered_frac(&self) -> f64 {
         let delivered: u64 = self.report.flows.iter().map(|f| f.delivered).sum();
         let offered: u64 = self.report.flows.iter().map(|f| f.spec.packets).sum();
         delivered as f64 / offered as f64
-    }
-
-    /// Corrupted payloads accepted — must stay zero.
-    pub fn accepted_corrupt(&self) -> u64 {
-        self.report.flows.iter().map(|f| f.counts.accepted_corrupt).sum()
-    }
-
-    /// Payloads delivered twice — must stay zero.
-    pub fn dup_delivered(&self) -> u64 {
-        self.report.flows.iter().map(|f| f.counts.dup_delivered).sum()
-    }
-
-    /// A hard livelock whose final report names no starved flow.
-    pub fn unnamed_livelock(&self) -> bool {
-        self.report.livelocked
-            && !self.report.stalls.last().is_some_and(|s| s.hard && !s.starved.is_empty())
     }
 
     /// Cycles injection spent frozen across reconfiguration epochs.
@@ -254,7 +221,7 @@ pub fn curve(cells: &[RerouteCell], mode: &str) -> Vec<CurveRow> {
             let n = slice.len().max(1) as f64;
             CurveRow {
                 failed_links: failed,
-                goodput: slice.iter().map(|c| c.agg_goodput()).sum::<f64>() / n,
+                goodput: slice.iter().map(|c| c.report.agg_goodput()).sum::<f64>() / n,
                 delivered_frac: slice.iter().map(|c| c.delivered_frac()).sum::<f64>() / n,
                 completed_frac: slice.iter().filter(|c| c.report.completed).count() as f64 / n,
                 cells: slice.len(),
@@ -272,13 +239,13 @@ pub fn violations(cells: &[RerouteCell]) -> Vec<String> {
             "{}/{}/{} seed {}",
             c.spec.scenario, c.spec.layout, c.spec.mode, c.spec.seed
         );
-        if c.accepted_corrupt() > 0 {
+        if c.report.accepted_corrupt() > 0 {
             v.push(format!("{tag}: accepted corrupted payload"));
         }
-        if c.dup_delivered() > 0 {
+        if c.report.dup_delivered() > 0 {
             v.push(format!("{tag}: duplicate delivery"));
         }
-        if c.unnamed_livelock() {
+        if c.report.unnamed_livelock() {
             v.push(format!("{tag}: livelock without named victims"));
         }
         match c.spec.mode {
@@ -286,7 +253,8 @@ pub fn violations(cells: &[RerouteCell]) -> Vec<String> {
             // including the storm cells that livelock under XY.
             "adaptive" => {
                 if !c.report.completed {
-                    v.push(format!("{tag}: adaptive run did not complete ({})", c.outcome()));
+                    let outcome = c.report.outcome();
+                    v.push(format!("{tag}: adaptive run did not complete ({outcome})"));
                 }
                 if c.report.net.recovery.failed_links > 0 && c.report.net.reconfig_epochs == 0 {
                     v.push(format!("{tag}: links died but no reconfiguration epoch ran"));
@@ -297,7 +265,8 @@ pub fn violations(cells: &[RerouteCell]) -> Vec<String> {
             // flow campaign's named livelocks.
             "xy" => {
                 if !c.report.livelocked {
-                    v.push(format!("{tag}: XY baseline should livelock, got {}", c.outcome()));
+                    let outcome = c.report.outcome();
+                    v.push(format!("{tag}: XY baseline should livelock, got {outcome}"));
                 }
                 if c.report.net.reconfig_epochs != 0 {
                     v.push(format!("{tag}: XY must never reconfigure"));
@@ -319,9 +288,9 @@ fn cell_json(j: &mut Json, c: &RerouteCell) {
     j.key("layout").str(c.spec.layout);
     j.key("mode").str(c.spec.mode);
     j.key("seed").num(c.spec.seed);
-    j.key("outcome").str(c.outcome());
+    j.key("outcome").str(c.report.outcome());
     j.key("cycles").num(c.report.cycles);
-    j.key("agg_goodput").fixed(c.agg_goodput(), 6);
+    j.key("agg_goodput").fixed(c.report.agg_goodput(), 6);
     j.key("delivered_frac").fixed(c.delivered_frac(), 4);
     j.key("jain").fixed(c.report.jain, 4);
     j.key("failed_links").num(net.recovery.failed_links);
@@ -332,8 +301,8 @@ fn cell_json(j: &mut Json, c: &RerouteCell) {
     j.key("stranded_packets").num(net.stranded_packets);
     j.key("salvaged_packets").num(net.salvaged_packets);
     j.key("residual_flits").num(net.residual_flits);
-    j.key("dup_delivered").num(c.dup_delivered());
-    j.key("accepted_corrupt").num(c.accepted_corrupt());
+    j.key("dup_delivered").num(c.report.dup_delivered());
+    j.key("accepted_corrupt").num(c.report.accepted_corrupt());
     j.key("starved_named").num(c.report.stalls.last().map_or(0, |s| s.starved.len()));
     j.end();
 }
@@ -352,9 +321,9 @@ pub fn to_json(r: &RerouteReport, quick: bool) -> String {
     }
     j.end();
     j.key("invariants").obj();
-    j.key("accepted_corrupt").num(r.cells.iter().map(RerouteCell::accepted_corrupt).sum::<u64>());
-    j.key("dup_delivered").num(r.cells.iter().map(RerouteCell::dup_delivered).sum::<u64>());
-    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.unnamed_livelock()).count());
+    j.key("accepted_corrupt").num(r.cells.iter().map(|c| c.report.accepted_corrupt()).sum::<u64>());
+    j.key("dup_delivered").num(r.cells.iter().map(|c| c.report.dup_delivered()).sum::<u64>());
+    j.key("unnamed_livelocks").num(r.cells.iter().filter(|c| c.report.unnamed_livelock()).count());
     j.key("violations").num(violations(&r.cells).len());
     j.end();
     j.key("curves").arr_block();
@@ -395,15 +364,15 @@ mod tests {
     #[test]
     fn single_kill_completes_under_adaptive_and_livelocks_under_xy() {
         let adaptive = single_cell("adaptive");
-        assert_eq!(adaptive.outcome(), "completed");
+        assert_eq!(adaptive.report.outcome(), "completed");
         assert!(adaptive.report.net.reconfig_epochs >= 1);
         assert_eq!(adaptive.report.net.recovery.failed_links, 2);
-        assert_eq!(adaptive.dup_delivered(), 0);
-        assert_eq!(adaptive.accepted_corrupt(), 0);
+        assert_eq!(adaptive.report.dup_delivered(), 0);
+        assert_eq!(adaptive.report.accepted_corrupt(), 0);
 
         let xy = single_cell("xy");
-        assert_eq!(xy.outcome(), "livelocked");
-        assert!(!xy.unnamed_livelock(), "livelock must name its victims");
+        assert_eq!(xy.report.outcome(), "livelocked");
+        assert!(!xy.report.unnamed_livelock(), "livelock must name its victims");
         assert_eq!(xy.report.net.reconfig_epochs, 0);
         assert!(violations(&[adaptive, xy]).is_empty());
     }

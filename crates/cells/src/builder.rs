@@ -63,13 +63,6 @@ impl AreaLedger {
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.entries.iter().map(|(p, a)| (p.as_str(), *a))
     }
-
-    /// Merges another ledger into this one.
-    pub fn extend_from(&mut self, other: &AreaLedger) {
-        for (p, a) in other.iter() {
-            self.add(p, a);
-        }
-    }
 }
 
 /// Builds gate-level circuits into a [`Simulator`], pulling cell
@@ -342,11 +335,6 @@ impl<'a> CircuitBuilder<'a> {
         self.gate(name, GateOp::Nand, CellKind::Nand(2), &[a, b])
     }
 
-    /// 2-input NOR.
-    pub fn nor2(&mut self, name: &str, a: SignalId, b: SignalId) -> SignalId {
-        self.gate(name, GateOp::Nor, CellKind::Nor(2), &[a, b])
-    }
-
     /// 2-input XOR.
     pub fn xor2(&mut self, name: &str, a: SignalId, b: SignalId) -> SignalId {
         self.gate(name, GateOp::Xor, CellKind::Xor2, &[a, b])
@@ -513,35 +501,6 @@ impl<'a> CircuitBuilder<'a> {
         let id = self.sim.add_component(name, comp, &[src]);
         self.tag(id, CellClass::Comb, p.delay);
         self.gate_spec(id, out, GateOp::Buf, &[src], width, p.delay);
-        let res = self.sim.connect_driver(id, out);
-        self.check_driver(name, res);
-        self.sim.set_signal_energy(out, p.energy_fj);
-    }
-
-    /// N-input Muller C-element driving a *pre-declared* output signal
-    /// (for feedback cycles such as acknowledge wires that must exist
-    /// before the stage producing them is built).
-    ///
-    /// If `out` already has a driver or is not 1 bit wide, the error
-    /// is recorded and the cell is skipped.
-    pub fn celement_into(
-        &mut self,
-        name: &str,
-        out: SignalId,
-        inputs: &[SignalId],
-        rstn: Option<SignalId>,
-        init: bool,
-    ) {
-        if !self.width_ok(name, 1, self.sim.signal_width(out)) {
-            return;
-        }
-        let p = self.account(CellKind::CElement(inputs.len() as u8), 1);
-        let comp = CElement::new(inputs.to_vec(), rstn, out, p.delay, init);
-        let mut ins = inputs.to_vec();
-        ins.extend(rstn);
-        let id = self.sim.add_component(name, comp, &ins);
-        self.tag(id, CellClass::CElement, p.delay);
-        self.sim.set_component_pins(id, &[], inputs);
         let res = self.sim.connect_driver(id, out);
         self.check_driver(name, res);
         self.sim.set_signal_energy(out, p.energy_fj);

@@ -52,21 +52,10 @@ impl Ctx<'_> {
         self.kernel.now
     }
 
-    /// The id of the component being evaluated.
-    pub fn component_id(&self) -> ComponentId {
-        self.comp
-    }
-
     /// The committed value of a signal.
     #[inline]
     pub fn read(&self, sig: SignalId) -> Value {
         self.kernel.signals[sig.index()].value
-    }
-
-    /// Convenience: read a 1-bit signal as a boolean, treating `X` as
-    /// `false`. Use sparingly — mostly for monitors.
-    pub fn read_bool(&self, sig: SignalId) -> bool {
-        self.read(sig).is_high()
     }
 
     /// Schedules `value` onto `sig` after `delay`, with inertial
@@ -157,12 +146,6 @@ impl Ctx<'_> {
         } else {
             None
         }
-    }
-
-    /// The declared name of a signal (without scope path). Useful in
-    /// cell-side diagnostics.
-    pub fn signal_name(&self, sig: SignalId) -> &str {
-        &self.kernel.signals[sig.index()].name
     }
 
     /// The time `sig` last committed a new value. Lets edge-triggered

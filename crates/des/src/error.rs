@@ -31,9 +31,11 @@ pub enum SimError {
         /// Width of the driven value.
         actual: u8,
     },
-    /// The event limit configured in [`crate::SimConfig`] was exceeded,
-    /// which almost always indicates an oscillating zero-delay loop or
-    /// a runaway ring oscillator without a stop condition.
+    /// The event limit (see
+    /// [`Simulator::set_max_events`](crate::Simulator::set_max_events))
+    /// was exceeded, which almost always indicates an oscillating
+    /// zero-delay loop or a runaway ring oscillator without a stop
+    /// condition.
     EventLimitExceeded {
         /// The simulated time at which the limit tripped.
         at: Time,

@@ -81,11 +81,11 @@ pub use netgraph::{
 };
 pub use scope::{ScopeId, ScopePath};
 pub use signal::{SignalId, SignalInfo};
-pub use sim::{SimConfig, Simulator};
+pub use sim::Simulator;
 pub use trace::{
     JsonlSink, MemoryTrace, RingTrace, TraceDump, TraceRecord, TraceSignalMeta, TraceSink,
 };
 pub use watchdog::{DeadlockReport, StalledHandshake};
-pub use stats::{ActivityReport, EnergyReport, ScopeEnergy, SimProfile};
+pub use stats::{EnergyReport, ScopeEnergy, SimProfile};
 pub use time::Time;
 pub use value::{LaneValues, Logic, Value};

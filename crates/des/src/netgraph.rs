@@ -72,14 +72,6 @@ impl CellClass {
         matches!(self, CellClass::Comb | CellClass::Wire | CellClass::Route)
     }
 
-    /// Whether this class holds state across input changes.
-    pub fn is_state_holding(self) -> bool {
-        matches!(
-            self,
-            CellClass::Latch | CellClass::Dff | CellClass::CElement | CellClass::DavidCell
-        )
-    }
-
     /// Whether the width-consistency lint applies to this cell's
     /// reads (testbench/observer/source cells are exempt, as is
     /// pure routing, which reshapes widths by design).

@@ -10,32 +10,16 @@ use crate::netgraph::{
 };
 use crate::scope::{ScopeId, ScopePath, ScopeTree};
 use crate::signal::{SignalId, SignalInfo, SignalState};
-use crate::stats::{ActivityReport, EnergyReport, ScopeEnergy, SimProfile};
-use crate::trace::{MemoryTrace, TraceRecord, TraceSignalMeta, TraceSink};
+use crate::stats::{EnergyReport, ScopeEnergy, SimProfile};
+use crate::trace::{TraceRecord, TraceSignalMeta, TraceSink};
 use crate::slice::Sliced;
 use crate::watchdog::{DeadlockReport, HandshakeWatch, StalledHandshake};
 use crate::{LaneValues, SimError, SimResult, Time, Value};
 
-/// Simulator configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Hard cap on processed events per `run_*` call, as a safety net
-    /// against oscillating loops. The default (200 million) is far above
-    /// any experiment in this repository.
-    pub max_events: u64,
-    /// Record every committed signal change for later VCD/JSONL export
-    /// by installing a [`MemoryTrace`] sink at construction. Costs
-    /// memory proportional to activity; off by default. For custom
-    /// sinks (ring buffers, streaming JSONL) leave this off and call
-    /// [`Simulator::set_trace_sink`] after netlist construction.
-    pub trace: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { max_events: 200_000_000, trace: false }
-    }
-}
+/// Default hard cap on processed events per `run_*` call, a safety
+/// net against oscillating loops; far above any experiment in this
+/// repository. [`Simulator::set_max_events`] replaces it.
+const DEFAULT_MAX_EVENTS: u64 = 200_000_000;
 
 /// The mutable core shared with component evaluation contexts.
 pub(crate) struct Kernel {
@@ -133,7 +117,8 @@ pub struct Simulator {
     comp_names: Vec<String>,
     scopes: ScopeTree,
     scope_stack: Vec<ScopeId>,
-    config: SimConfig,
+    /// Runaway-event budget per `run_*` call.
+    max_events: u64,
     events_processed: u64,
     /// Monotone id of the delta batch being processed; pairs with
     /// `Kernel::comp_stamp` to dedup evaluations. Starts at 1 so the
@@ -201,30 +186,9 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Creates an empty simulator with default configuration.
+    /// Creates an empty simulator: no trace sink, the default
+    /// runaway-event budget.
     pub fn new() -> Self {
-        Self::with_config(SimConfig::default())
-    }
-
-    /// Replaces the runaway-event budget after construction. The
-    /// budget is the quiescence watchdog's horizon: exceeding it trips
-    /// [`SimError::EventLimitExceeded`] with a deadlock diagnosis.
-    /// Chaos campaigns whose retransmission backoff legitimately burns
-    /// many events per delivered word raise it; unit tests hunting an
-    /// oscillation lower it.
-    pub fn set_max_events(&mut self, limit: u64) {
-        self.config.max_events = limit;
-    }
-
-    /// The configured runaway-event budget.
-    pub fn max_events(&self) -> u64 {
-        self.config.max_events
-    }
-
-    /// Creates an empty simulator with the given configuration.
-    pub fn with_config(config: SimConfig) -> Self {
-        let trace: Option<Box<dyn TraceSink>> =
-            if config.trace { Some(Box::new(MemoryTrace::new())) } else { None };
         Simulator {
             kernel: Kernel {
                 signals: Vec::new(),
@@ -233,7 +197,7 @@ impl Simulator {
                 comp_scopes: Vec::new(),
                 comp_stamp: Vec::new(),
                 scope_energy_fj: vec![0.0],
-                trace,
+                trace: None,
                 fault: None,
                 sliced: None,
                 commits: 0,
@@ -242,7 +206,7 @@ impl Simulator {
             comp_names: Vec::new(),
             scopes: ScopeTree::new(),
             scope_stack: vec![ScopeId::ROOT],
-            config,
+            max_events: DEFAULT_MAX_EVENTS,
             events_processed: 0,
             delta_seq: 1,
             pending_evals: Vec::new(),
@@ -260,6 +224,21 @@ impl Simulator {
             lanes_active: 0,
             scalar_fallbacks: 0,
         }
+    }
+
+    /// Replaces the runaway-event budget after construction. The
+    /// budget is the quiescence watchdog's horizon: exceeding it trips
+    /// [`SimError::EventLimitExceeded`] with a deadlock diagnosis.
+    /// Chaos campaigns whose retransmission backoff legitimately burns
+    /// many events per delivered word raise it; unit tests hunting an
+    /// oscillation lower it.
+    pub fn set_max_events(&mut self, limit: u64) {
+        self.max_events = limit;
+    }
+
+    /// The configured runaway-event budget.
+    pub fn max_events(&self) -> u64 {
+        self.max_events
     }
 
     // ------------------------------------------------------------------
@@ -420,12 +399,6 @@ impl Simulator {
         self.net.set_class(comp, class);
     }
 
-    /// The annotated class of a component ([`CellClass::Unknown`] if
-    /// never tagged).
-    pub fn component_class(&self, comp: ComponentId) -> CellClass {
-        self.net.class(comp)
-    }
-
     /// Records a component's nominal propagation delay for static
     /// timing. Metadata only — the component applies its own delay
     /// dynamically.
@@ -471,17 +444,6 @@ impl Simulator {
             self.comb_specs.resize_with(comp.index() + 1, || None);
         }
         self.comb_specs[comp.index()] = Some(spec);
-    }
-
-    /// The registered compiled spec of a component, if any.
-    pub fn comb_spec(&self, comp: ComponentId) -> Option<&CombSpec> {
-        self.comb_specs.get(comp.index()).and_then(Option::as_ref)
-    }
-
-    /// True once [`Simulator::compile`] has activated compiled
-    /// execution.
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// Switches every eligible combinational component to compiled
@@ -665,12 +627,6 @@ impl Simulator {
     /// sliced pass is active or the signal was never tapped.
     pub fn slice_tap_history(&self, signal: SignalId) -> Option<&[(Time, LaneValues)]> {
         self.kernel.sliced.as_ref()?.tap_history(signal)
-    }
-
-    /// Lanes the active sliced pass has demoted so far (bit `k` set =
-    /// lane `k` diverged), without the final missed-force sweep.
-    pub fn slice_diverged(&self) -> u64 {
-        self.kernel.sliced.as_ref().map_or(0, |s| s.diverged)
     }
 
     /// Ends the sliced pass's accounting: processes every remaining
@@ -961,20 +917,6 @@ impl Simulator {
         self.kernel.signals[sig.index()].energy_per_toggle_fj += fj_per_toggle;
     }
 
-    /// Activity statistics for every signal.
-    pub fn activity_report(&self) -> ActivityReport {
-        ActivityReport {
-            signals: self
-                .signal_ids()
-                .map(|id| {
-                    let info = self.signal_info(id);
-                    (info.path, info.toggles)
-                })
-                .collect(),
-            sim_time: self.kernel.now,
-        }
-    }
-
     /// Switching + internal energy accumulated per scope since the last
     /// [`Simulator::reset_energy`], rolled up into an [`EnergyReport`].
     pub fn energy_report(&self) -> EnergyReport {
@@ -1196,11 +1138,6 @@ impl Simulator {
         self.watches.push(HandshakeWatch { label: label.to_string(), req, ack, nack: Some(nack) });
     }
 
-    /// Number of handshake pairs registered for diagnosis.
-    pub fn watch_count(&self) -> usize {
-        self.watches.len()
-    }
-
     /// The registered handshake pairs as `(label, req, ack)`, in
     /// registration order. Lets trace consumers compute per-handshake
     /// latency statistics without re-deriving the pairing.
@@ -1351,14 +1288,14 @@ impl Simulator {
                 // The batch does its own per-delta accounting
                 // (deltas, queue sampling); only the event budget is
                 // settled out here.
-                let cap = self.config.max_events.saturating_sub(processed).saturating_add(1);
+                let cap = self.max_events.saturating_sub(processed).saturating_add(1);
                 processed += self.step_calendar_batch(horizon, cap);
-                if processed > self.config.max_events {
+                if processed > self.max_events {
                     self.events_processed += processed;
                     self.wall += wall_start.elapsed();
                     return Err(SimError::EventLimitExceeded {
                         at: self.kernel.now,
-                        limit: self.config.max_events,
+                        limit: self.max_events,
                         diagnosis: self.deadlock_report().map(Box::new),
                     });
                 }
@@ -1384,12 +1321,12 @@ impl Simulator {
                 }
             }
             processed += consumed;
-            if processed > self.config.max_events {
+            if processed > self.max_events {
                 self.events_processed += processed;
                 self.wall += wall_start.elapsed();
                 return Err(SimError::EventLimitExceeded {
                     at: self.kernel.now,
-                    limit: self.config.max_events,
+                    limit: self.max_events,
                     diagnosis: self.deadlock_report().map(Box::new),
                 });
             }
@@ -2062,7 +1999,8 @@ mod tests {
     fn event_limit_catches_oscillation() {
         // s = or(r, kick); r = not(s). Once kick pulses high and falls
         // back, the loop oscillates forever with 1 ps gate delays.
-        let mut sim = Simulator::with_config(SimConfig { max_events: 1000, trace: false });
+        let mut sim = Simulator::new();
+        sim.set_max_events(1000);
         let kick = sim.add_signal("kick", 1);
         let s = sim.add_signal("s", 1);
         let r = sim.add_signal("r", 1);
@@ -2288,7 +2226,8 @@ mod tests {
     fn event_limit_error_carries_watchdog_diagnosis() {
         // The oscillation test's circuit, plus a watched pair that is
         // mid-protocol while the loop spins.
-        let mut sim = Simulator::with_config(SimConfig { max_events: 1000, trace: false });
+        let mut sim = Simulator::new();
+        sim.set_max_events(1000);
         let kick = sim.add_signal("kick", 1);
         let s = sim.add_signal("s", 1);
         let r = sim.add_signal("r", 1);

@@ -2,31 +2,6 @@
 
 use crate::Time;
 
-/// Per-signal toggle counts over a simulation run.
-#[derive(Debug, Clone)]
-pub struct ActivityReport {
-    /// `(hierarchical path, committed bit toggles)` per signal.
-    pub signals: Vec<(String, u64)>,
-    /// Simulation time at which the report was taken.
-    pub sim_time: Time,
-}
-
-impl ActivityReport {
-    /// Total bit toggles across all signals.
-    pub fn total_toggles(&self) -> u64 {
-        self.signals.iter().map(|(_, t)| t).sum()
-    }
-
-    /// The `n` most active signals, most active first.
-    pub fn top_n(&self, n: usize) -> Vec<(&str, u64)> {
-        let mut v: Vec<(&str, u64)> =
-            self.signals.iter().map(|(p, t)| (p.as_str(), *t)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        v.truncate(n);
-        v
-    }
-}
-
 /// Energy accumulated in one scope (exclusive of children).
 #[derive(Debug, Clone)]
 pub struct ScopeEnergy {
@@ -122,42 +97,9 @@ pub struct SimProfile {
     pub scalar_fallbacks: u64,
 }
 
-impl SimProfile {
-    /// Events processed per wall-clock second (0 if nothing ran).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / secs
-        }
-    }
-
-    /// Wall-clock nanoseconds spent per simulated nanosecond (0 if no
-    /// simulated time elapsed) — the kernel's slowdown factor.
-    pub fn wall_ns_per_sim_ns(&self) -> f64 {
-        let sim_ns = self.sim_time.as_ns();
-        if sim_ns <= 0.0 {
-            0.0
-        } else {
-            self.wall.as_secs_f64() * 1e9 / sim_ns
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn activity_totals_and_top() {
-        let r = ActivityReport {
-            signals: vec![("a".into(), 5), ("b".into(), 9), ("c".into(), 1)],
-            sim_time: Time::from_ns(1),
-        };
-        assert_eq!(r.total_toggles(), 15);
-        assert_eq!(r.top_n(2), vec![("b", 9), ("a", 5)]);
-    }
 
     #[test]
     fn energy_subtree_and_power() {

@@ -2,17 +2,16 @@
 //!
 //! The kernel's commit path carries an optional trace hook: when a
 //! [`TraceSink`] is installed (via
-//! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink) or
-//! [`SimConfig::trace`](crate::SimConfig)), every committed signal
-//! change is reported as a [`TraceRecord`] — time, signal, old → new
+//! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink)),
+//! every committed signal change is reported as a [`TraceRecord`] — time, signal, old → new
 //! value. When no sink is installed the hook is a single predictable
 //! `None` branch, exactly like the fault hook, so untraced runs stay
 //! allocation-free and bit-identical.
 //!
 //! Three sinks cover the common needs:
 //!
-//! * [`MemoryTrace`] — records everything in memory; the default
-//!   behind `SimConfig::trace`, feeds VCD export and [`TraceDump`].
+//! * [`MemoryTrace`] — records everything in memory; feeds VCD
+//!   export and [`TraceDump`].
 //! * [`RingTrace`] — keeps only the last *N* records (bounded memory
 //!   for long runs and tests that only care about the tail).
 //! * [`JsonlSink`] — streams each record as one JSON line to any

@@ -2,11 +2,11 @@
 //!
 //! A thin convenience wrapper over the trace subsystem: when the
 //! simulator carries a record-retaining [`TraceSink`](crate::trace::TraceSink)
-//! (installed by [`SimConfig::trace`](crate::SimConfig) or
+//! (installed by
 //! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink)),
-//! [`write_vcd`] captures a [`TraceDump`](crate::trace::TraceDump) and
-//! serialises it in the standard IEEE 1364 VCD format readable by
-//! GTKWave and most EDA waveform viewers.
+//! [`write_vcd`] captures a [`TraceDump`] and serialises it in the
+//! standard IEEE 1364 VCD format readable by GTKWave and most EDA
+//! waveform viewers.
 
 use std::io::{self, Write};
 
@@ -27,9 +27,10 @@ use crate::Simulator;
 /// # Examples
 ///
 /// ```
-/// use sal_des::{SimConfig, Simulator, Time, Value};
-/// let mut sim = Simulator::with_config(SimConfig { trace: true, ..Default::default() });
+/// use sal_des::{MemoryTrace, Simulator, Time, Value};
+/// let mut sim = Simulator::new();
 /// let a = sim.add_signal("a", 1);
+/// sim.set_trace_sink(Box::new(MemoryTrace::new()));
 /// sim.stimulus(a, &[(Time::ZERO, Value::zero(1)), (Time::from_ps(5), Value::one(1))]);
 /// sim.run_to_quiescence()?;
 /// let mut out = Vec::new();
@@ -43,7 +44,7 @@ pub fn write_vcd<W: Write>(sim: &Simulator, w: W) -> io::Result<()> {
         io::Error::new(
             io::ErrorKind::InvalidInput,
             "simulator carries no record-retaining trace sink \
-             (enable SimConfig::trace or install a MemoryTrace/RingTrace)",
+             (install a MemoryTrace or RingTrace with set_trace_sink)",
         )
     })?;
     dump.write_vcd(w)
@@ -53,7 +54,8 @@ pub fn write_vcd<W: Write>(sim: &Simulator, w: W) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::trace::idcode;
-    use crate::{SimConfig, Time, Value};
+    use crate::trace::MemoryTrace;
+    use crate::{Time, Value};
 
     #[test]
     fn idcodes_are_unique_and_printable() {
@@ -67,10 +69,11 @@ mod tests {
 
     #[test]
     fn writes_header_and_changes() {
-        let mut sim = Simulator::with_config(SimConfig { trace: true, ..Default::default() });
+        let mut sim = Simulator::new();
         sim.push_scope("blk");
         let a = sim.add_signal("a", 4);
         sim.pop_scope();
+        sim.set_trace_sink(Box::new(MemoryTrace::new()));
         sim.stimulus(
             a,
             &[(Time::ZERO, Value::from_u64(4, 0)), (Time::from_ps(3), Value::from_u64(4, 0b1010))],

@@ -15,6 +15,7 @@
 use sal_cells::CircuitBuilder;
 use sal_des::SignalId;
 
+use crate::config::FIFO_DEPTH;
 use crate::LinkConfig;
 
 /// Ports and bookkeeping of the async→sync interface.
@@ -45,22 +46,21 @@ pub fn build_as_interface(
     reqin: SignalId,
     stall: SignalId,
 ) -> AsInterfacePorts {
-    let depth = cfg.fifo_depth as usize;
     b.push_scope(name);
 
     // ---------------- Asynchronous write side ----------------
     // Write pointer advances when each write handshake completes.
     let nreq = b.inv("nreq", reqin);
-    let wtok = b.ring_counter("wtok", nreq, Some(rstn), depth);
+    let wtok = b.ring_counter("wtok", nreq, Some(rstn), FIFO_DEPTH);
 
     // Sync read pointer (pre-declared consume enable, below).
     let consume = b.input("consume_pre", 1);
-    let rtok = b.ring_counter_en("rtok", clk, consume, Some(rstn), depth);
+    let rtok = b.ring_counter_en("rtok", clk, consume, Some(rstn), FIFO_DEPTH);
 
-    let mut les = Vec::with_capacity(depth);
-    let mut regs = Vec::with_capacity(depth);
-    let mut fs = Vec::with_capacity(depth);
-    for kidx in 0..depth {
+    let mut les = Vec::with_capacity(FIFO_DEPTH);
+    let mut regs = Vec::with_capacity(FIFO_DEPTH);
+    let mut fs = Vec::with_capacity(FIFO_DEPTH);
+    for kidx in 0..FIFO_DEPTH {
         b.push_scope(&format!("cell{kidx}"));
         // Occupancy flag: async set by the latch-enable, cleared by a
         // one-cycle sync pulse after consumption.
@@ -105,7 +105,7 @@ pub fn build_as_interface(
     // interface): incoming word bus fans out to all latches; latch
     // outputs route to the read multiplexer; the flit bus drives the
     // switch input.
-    b.add_wire_load(din, 100.0 * depth as f64);
+    b.add_wire_load(din, 100.0 * FIFO_DEPTH as f64);
     for &r in &regs {
         b.add_wire_load(r, 100.0);
     }
@@ -125,7 +125,7 @@ pub fn build_as_interface(
     // samples FLIT_OUT/VALID into the receiving clock domain (it
     // belongs to the link: a purely synchronous link needs no such
     // stage).
-    let clocked_bits = depth as u32 * 4 + cfg.flit_width as u32 + 1;
+    let clocked_bits = FIFO_DEPTH as u32 * 4 + cfg.flit_width as u32 + 1;
     AsInterfacePorts { ackout, flit_out, valid_out, clocked_bits }
 }
 
@@ -241,6 +241,6 @@ mod tests {
         sim.run_until(Time::from_us(1)).unwrap();
         // `sent` logs request *attempts*: depth words are acknowledged
         // and one further request hangs unanswered.
-        assert_eq!(sent.borrow().len(), cfg.fifo_depth as usize + 1);
+        assert_eq!(sent.borrow().len(), FIFO_DEPTH + 1);
     }
 }

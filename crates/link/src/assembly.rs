@@ -12,7 +12,7 @@ use crate::{
     build_as_interface, build_deserializer, build_sa_interface, build_serializer,
     build_sync_pipeline, build_wire_buffer, build_word_deserializer,
     build_word_deserializer_demux, build_word_deserializer_early, build_word_serializer,
-    LinkConfig, ProtectionMode, RecoverySignals, WordRxStyle,
+    LinkConfig, ProtectionMode, RecoverySignals, WordRxStyle, LENGTH_UM,
 };
 
 /// Everything the testbench and the measurement layer need to drive a
@@ -71,7 +71,7 @@ fn check_cfg(cfg: &LinkConfig) -> Result<(), BuildError> {
 /// Builds the synchronous reference link I1 in scope `name`.
 ///
 /// The sending switch drives `flit_in`/`valid_in`; `cfg.buffers`
-/// elastic clocked buffers carry them across `cfg.length_um` of wire
+/// elastic clocked buffers carry them across [`LENGTH_UM`] of wire
 /// with full VALID/STALL flow control.
 ///
 /// Returns the first netlist-construction or configuration error
@@ -104,7 +104,7 @@ pub(crate) fn build_i1(
         stall_in: ports.stall_in,
         scope: name.to_string(),
         clock_sinks: vec![(format!("{name}.buffers"), ports.clocked_bits)],
-        clock_tree_um: cfg.length_um,
+        clock_tree_um: LENGTH_UM,
         recovery: None,
     })
 }
@@ -156,7 +156,7 @@ pub(crate) fn build_i2(
     } else {
         let nh = b.input("nack_heard", 1);
         let ac = b.input("ack_core", 1);
-        let rt = build_retry(b, "retry", cfg, tx.reqout, ac, nh, rstn, false);
+        let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, false);
         let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
         b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
         let rs_n = b.inv("resync_n", rt.resync);
@@ -355,7 +355,7 @@ pub(crate) fn build_i3(
     } else {
         let nh = b.input("nack_heard", 1);
         let ac = b.input("ack_core", 1);
-        let rt = build_retry(b, "retry", cfg, tx.reqout, ac, nh, rstn, true);
+        let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, true);
         let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
         b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
         let rs_n = b.inv("resync_n", rt.resync);

@@ -2,11 +2,21 @@
 
 use sal_des::Time;
 
+/// Switch-to-switch wire length, µm: the paper's 1 000 µm link, split
+/// into equal segments between the buffer stations and spanned by
+/// I1's clock tree.
+pub const LENGTH_UM: f64 = 1000.0;
+
+/// Depth of each sync↔async interface FIFO: the paper's 4, giving 8
+/// spaces along the whole link.
+pub(crate) const FIFO_DEPTH: usize = 4;
+
 /// Parameters shared by all three link implementations.
 ///
 /// The defaults are the paper's experimental setup: 32-bit flits
-/// serialized to 8 bits, 4 buffers along the wires, a 4-deep FIFO in
-/// each clock-domain interface, and a 1 000 µm switch-to-switch wire.
+/// serialized to 8 bits and 4 buffers along the wires. The paper's
+/// fixed geometry — a [`LENGTH_UM`] wire and a 4-deep FIFO in each
+/// clock-domain interface — is not configurable.
 ///
 /// # Examples
 ///
@@ -26,17 +36,8 @@ pub struct LinkConfig {
     /// Number of buffer stations along the wires (pipeline registers
     /// for I1, latch-controller buffers for I2, inverter pairs for I3).
     pub buffers: u32,
-    /// Total switch-to-switch wire length, µm.
-    pub length_um: f64,
     /// Switch clock period (both ends share one slow clock).
     pub clk_period: Time,
-    /// FIFO depth of each sync↔async interface (paper: 4, giving 8
-    /// spaces along the whole link).
-    pub fifo_depth: u8,
-    /// Ring-oscillator stage count for the word-level serializer
-    /// (odd, ≥3). Sets the burst slice spacing; the default yields the
-    /// paper's Tburst ≈ 1.1 ns for a 4-slice burst.
-    pub osc_stages: usize,
     /// Early word acknowledgement for I3 — the paper's stated future
     /// work ("further improvements … could be achieved by earlier
     /// acknowledging"): the receiver double-buffers the rebuilt word
@@ -53,22 +54,6 @@ pub struct LinkConfig {
     /// corrupted one with a NACK, and the transmitter retransmits from
     /// the interface FIFO (which doubles as the replay register).
     pub protection: ProtectionMode,
-    /// Bounded retransmission: after this many consecutive failures of
-    /// the same word the transmitter gives up, completes the upstream
-    /// handshake and lets the scoreboard account the word as lost —
-    /// never silently corrupt. Must be ≥ `resync_retries`.
-    pub max_retries: u8,
-    /// Consecutive failures of the same word after which the
-    /// transmitter executes a watchdog-triggered resync (a four-phase
-    /// return-to-zero drain of every David-cell stage along the link)
-    /// and, for I3, permanently degrades to per-transfer-ack pacing.
-    pub resync_retries: u8,
-    /// Base tap of the retransmission-timeout ripple counter, clocked
-    /// by a dedicated gated ring oscillator: the first timeout fires
-    /// after `2^timeout_tap` oscillator periods and each consecutive
-    /// retry selects the next tap, doubling the horizon (exponential
-    /// backoff from a counter-gated delay chain, not wall time).
-    pub timeout_tap: u8,
 }
 
 /// Error-detection scheme layered over the serialized wire.
@@ -115,22 +100,16 @@ impl Default for LinkConfig {
             flit_width: 32,
             slice_width: 8,
             buffers: 4,
-            length_um: 1000.0,
             clk_period: Time::from_ns(10),
-            fifo_depth: 4,
-            osc_stages: 13,
             early_word_ack: false,
             word_rx_style: WordRxStyle::ShiftRegister,
             protection: ProtectionMode::Off,
-            max_retries: 6,
-            resync_retries: 2,
-            timeout_tap: 6,
         }
     }
 }
 
 /// A structured description of the first inconsistency found in a
-/// [`LinkConfig`] (or in the measurement options derived from it).
+/// [`LinkConfig`].
 ///
 /// Every variant carries the offending values, so sweeps can match on
 /// the *kind* of misconfiguration instead of parsing a message. The
@@ -162,27 +141,6 @@ pub enum ConfigError {
         /// The resulting slice count.
         slices: u8,
     },
-    /// Interface FIFO depth below 2.
-    FifoTooShallow {
-        /// The rejected depth.
-        depth: u8,
-    },
-    /// Ring-oscillator stage count even or below 3.
-    BadOscStages {
-        /// The rejected stage count.
-        stages: usize,
-    },
-    /// Negative switch-to-switch wire length.
-    NegativeLength {
-        /// The rejected length, µm.
-        length_um: f64,
-    },
-    /// A measurement usage factor outside `(0, 1]` (reported by the
-    /// run entry point, not by [`LinkConfig::check`]).
-    UsageOutOfRange {
-        /// The rejected usage factor.
-        usage: f64,
-    },
     /// The word widened by check bits exceeds the 64-bit datapath.
     ProtectionTooWide {
         /// The protected width (`flit_width` + check bits).
@@ -201,16 +159,6 @@ pub enum ConfigError {
     /// the checker can veto the word — detection would come too late
     /// to NACK, so the combination is rejected outright.
     ProtectionWithEarlyAck,
-    /// Retry policy out of range: `resync_retries` must be in
-    /// `1..=max_retries` and `timeout_tap` in `1..=20`.
-    BadRetryPolicy {
-        /// Configured give-up bound.
-        max_retries: u8,
-        /// Configured resync threshold.
-        resync_retries: u8,
-        /// Configured base timeout tap.
-        timeout_tap: u8,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -228,18 +176,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooFewSlices { slices } => {
                 write!(f, "need at least 2 slices (got {slices})")
             }
-            ConfigError::FifoTooShallow { depth } => {
-                write!(f, "interface FIFO depth must be at least 2 (got {depth})")
-            }
-            ConfigError::BadOscStages { stages } => {
-                write!(f, "ring oscillator needs an odd stage count >= 3 (got {stages})")
-            }
-            ConfigError::NegativeLength { length_um } => {
-                write!(f, "negative wire length ({length_um} um)")
-            }
-            ConfigError::UsageOutOfRange { usage } => {
-                write!(f, "usage must be in (0, 1] (got {usage})")
-            }
             ConfigError::ProtectionTooWide { width } => {
                 write!(f, "protected word width must be <= 64 (got {width})")
             }
@@ -255,14 +191,6 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "protection is incompatible with early_word_ack (the early ack completes \
                      the handshake before the word is checked)"
-                )
-            }
-            ConfigError::BadRetryPolicy { max_retries, resync_retries, timeout_tap } => {
-                write!(
-                    f,
-                    "retry policy out of range (max_retries {max_retries}, resync_retries \
-                     {resync_retries}, timeout_tap {timeout_tap}): need 1 <= resync_retries \
-                     <= max_retries and 1 <= timeout_tap <= 20"
                 )
             }
         }
@@ -302,15 +230,6 @@ impl LinkConfig {
                 slices: self.flit_width / self.slice_width,
             });
         }
-        if self.fifo_depth < 2 {
-            return Err(ConfigError::FifoTooShallow { depth: self.fifo_depth });
-        }
-        if !(self.osc_stages % 2 == 1 && self.osc_stages >= 3) {
-            return Err(ConfigError::BadOscStages { stages: self.osc_stages });
-        }
-        if self.length_um < 0.0 {
-            return Err(ConfigError::NegativeLength { length_um: self.length_um });
-        }
         if self.protection != ProtectionMode::Off {
             let width = self.flit_width as u32 + self.check_bits() as u32;
             if width > 64 {
@@ -326,15 +245,6 @@ impl LinkConfig {
             }
             if self.early_word_ack {
                 return Err(ConfigError::ProtectionWithEarlyAck);
-            }
-            if !(1..=self.max_retries).contains(&self.resync_retries)
-                || !(1..=20).contains(&self.timeout_tap)
-            {
-                return Err(ConfigError::BadRetryPolicy {
-                    max_retries: self.max_retries,
-                    resync_retries: self.resync_retries,
-                    timeout_tap: self.timeout_tap,
-                });
             }
         }
         Ok(())
@@ -407,7 +317,7 @@ impl LinkConfig {
     /// Length of one wire segment between adjacent buffer stations
     /// (the wire is divided into `buffers + 1` equal segments), µm.
     pub fn segment_um(&self) -> f64 {
-        self.length_um / (self.buffers as f64 + 1.0)
+        LENGTH_UM / (self.buffers as f64 + 1.0)
     }
 
     /// The switch clock frequency in Hz.
@@ -428,7 +338,6 @@ mod tests {
         assert_eq!(c.slice_width, 8);
         assert_eq!(c.slices(), 4);
         assert_eq!(c.buffers, 4);
-        assert_eq!(c.fifo_depth, 4);
     }
 
     #[test]
@@ -443,7 +352,7 @@ mod tests {
 
     #[test]
     fn segments() {
-        let c = LinkConfig { buffers: 4, length_um: 1000.0, ..Default::default() };
+        let c = LinkConfig { buffers: 4, ..Default::default() };
         assert!((c.segment_um() - 200.0).abs() < 1e-9);
     }
 
@@ -503,32 +412,22 @@ mod tests {
             mismatch.check().unwrap_err(),
             ConfigError::CrcSliceMismatch { slice: 16, protected: 40 }
         );
-        let bad_retry = LinkConfig {
-            protection: ProtectionMode::Parity,
-            resync_retries: 9,
-            ..Default::default()
-        };
-        assert!(matches!(bad_retry.check().unwrap_err(), ConfigError::BadRetryPolicy { .. }));
         let early = LinkConfig {
             protection: ProtectionMode::Crc8,
             early_word_ack: true,
             ..Default::default()
         };
         assert_eq!(early.check().unwrap_err(), ConfigError::ProtectionWithEarlyAck);
-        // The same retry fields are ignored while protection is off.
-        LinkConfig { resync_retries: 9, ..Default::default() }
-            .check()
-            .expect("retry policy is irrelevant without protection");
     }
 
     #[test]
     fn config_error_threads_into_build_error() {
-        let err = LinkConfig { fifo_depth: 1, ..Default::default() }.check().unwrap_err();
-        assert_eq!(err, ConfigError::FifoTooShallow { depth: 1 });
+        let err = LinkConfig { flit_width: 65, ..Default::default() }.check().unwrap_err();
+        assert_eq!(err, ConfigError::FlitWidth { width: 65 });
         let build: sal_cells::BuildError = err.into();
         assert!(matches!(
             build,
-            sal_cells::BuildError::Config { ref message } if message.contains("FIFO depth")
+            sal_cells::BuildError::Config { ref message } if message.contains("flit width")
         ));
     }
 }

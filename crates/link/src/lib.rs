@@ -68,12 +68,12 @@ mod word_serializer;
 
 pub use as_interface::{build_as_interface, AsInterfacePorts};
 pub use assembly::LinkHandles;
-pub use config::{ConfigError, LinkConfig, ProtectionMode, WordRxStyle};
+pub use config::{ConfigError, LinkConfig, ProtectionMode, WordRxStyle, LENGTH_UM};
 pub use deserializer::{build_deserializer, DeserializerPorts};
 pub use measure::{
     run_spec, BlockPower, LinkRun, MeasureOptions, RunFailure, TraceMode,
 };
-pub use spec::{generate, LinkFamily, LinkSpec, LinkSpecBuilder, RetryConfig, SpecError};
+pub use spec::{generate, LinkFamily, LinkSpec, LinkSpecBuilder, SpecError};
 pub use metrics::{
     BlockAttribution, BurstStats, HandshakeStats, Histogram, InFlightDepth, LinkMetrics,
     Occupancy,

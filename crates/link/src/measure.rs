@@ -4,7 +4,7 @@
 //! reports 50 % usage: a 4-flit transfer taking ≈70 ns measured over a
 //! 140 ns window at 100 MHz).
 //!
-//! [`run`] is the single entry point. Observability is opt-in through
+//! [`run_spec`] is the single entry point. Observability is opt-in through
 //! [`MeasureOptions`]: [`MeasureOptions::with_trace`] retains the
 //! transition trace as a [`TraceDump`] on the returned [`LinkRun`],
 //! and [`MeasureOptions::with_metrics`] additionally computes the
@@ -34,6 +34,9 @@ use crate::testbench::{
 };
 use crate::LinkConfig;
 
+/// Link usage factor the power is averaged at: the paper's 50 %.
+const USAGE: f64 = 0.5;
+
 /// How much of the transition trace a run retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
@@ -51,9 +54,9 @@ pub enum TraceMode {
 /// Options for a measured link run.
 ///
 /// Construct with [`MeasureOptions::default`] and layer adjustments
-/// with the builder methods. Protection and retry policy belong on
-/// the [`LinkSpec`], not here — options only shape *how* a run is
-/// observed, never *what* link is generated:
+/// with the builder methods. Protection belongs on the [`LinkSpec`],
+/// not here — options only shape *how* a run is observed, never
+/// *what* link is generated:
 ///
 /// ```
 /// use sal_link::{run_spec, LinkConfig, LinkFamily, LinkSpec, MeasureOptions};
@@ -64,7 +67,6 @@ pub enum TraceMode {
 ///     .build()
 ///     .unwrap();
 /// let opts = MeasureOptions::default()
-///     .with_usage(0.5)
 ///     .with_trace(TraceMode::Full)
 ///     .with_metrics();
 /// let run = run_spec(&spec, &LinkConfig::default(), &[1, 2], &opts).unwrap();
@@ -72,8 +74,6 @@ pub enum TraceMode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MeasureOptions {
-    /// Link usage factor the power is averaged at (paper: 0.5).
-    pub usage: f64,
     /// Give up if the transfer has not completed by this simulated
     /// time (indicates a deadlock — surfaced as
     /// [`RunFailure::Deadlock`]).
@@ -121,7 +121,6 @@ pub struct MeasureOptions {
 impl Default for MeasureOptions {
     fn default() -> Self {
         MeasureOptions {
-            usage: 0.5,
             timeout: Time::from_us(50),
             lib: St012Library::default(),
             window_override: None,
@@ -136,13 +135,6 @@ impl Default for MeasureOptions {
 }
 
 impl MeasureOptions {
-    /// Sets the usage factor the power is averaged at.
-    #[must_use]
-    pub fn with_usage(mut self, usage: f64) -> Self {
-        self.usage = usage;
-        self
-    }
-
     /// Sets the deadlock timeout.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Time) -> Self {
@@ -154,13 +146,6 @@ impl MeasureOptions {
     #[must_use]
     pub fn with_lib(mut self, lib: St012Library) -> Self {
         self.lib = lib;
-        self
-    }
-
-    /// Fixes the averaging window (the paper's same-run-time protocol).
-    #[must_use]
-    pub fn with_window(mut self, window: Time) -> Self {
-        self.window_override = Some(window);
         self
     }
 
@@ -183,13 +168,6 @@ impl MeasureOptions {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the reset assertion time.
-    #[must_use]
-    pub fn with_reset_hold(mut self, hold: Time) -> Self {
-        self.reset_hold = hold;
         self
     }
 
@@ -249,9 +227,8 @@ impl MeasureOptions {
 /// Why a run did not produce a measurement.
 #[derive(Debug)]
 pub enum RunFailure {
-    /// The configuration (or an option derived from it, like the
-    /// usage factor) is inconsistent — reported before anything is
-    /// built.
+    /// The configuration is inconsistent — reported before anything
+    /// is built.
     Config(ConfigError),
     /// A [`LinkSpec`] could not be constructed (call sites that build
     /// the spec inline propagate the builder's typed error here; the
@@ -277,8 +254,8 @@ pub enum RunFailure {
         /// Watchdog analysis of the stalled handshakes, if any.
         diagnosis: Option<DeadlockReport>,
         /// Recovery-layer activity up to the stall, when the link was
-        /// built with protection (a stuck-at campaign that exhausts
-        /// `max_retries` on every word legitimately ends here — the
+        /// built with protection (a stuck-at campaign that exhausts the
+        /// bounded retries on every word legitimately ends here — the
         /// retries and give-ups it logged are still the measurement).
         recovery: Option<RecoveryCounts>,
     },
@@ -347,7 +324,7 @@ pub struct LinkRun {
     pub received: Vec<(Time, u64)>,
     /// First-flit-in to last-flit-out (the paper's "in use" time).
     pub in_use: Time,
-    /// The averaging window (`in_use / usage`).
+    /// The averaging window (`in_use` over the paper's 50 % usage).
     pub window: Time,
     /// Per-scope average power from simulated switching activity, µW.
     pub sim_power: PowerBreakdown,
@@ -521,10 +498,9 @@ impl RecoveryProbes {
 /// fault plans and deadlocks all come back as a structured
 /// [`RunFailure`] — never a panic.
 ///
-/// `base` supplies the physical parameters the spec does not name
-/// (wire length, clock period, FIFO depth, oscillator stages); the
-/// spec decides word width, serialization ratio, buffer count,
-/// protection and retry policy.
+/// `base` supplies the parameters the spec does not name (clock
+/// period, early word acknowledge, receiver style); the spec decides
+/// word width, serialization ratio, buffer count and protection.
 ///
 /// ```
 /// use sal_link::{run_spec, LinkConfig, LinkFamily, LinkSpec, MeasureOptions};
@@ -554,9 +530,6 @@ fn run_family(
     opts: &MeasureOptions,
 ) -> Result<LinkRun, RunFailure> {
     cfg.check().map_err(RunFailure::Config)?;
-    if !(opts.usage > 0.0 && opts.usage <= 1.0) {
-        return Err(RunFailure::Config(ConfigError::UsageOutOfRange { usage: opts.usage }));
-    }
     let mut sim = Simulator::new();
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
     let handles = build_family(&mut builder, family, "link", cfg).map_err(RunFailure::Build)?;
@@ -654,9 +627,8 @@ fn run_family(
     };
     // Extend the run so the measured window is exactly in_use / usage
     // (or the externally fixed window, per the paper's protocol).
-    let window = opts.window_override.unwrap_or_else(|| {
-        Time::from_ns_f64(in_use.as_ns() / opts.usage)
-    });
+    let window =
+        opts.window_override.unwrap_or_else(|| Time::from_ns_f64(in_use.as_ns() / USAGE));
     let t_window_end = sent.first().map_or(Time::ZERO, |&(t, _)| t) + window;
     if sim.now() < t_window_end {
         sim.run_until(t_window_end).map_err(RunFailure::Sim)?;
@@ -810,14 +782,6 @@ mod tests {
         assert!(matches!(err, RunFailure::Spec(SpecError::WordWidth { width: 65 })));
         let src = err.source().expect("Spec failures chain to the typed SpecError");
         assert!(src.downcast_ref::<SpecError>().is_some());
-    }
-
-    #[test]
-    fn bad_usage_is_a_config_error() {
-        let opts = MeasureOptions::default().with_usage(0.0);
-        let err = run_spec(&paper(LinkFamily::Sync), &LinkConfig::default(), &[1], &opts)
-            .expect_err("usage 0 rejected");
-        assert!(matches!(err, RunFailure::Config(ConfigError::UsageOutOfRange { .. })));
     }
 
     #[test]

@@ -26,21 +26,19 @@
 //!   from a counter-gated delay chain). This catches words that never
 //!   complete at all — a wedged handshake, a glitch-eaten strobe.
 //!
-//! Escalation is bounded: after `resync_retries` consecutive failures
+//! Escalation is bounded: after `RESYNC_RETRIES` consecutive failures
 //! the controller executes a watchdog-triggered resync — a four-phase
 //! return-to-zero drain of every David-cell stage along the link (the
 //! serializer core, wire buffers, deserializer and checker see their
 //! reset held low for the drain pulse) — and for the word-level link
 //! I3 it also degrades permanently to per-transfer-ack pacing. After
-//! `max_retries` consecutive failures it gives up on the word:
+//! `MAX_RETRIES` consecutive failures it gives up on the word:
 //! completes the upstream handshake and lets the scoreboard account
 //! the loss — delivery stays at-most-once-correct, never silently
 //! corrupt.
 
 use sal_cells::CircuitBuilder;
 use sal_des::{SignalId, Value};
-
-use crate::LinkConfig;
 
 /// Observability taps into the recovery layer, exposed through
 /// [`LinkHandles`](crate::LinkHandles) so the measurement layer can
@@ -62,8 +60,8 @@ pub struct RecoverySignals {
     /// I3 only: the sticky degrade flag — once high, the link paces
     /// requests per-transfer-ack style for the rest of its life.
     pub degraded: Option<SignalId>,
-    /// The give-up flag: high while a word is being abandoned after
-    /// `max_retries` consecutive failures.
+    /// The give-up flag: high while a word is being abandoned once its
+    /// bounded retries are exhausted.
     pub gave_up: SignalId,
 }
 
@@ -82,6 +80,27 @@ pub(crate) struct RetryPorts {
     /// Observability taps (see [`RecoverySignals`]).
     pub signals: RecoverySignals,
 }
+
+/// Consecutive failures of one word before the transmitter gives up,
+/// completes the upstream handshake and lets the scoreboard account
+/// the word as lost — never silently corrupt.
+const MAX_RETRIES: usize = 6;
+
+/// Consecutive failures of one word after which the transmitter
+/// executes a watchdog-triggered resync (a four-phase return-to-zero
+/// drain of every David-cell stage along the link) and, for I3,
+/// permanently degrades to per-transfer-ack pacing.
+const RESYNC_RETRIES: usize = 2;
+
+/// Base tap of the retransmission-timeout ripple counter: the first
+/// timeout fires after `2^TIMEOUT_TAP` periods of the timer's ring
+/// oscillator and each consecutive retry selects the next tap,
+/// doubling the horizon (exponential backoff from a counter-gated
+/// delay chain, not wall time) up to `2^(TIMEOUT_TAP + MAX_RETRIES - 1)`.
+const TIMEOUT_TAP: usize = 6;
+
+/// Stage count of the timer's gated ring oscillator.
+const TIMER_OSC_STAGES: usize = 13;
 
 /// Buffer count of the verdict guard: the delay between the core's
 /// word acknowledge and the upstream completion, matched to cover the
@@ -116,7 +135,6 @@ const PACE_BUFS: usize = 24;
 pub(crate) fn build_retry(
     b: &mut CircuitBuilder<'_>,
     name: &str,
-    cfg: &LinkConfig,
     req_up: SignalId,
     ack_core: SignalId,
     nack_heard: SignalId,
@@ -162,39 +180,37 @@ pub(crate) fn build_retry(
     // enable is low, and the request/acknowledge terms are still X
     // until the link's reset propagates.
     let waiting = b.and3("waiting", req_down, ack_n, rstn);
-    let tosc = b.ring_oscillator_stages("tosc", waiting, (cfg.osc_stages | 1).max(13));
+    let tosc = b.ring_oscillator_stages("tosc", waiting, TIMER_OSC_STAGES);
     let cnt_rstn = b.and2("cnt_rstn", rstn, waiting);
-    let base = cfg.timeout_tap as usize;
-    let retries = cfg.max_retries as usize;
-    let taps = b.ripple_counter("cnt", tosc, Some(cnt_rstn), base + retries);
+    let taps = b.ripple_counter("cnt", tosc, Some(cnt_rstn), TIMEOUT_TAP + MAX_RETRIES);
 
     // Consecutive-failure count: a thermometer shift register clocked
     // by each backoff episode, cleared by any completed handshake.
     let ack_up_n = b.inv("ack_up_n", ack_up);
     let rc_rstn = b.and2("rc_rstn", rstn, ack_up_n);
-    let rc = b.shift_register("rc", one, backoff, Some(rc_rstn), retries);
+    let rc = b.shift_register("rc", one, backoff, Some(rc_rstn), MAX_RETRIES);
 
-    // Tap selection: failure count j arms tap `timeout_tap + j`, so
+    // Tap selection: failure count j arms tap `TIMEOUT_TAP + j`, so
     // every consecutive retry waits twice as long before timing out.
-    let mut armed = Vec::with_capacity(retries);
-    for j in 0..retries {
+    let mut armed = Vec::with_capacity(MAX_RETRIES);
+    for j in 0..MAX_RETRIES {
         let sel = if j == 0 {
             b.inv("sel0", rc[0])
         } else {
             let hi_n = b.inv(&format!("nrc{j}"), rc[j]);
             b.and2(&format!("sel{j}"), rc[j - 1], hi_n)
         };
-        armed.push(b.and2(&format!("arm{j}"), sel, taps[base + j]));
+        armed.push(b.and2(&format!("arm{j}"), sel, taps[TIMEOUT_TAP + j]));
     }
     let timeout = b.or_tree("timeout", &armed);
 
-    // Watchdog resync: after `resync_retries` consecutive failures,
+    // Watchdog resync: after `RESYNC_RETRIES` consecutive failures,
     // pulse the drain. The set arm drops once the delayed copy comes
     // back (the David cell is set-dominant), letting the clear win;
     // the tail keeps the backoff held until the released resets have
     // settled.
     let drain_done = b.buf_chain("drain", resync, DRAIN_BUFS);
-    let rs_trig = b.and2("rs_trig", backoff, rc[cfg.resync_retries as usize - 1]);
+    let rs_trig = b.and2("rs_trig", backoff, rc[RESYNC_RETRIES - 1]);
     let ndrain = b.inv("ndrain", drain_done);
     let rs_set = b.and2("rs_set", rs_trig, ndrain);
     b.david_cell_into("resync", resync, rs_set, drain_done, Some(rstn), false);
@@ -204,7 +220,7 @@ pub(crate) fn build_retry(
 
     // Bounded retries: give up, complete the handshake upstream and
     // let the scoreboard account the lost word.
-    let gu_set = b.and2("gu_set", backoff, rc[retries - 1]);
+    let gu_set = b.and2("gu_set", backoff, rc[MAX_RETRIES - 1]);
     let giveup = b.david_cell("giveup", gu_set, nreq_up, Some(rstn), false);
 
     // The backoff episode flag: set by either failure kind, cleared
@@ -268,7 +284,7 @@ mod tests {
         ports: RetryPorts,
     }
 
-    fn rig(cfg: &LinkConfig, degrade: bool) -> Rig {
+    fn rig(degrade: bool) -> Rig {
         let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -276,7 +292,7 @@ mod tests {
         let req_up = b.input("req_up", 1);
         let ack_core = b.input("ack_core", 1);
         let nack = b.input("nack", 1);
-        let ports = build_retry(&mut b, "retry", cfg, req_up, ack_core, nack, rstn, degrade);
+        let ports = build_retry(&mut b, "retry", req_up, ack_core, nack, rstn, degrade);
         b.finish();
         sim.stimulus(rstn, &[(Time::ZERO, Value::zero(1)), (Time::from_ps(200), Value::one(1))]);
         Rig { sim, req_up, ack_core, nack, ports }
@@ -300,8 +316,7 @@ mod tests {
 
     #[test]
     fn clean_word_passes_straight_through() {
-        let cfg = LinkConfig::default();
-        let mut r = rig(&cfg, false);
+        let mut r = rig(false);
         r.sim.stimulus(
             r.req_up,
             &[(Time::ZERO, Value::zero(1)), (Time::from_ns(1), Value::one(1))],
@@ -324,8 +339,7 @@ mod tests {
 
     #[test]
     fn nack_triggers_a_retry_pulse() {
-        let cfg = LinkConfig::default();
-        let mut r = rig(&cfg, false);
+        let mut r = rig(false);
         r.sim.stimulus(
             r.req_up,
             &[(Time::ZERO, Value::zero(1)), (Time::from_ns(1), Value::one(1))],
@@ -371,27 +385,21 @@ mod tests {
 
     #[test]
     fn wedged_handshake_times_out_resyncs_and_gives_up() {
-        // Small policy so the episode fits a short sim: first timeout
-        // after 2^2 oscillator periods, resync after 1 failure, give
-        // up after 2.
-        let cfg = LinkConfig {
-            max_retries: 2,
-            resync_retries: 1,
-            timeout_tap: 2,
-            ..LinkConfig::default()
-        };
-        let mut r = rig(&cfg, false);
+        // The fixed policy: first timeout after 2^6 oscillator
+        // periods, doubling per retry; resync from the second failure
+        // on; give up after the sixth, ≈1.2 µs in.
+        let mut r = rig(false);
         let timeouts = rising(&mut r.sim, "timeouts", r.ports.signals.timeout);
         let resyncs = rising(&mut r.sim, "resyncs", r.ports.resync);
         // Raise the request at 1 ns; upstream withdraws it (as the
-        // interface would on seeing the give-up ack) at 150 ns, far
+        // interface would on seeing the give-up ack) at 1.6 µs, far
         // past the whole escalation.
         r.sim.stimulus(
             r.req_up,
             &[
                 (Time::ZERO, Value::zero(1)),
                 (Time::from_ns(1), Value::one(1)),
-                (Time::from_ns(150), Value::zero(1)),
+                (Time::from_ns(1600), Value::zero(1)),
             ],
         );
         r.sim.stimulus(r.nack, &[(Time::ZERO, Value::zero(1))]);
@@ -399,34 +407,32 @@ mod tests {
         r.sim.stimulus(r.ack_core, &[(Time::ZERO, Value::zero(1))]);
         let mut gave_up = false;
         let mut t = Time::from_ns(1);
-        while t < Time::from_ns(140) && !gave_up {
+        while t < Time::from_ns(1500) && !gave_up {
             r.sim.run_until(t).unwrap();
             gave_up = r.sim.value(r.ports.signals.gave_up).is_high();
-            t += Time::from_ps(200);
+            t += Time::from_ns(1);
         }
         assert!(gave_up, "bounded retries ended in a give-up");
-        assert!(timeouts.get() >= 1, "ring-oscillator timeout fired");
-        assert!(resyncs.get() >= 1, "watchdog resync drained the link");
+        assert_eq!(timeouts.get(), MAX_RETRIES as u64, "one timeout per attempt");
+        assert_eq!(
+            resyncs.get(),
+            (MAX_RETRIES - RESYNC_RETRIES + 1) as u64,
+            "a watchdog resync from the second failure on"
+        );
         // Let the or2+buffer behind the give-up flag settle before
         // sampling the upstream acknowledge.
         r.sim.run_until(t + Time::from_ns(1)).unwrap();
         assert!(r.sim.value(r.ports.ack_up).is_high(), "give-up completes the upstream handshake");
-        // Upstream withdraws at 150 ns; the give-up must clear for
+        // Upstream withdraws at 1.6 µs; the give-up must clear for
         // the next word.
-        r.sim.run_until(Time::from_ns(170)).unwrap();
+        r.sim.run_until(Time::from_ns(1620)).unwrap();
         assert!(r.sim.value(r.ports.signals.gave_up).is_low(), "give-up clears on withdrawal");
         assert!(r.sim.value(r.ports.ack_up).is_low());
     }
 
     #[test]
     fn degrade_flag_is_sticky_and_paces_requests() {
-        let cfg = LinkConfig {
-            max_retries: 3,
-            resync_retries: 1,
-            timeout_tap: 2,
-            ..LinkConfig::default()
-        };
-        let mut r = rig(&cfg, true);
+        let mut r = rig(true);
         let dg = r.ports.signals.degraded.expect("I3 controller exposes the degrade flag");
         r.sim.stimulus(
             r.req_up,
@@ -435,7 +441,7 @@ mod tests {
         r.sim.stimulus(r.nack, &[(Time::ZERO, Value::zero(1))]);
         r.sim.stimulus(r.ack_core, &[(Time::ZERO, Value::zero(1))]);
         let mut t = Time::from_ns(1);
-        while t < Time::from_ns(200) && !r.sim.value(dg).is_high() {
+        while t < Time::from_ns(400) && !r.sim.value(dg).is_high() {
             r.sim.run_until(t).unwrap();
             t += Time::from_ps(200);
         }

@@ -2,7 +2,7 @@
 //!
 //! A FIFO with a synchronous write side and an asynchronous read side:
 //!
-//! * four (configurable) `m`-bit registers written round-robin by the
+//! * `FIFO_DEPTH` (four) `m`-bit registers written round-robin by the
 //!   switch clock when `VALID ∧ ¬STALL`;
 //! * a per-register occupancy flag built from **two clocked D-type
 //!   flip-flops with asynchronous clear** — the paper's metastability
@@ -16,6 +16,7 @@
 use sal_cells::CircuitBuilder;
 use sal_des::SignalId;
 
+use crate::config::FIFO_DEPTH;
 use crate::LinkConfig;
 
 /// Ports and bookkeeping of the sync→async interface.
@@ -47,29 +48,28 @@ pub fn build_sa_interface(
     valid: SignalId,
     ackin: SignalId,
 ) -> SaInterfacePorts {
-    let depth = cfg.fifo_depth as usize;
     let m = cfg.flit_width;
     b.push_scope(name);
 
     // ---------------- Asynchronous read sequencer ----------------
     // Token advances when each word handshake completes (ack falls).
     let nack = b.inv("nack", ackin);
-    let rtok = b.ring_counter("rtok", nack, Some(rstn), depth);
+    let rtok = b.ring_counter("rtok", nack, Some(rstn), FIFO_DEPTH);
 
     // ---------------- Write side ----------------
     // Pre-declare the stall output (it gates the write-pointer ring
     // that in turn selects which flag the stall looks at).
-    let mut flags = Vec::with_capacity(depth);
-    let mut occupied = Vec::with_capacity(depth);
-    let mut regs = Vec::with_capacity(depth);
+    let mut flags = Vec::with_capacity(FIFO_DEPTH);
+    let mut occupied = Vec::with_capacity(FIFO_DEPTH);
+    let mut regs = Vec::with_capacity(FIFO_DEPTH);
 
     // Write pointer: advances on every accepted write.
     let stall_sig = b.input("stall_pre", 1);
     let nstall = b.inv("nstall", stall_sig);
     let wr_accept = b.and2("wr_accept", valid, nstall);
-    let wtok = b.ring_counter_en("wtok", clk, wr_accept, Some(rstn), depth);
+    let wtok = b.ring_counter_en("wtok", clk, wr_accept, Some(rstn), FIFO_DEPTH);
 
-    for kidx in 0..depth {
+    for kidx in 0..FIFO_DEPTH {
         b.push_scope(&format!("cell{kidx}"));
         let wr_en = b.and2("wr_en", wtok[kidx], wr_accept);
 
@@ -107,7 +107,7 @@ pub fn build_sa_interface(
     // it must assert while the *next* write target is still occupied
     // too (the almost-full threshold covers the staleness).
     let occ_cur = b.onehot_mux("occ_cur", &wtok, &occupied);
-    let occ_rot: Vec<_> = (0..depth).map(|k| occupied[(k + 1) % depth]).collect();
+    let occ_rot: Vec<_> = (0..FIFO_DEPTH).map(|k| occupied[(k + 1) % FIFO_DEPTH]).collect();
     let occ_next = b.onehot_mux("occ_next", &wtok, &occ_rot);
     let stall_d = b.or2("stall_d", occ_cur, occ_next);
     b.dff_into("stall_ff", stall_sig, stall_d, clk, Some(rstn));
@@ -118,7 +118,7 @@ pub fn build_sa_interface(
     // wires carry most of the interface's switched capacitance in the
     // synthesized design (the paper's Fig 14 shows the conversion
     // blocks dominating the asynchronous links' power).
-    b.add_wire_load(flitin, 100.0 * depth as f64);
+    b.add_wire_load(flitin, 100.0 * FIFO_DEPTH as f64);
     for &q in &regs {
         b.add_wire_load(q, 100.0);
     }
@@ -129,7 +129,7 @@ pub fn build_sa_interface(
     let rdy = b.onehot_mux("rdy", &rtok, &flags);
     let req_core = b.and2("req_core", rdy, nack);
     let reqout =
-        b.buf_chain("req_dly", req_core, crate::serializer::matched_delay_bufs(depth));
+        b.buf_chain("req_dly", req_core, crate::serializer::matched_delay_bufs(FIFO_DEPTH));
 
     b.pop_scope();
 
@@ -138,7 +138,7 @@ pub fn build_sa_interface(
     // enable (Fig 4 drives REG from WR_EN), so their clock pins toggle
     // only on actual writes — that switching is already captured by
     // the activity-based energy accounting.
-    let clocked_bits = depth as u32 * 3 + 1;
+    let clocked_bits = FIFO_DEPTH as u32 * 3 + 1;
     SaInterfacePorts { stall: stall_sig, dout, reqout, clocked_bits }
 }
 
@@ -225,6 +225,6 @@ mod tests {
         let cfg = LinkConfig::default();
         let words: Vec<u64> = (1..=8).collect();
         let (_, sent) = run_iface(&cfg, words.clone(), Time::from_us(10), Time::from_us(1));
-        assert_eq!(sent.len(), cfg.fifo_depth as usize);
+        assert_eq!(sent.len(), FIFO_DEPTH);
     }
 }

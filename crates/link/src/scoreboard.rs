@@ -76,7 +76,7 @@ pub struct RecoveryCounts {
     pub timeouts: u64,
     /// Watchdog-triggered resync drains of the link core.
     pub resyncs: u64,
-    /// Words abandoned after `max_retries` consecutive failures
+    /// Words abandoned after six consecutive failures
     /// (each one is a `lost` word in [`IntegrityCounts`]).
     pub gave_up: u64,
     /// `true` if the I3 link degraded to per-transfer-ack pacing at

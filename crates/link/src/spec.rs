@@ -11,7 +11,7 @@
 //! * `serial_ratio` — 2:1, 4:1, 8:1 or 16:1 (slice width is
 //!   `word_width / serial_ratio`);
 //! * `buffer_depth` — stations along the wire;
-//! * [`ProtectionMode`] and an optional [`RetryConfig`].
+//! * [`ProtectionMode`].
 //!
 //! A constructed `LinkSpec` is always valid: [`LinkSpecBuilder::build`]
 //! front-loads every structural check as a typed [`SpecError`] (which
@@ -79,39 +79,11 @@ impl LinkFamily {
             _ => cfg.wires_async(),
         }
     }
-
-    /// The paper-point spec of this family: 32-bit word, 4:1 ratio,
-    /// 4 buffers, no protection.
-    pub fn paper_spec(self) -> LinkSpec {
-        LinkSpec::paper(self)
-    }
 }
 
 impl std::fmt::Display for LinkFamily {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Bounded-retransmission policy carried by a protected [`LinkSpec`].
-///
-/// Mirrors the three retry fields of [`LinkConfig`]; `None` on the
-/// spec means "the default policy" (this type's [`Default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RetryConfig {
-    /// Consecutive failures of one word before the transmitter gives
-    /// up and accounts the word as lost. Must be ≥ `resync_retries`.
-    pub max_retries: u8,
-    /// Consecutive failures before a watchdog-triggered resync drain.
-    pub resync_retries: u8,
-    /// Base tap of the timeout ripple counter (`1..=20`); each retry
-    /// selects the next tap, doubling the horizon.
-    pub timeout_tap: u8,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig { max_retries: 6, resync_retries: 2, timeout_tap: 6 }
     }
 }
 
@@ -162,19 +134,6 @@ pub enum SpecError {
         /// The rejected protection mode.
         protection: ProtectionMode,
     },
-    /// A retry policy was given with [`ProtectionMode::Off`]: without
-    /// a checker there is no NACK to retransmit on.
-    RetryWithoutProtection,
-    /// Retry policy out of range: `resync_retries` must be in
-    /// `1..=max_retries` and `timeout_tap` in `1..=20`.
-    RetryPolicy {
-        /// Configured give-up bound.
-        max_retries: u8,
-        /// Configured resync threshold.
-        resync_retries: u8,
-        /// Configured base timeout tap.
-        timeout_tap: u8,
-    },
     /// The derived [`LinkConfig`] failed its own validation.
     Config(ConfigError),
 }
@@ -207,17 +166,6 @@ impl std::fmt::Display for SpecError {
                     "the {} family has no serialized wire to protect (got {})",
                     family.label(),
                     protection.label()
-                )
-            }
-            SpecError::RetryWithoutProtection => {
-                write!(f, "a retry policy needs protection enabled (no checker, no NACK)")
-            }
-            SpecError::RetryPolicy { max_retries, resync_retries, timeout_tap } => {
-                write!(
-                    f,
-                    "retry policy out of range (max_retries {max_retries}, resync_retries \
-                     {resync_retries}, timeout_tap {timeout_tap}): need 1 <= resync_retries \
-                     <= max_retries and 1 <= timeout_tap <= 20"
                 )
             }
             SpecError::Config(e) => write!(f, "derived link configuration invalid: {e}"),
@@ -260,7 +208,6 @@ pub struct LinkSpec {
     serial_ratio: u8,
     buffer_depth: u32,
     protection: ProtectionMode,
-    retry: Option<RetryConfig>,
 }
 
 impl LinkSpec {
@@ -279,15 +226,13 @@ impl LinkSpec {
             serial_ratio: 4,
             buffer_depth: 4,
             protection: ProtectionMode::Off,
-            retry: None,
         }
     }
 
     /// Recovers the spec a [`LinkConfig`] describes, for migrating
     /// config-first call sites. Fails when the config sits outside
     /// the spec lattice (e.g. a serialization ratio that is not a
-    /// supported power of two). Retry fields are carried over only
-    /// when protection is on — they are inert otherwise.
+    /// supported power of two).
     pub fn from_config(family: LinkFamily, cfg: &LinkConfig) -> Result<LinkSpec, SpecError> {
         if cfg.slice_width == 0 || !cfg.flit_width.is_multiple_of(cfg.slice_width) {
             return Err(SpecError::WidthNotDivisible {
@@ -295,21 +240,13 @@ impl LinkSpec {
                 ratio: cfg.slice_width.max(1),
             });
         }
-        let ratio = cfg.flit_width / cfg.slice_width;
-        let mut b = LinkSpec::builder()
+        LinkSpec::builder()
             .family(family)
             .word_width(cfg.flit_width)
-            .serial_ratio(ratio)
+            .serial_ratio(cfg.flit_width / cfg.slice_width)
             .buffer_depth(cfg.buffers)
-            .protection(cfg.protection);
-        if cfg.protection != ProtectionMode::Off {
-            b = b.retry(RetryConfig {
-                max_retries: cfg.max_retries,
-                resync_retries: cfg.resync_retries,
-                timeout_tap: cfg.timeout_tap,
-            });
-        }
-        b.build()
+            .protection(cfg.protection)
+            .build()
     }
 
     /// The link family.
@@ -342,11 +279,6 @@ impl LinkSpec {
         self.protection
     }
 
-    /// Retransmission policy, when one was specified.
-    pub fn retry(&self) -> Option<RetryConfig> {
-        self.retry
-    }
-
     /// Switch-to-switch wires a link of this spec occupies (the
     /// paper's Fig 10 axis). Independent of the physical base config.
     pub fn wires(&self) -> u32 {
@@ -354,22 +286,17 @@ impl LinkSpec {
     }
 
     /// Merges the spec onto a physical base configuration: the spec
-    /// decides word width, slice width, buffer count, protection and
-    /// retry policy; `base` supplies everything physical (wire
-    /// length, clock period, FIFO depth, oscillator stages, receiver
-    /// style). The paper spec over the default base reproduces
-    /// [`LinkConfig::default`] exactly — bit-identical netlists.
+    /// decides word width, slice width, buffer count and protection;
+    /// `base` supplies the rest (clock period, early word
+    /// acknowledge, receiver style). The paper spec over the default
+    /// base reproduces [`LinkConfig::default`] exactly — bit-identical
+    /// netlists.
     pub fn apply(&self, base: &LinkConfig) -> LinkConfig {
         let mut cfg = base.clone();
         cfg.flit_width = self.word_width;
         cfg.slice_width = self.slice_width();
         cfg.buffers = self.buffer_depth;
         cfg.protection = self.protection;
-        if let Some(r) = self.retry {
-            cfg.max_retries = r.max_retries;
-            cfg.resync_retries = r.resync_retries;
-            cfg.timeout_tap = r.timeout_tap;
-        }
         cfg
     }
 
@@ -396,7 +323,11 @@ impl LinkSpec {
             ProtectionMode::Parity => 1,
             ProtectionMode::Crc8 => 2,
         };
-        let retry = self.retry.unwrap_or(RetryConfig { max_retries: 0, resync_retries: 0, timeout_tap: 0 });
+        // The last four bytes once encoded an optional retry policy
+        // (a presence flag and three policy fields). The policy is now
+        // fixed, so they are always zero — exactly what every spec
+        // without a policy hashed — which keeps every recorded
+        // `spec_hash` valid.
         let bytes = [
             1, // encoding version
             family,
@@ -404,10 +335,10 @@ impl LinkSpec {
             self.serial_ratio,
             self.buffer_depth.min(255) as u8,
             protection,
-            u8::from(self.retry.is_some()),
-            retry.max_retries,
-            retry.resync_retries,
-            retry.timeout_tap,
+            0,
+            0,
+            0,
+            0,
         ];
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in bytes {
@@ -429,7 +360,6 @@ pub struct LinkSpecBuilder {
     serial_ratio: u8,
     buffer_depth: u32,
     protection: ProtectionMode,
-    retry: Option<RetryConfig>,
 }
 
 impl Default for LinkSpecBuilder {
@@ -440,7 +370,6 @@ impl Default for LinkSpecBuilder {
             serial_ratio: 4,
             buffer_depth: 4,
             protection: ProtectionMode::Off,
-            retry: None,
         }
     }
 }
@@ -481,13 +410,6 @@ impl LinkSpecBuilder {
         self
     }
 
-    /// Attaches a bounded-retransmission policy (needs protection).
-    #[must_use]
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
     /// Validates and constructs the spec.
     ///
     /// Spec-level checks run first; whatever the derived
@@ -519,27 +441,12 @@ impl LinkSpecBuilder {
                 protection: self.protection,
             });
         }
-        if self.protection == ProtectionMode::Off && self.retry.is_some() {
-            return Err(SpecError::RetryWithoutProtection);
-        }
-        if let Some(r) = self.retry {
-            if !(1..=r.max_retries).contains(&r.resync_retries)
-                || !(1..=20).contains(&r.timeout_tap)
-            {
-                return Err(SpecError::RetryPolicy {
-                    max_retries: r.max_retries,
-                    resync_retries: r.resync_retries,
-                    timeout_tap: r.timeout_tap,
-                });
-            }
-        }
         let spec = LinkSpec {
             family: self.family,
             word_width: self.word_width,
             serial_ratio: self.serial_ratio,
             buffer_depth: self.buffer_depth,
             protection: self.protection,
-            retry: self.retry,
         };
         // Anything the structural checks above cannot see (protection
         // widening, CRC divisibility against the widened word) is
@@ -551,8 +458,8 @@ impl LinkSpecBuilder {
 
 /// Generates a link from its spec in scope `name` — the single
 /// constructor behind the declarative API. `base` supplies the
-/// physical parameters the spec does not name (wire length, clock
-/// period, FIFO depth, oscillator stages).
+/// parameters the spec does not name (clock period, early word
+/// acknowledge, receiver style).
 ///
 /// In debug builds (every test run) the freshly generated netlist is
 /// passed through every `sal-lint` pass and the first error aborts
@@ -619,17 +526,6 @@ mod tests {
             E::SyncWordTooWide { width: 64 }
         );
         assert!(b().family(LinkFamily::PerWord).word_width(64).build().is_ok());
-        assert_eq!(
-            b().retry(RetryConfig::default()).build().unwrap_err(),
-            E::RetryWithoutProtection
-        );
-        assert!(matches!(
-            b().protection(ProtectionMode::Parity)
-                .retry(RetryConfig { max_retries: 2, resync_retries: 5, timeout_tap: 6 })
-                .build()
-                .unwrap_err(),
-            E::RetryPolicy { .. }
-        ));
         // Derived-config failures chain through SpecError::Config.
         let err = b()
             .word_width(64)
@@ -720,6 +616,20 @@ mod tests {
             LinkSpec::from_config(LinkFamily::PerWord, &odd).unwrap_err(),
             SpecError::SerialRatio { ratio: 3 }
         );
+    }
+
+    #[test]
+    fn from_config_of_a_protected_link_equals_the_builders_spec() {
+        for family in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
+            for protection in [ProtectionMode::Parity, ProtectionMode::Crc8] {
+                let cfg = LinkConfig { protection, ..LinkConfig::default() };
+                let derived = LinkSpec::from_config(family, &cfg).expect("valid");
+                let built =
+                    LinkSpec::builder().family(family).protection(protection).build().unwrap();
+                assert_eq!(derived, built, "{family} {protection:?}");
+                assert_eq!(derived.content_hash(), built.content_hash(), "{family} {protection:?}");
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub struct HsProducer {
     next: usize,
     /// Margin between driving data and raising req (bundling).
     bundle: Time,
-    /// Pause between completed handshakes (the paper's `Tnextflit`).
-    gap: Time,
     state: ProducerState,
     sent: Record,
     /// When to start sending (idle levels are driven at t = 0 so the
@@ -62,7 +60,6 @@ impl HsProducer {
                 words,
                 next: 0,
                 bundle: Time::from_ps(60),
-                gap: Time::ZERO,
                 state: ProducerState::Idle,
                 sent: sent.clone(),
                 start: Time::ZERO,
@@ -70,12 +67,6 @@ impl HsProducer {
             },
             sent,
         )
-    }
-
-    /// Sets the pause inserted between words.
-    pub fn with_gap(mut self, gap: Time) -> Self {
-        self.gap = gap;
-        self
     }
 }
 
@@ -88,8 +79,7 @@ impl Component for HsProducer {
             }
             (ProducerState::WaitAckLow, Logic::Zero) => {
                 self.state = ProducerState::Idle;
-                let gap = self.gap;
-                ctx.wake_after(gap + Time::from_ps(1));
+                ctx.wake_after(Time::from_ps(1));
             }
             _ => {}
         }

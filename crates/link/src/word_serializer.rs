@@ -2,18 +2,23 @@
 //!
 //! Instead of acknowledging every slice, the transmitter emits all
 //! slices of a flit as a self-timed **burst**: a gated ring oscillator
-//! ("5 back to back invertors" in the paper; stage count configurable)
-//! paces one `VALID` strobe per slice, a one-hot multiplexer steps
-//! through the slices, and a single acknowledge wire returns once per
-//! *word* from the far end. The paper: "To adjust the frequency … the
-//! number of invertors can be altered"; the default stage count is
-//! chosen so a 4-slice burst takes ≈1.1 ns, the paper's measured
-//! `Tburst`.
+//! ("5 back to back invertors" in the paper) paces one `VALID` strobe
+//! per slice, a one-hot multiplexer steps through the slices, and a
+//! single acknowledge wire returns once per *word* from the far end.
+//! The paper: "To adjust the frequency … the number of invertors can
+//! be altered"; the stage count follows the slice count (see
+//! `BURST_OSC_STAGES`).
 
 use sal_cells::{CellKind, CircuitBuilder};
 use sal_des::{BundleParams, SignalId, Time};
 
 use crate::LinkConfig;
+
+/// Ring-oscillator stage count of a burst of up to 4 slices, chosen so
+/// a 4-slice burst takes ≈1.1 ns, the paper's measured `Tburst`. Each
+/// further level of the slice multiplexer's 4-ary OR tree adds 4
+/// stages.
+const BURST_OSC_STAGES: usize = 13;
 
 /// Ports of the word-level serializer.
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +85,7 @@ pub fn build_word_serializer(
         n = n.div_ceil(4);
         levels += 1;
     }
-    let min_stages = 13 + 4 * (levels.saturating_sub(1));
-    let stages = cfg.osc_stages.max(min_stages) | 1;
+    let stages = BURST_OSC_STAGES + 4 * levels.saturating_sub(1);
     let osc = b.ring_oscillator_stages("osc", burst, stages);
     let valid_core = b.and3("valid", burst, osc, ndone);
     let nvalid = b.inv("nvalid", valid_core);

@@ -14,19 +14,19 @@ use sal_link::measure::{run_spec, MeasureOptions};
 use sal_link::testbench::{
     attach_sync_sink, attach_sync_source, worst_case_pattern, SyncFlitSink, SyncFlitSource,
 };
-use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, RetryConfig};
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode};
 use sal_lint::run_all;
 use std::fmt::Write as _;
 
 /// Strategy over the full valid lattice: every ratio, every integral
 /// slice width that keeps the word inside 8..=64, every depth the
-/// builder admits, protection and retry where the family allows them.
+/// builder admits, protection where the family allows it.
 /// The raw draws are folded to a valid point *by construction* (the
 /// vendored proptest has no `prop_filter`); a point the derived-config
 /// check rejects falls back to the same geometry unprotected.
 fn valid_specs() -> impl Strategy<Value = LinkSpec> {
-    ((0usize..3, 0usize..4, 0u64..4096), (1u32..17, 0usize..3, any::<bool>())).prop_map(
-        |((family_idx, ratio_idx, slice_seed), (depth, protection_idx, retry))| {
+    ((0usize..3, 0usize..4, 0u64..4096), (1u32..17, 0usize..3)).prop_map(
+        |((family_idx, ratio_idx, slice_seed), (depth, protection_idx))| {
             let family =
                 [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord][family_idx];
             let ratio = [2u8, 4, 8, 16][ratio_idx];
@@ -41,21 +41,17 @@ fn valid_specs() -> impl Strategy<Value = LinkSpec> {
                 [ProtectionMode::Off, ProtectionMode::Parity, ProtectionMode::Crc8]
                     [protection_idx]
             };
-            let point = |protection: ProtectionMode, retry: bool| {
-                let mut b = LinkSpec::builder()
+            let point = |protection: ProtectionMode| {
+                LinkSpec::builder()
                     .family(family)
                     .word_width(ratio * slice)
                     .serial_ratio(ratio)
                     .buffer_depth(depth)
-                    .protection(protection);
-                if retry && protection != ProtectionMode::Off {
-                    b = b.retry(RetryConfig::default());
-                }
-                b.build()
+                    .protection(protection)
+                    .build()
             };
-            point(protection, retry).unwrap_or_else(|_| {
-                point(ProtectionMode::Off, false)
-                    .expect("an unprotected lattice point is always valid")
+            point(protection).unwrap_or_else(|_| {
+                point(ProtectionMode::Off).expect("an unprotected lattice point is always valid")
             })
         },
     )

@@ -7,7 +7,7 @@
 //! combinational cycle is the intentional one (the I3 ring
 //! oscillator; C-element and David-cell feedback is state, not
 //! combinational). This crate checks those invariants on the
-//! [`NetGraph`](sal_des::NetGraph) snapshot a
+//! [`NetGraph`] snapshot a
 //! [`Simulator`](sal_des::Simulator) exposes after construction — in
 //! milliseconds, at build time, for every netlist variant, instead of
 //! after thousands of simulated perturbation runs.

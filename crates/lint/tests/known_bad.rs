@@ -5,7 +5,7 @@
 //! pass ever stops seeing a defect class, one of these goes red.
 
 use sal_cells::CircuitBuilder;
-use sal_des::{CellClass, Component, Ctx, SimConfig, Simulator, Time};
+use sal_des::{CellClass, Component, Ctx, Simulator, Time};
 use sal_lint::{run_all, Severity};
 use sal_tech::St012Library;
 
@@ -465,7 +465,7 @@ fn handshake_silent_on_closed_loop() {
 #[test]
 fn report_is_deterministic_and_serializable() {
     let build = || {
-        let mut sim = Simulator::with_config(SimConfig::default());
+        let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
         let a = b.input("a", 1);

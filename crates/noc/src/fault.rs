@@ -17,15 +17,14 @@
 //!    swallowed strobe has no word to NACK); the transmitter notices
 //!    by timeout, with the horizon doubling per consecutive failure
 //!    (exponential backoff from the counter-gated delay chain).
-//! 3. **Resync** — after [`ChannelFaults::resync_after`] consecutive
-//!    failures of the same flit the watchdog drains the link
-//!    (return-to-zero) and replays; the channel is unavailable for
-//!    the drain window.
-//! 4. **Transient degrade** — after
-//!    [`ChannelFaults::degrade_after`] resyncs on one stuck flit the
-//!    channel halves its bandwidth for
-//!    [`ChannelFaults::degrade_cycles`], the network-level image of
-//!    I3's degraded per-transfer pacing.
+//! 3. **Resync** — after `RESYNC_AFTER` consecutive failures of the
+//!    same flit the watchdog drains the link (return-to-zero) and
+//!    replays; the channel is unavailable for the
+//!    `RESYNC_PENALTY`-cycle drain window.
+//! 4. **Transient degrade** — after `DEGRADE_AFTER` resyncs on one
+//!    stuck flit the channel halves its bandwidth for
+//!    `DEGRADE_CYCLES`, the network-level image of I3's degraded
+//!    per-transfer pacing.
 //! 5. **Permanent failure** — optionally, after
 //!    [`ChannelFaults::fail_after_resyncs`] resyncs on one flit the
 //!    channel is declared dead: nothing is ever delivered again and
@@ -148,10 +147,11 @@ impl ChannelProtection {
         }
     }
 
-    /// Bandwidth multiplier on the underlying [`LinkModel`]
-    /// (`crate::LinkModel::flits_per_cycle`): the CRC check byte rides
-    /// the serial wire after each 32-bit word (`32/40`); parity rides
-    /// a dedicated extra wire and costs no time.
+    /// Bandwidth multiplier on the underlying
+    /// [`LinkModel`](crate::LinkModel)'s `flits_per_cycle`: the CRC
+    /// check byte rides the serial wire after each 32-bit word
+    /// (`32/40`); parity rides a dedicated extra wire and costs no
+    /// time.
     pub fn bandwidth_factor(self) -> f64 {
         match self {
             ChannelProtection::Off | ChannelProtection::Parity => 1.0,
@@ -178,53 +178,44 @@ impl ChannelProtection {
     }
 }
 
+// The escalation ladder, proportioned like the gate-level
+// controller: fast NACK, 25 % timeout discovery, resync after 4
+// straight failures, degrade after 2 resyncs.
+
+/// Cycles for a NACK to fly back and the replay to relaunch (beyond
+/// the normal forward latency).
+pub(crate) const NACK_LATENCY: u64 = 4;
+/// Fraction of *detected* failures that are discovered by timeout
+/// instead of NACK (the upset ate the handshake itself).
+pub(crate) const TIMEOUT_FRAC: f64 = 0.25;
+/// Base timeout horizon, cycles; doubles per consecutive failure.
+pub(crate) const BASE_TIMEOUT: u64 = 16;
+/// Consecutive failures of one flit before a watchdog resync.
+pub(crate) const RESYNC_AFTER: u32 = 4;
+/// Cycles the channel is unavailable during a resync drain.
+pub(crate) const RESYNC_PENALTY: u64 = 32;
+/// Resyncs on one stuck flit before a transient degrade.
+pub(crate) const DEGRADE_AFTER: u32 = 2;
+/// Cycles a transient degrade (halved bandwidth) lasts.
+pub(crate) const DEGRADE_CYCLES: u64 = 512;
+
 /// Seeded dynamic fault configuration for every channel of a network.
+/// The escalation ladder it climbs is fixed (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelFaults {
     /// The per-flit error process.
     pub process: ErrorProcess,
     /// Link protection (decides detection vs. silent corruption).
     pub protection: ChannelProtection,
-    /// Cycles for a NACK to fly back and the replay to relaunch
-    /// (beyond the normal forward latency).
-    pub nack_latency: u32,
-    /// Fraction of *detected* failures that are discovered by timeout
-    /// instead of NACK (the upset ate the handshake itself).
-    pub timeout_frac: f64,
-    /// Base timeout horizon, cycles; doubles per consecutive failure.
-    pub base_timeout: u32,
-    /// Consecutive failures of one flit before a watchdog resync.
-    pub resync_after: u32,
-    /// Cycles the channel is unavailable during a resync drain.
-    pub resync_penalty: u32,
-    /// Resyncs on one stuck flit before a transient degrade.
-    pub degrade_after: u32,
-    /// Cycles a transient degrade (halved bandwidth) lasts.
-    pub degrade_cycles: u32,
     /// Resyncs on one stuck flit before the channel fails permanently
     /// (`None`: never).
     pub fail_after_resyncs: Option<u32>,
 }
 
 impl ChannelFaults {
-    /// A conventional starting point: the given process and
-    /// protection with recovery constants proportioned like the
-    /// gate-level controller (fast NACK, 25 % timeout discovery,
-    /// resync after 4 straight failures, degrade after 2 resyncs,
-    /// never a permanent failure).
+    /// The given process and protection, never a permanent failure.
     pub fn new(process: ErrorProcess, protection: ChannelProtection) -> Self {
-        ChannelFaults {
-            process,
-            protection,
-            nack_latency: 4,
-            timeout_frac: 0.25,
-            base_timeout: 16,
-            resync_after: 4,
-            resync_penalty: 32,
-            degrade_after: 2,
-            degrade_cycles: 512,
-            fail_after_resyncs: None,
-        }
+        ChannelFaults { process, protection, fail_after_resyncs: None }
     }
 
     /// Enables permanent link failure after `n` resyncs on one flit.
@@ -393,7 +384,7 @@ impl FaultDice {
             return Upset::Clean;
         }
         if self.rng.gen_bool(self.cfg.protection.detect_prob()) {
-            if self.rng.gen_bool(self.cfg.timeout_frac.clamp(0.0, 1.0)) {
+            if self.rng.gen_bool(TIMEOUT_FRAC) {
                 Upset::TimedOut
             } else {
                 Upset::Nacked
@@ -408,7 +399,7 @@ impl FaultDice {
     /// Timeout horizon for the `consec`-th consecutive failure:
     /// exponential backoff, capped at 2^6 × base.
     pub(crate) fn timeout_horizon(&self, consec: u32) -> u64 {
-        u64::from(self.cfg.base_timeout) << consec.min(6)
+        BASE_TIMEOUT << consec.min(6)
     }
 }
 

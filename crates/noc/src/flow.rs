@@ -39,15 +39,15 @@
 //! dedup keeps delivery exactly-once across the reroute (see
 //! DESIGN.md §5h).
 //!
-//! The [`ProgressWatchdog`] closes the loop on the failure modes the
-//! protocol *cannot* heal (a permanently failed channel on the only
-//! path static XY ever offers): every `interval` cycles it compares
-//! cumulative acks against the last check and, when flows starve,
-//! emits a [`StallReport`] naming the starved flows (with their whole
-//! sender state) and the stalled channels. A run whose every flow
-//! stops progressing for [`WatchdogConfig::hard_stall_checks`]
-//! consecutive checks is declared livelocked and aborted — diagnosed,
-//! never hung.
+//! The progress watchdog ([`WatchdogConfig`]) closes the loop on the
+//! failure modes the protocol *cannot* heal (a permanently failed
+//! channel on the only path static XY ever offers): every `interval`
+//! cycles it compares cumulative acks against the last check and,
+//! when flows starve, emits a [`StallReport`] naming the starved flows
+//! (with their whole sender state) and the stalled channels. A run
+//! whose every flow stops progressing for
+//! [`WatchdogConfig::hard_stall_checks`] consecutive checks is
+//! declared livelocked and aborted — diagnosed, never hung.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -69,32 +69,16 @@ pub struct FlowSpec {
     pub packets: u64,
 }
 
-/// Shared transport knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowParams {
-    /// Initial congestion window, packets.
-    pub init_cwnd: f64,
-    /// Window cap, packets.
-    pub max_cwnd: f64,
-    /// Initial retransmit timeout before any RTT sample, cycles.
-    pub rto_init: u64,
-    /// Lower clamp on the adaptive RTO, cycles.
-    pub rto_min: u64,
-    /// Upper clamp on the backed-off RTO, cycles.
-    pub rto_max: u64,
-}
-
-impl Default for FlowParams {
-    fn default() -> Self {
-        FlowParams {
-            init_cwnd: 2.0,
-            max_cwnd: 32.0,
-            rto_init: 400,
-            rto_min: 64,
-            rto_max: 16_384,
-        }
-    }
-}
+/// Initial congestion window, packets.
+const INIT_CWND: f64 = 2.0;
+/// Window cap, packets.
+const MAX_CWND: f64 = 32.0;
+/// Initial retransmit timeout before any RTT sample, cycles.
+const RTO_INIT: u64 = 400;
+/// Lower clamp on the adaptive RTO, cycles.
+const RTO_MIN: u64 = 64;
+/// Upper clamp on the backed-off RTO, cycles.
+const RTO_MAX: u64 = 16_384;
 
 /// Progress-watchdog knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,14 +102,12 @@ impl Default for WatchdogConfig {
 pub struct FlowConfig {
     /// The flows.
     pub flows: Vec<FlowSpec>,
-    /// Transport knobs shared by all flows.
-    pub params: FlowParams,
     /// Watchdog knobs.
     pub watchdog: WatchdogConfig,
 }
 
 impl FlowConfig {
-    /// A workload with default transport and watchdog parameters.
+    /// A workload with the default watchdog.
     ///
     /// # Panics
     ///
@@ -135,7 +117,7 @@ impl FlowConfig {
             assert!(f.packets >= 1, "flow {i} has no payload");
             assert!(f.src != f.dst, "flow {i} is self-addressed ({})", f.src);
         }
-        FlowConfig { flows, params: FlowParams::default(), watchdog: WatchdogConfig::default() }
+        FlowConfig { flows, watchdog: WatchdogConfig::default() }
     }
 }
 
@@ -249,16 +231,16 @@ struct Sender {
 }
 
 impl Sender {
-    fn new(spec: FlowSpec, p: &FlowParams) -> Self {
+    fn new(spec: FlowSpec) -> Self {
         Sender {
             spec,
-            cwnd: p.init_cwnd.max(1.0),
+            cwnd: INIT_CWND,
             next_seq: 0,
             cum_acked: 0,
             outstanding: BTreeMap::new(),
             srtt: None,
             rttvar: 0.0,
-            rto: p.rto_init,
+            rto: RTO_INIT,
             backoff: 0,
             deadline: None,
             completed_at: None,
@@ -272,8 +254,8 @@ impl Sender {
 
     /// The effective (backed-off) RTO. `backoff` is capped at 16, so
     /// the multiplier `2^backoff` always fits.
-    fn rto_eff(&self, p: &FlowParams) -> u64 {
-        self.rto.saturating_mul(1 << self.backoff).min(p.rto_max)
+    fn rto_eff(&self) -> u64 {
+        self.rto.saturating_mul(1 << self.backoff).min(RTO_MAX)
     }
 
     fn window(&self) -> u64 {
@@ -300,7 +282,7 @@ impl Sender {
 
     /// Timer + window pass: returns the sequence numbers to transmit
     /// now.
-    fn poll(&mut self, now: u64, p: &FlowParams) -> Vec<u64> {
+    fn poll(&mut self, now: u64) -> Vec<u64> {
         let mut out = Vec::new();
         if self.complete() {
             return out;
@@ -317,7 +299,7 @@ impl Sender {
                 self.counts.retx += 1;
                 out.push(seq);
             }
-            self.deadline = Some(now + self.rto_eff(p));
+            self.deadline = Some(now + self.rto_eff());
         }
         // 2. Window space: fresh transmissions.
         while self.window_open() {
@@ -326,14 +308,14 @@ impl Sender {
             self.next_seq += 1;
             self.counts.sent += 1;
             if self.deadline.is_none() {
-                self.deadline = Some(now + self.rto_eff(p));
+                self.deadline = Some(now + self.rto_eff());
             }
         }
         out
     }
 
     /// Processes a (validated) cumulative ack.
-    fn on_ack(&mut self, cum: u64, now: u64, p: &FlowParams) {
+    fn on_ack(&mut self, cum: u64, now: u64) {
         if cum <= self.cum_acked {
             self.counts.stale_acks += 1;
             return;
@@ -354,7 +336,7 @@ impl Sender {
                     }
                 }
                 let rto = self.srtt.unwrap_or(sample) + 4.0 * self.rttvar;
-                self.rto = (rto as u64).clamp(p.rto_min, p.rto_max);
+                self.rto = (rto as u64).clamp(RTO_MIN, RTO_MAX);
             }
         }
         let acked = cum - self.cum_acked;
@@ -362,14 +344,14 @@ impl Sender {
         self.cum_acked = cum;
         self.backoff = 0;
         // Additive increase: ≈ +1 packet per round trip.
-        self.cwnd = (self.cwnd + acked as f64 / self.cwnd).min(p.max_cwnd);
+        self.cwnd = (self.cwnd + acked as f64 / self.cwnd).min(MAX_CWND);
         if self.complete() {
             self.completed_at = Some(now);
             self.deadline = None;
         } else if self.outstanding.is_empty() {
             self.deadline = None;
         } else {
-            self.deadline = Some(now + self.rto_eff(p));
+            self.deadline = Some(now + self.rto_eff());
         }
     }
 }
@@ -497,7 +479,6 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 /// [`crate::Network`] in flow mode; all methods are deterministic.
 #[derive(Debug)]
 pub struct FlowEngine {
-    params: FlowParams,
     watchdog: WatchdogConfig,
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
@@ -513,11 +494,9 @@ pub struct FlowEngine {
 impl FlowEngine {
     /// Builds the engine.
     pub fn new(cfg: &FlowConfig) -> Self {
-        let senders: Vec<Sender> =
-            cfg.flows.iter().map(|&s| Sender::new(s, &cfg.params)).collect();
+        let senders: Vec<Sender> = cfg.flows.iter().map(|&s| Sender::new(s)).collect();
         let n = senders.len();
         FlowEngine {
-            params: cfg.params,
             watchdog: cfg.watchdog,
             senders,
             receivers: (0..n).map(|_| Receiver::default()).collect(),
@@ -550,7 +529,7 @@ impl FlowEngine {
         let mut out = Vec::new();
         for (i, s) in self.senders.iter_mut().enumerate() {
             let flow = FlowId(i as u32);
-            for seq in s.poll(now, &self.params) {
+            for seq in s.poll(now) {
                 out.push(FlowSend {
                     from: s.spec.src,
                     to: s.spec.dst,
@@ -615,7 +594,7 @@ impl FlowEngine {
                     // Corrupted ack: self-check failed — never trust it.
                     self.senders[i].counts.corrupt_acks += 1;
                 } else {
-                    self.senders[i].on_ack(received_cum, now, &self.params);
+                    self.senders[i].on_ack(received_cum, now);
                 }
                 None
             }
@@ -642,7 +621,7 @@ impl FlowEngine {
                     cum_acked: s.cum_acked,
                     packets: s.spec.packets,
                     cwnd: s.cwnd,
-                    rto_eff: s.rto_eff(&self.params),
+                    rto_eff: s.rto_eff(),
                     backoff: s.backoff,
                     retx: s.counts.retx,
                 });
@@ -734,14 +713,14 @@ mod tests {
         assert_eq!(st.counts.dup_delivered, 0);
         assert_eq!(st.counts.accepted_corrupt, 0);
         assert!(st.completed_at.is_some());
-        assert!(st.final_cwnd > FlowParams::default().init_cwnd, "AIMD must have grown the window");
+        assert!(st.final_cwnd > INIT_CWND, "AIMD must have grown the window");
     }
 
     #[test]
     fn window_caps_outstanding_packets() {
         let mut e = engine(1000);
         let sends = e.poll(0);
-        assert_eq!(sends.len() as u64, FlowParams::default().init_cwnd as u64);
+        assert_eq!(sends.len() as u64, INIT_CWND as u64);
         // No acks, no timer expiry: polling again sends nothing new.
         assert!(e.poll(1).is_empty());
     }
@@ -751,7 +730,7 @@ mod tests {
         let mut e = engine(3);
         assert_eq!(e.next_deadline(5), Some(5), "an open window sends at once");
         let sent = e.poll(5);
-        let rto = e.senders[0].rto_eff(&e.params);
+        let rto = e.senders[0].rto_eff();
         assert_eq!(e.next_deadline(6), Some(5 + rto), "a full window waits for the timer");
         assert!(e.poll(5 + rto - 1).is_empty());
         assert_eq!(e.next_deadline(9_999), Some(9_999), "an overdue timer fires at once");
@@ -781,7 +760,7 @@ mod tests {
             now += 20;
         }
         let cwnd_before = e.senders[0].cwnd;
-        let rto = e.senders[0].rto_eff(&e.params);
+        let rto = e.senders[0].rto_eff();
         // Swallow everything in flight; let the timer fire.
         let in_flight = e.poll(now);
         assert!(!in_flight.is_empty());
@@ -796,7 +775,7 @@ mod tests {
         assert_eq!(e.senders[0].backoff, 1);
         assert_eq!(e.senders[0].counts.timeouts, 1);
         // A second expiry doubles the horizon again.
-        let resent2 = e.poll(fire_at + e.senders[0].rto_eff(&e.params) + 1);
+        let resent2 = e.poll(fire_at + e.senders[0].rto_eff() + 1);
         assert!(!resent2.is_empty());
         assert_eq!(e.senders[0].backoff, 2);
     }
@@ -875,7 +854,6 @@ mod tests {
     fn watchdog_names_starved_flows_and_declares_livelock() {
         let mut e = FlowEngine::new(&FlowConfig {
             flows: vec![spec(10), FlowSpec { src: NodeId(1), dst: NodeId(2), packets: 10 }],
-            params: FlowParams::default(),
             watchdog: WatchdogConfig { interval: 100, hard_stall_checks: 2 },
         });
         e.poll(0);

@@ -63,7 +63,7 @@ mod traffic;
 
 pub use fault::{ChannelFaults, ChannelProtection, ErrorProcess, RecoveryCounts, RecoveryTotals};
 pub use flow::{
-    FlowConfig, FlowEngine, FlowId, FlowParams, FlowSpec, FlowStats, StallReport, StalledChannel,
+    FlowConfig, FlowEngine, FlowId, FlowSpec, FlowStats, StallReport, StalledChannel,
     StarvedFlow, WatchdogConfig, jain_index,
 };
 pub use link_model::LinkModel;

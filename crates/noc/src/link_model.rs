@@ -8,7 +8,7 @@
 
 use sal_analytic::{PerTransferDelay, PerWordDelay};
 use sal_des::Time;
-use sal_link::{LinkConfig, LinkFamily, LinkSpec};
+use sal_link::{LinkConfig, LinkFamily};
 
 /// A behavioural inter-router channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,14 +69,6 @@ impl LinkModel {
             _ => Self::from_async(family, cfg),
         }
     }
-
-    /// Derives the channel model a [`LinkSpec`] describes: the spec
-    /// is merged onto the physical `base` configuration exactly as
-    /// the gate-level generator would, then abstracted to the
-    /// `(latency, bandwidth, wires)` triple.
-    pub fn from_spec(spec: &LinkSpec, base: &LinkConfig) -> Self {
-        Self::from_link(spec.family(), &spec.apply(base))
-    }
 }
 
 /// Per-transfer handshake constants matching the gate-level I2 at the
@@ -129,22 +121,6 @@ mod tests {
         let mf = LinkModel::from_async(LinkFamily::PerWord, &fast);
         assert!(mf.flits_per_cycle < 1.0, "rate {}", mf.flits_per_cycle);
         assert!(mf.flits_per_cycle > 0.5);
-    }
-
-    #[test]
-    fn from_spec_matches_from_link_on_the_merged_config() {
-        let spec = LinkSpec::builder()
-            .family(LinkFamily::PerWord)
-            .word_width(16)
-            .serial_ratio(8)
-            .buffer_depth(6)
-            .build()
-            .unwrap();
-        let base = LinkConfig::default();
-        let via_spec = LinkModel::from_spec(&spec, &base);
-        let via_cfg = LinkModel::from_link(LinkFamily::PerWord, &spec.apply(&base));
-        assert_eq!(via_spec, via_cfg);
-        assert_eq!(via_spec.wires, 4); // 2 data + req + ack
     }
 
     #[test]

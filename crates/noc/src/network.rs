@@ -5,7 +5,10 @@ use std::collections::{BTreeSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::{ChannelFaults, ChannelState, FaultDice, RecoveryCounts, Upset};
+use crate::fault::{
+    ChannelFaults, ChannelState, FaultDice, RecoveryCounts, Upset, DEGRADE_AFTER, DEGRADE_CYCLES,
+    NACK_LATENCY, RESYNC_AFTER, RESYNC_PENALTY,
+};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats, FlowTag, StallReport, StalledChannel, jain_index};
 use crate::routing::{LinkKill, RouteTable, RoutingMode};
 use crate::stats::LinkRecovery;
@@ -200,6 +203,44 @@ pub struct FlowNetReport {
     pub stalls: Vec<StallReport>,
     /// The underlying network statistics (incl. recovery counters).
     pub net: NetworkStats,
+}
+
+impl FlowNetReport {
+    /// Outcome tag for tables and JSON: `completed`, `livelocked`, or
+    /// `progressing_at_cutoff`.
+    pub fn outcome(&self) -> &'static str {
+        if self.completed {
+            "completed"
+        } else if self.livelocked {
+            "livelocked"
+        } else {
+            "progressing_at_cutoff"
+        }
+    }
+
+    /// Aggregate goodput: payload packets delivered in order per
+    /// cycle, summed over flows.
+    pub fn agg_goodput(&self) -> f64 {
+        self.flows.iter().map(|f| f.goodput_ppc).sum()
+    }
+
+    /// Corrupted payloads the receivers *accepted* — must stay zero.
+    pub fn accepted_corrupt(&self) -> u64 {
+        self.flows.iter().map(|f| f.counts.accepted_corrupt).sum()
+    }
+
+    /// Payloads delivered to an application more than once — must
+    /// stay zero.
+    pub fn dup_delivered(&self) -> u64 {
+        self.flows.iter().map(|f| f.counts.dup_delivered).sum()
+    }
+
+    /// A stall the watchdog flagged but could not attribute: a hard
+    /// livelock whose final report names no starved flow. Must never
+    /// happen.
+    pub fn unnamed_livelock(&self) -> bool {
+        self.livelocked && !self.stalls.last().is_some_and(|s| s.hard && !s.starved.is_empty())
+    }
 }
 
 /// A cycle-level network simulation over a wormhole-routed mesh of
@@ -838,7 +879,7 @@ impl Network {
                         l.counts.errors += 1;
                         let delay = if upset == Upset::Nacked {
                             l.counts.nacks += 1;
-                            u64::from(cfg.nack_latency)
+                            NACK_LATENCY
                         } else {
                             l.counts.timeouts += 1;
                             l.dice.timeout_horizon(l.consec)
@@ -846,22 +887,22 @@ impl Network {
                         l.counts.replays += 1;
                         l.consec += 1;
                         ch.in_flight[0].0 = now + delay + u64::from(ch.model.latency_cycles);
-                        if l.consec >= cfg.resync_after {
+                        if l.consec >= RESYNC_AFTER {
                             // Watchdog resync: drain the link and climb
                             // the escalation ladder.
                             l.consec = 0;
                             l.head_resyncs += 1;
                             l.counts.resyncs += 1;
-                            let drain_end = now + u64::from(cfg.resync_penalty);
+                            let drain_end = now + RESYNC_PENALTY;
                             if cfg.fail_after_resyncs.is_some_and(|n| l.head_resyncs >= n) {
                                 ch.state = ChannelState::Failed;
                                 ch.ever_failed = true;
                                 l.counts.failed = true;
                                 newly_failed.push(id);
-                            } else if l.head_resyncs >= cfg.degrade_after {
+                            } else if l.head_resyncs >= DEGRADE_AFTER {
                                 l.counts.degrades += 1;
                                 ch.state = ChannelState::Degraded {
-                                    until: drain_end + u64::from(cfg.degrade_cycles),
+                                    until: drain_end + DEGRADE_CYCLES,
                                 };
                             } else {
                                 ch.state = ChannelState::Resyncing { until: drain_end };

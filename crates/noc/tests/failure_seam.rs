@@ -12,7 +12,7 @@
 //! Flit conservation is asserted inside `run_flows` itself. Runs over
 //! unprotected or parity links, or under static XY, may end in a
 //! named livelock: a dead link on XY's only path starves its flows, and
-//! under a storm the retransmission timeout can back off to `rto_max`
+//! under a storm the retransmission timeout can back off to `RTO_MAX`
 //! before the watchdog window closes.
 
 use proptest::prelude::*;

@@ -6,7 +6,7 @@
 
 use sal::link::measure::{run_spec, MeasureOptions};
 use sal::link::testbench::worst_case_pattern;
-use sal::link::{LinkConfig, LinkFamily, LinkSpec};
+use sal::link::{LinkConfig, LinkFamily, LinkSpec, LENGTH_UM};
 
 fn main() {
     let cfg = LinkConfig::default();
@@ -16,7 +16,7 @@ fn main() {
         cfg.flit_width,
         cfg.slice_width,
         cfg.buffers,
-        cfg.length_um,
+        LENGTH_UM,
         cfg.clk_hz() / 1e6
     );
     println!(

@@ -10,7 +10,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use sal::cells::CircuitBuilder;
-use sal::des::{vcd, SimConfig, Simulator, Time, Value};
+use sal::des::{vcd, MemoryTrace, Simulator, Time, Value};
 use sal::link::testbench::{
     attach_consumer, attach_producer, HsConsumer, HsProducer,
 };
@@ -19,7 +19,7 @@ use sal::tech::St012Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = LinkConfig::default();
-    let mut sim = Simulator::with_config(SimConfig { trace: true, ..SimConfig::default() });
+    let mut sim = Simulator::new();
     let lib = St012Library::default();
     let mut b = CircuitBuilder::new(&mut sim, &lib);
 
@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     attach_producer(&mut sim, "prod", p, Time::from_ns(1));
     let (c, rx) = HsConsumer::new(des.reqout, des.dout, ackin);
     attach_consumer(&mut sim, "cons", c, Time::ZERO);
+    sim.set_trace_sink(Box::new(MemoryTrace::new()));
     sim.run_until(Time::from_ns(20))?;
 
     let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();

@@ -2,7 +2,7 @@
 //! behaviour, undriven inputs, oscillation containment.
 
 use sal::cells::CircuitBuilder;
-use sal::des::{SimConfig, SimError, Simulator, Time, Value};
+use sal::des::{SimError, Simulator, Time, Value};
 use sal::link::testbench::{
     attach_sync_sink, attach_sync_source, SyncFlitSink, SyncFlitSource,
 };
@@ -94,7 +94,8 @@ fn erratic_stall_pattern_is_lossless() {
 fn event_budget_contains_runaway_designs() {
     // A free-running ring oscillator with a tiny event budget trips
     // the kernel's safety limit instead of hanging.
-    let mut sim = Simulator::with_config(SimConfig { max_events: 5_000, trace: false });
+    let mut sim = Simulator::new();
+    sim.set_max_events(5_000);
     let lib = St012Library::default();
     let mut b = CircuitBuilder::new(&mut sim, &lib);
     let en = b.input("en", 1);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sal::cells::CircuitBuilder;
-use sal::des::{Logic, SignalId, SimConfig, Simulator, Time, Value};
+use sal::des::{Logic, MemoryTrace, SignalId, Simulator, Time, Value};
 use sal::tech::St012Library;
 
 fn arb_value(width: u8) -> impl Strategy<Value = Value> {
@@ -194,9 +194,10 @@ proptest! {
         schedule in proptest::collection::vec((0u64..10_000, any::<u64>()), 1..40)
     ) {
         let run = || {
-            let mut sim = Simulator::with_config(SimConfig { trace: true, ..Default::default() });
+            let mut sim = Simulator::new();
             let s = sim.add_signal("s", 32);
             sim.set_signal_energy(s, 1.0);
+            sim.set_trace_sink(Box::new(MemoryTrace::new()));
             let mut sched: Vec<(Time, Value)> = schedule
                 .iter()
                 .map(|&(t, v)| (Time::from_ps(t), Value::from_u64(32, v)))
