@@ -258,4 +258,20 @@ mod tests {
         assert!(row.compiled.cones_built > 0);
         assert!(row.interpreted.cones_built == 0);
     }
+
+    #[test]
+    fn engines_agree_on_i2_link() {
+        // Compiled and interpreted I2 deliver the same words at the
+        // same times with the same commits; only the compiled run
+        // builds, fires and schedules cones.
+        let row = WorkloadRow {
+            name: "i2_link",
+            interpreted: link_stats(LinkFamily::PerTransfer, false),
+            compiled: link_stats(LinkFamily::PerTransfer, true),
+        };
+        assert!(row.identical(), "{row:?}");
+        let (c, i) = (row.compiled, row.interpreted);
+        assert!(c.cones_built > 0 && c.cone_evals > 0 && c.events_avoided > 0, "{c:?}");
+        assert_eq!((i.cones_built, i.cone_evals, i.events_avoided), (0, 0, 0));
+    }
 }

@@ -3,15 +3,17 @@
 //!
 //! The generator grows a random DAG of word-wide gates (INV/BUF/AND/
 //! OR/NAND/XOR/MUX), 1-bit control logic, D flip-flops and transparent
-//! latches, then drives it with random stimulus schedules. Both
-//! engines run the identical netlist and the *entire* transition
-//! trace — every `(time, signal, old, new)` commit in order — plus
-//! per-signal toggle counters must match exactly.
+//! latches, then drives it with random stimulus schedules and a seeded
+//! glitch plan, so fault forces and restores run too. Both engines run
+//! the identical netlist and the *entire* transition trace — every
+//! `(time, signal, old, new)` commit in order — plus per-signal toggle
+//! counters must match exactly, and each trace must hold one record
+//! per counted commit.
 
 use proptest::prelude::*;
 use sal_bench::sliced::{scalar_run, sliced_campaign};
 use sal_cells::{CircuitBuilder, UnitLibrary};
-use sal_des::{MemoryTrace, SignalId, Simulator, Time, Value};
+use sal_des::{FaultPlan, MemoryTrace, SignalId, Simulator, Time, Value};
 
 struct Rng(u64);
 
@@ -38,10 +40,13 @@ impl Rng {
     }
 }
 
-/// Builds one random gate network and runs it with a full transition
-/// trace; returns the trace as comparable tuples plus the toggle sum
-/// over all gate outputs.
-fn run_random_net(seed: u64, compiled: bool) -> (Vec<(Time, SignalId, Value, Value)>, u64) {
+/// One engine's run of a random net: the sorted transition trace, the
+/// toggle sum over all gate outputs, and the kernel's commit count.
+type NetRun = (Vec<(Time, SignalId, Value, Value)>, u64, u64);
+
+/// Builds one random gate network and runs it with a glitch plan and a
+/// full transition trace.
+fn run_random_net(seed: u64, compiled: bool) -> NetRun {
     let mut rng = Rng::new(seed);
     let width = 1 + rng.below(16) as u8;
     let mut sim = Simulator::new();
@@ -133,9 +138,21 @@ fn run_random_net(seed: u64, compiled: bool) -> (Vec<(Time, SignalId, Value, Val
             .collect();
         sim.stimulus(*sig, &sched);
     }
+    // Glitch a few gate and register outputs: each glitch is a force
+    // plus a restore, both committed outside the drive path.
+    let outputs: Vec<SignalId> = wpool[3..].iter().chain(&bpool[2..]).copied().collect();
+    let mut plan = FaultPlan::new(seed);
+    for _ in 0..4 {
+        let path = sim.signal_info(rng.pick(&outputs)).path;
+        let at = Time::from_ps(2_000 + rng.below(178_000));
+        let width = Time::from_ps(10 + rng.below(2_000));
+        plan = plan.glitch(&path, at, width, rng.next() | 1);
+    }
+    sim.apply_fault_plan(&plan).expect("glitch targets exist");
 
     sim.set_trace_sink(Box::new(MemoryTrace::new()));
     sim.run_until(Time::from_ns(200)).expect("random net settles");
+    let commits = sim.profile().commits;
     let toggles: u64 = wpool.iter().chain(bpool.iter()).map(|&s| sim.toggles(s)).sum();
     let sink = sim.take_trace_sink().expect("sink installed");
     let mut trace: Vec<(Time, SignalId, Value, Value)> = sink
@@ -152,7 +169,7 @@ fn run_random_net(seed: u64, compiled: bool) -> (Vec<(Time, SignalId, Value, Val
     // signal's own series keeps its order, cross-signal transpositions
     // within one femtosecond collapse.
     trace.sort_by_key(|&(t, s, _, _)| (t, s));
-    (trace, toggles)
+    (trace, toggles, commits)
 }
 
 proptest! {
@@ -160,11 +177,14 @@ proptest! {
 
     /// The compiled engine must replay the interpreted engine's
     /// transition history exactly — same commits, same order, same
-    /// times, same values — on arbitrary gate networks.
+    /// times, same values — on arbitrary gate networks under glitches,
+    /// and the trace hook must see every commit either engine counts.
     #[test]
     fn compiled_matches_interpreted(seed in 0u64..1_000_000) {
-        let (interp_trace, interp_toggles) = run_random_net(seed, false);
-        let (comp_trace, comp_toggles) = run_random_net(seed, true);
+        let (interp_trace, interp_toggles, interp_commits) = run_random_net(seed, false);
+        let (comp_trace, comp_toggles, comp_commits) = run_random_net(seed, true);
+        prop_assert_eq!(interp_trace.len() as u64, interp_commits);
+        prop_assert_eq!(comp_trace.len() as u64, comp_commits);
         prop_assert_eq!(interp_toggles, comp_toggles);
         prop_assert_eq!(interp_trace.len(), comp_trace.len());
         for (a, b) in interp_trace.iter().zip(comp_trace.iter()) {

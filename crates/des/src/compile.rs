@@ -27,10 +27,10 @@
 //! Equivalence contract: a compiled run commits the same per-signal
 //! `(time, value)` sequences, toggle counts and energies as the
 //! interpreted run. The proof obligation is local: a compiled
-//! evaluation applies the *identical* inertial-drive skip rules and
-//! epoch bumps as [`Ctx::drive`](crate::Ctx::drive), and calendar
-//! entries are validated against the signal's drive epoch at pop time
-//! exactly like queued drive events. Intra-timestamp *interleaving*
+//! evaluation goes through the kernel's one inertial-drive rule, the
+//! one [`Ctx::drive`](crate::Ctx::drive) applies, and calendar entries
+//! are validated against the signal's drive epoch at pop time and
+//! committed by the same commit core as queued drive events. Intra-timestamp *interleaving*
 //! (delta boundaries, evaluation counts) may differ in designs with
 //! same-femtosecond data/trigger races — the races the lint's timing
 //! pass exists to flag.
@@ -150,61 +150,6 @@ impl CombSpec {
             CombFunc::Concat { parts } => parts.iter().copied().for_each(&mut f),
         }
     }
-
-    /// Evaluates the function over a value reader, replicating the
-    /// interpreted cells bit for bit (including the 1-bit-to-word
-    /// broadcast and the X-pessimistic `Value` algebra).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gate input is neither 1 bit nor the gate width —
-    /// the same construction bug the interpreted `Gate` rejects.
-    pub fn eval_with<F: Fn(SignalId) -> Value>(&self, read: F) -> Value {
-        match &self.func {
-            CombFunc::Gate { op, inputs, width, .. } => {
-                let w = *width;
-                let n = inputs.len();
-                let first = broadcast(read(inputs[0]), w);
-                if n == 1 {
-                    match op {
-                        SpecOp::Buf => first,
-                        SpecOp::Inv => first.not(),
-                        _ => unreachable!("multi-input op with one input"),
-                    }
-                } else if n == 2 {
-                    let b = broadcast(read(inputs[1]), w);
-                    match op {
-                        SpecOp::And => first.and(&b),
-                        SpecOp::Or => first.or(&b),
-                        SpecOp::Nand => first.and(&b).not(),
-                        SpecOp::Nor => first.or(&b).not(),
-                        SpecOp::Xor => first.xor(&b),
-                        SpecOp::Xnor => first.xor(&b).not(),
-                        SpecOp::Buf | SpecOp::Inv => unreachable!("1-input op with two inputs"),
-                    }
-                } else {
-                    let it = inputs[1..].iter().map(|&s| broadcast(read(s), w));
-                    match op {
-                        SpecOp::And => it.fold(first, |a, b| a.and(&b)),
-                        SpecOp::Or => it.fold(first, |a, b| a.or(&b)),
-                        SpecOp::Nand => it.fold(first, |a, b| a.and(&b)).not(),
-                        SpecOp::Nor => it.fold(first, |a, b| a.or(&b)).not(),
-                        _ => unreachable!("op {op:?} cannot have {n} inputs"),
-                    }
-                }
-            }
-            CombFunc::Mux2 { sel, a, b, .. } => {
-                Value::mux(&read(*sel), &read(*a), &read(*b))
-            }
-            CombFunc::Slice { src, lo, width } => read(*src).slice(*lo, *width),
-            CombFunc::Concat { parts } => {
-                let mut it = parts.iter();
-                let first = read(*it.next().expect("concat of nothing"));
-                it.fold(first, |acc, &s| acc.concat(&read(s)))
-            }
-        }
-    }
-
 }
 
 /// Replicates the interpreted `Gate`'s input broadcast: a 1-bit input
@@ -326,10 +271,9 @@ impl LowNode {
         }
     }
 
-    /// Evaluates the node over the dense committed-value shadow.
-    /// Bit-for-bit the same function as [`CombSpec::eval_with`] — the
-    /// same `Value` algebra, broadcast rule and width panics — only
-    /// the operand gathers and dispatch are flattened.
+    /// Evaluates the node over the dense committed-value shadow,
+    /// replicating the interpreted cells bit for bit: the same `Value`
+    /// algebra, the 1-bit-to-word broadcast and the width panics.
     #[inline]
     pub fn eval(&self, values: &[Value], pool: &[SignalId]) -> Value {
         let ins = self.inputs(pool);

@@ -1,7 +1,7 @@
 //! Components and their evaluation context.
 
 use crate::event::EventKind;
-use crate::sim::Kernel;
+use crate::sim::{Drive, Kernel};
 use crate::{SignalId, Time, Value};
 
 /// Identifier of a component in the netlist.
@@ -71,64 +71,22 @@ impl Ctx<'_> {
     /// release builds skip the checks in this hottest of paths.
     #[inline]
     pub fn drive(&mut self, sig: SignalId, value: Value, delay: Time) {
-        // Fault hook: perturb the delay (derating, sigma, skew) or
-        // discard the drive entirely (stuck-at target). `fault` is
-        // `None` unless a non-empty plan was applied, so clean runs
-        // pay one predictable branch and behave bit-identically.
-        let delay = match &self.kernel.fault {
-            None => delay,
-            Some(fault) => match fault.transform(self.comp, sig, self.kernel.now, delay) {
-                Some(d) => d,
-                None => return,
-            },
-        };
-        let state = &mut self.kernel.signals[sig.index()];
-        debug_assert_eq!(
-            state.driver,
-            Some(self.comp),
-            "component {:?} drove signal '{}' without being its registered driver",
-            self.comp,
-            state.name
-        );
-        debug_assert_eq!(
-            state.width,
-            value.width(),
-            "signal '{}' has width {} but was driven with width {}",
-            state.name,
-            state.width,
-            value.width()
-        );
-        // Skip no-op schedules: the target value is already committed
-        // (nothing in flight), or an event carrying this same value is
-        // already in flight — re-asserting an unchanged target must
-        // NOT restart the delay, or input churn could postpone a
-        // transition indefinitely.
-        //
         // An active sliced campaign pass must hear about skipped and
         // superseded dynamic drives: a lane tracking different values
         // could have decided differently, and the pass demotes it.
-        if state.pending {
-            if state.pending_value == value {
+        match self.kernel.drive(self.comp, sig, value, delay) {
+            Drive::Dropped => {}
+            Drive::Skipped { .. } => {
                 if self.kernel.sliced.is_some() {
                     self.kernel.slice_dyn_skip(self.comp, sig, &value);
                 }
-                return;
             }
-        } else if state.value == value {
-            if self.kernel.sliced.is_some() {
-                self.kernel.slice_dyn_skip(self.comp, sig, &value);
+            Drive::Scheduled { at, epoch, superseded } => {
+                self.kernel.queue.push(at, EventKind::Drive { signal: sig, epoch });
+                if superseded && self.kernel.sliced.is_some() {
+                    self.kernel.slice_dyn_supersede(self.comp, sig);
+                }
             }
-            return;
-        }
-        let superseded = state.pending;
-        state.drive_epoch += 1;
-        state.pending = true;
-        state.pending_value = value;
-        let epoch = state.drive_epoch;
-        let t = self.kernel.now + delay;
-        self.kernel.queue.push(t, EventKind::Drive { signal: sig, epoch });
-        if superseded && self.kernel.sliced.is_some() {
-            self.kernel.slice_dyn_supersede(self.comp, sig);
         }
     }
 

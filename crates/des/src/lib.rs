@@ -69,7 +69,6 @@ mod stats;
 mod time;
 pub mod trace;
 mod value;
-pub mod vcd;
 mod watchdog;
 
 pub use compile::{CombFunc, CombSpec, SpecOp};
@@ -82,9 +81,7 @@ pub use netgraph::{
 pub use scope::{ScopeId, ScopePath};
 pub use signal::{SignalId, SignalInfo};
 pub use sim::Simulator;
-pub use trace::{
-    JsonlSink, MemoryTrace, RingTrace, TraceDump, TraceRecord, TraceSignalMeta, TraceSink,
-};
+pub use trace::{MemoryTrace, RingTrace, TraceDump, TraceRecord, TraceSignalMeta, TraceSink};
 pub use watchdog::{DeadlockReport, StalledHandshake};
 pub use stats::{EnergyReport, ScopeEnergy, SimProfile};
 pub use time::Time;

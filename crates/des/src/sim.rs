@@ -40,11 +40,11 @@ pub(crate) struct Kernel {
     pub comp_stamp: Vec<u64>,
     /// Per-scope energy accumulator, femtojoules. Holds component
     /// internal energy ([`Ctx::add_energy_fj`]) plus switching energy
-    /// *folded in* from the per-signal toggle counters at fold points
-    /// (energy/toggle resets, per-toggle-energy changes). Live totals
-    /// are derived by adding each signal's un-folded toggles × energy
-    /// — see [`Simulator::scope_energies_fj`] — which keeps the commit
-    /// hot path free of floating-point accumulation.
+    /// *folded in* from the per-signal toggle counters whenever a
+    /// signal's per-toggle energy changes. Live totals are derived by
+    /// adding each signal's un-folded toggles × energy — see
+    /// [`Simulator::scope_energies_fj`] — which keeps the commit hot
+    /// path free of floating-point accumulation.
     pub scope_energy_fj: Vec<f64>,
     /// Installed transition-trace sink, if any. `None` (the default)
     /// keeps the commit hot path on a single predictable branch, the
@@ -63,7 +63,82 @@ pub(crate) struct Kernel {
     pub sliced: Option<Box<Sliced>>,
 }
 
+/// What [`Kernel::drive`] made of one drive.
+pub(crate) enum Drive {
+    /// A stuck-at fault discarded it.
+    Dropped,
+    /// An inertial no-op: the value was already in flight (`pending`)
+    /// or, with nothing in flight, already committed.
+    Skipped { pending: bool },
+    /// In flight under a fresh drive epoch, due to commit at `at`;
+    /// `superseded` says it cancelled an earlier in-flight drive.
+    Scheduled { at: Time, epoch: u64, superseded: bool },
+}
+
 impl Kernel {
+    /// The inertial-drive rule, shared by interpreted cells
+    /// ([`Ctx::drive`], which schedules the result on the global
+    /// queue) and compiled nodes (which schedule it on the calendar).
+    ///
+    /// The fault hook first perturbs the delay (derating, sigma, skew)
+    /// or discards the drive (stuck-at target); `fault` is `None`
+    /// unless a non-empty plan was applied, so clean runs pay one
+    /// predictable branch. Then no-op drives are skipped: the target
+    /// value is already committed with nothing in flight, or an event
+    /// carrying this same value is already in flight — re-asserting
+    /// an unchanged target must NOT restart the delay, or input churn
+    /// could postpone a transition indefinitely. Anything else bumps
+    /// the signal's drive epoch, which cancels the in-flight drive.
+    ///
+    /// In debug builds, panics if `comp` is not the registered driver
+    /// of `sig` or the value width mismatches: netlist construction
+    /// bugs that cannot depend on simulation inputs, so release builds
+    /// skip the checks in this hottest of paths.
+    #[inline(always)]
+    pub(crate) fn drive(
+        &mut self,
+        comp: ComponentId,
+        sig: SignalId,
+        value: Value,
+        delay: Time,
+    ) -> Drive {
+        let delay = match &self.fault {
+            None => delay,
+            Some(fault) => match fault.transform(comp, sig, self.now, delay) {
+                Some(d) => d,
+                None => return Drive::Dropped,
+            },
+        };
+        let state = &mut self.signals[sig.index()];
+        debug_assert_eq!(
+            state.driver,
+            Some(comp),
+            "component {:?} drove signal '{}' without being its registered driver",
+            comp,
+            state.name
+        );
+        debug_assert_eq!(
+            state.width,
+            value.width(),
+            "signal '{}' has width {} but was driven with width {}",
+            state.name,
+            state.width,
+            value.width()
+        );
+        if state.pending {
+            if state.pending_value == value {
+                return Drive::Skipped { pending: true };
+            }
+        } else if state.value == value {
+            return Drive::Skipped { pending: false };
+        }
+        let superseded = state.pending;
+        state.drive_epoch += 1;
+        state.pending = true;
+        state.pending_value = value;
+        Drive::Scheduled { at: self.now + delay, epoch: state.drive_epoch, superseded }
+    }
+
     /// Routes one committed value change through the active sliced
     /// campaign pass. `forced` is `Some(was_pending)` for force
     /// commits (fault actions), `None` for driver commits.
@@ -90,7 +165,7 @@ impl Kernel {
     }
 
     /// Reports a skipped dynamic drive to the active sliced pass (the
-    /// inertial no-op rules in [`Ctx::drive`] fired).
+    /// inertial no-op rules of [`Kernel::drive`] fired).
     pub(crate) fn slice_dyn_skip(&mut self, comp: ComponentId, out: SignalId, v: &Value) {
         let (signals, sliced) = (&self.signals, &mut self.sliced);
         let Some(sl) = sliced else { return };
@@ -234,11 +309,6 @@ impl Simulator {
     /// oscillation lower it.
     pub fn set_max_events(&mut self, limit: u64) {
         self.max_events = limit;
-    }
-
-    /// The configured runaway-event budget.
-    pub fn max_events(&self) -> u64 {
-        self.max_events
     }
 
     // ------------------------------------------------------------------
@@ -858,9 +928,8 @@ impl Simulator {
 
     /// Converts the switching energy `sig` has accrued since its last
     /// fold into scope energy and rebases the counter. Must run before
-    /// anything changes the signal's per-toggle energy or resets its
-    /// toggle counter, so already-earned energy keeps the rate it was
-    /// earned at.
+    /// anything changes the signal's per-toggle energy, so
+    /// already-earned energy keeps the rate it was earned at.
     fn fold_signal_energy(&mut self, sig: SignalId) {
         let st = &mut self.kernel.signals[sig.index()];
         let unfolded = st.toggles - st.toggles_energy_base;
@@ -917,8 +986,8 @@ impl Simulator {
         self.kernel.signals[sig.index()].energy_per_toggle_fj += fj_per_toggle;
     }
 
-    /// Switching + internal energy accumulated per scope since the last
-    /// [`Simulator::reset_energy`], rolled up into an [`EnergyReport`].
+    /// Switching + internal energy accumulated per scope since
+    /// construction, rolled up into an [`EnergyReport`].
     pub fn energy_report(&self) -> EnergyReport {
         let energies = self.scope_energies_fj();
         let per_scope: Vec<ScopeEnergy> = energies
@@ -938,37 +1007,11 @@ impl Simulator {
         self.scopes.subtree(prefix).into_iter().map(|s| energies[s.0 as usize]).sum()
     }
 
-    /// Clears all accumulated energy (e.g. after a warm-up phase, so a
-    /// measurement window starts from zero).
-    pub fn reset_energy(&mut self) {
-        for e in &mut self.kernel.scope_energy_fj {
-            *e = 0.0;
-        }
-        for s in &mut self.kernel.signals {
-            s.toggles_energy_base = s.toggles;
-        }
-    }
-
-    /// Clears all per-signal toggle counters (energy already earned by
-    /// those toggles is preserved).
-    pub fn reset_toggles(&mut self) {
-        for id in 0..self.kernel.signals.len() as u32 {
-            self.fold_signal_energy(SignalId(id));
-        }
-        for s in &mut self.kernel.signals {
-            s.toggles = 0;
-            s.toggles_energy_base = 0;
-        }
-    }
-
     /// Installs a transition-trace sink: every committed signal change
     /// from now on is reported to it as a
-    /// [`TraceRecord`](crate::trace::TraceRecord). The sink's
-    /// [`install`](TraceSink::install) hook receives the current
-    /// signal table, so call this *after* netlist construction.
-    /// Replaces any previously installed sink.
-    pub fn set_trace_sink(&mut self, mut sink: Box<dyn TraceSink>) {
-        sink.install(&self.trace_signal_metas());
+    /// [`TraceRecord`](crate::trace::TraceRecord). Replaces any
+    /// previously installed sink.
+    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.kernel.trace = Some(sink);
     }
 
@@ -1190,41 +1233,22 @@ impl Simulator {
 
     /// Force-commits `value` onto a signal outside the normal driver
     /// path: bumps the drive epoch (cancelling any in-flight inertial
-    /// drive), updates toggles/trace exactly like a committed drive,
-    /// and queues the fanout for evaluation.
+    /// drive), commits through [`Simulator::commit`] like a drive, and
+    /// queues the fanout for evaluation.
     fn force_signal(&mut self, signal: SignalId, value: Value) {
-        let kernel = &mut self.kernel;
-        let st = &mut kernel.signals[signal.index()];
+        let now = self.kernel.now;
+        let st = &mut self.kernel.signals[signal.index()];
         let was_pending = st.pending;
         st.drive_epoch += 1;
         st.pending = false;
-        if st.value == value {
+        if self.commit(now, signal, value, Some(was_pending)) {
+            self.pending_evals.extend_from_slice(&self.kernel.signals[signal.index()].fanout);
+        } else if was_pending && self.kernel.sliced.is_some() {
             // No commit. A force that cancelled an in-flight drive
             // still reaches the sliced pass; a missed injection is
             // caught by the pass's expected-force sweep.
-            if was_pending && kernel.sliced.is_some() {
-                kernel.slice_silent_force(signal);
-            }
-            return;
+            self.kernel.slice_silent_force(signal);
         }
-        let toggles = st.value.toggles_to(&value);
-        st.toggles += toggles as u64;
-        let old = st.value;
-        st.value = value;
-        st.last_change = kernel.now;
-        kernel.commits += 1;
-        if let Some(c) = &mut self.compiled {
-            c.values[signal.index()] = value;
-        }
-        if let Some(sink) = &mut kernel.trace {
-            sink.record(&TraceRecord { time: kernel.now, signal, old, new: value });
-        }
-        if kernel.sliced.is_some() {
-            let now = kernel.now;
-            kernel.slice_commit(now, signal, &old, &value, Some(was_pending));
-        }
-        let st = &self.kernel.signals[signal.index()];
-        self.pending_evals.extend_from_slice(&st.fanout);
     }
 
     /// Executes one scheduled fault action (the `Fault` event arm).
@@ -1285,42 +1309,15 @@ impl Simulator {
                 _ => false,
             };
             if take_calendar {
-                // The batch does its own per-delta accounting
-                // (deltas, queue sampling); only the event budget is
-                // settled out here.
+                // The batch stops one entry past the remaining budget,
+                // so a runaway netlist still trips it below.
                 let cap = self.max_events.saturating_sub(processed).saturating_add(1);
                 processed += self.step_calendar_batch(horizon, cap);
-                if processed > self.max_events {
-                    self.events_processed += processed;
-                    self.wall += wall_start.elapsed();
-                    return Err(SimError::EventLimitExceeded {
-                        at: self.kernel.now,
-                        limit: self.max_events,
-                        diagnosis: self.deadlock_report().map(Box::new),
-                    });
-                }
-                continue;
-            }
-            let consumed = if let Some(ev) = self.kernel.queue.pop_at_or_before(horizon) {
-                self.step_delta(ev)
+            } else if let Some(ev) = self.kernel.queue.pop_at_or_before(horizon) {
+                processed += self.step_delta(ev);
             } else {
                 break;
-            };
-            // Profiling: sample queue occupancy once every 64 deltas.
-            // Singleton-delta workloads (free-running oscillators) pop
-            // millions of one-event deltas, so the steady-state loop
-            // must pay a single increment-and-mask here, not a queue
-            // walk; the subsampled mean/peak stay representative.
-            self.deltas += 1;
-            if self.deltas & 0x3F == 0 {
-                let depth = self.kernel.queue.len();
-                self.queue_samples += 1;
-                self.queue_depth_sum += depth as u64;
-                if depth > self.queue_peak {
-                    self.queue_peak = depth;
-                }
             }
-            processed += consumed;
             if processed > self.max_events {
                 self.events_processed += processed;
                 self.wall += wall_start.elapsed();
@@ -1360,10 +1357,10 @@ impl Simulator {
         self.run_until(Time::MAX)
     }
 
-    /// Processes one delta: a single wake, or a maximal run of
-    /// consecutive same-timestamp drive commits followed by exactly
-    /// one evaluation of every component in their combined fanout.
-    /// Returns the number of events consumed.
+    /// Processes one delta: a single wake or fault action, or a
+    /// maximal run of consecutive same-timestamp drive commits,
+    /// followed by exactly one evaluation of every component in their
+    /// combined fanout. Returns the number of events consumed.
     ///
     /// Batching the commits first and deduplicating the evaluations
     /// matches HDL delta-cycle semantics — a process fed by several
@@ -1380,68 +1377,38 @@ impl Simulator {
                 self.wakes += 1;
                 self.eval(comp, true);
             }
-            EventKind::Fault { action } => {
-                debug_assert!(self.pending_evals.is_empty());
-                self.run_fault_action(action);
-                let mut i = 0;
-                while i < self.pending_evals.len() {
-                    let comp = self.pending_evals[i];
-                    i += 1;
-                    self.eval(comp, false);
-                }
-                self.pending_evals.clear();
-            }
-            EventKind::Drive { .. } => {
-                debug_assert!(self.pending_evals.is_empty());
+            EventKind::Fault { action } => self.run_fault_action(action),
+            EventKind::Drive { signal, epoch } => {
                 // Probe for a same-time burst *before* committing —
                 // commits never touch the queue, so holding the second
-                // event is safe. Knowing the delta is a singleton (the
-                // overwhelming majority of gate-level activity) lets
-                // the fanout walk skip the dedup stamps: a component
-                // appears at most once in a single signal's fanout.
-                match self.kernel.queue.pop_drive_at(self.kernel.now) {
-                    None => self.commit_drive_lone(ev),
-                    Some(second) => {
+                // event is safe.
+                let mut next = self.kernel.queue.pop_drive_at(ev.time);
+                if next.is_none() {
+                    self.commit_lone(ev.time, signal, epoch);
+                } else {
+                    let delta = self.next_delta();
+                    self.commit_batched(ev.time, signal, epoch, delta);
+                    while let Some(cur) = next {
                         consumed += 1;
-                        let delta = self.delta_seq;
-                        self.delta_seq += 1;
-                        self.commit_drive(ev, delta);
-                        let mut next = Some(second);
-                        while let Some(cur) = next {
-                            self.commit_drive(cur, delta);
-                            next = self.kernel.queue.pop_drive_at(self.kernel.now);
-                            if next.is_some() {
-                                consumed += 1;
-                            }
-                        }
+                        self.commit_drive(cur, delta);
+                        next = self.kernel.queue.pop_drive_at(ev.time);
                     }
                 }
-                // Index loop rather than iterator: `eval` needs `&mut
-                // self`, and nothing reachable from a component can
-                // touch `pending_evals` (components only see the
-                // kernel through their `Ctx`), so the list is stable
-                // during the drain.
-                let mut i = 0;
-                while i < self.pending_evals.len() {
-                    let comp = self.pending_evals[i];
-                    i += 1;
-                    self.eval(comp, false);
-                }
-                self.pending_evals.clear();
             }
         }
+        self.eval_pending();
+        self.note_delta();
         consumed
     }
 
     /// Processes a maximal run of compiled-calendar deltas: at each
     /// delta, commits every calendar entry due at the earliest
     /// calendar timestamp, then evaluates each component in the
-    /// combined fanout once. The commit path is the same core as
-    /// queued drives ([`Simulator::commit_signal`]) — epoch-validated,
-    /// inertial, toggle- and trace-accounted — only the scheduling
-    /// container differs. Returns the number of calendar entries
-    /// consumed (they count against the event budget exactly like
-    /// queued events: every push is matched by one pop in both
+    /// combined fanout once. The commits go through the same
+    /// epoch-validated commit core as queued drives; only the
+    /// scheduling container differs. Returns the number of calendar
+    /// entries consumed (they count against the event budget exactly
+    /// like queued events: every push is matched by one pop in both
     /// engines, so the `events` profile counter stays comparable
     /// across modes).
     ///
@@ -1474,12 +1441,9 @@ impl Simulator {
             }
             self.kernel.now = t;
             debug_assert!(self.pending_evals.is_empty());
-            let entry = self
-                .compiled
-                .as_mut()
-                .expect("peeked above")
-                .pop_at(t)
-                .expect("front entry is at t");
+            let compiled = self.compiled.as_mut().expect("peeked above");
+            let entry = compiled.pop_at(t).expect("front entry is at t");
+            let another = compiled.peek_time() == Some(t);
             consumed += 1;
             // A queued drive due at this same femtosecond (a dynamic
             // cell's in-flight commit) must join this delta: in the
@@ -1488,49 +1452,24 @@ impl Simulator {
             // Leaving it buried would let the fanout evaluation below
             // re-drive the cell against the stale value, inertially
             // cancelling a commit that was already due *now*.
-            let queued_drive = self.kernel.queue.pop_leading_drive_at(t);
-            if queued_drive.is_some()
-                || self.compiled.as_ref().expect("active").peek_time() == Some(t)
-            {
-                // Several commits share this timestamp: batch them
-                // under one delta with stamp-deduplicated fanout.
-                let delta = self.delta_seq;
-                self.delta_seq += 1;
-                self.commit_signal(t, entry.signal, entry.epoch, delta);
-                while let Some(e) =
-                    self.compiled.as_mut().expect("active").pop_at(t)
-                {
+            let mut queued_drive = self.kernel.queue.pop_leading_drive_at(t);
+            if queued_drive.is_none() && !another {
+                self.commit_lone(t, entry.signal, entry.epoch);
+            } else {
+                let delta = self.next_delta();
+                self.commit_batched(t, entry.signal, entry.epoch, delta);
+                while let Some(e) = self.compiled.as_mut().expect("active").pop_at(t) {
                     consumed += 1;
-                    self.commit_signal(t, e.signal, e.epoch, delta);
+                    self.commit_batched(t, e.signal, e.epoch, delta);
                 }
-                let mut qd = queued_drive;
-                while let Some(ev) = qd {
+                while let Some(ev) = queued_drive {
                     consumed += 1;
                     self.commit_drive(ev, delta);
-                    qd = self.kernel.queue.pop_leading_drive_at(t);
-                }
-                let mut i = 0;
-                while i < self.pending_evals.len() {
-                    let comp = self.pending_evals[i];
-                    i += 1;
-                    self.eval(comp, false);
-                }
-                self.pending_evals.clear();
-            } else {
-                // Singleton delta — the overwhelming majority — skips
-                // the dedup stamps like `commit_drive_lone`.
-                self.commit_calendar_lone(t, entry);
-            }
-            // Per-delta profiling, same cadence as the queue path.
-            self.deltas += 1;
-            if self.deltas & 0x3F == 0 {
-                let depth = self.kernel.queue.len();
-                self.queue_samples += 1;
-                self.queue_depth_sum += depth as u64;
-                if depth > self.queue_peak {
-                    self.queue_peak = depth;
+                    queued_drive = self.kernel.queue.pop_leading_drive_at(t);
                 }
             }
+            self.eval_pending();
+            self.note_delta();
             // Compiled evaluations only touch the calendar; the queue
             // bound can only move when a dynamic evaluation pushed a
             // global event, which is visible as a queue growth.
@@ -1543,158 +1482,140 @@ impl Simulator {
         consumed
     }
 
-    /// [`Simulator::step_calendar_batch`]'s singleton-delta commit:
-    /// the calendar analogue of [`Simulator::commit_drive_lone`] —
-    /// with a single committed signal the dedup stamps cannot reject
-    /// anything, so the fanout is evaluated directly.
-    fn commit_calendar_lone(&mut self, time: Time, entry: crate::compile::CalEntry) {
-        let kernel = &mut self.kernel;
-        let st = &mut kernel.signals[entry.signal.index()];
-        if entry.epoch != st.drive_epoch {
-            return; // superseded (inertial cancellation)
-        }
-        st.pending = false;
-        let value = st.pending_value;
-        if st.value == value {
-            return;
-        }
-        let toggles = st.value.toggles_to(&value);
-        st.toggles += toggles as u64;
-        let old = st.value;
-        st.value = value;
-        st.last_change = time;
-        kernel.commits += 1;
-        if let Some(c) = &mut self.compiled {
-            c.values[entry.signal.index()] = value;
-        }
-        if let Some(sink) = &mut kernel.trace {
-            sink.record(&TraceRecord { time, signal: entry.signal, old, new: value });
-        }
-        // The sliced hook must run before fanout evaluation: the
-        // lane-parallel evaluators read this commit's planes.
-        if let &[comp] = st.fanout.as_slice() {
-            if self.kernel.sliced.is_some() {
-                self.kernel.slice_commit(time, entry.signal, &old, &value, None);
+    /// Claims a fresh delta id for a batch of same-timestamp commits.
+    fn next_delta(&mut self) -> u64 {
+        let delta = self.delta_seq;
+        self.delta_seq += 1;
+        delta
+    }
+
+    /// Counts one processed delta. Queue occupancy is sampled once
+    /// every 64 deltas: singleton-delta workloads (free-running
+    /// oscillators) run millions of one-event deltas, so the
+    /// steady-state loop must pay a single increment-and-mask here,
+    /// not a queue walk; the subsampled mean/peak stay representative.
+    #[inline]
+    fn note_delta(&mut self) {
+        self.deltas += 1;
+        if self.deltas & 0x3F == 0 {
+            let depth = self.kernel.queue.len();
+            self.queue_samples += 1;
+            self.queue_depth_sum += depth as u64;
+            if depth > self.queue_peak {
+                self.queue_peak = depth;
             }
+        }
+    }
+
+    /// Evaluates every component the delta's commits queued, in
+    /// first-trigger order, and empties the list.
+    #[inline]
+    fn eval_pending(&mut self) {
+        // Index loop rather than iterator: `eval` needs `&mut self`,
+        // and nothing reachable from a component can touch
+        // `pending_evals` (components only see the kernel through
+        // their `Ctx`), so the list is stable during the drain.
+        let mut i = 0;
+        while i < self.pending_evals.len() {
+            let comp = self.pending_evals[i];
+            i += 1;
             self.eval(comp, false);
-        } else {
-            debug_assert!(self.pending_evals.is_empty());
-            self.pending_evals.extend_from_slice(&st.fanout);
-            if self.kernel.sliced.is_some() {
-                self.kernel.slice_commit(time, entry.signal, &old, &value, None);
-            }
-            let mut i = 0;
-            while i < self.pending_evals.len() {
-                let comp = self.pending_evals[i];
-                i += 1;
-                self.eval(comp, false);
-            }
-            self.pending_evals.clear();
         }
+        self.pending_evals.clear();
     }
 
-    /// Applies one drive event: commits the value change (toggles,
-    /// energy, trace) and queues the signal's fanout for evaluation,
-    /// skipping components already queued in this delta.
-    fn commit_drive(&mut self, ev: crate::event::Event, delta: u64) {
-        let EventKind::Drive { signal, epoch } = ev.kind else {
-            unreachable!("commit_drive on non-drive event");
-        };
-        self.commit_signal(ev.time, signal, epoch, delta);
-    }
-
-    /// The shared commit core behind queued drives and compiled
-    /// calendar entries: epoch-validate, commit the pending value,
-    /// account toggles and trace, stamp-dedup the fanout into the
-    /// pending-evaluation list.
-    fn commit_signal(&mut self, time: Time, signal: SignalId, epoch: u64, delta: u64) {
+    /// The commit core: the one place a signal's committed value
+    /// changes, for forces, batched and lone commits alike. Writes the
+    /// value and accounts toggles, `last_change`, the commit counter,
+    /// the compiled engine's value shadow, the trace sink and the
+    /// sliced pass (`forced` as for [`Kernel::slice_commit`]), so a
+    /// sink observes exactly the transitions the energy ledger charges
+    /// for. Returns whether the value changed.
+    ///
+    /// Switching energy is *not* accumulated here: it is derived
+    /// lazily from the toggle counter (see `scope_energies_fj`),
+    /// keeping f64 traffic off the commit hot path.
+    #[inline(always)]
+    fn commit(&mut self, time: Time, signal: SignalId, value: Value, forced: Option<bool>) -> bool {
         let kernel = &mut self.kernel;
         let st = &mut kernel.signals[signal.index()];
-        if epoch != st.drive_epoch {
-            return; // superseded (inertial cancellation)
-        }
-        st.pending = false;
-        // The event matched the signal's current drive epoch, so the
-        // value it was scheduled with is exactly `pending_value`.
-        let value = st.pending_value;
         if st.value == value {
-            return;
+            return false;
         }
-        let toggles = st.value.toggles_to(&value);
-        st.toggles += toggles as u64;
-        let old = st.value;
-        st.value = value;
+        st.toggles += u64::from(st.value.toggles_to(&value));
+        let old = std::mem::replace(&mut st.value, value);
         st.last_change = time;
         kernel.commits += 1;
         if let Some(c) = &mut self.compiled {
             c.values[signal.index()] = value;
         }
-        // Switching energy is *not* accumulated here: it is derived
-        // lazily from the toggle counter (see `scope_energies_fj`),
-        // keeping f64 traffic off the commit hot path.
         if let Some(sink) = &mut kernel.trace {
             sink.record(&TraceRecord { time, signal, old, new: value });
         }
-        for &comp in &st.fanout {
+        // Fanout evaluation follows every commit, so the planes are in
+        // place before any lane-parallel evaluator reads them.
+        if kernel.sliced.is_some() {
+            kernel.slice_commit(time, signal, &old, &value, forced);
+        }
+        true
+    }
+
+    /// Lands an in-flight drive (a queued event or a calendar entry)
+    /// if it still holds the signal's drive epoch; a superseded one is
+    /// an inertial cancellation and commits nothing.
+    #[inline(always)]
+    fn commit_pending(&mut self, time: Time, signal: SignalId, epoch: u64) -> bool {
+        let st = &mut self.kernel.signals[signal.index()];
+        if epoch != st.drive_epoch {
+            return false;
+        }
+        st.pending = false;
+        // The drive matched the signal's current epoch, so the value
+        // it was scheduled with is exactly `pending_value`.
+        let value = st.pending_value;
+        self.commit(time, signal, value, None)
+    }
+
+    /// [`Simulator::commit_batched`] for a queued drive event.
+    fn commit_drive(&mut self, ev: crate::event::Event, delta: u64) {
+        let EventKind::Drive { signal, epoch } = ev.kind else {
+            unreachable!("commit_drive on non-drive event");
+        };
+        self.commit_batched(ev.time, signal, epoch, delta);
+    }
+
+    /// Commits one of several same-timestamp drives and queues its
+    /// fanout for evaluation, skipping components already queued in
+    /// this delta.
+    fn commit_batched(&mut self, time: Time, signal: SignalId, epoch: u64, delta: u64) {
+        if !self.commit_pending(time, signal, epoch) {
+            return;
+        }
+        let kernel = &mut self.kernel;
+        for &comp in &kernel.signals[signal.index()].fanout {
             let stamp = &mut kernel.comp_stamp[comp.index()];
             if *stamp != delta {
                 *stamp = delta;
                 self.pending_evals.push(comp);
             }
         }
-        // Fanout evaluation happens after every commit of this delta,
-        // so the planes are in place before any evaluator reads them.
-        if self.kernel.sliced.is_some() {
-            self.kernel.slice_commit(time, signal, &old, &value, None);
-        }
     }
 
-    /// [`Simulator::commit_drive`] specialised for a singleton delta
-    /// (no other commit at this timestamp): with a single committed
-    /// signal the dedup stamps cannot reject anything — a component
-    /// appears at most once in one signal's fanout — so the fanout is
-    /// either evaluated directly (the ubiquitous single-listener wire)
-    /// or bulk-copied into the scratch list.
-    fn commit_drive_lone(&mut self, ev: crate::event::Event) {
-        let EventKind::Drive { signal, epoch } = ev.kind else {
-            unreachable!("commit_drive on non-drive event");
-        };
-        let kernel = &mut self.kernel;
-        let st = &mut kernel.signals[signal.index()];
-        if epoch != st.drive_epoch {
-            return; // superseded (inertial cancellation)
-        }
-        st.pending = false;
-        // The event matched the signal's current drive epoch, so the
-        // value it was scheduled with is exactly `pending_value`.
-        let value = st.pending_value;
-        if st.value == value {
+    /// Commits the only drive of a singleton delta (no other commit at
+    /// this timestamp), the overwhelming majority of gate-level
+    /// activity: a component appears at most once in one signal's
+    /// fanout, so the dedup stamps cannot reject anything, and the
+    /// fanout is either evaluated directly (the ubiquitous
+    /// single-listener wire) or bulk-copied into the scratch list.
+    fn commit_lone(&mut self, time: Time, signal: SignalId, epoch: u64) {
+        if !self.commit_pending(time, signal, epoch) {
             return;
         }
-        let toggles = st.value.toggles_to(&value);
-        st.toggles += toggles as u64;
-        let old = st.value;
-        st.value = value;
-        st.last_change = ev.time;
-        kernel.commits += 1;
-        if let Some(c) = &mut self.compiled {
-            c.values[signal.index()] = value;
-        }
-        if let Some(sink) = &mut kernel.trace {
-            sink.record(&TraceRecord { time: ev.time, signal, old, new: value });
-        }
-        if let &[comp] = st.fanout.as_slice() {
-            // Sliced hook before evaluation: the lane-parallel
-            // evaluator reads this commit's planes.
-            if self.kernel.sliced.is_some() {
-                self.kernel.slice_commit(ev.time, signal, &old, &value, None);
-            }
+        let fanout = &self.kernel.signals[signal.index()].fanout;
+        if let &[comp] = fanout.as_slice() {
             self.eval(comp, false);
         } else {
-            self.pending_evals.extend_from_slice(&st.fanout);
-            if self.kernel.sliced.is_some() {
-                self.kernel.slice_commit(ev.time, signal, &old, &value, None);
-            }
+            self.pending_evals.extend_from_slice(fanout);
         }
     }
 
@@ -1726,78 +1647,41 @@ impl Simulator {
     }
 
     /// Evaluates a compiled combinational component: computes the spec
-    /// over the committed input values and applies the *identical*
-    /// inertial-drive protocol as [`Ctx::drive`] — fault transform,
-    /// no-op skip rules, epoch bump — except the in-flight drive is
-    /// scheduled on the compiled calendar instead of the global queue.
+    /// over the committed input values and drives the result through
+    /// [`Kernel::drive`], the rule [`Ctx::drive`] applies, scheduling
+    /// an in-flight drive on the compiled calendar instead of the
+    /// global queue.
     fn eval_compiled(&mut self, comp: ComponentId) {
         let compiled = self.compiled.as_mut().expect("caller checked membership");
         compiled.cone_evals += 1;
         let node = compiled.node(comp);
         let value = node.eval(&compiled.values, compiled.pool());
         let out = node.out;
-        // Lane twin: advance every campaign lane through the same
-        // function the carrier just evaluated. The inertial skip rules
-        // below double as the per-lane divergence probes.
-        let mut plane = self
-            .kernel
-            .sliced
-            .as_ref()
-            .map(|sl| node.eval_lanes(|s| sl.read_plane(s, &compiled.values), compiled.pool()));
         let kernel = &mut self.kernel;
-        // Fault hook, identical to `Ctx::drive`: perturb the delay or
-        // discard the drive entirely (stuck-at target).
-        let delay = match &kernel.fault {
-            None => node.delay,
-            Some(fault) => match fault.transform(comp, out, kernel.now, node.delay) {
-                Some(d) => d,
-                None => return,
-            },
-        };
-        let state = &mut kernel.signals[out.index()];
-        debug_assert_eq!(
-            state.driver,
-            Some(comp),
-            "compiled component {:?} drove signal '{}' without being its registered driver",
-            comp,
-            state.name
-        );
-        debug_assert_eq!(
-            state.width,
-            value.width(),
-            "signal '{}' has width {} but was driven with width {}",
-            state.name,
-            state.width,
-            value.width()
-        );
-        // The inertial no-op skip rules of `Ctx::drive`, verbatim.
-        // When a sliced pass is active, each skip doubles as a probe:
-        // lanes whose lane-parallel result differs from what the
-        // carrier compared against would *not* have skipped in their
-        // scalar run, and diverge.
-        if state.pending {
-            if state.pending_value == value {
-                if let (Some(sl), Some(p)) = (kernel.sliced.as_mut(), &plane) {
-                    sl.note_skip(out, p, true, &state.pending_value);
+        // Lane twin: advance every campaign lane through the same
+        // function the carrier just evaluated, and keep the value a
+        // superseding drive would cancel. The drive rule's skips
+        // double as per-lane divergence probes: lanes whose result
+        // differs from what the carrier compared against would *not*
+        // have skipped in their scalar run, and diverge.
+        let lanes = kernel.sliced.as_ref().map(|sl| {
+            let plane = node.eval_lanes(|s| sl.read_plane(s, &compiled.values), compiled.pool());
+            (plane, kernel.signals[out.index()].pending_value)
+        });
+        match kernel.drive(comp, out, value, node.delay) {
+            Drive::Dropped => {}
+            Drive::Skipped { pending } => {
+                if let (Some(sl), Some((plane, _))) = (kernel.sliced.as_mut(), &lanes) {
+                    sl.note_skip(out, plane, pending, &value);
                 }
-                return;
             }
-        } else if state.value == value {
-            if let (Some(sl), Some(p)) = (kernel.sliced.as_mut(), &plane) {
-                sl.note_skip(out, p, false, &state.value);
+            Drive::Scheduled { at, epoch, superseded } => {
+                if let (Some(sl), Some((plane, in_flight))) = (kernel.sliced.as_mut(), lanes) {
+                    sl.note_drive(out, plane, superseded.then_some(&in_flight));
+                }
+                compiled.push(at, out, epoch);
             }
-            return;
         }
-        if let Some(sl) = kernel.sliced.as_mut() {
-            let superseded = if state.pending { Some(state.pending_value) } else { None };
-            sl.note_drive(out, plane.take().expect("sliced pass computes planes"), superseded.as_ref());
-        }
-        state.drive_epoch += 1;
-        state.pending = true;
-        state.pending_value = value;
-        let epoch = state.drive_epoch;
-        let t = kernel.now + delay;
-        compiled.push(t, out, epoch);
     }
 }
 
@@ -2364,19 +2248,5 @@ mod tests {
         sim.run_until(ps(300)).unwrap();
         assert_eq!(sim.value(s), Value::one(1), "the carrier runs lane 0's timeline");
         assert_eq!(sim.slice_seal(), 0b10, "lane 1 kept the drive the carrier lost");
-    }
-
-    #[test]
-    fn reset_counters() {
-        let mut sim = Simulator::new();
-        let a = sim.add_signal("a", 1);
-        sim.set_signal_energy(a, 1.0);
-        sim.stimulus(a, &[(Time::ZERO, Value::zero(1)), (Time::from_ps(1), Value::one(1))]);
-        sim.run_to_quiescence().unwrap();
-        assert!(sim.toggles(a) > 0);
-        sim.reset_toggles();
-        sim.reset_energy();
-        assert_eq!(sim.toggles(a), 0);
-        assert_eq!(sim.subtree_energy_fj(""), 0.0);
     }
 }

@@ -20,39 +20,6 @@ pub struct EnergyReport {
     pub sim_time: Time,
 }
 
-impl EnergyReport {
-    /// Total energy across the whole design, femtojoules.
-    pub fn total_fj(&self) -> f64 {
-        self.scopes.iter().map(|s| s.energy_fj).sum()
-    }
-
-    /// Energy of the subtree rooted at `prefix` (inclusive).
-    pub fn subtree_fj(&self, prefix: &str) -> f64 {
-        self.scopes
-            .iter()
-            .filter(|s| {
-                s.path == prefix
-                    || (s.path.starts_with(prefix) && s.path[prefix.len()..].starts_with('.'))
-                    || prefix.is_empty()
-            })
-            .map(|s| s.energy_fj)
-            .sum()
-    }
-
-    /// Average power over the run in microwatts, given the energy is in
-    /// femtojoules and the window is `window` long.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn average_power_uw(&self, prefix: &str, window: Time) -> f64 {
-        assert!(!window.is_zero(), "zero averaging window");
-        let fj = self.subtree_fj(prefix);
-        // fJ / s = 1e-15 W; report µW (1e-6 W).
-        fj * 1e-15 / window.as_secs() * 1e6
-    }
-}
-
 /// Kernel profiling counters, snapshotted by
 /// [`Simulator::profile`](crate::Simulator::profile).
 ///
@@ -97,24 +64,3 @@ pub struct SimProfile {
     pub scalar_fallbacks: u64,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn energy_subtree_and_power() {
-        let r = EnergyReport {
-            scopes: vec![
-                ScopeEnergy { path: "link".into(), energy_fj: 100.0 },
-                ScopeEnergy { path: "link.ser".into(), energy_fj: 50.0 },
-                ScopeEnergy { path: "linker".into(), energy_fj: 999.0 },
-            ],
-            sim_time: Time::from_ns(1),
-        };
-        assert!((r.subtree_fj("link") - 150.0).abs() < 1e-9);
-        assert!((r.total_fj() - 1149.0).abs() < 1e-9);
-        // 150 fJ over 1 ns = 150 µW.
-        let p = r.average_power_uw("link", Time::from_ns(1));
-        assert!((p - 150.0).abs() < 1e-9);
-    }
-}

@@ -1,27 +1,29 @@
 //! Structured transition tracing with pluggable sinks.
 //!
-//! The kernel's commit path carries an optional trace hook: when a
-//! [`TraceSink`] is installed (via
+//! Every committed signal change, whether a drive landing from the
+//! event queue or the compiled calendar or a fault force, goes through
+//! the kernel's one commit core, which carries an optional trace hook.
+//! When a [`TraceSink`] is installed (via
 //! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink)),
-//! every committed signal change is reported as a [`TraceRecord`] — time, signal, old → new
-//! value. When no sink is installed the hook is a single predictable
-//! `None` branch, exactly like the fault hook, so untraced runs stay
-//! allocation-free and bit-identical.
+//! each commit is reported as a [`TraceRecord`] — time, signal, old →
+//! new value — so a sink sees exactly the transitions the energy
+//! ledger charges for. When no sink is installed the hook is a single
+//! predictable `None` branch, exactly like the fault hook, so untraced
+//! runs stay allocation-free and bit-identical.
 //!
-//! Three sinks cover the common needs:
+//! Two sinks cover the common needs:
 //!
-//! * [`MemoryTrace`] — records everything in memory; feeds VCD
-//!   export and [`TraceDump`].
+//! * [`MemoryTrace`] — records everything in memory, in commit order.
 //! * [`RingTrace`] — keeps only the last *N* records (bounded memory
 //!   for long runs and tests that only care about the tail).
-//! * [`JsonlSink`] — streams each record as one JSON line to any
-//!   writer, so giant traces can go straight to disk.
 //!
 //! A [`TraceDump`] decouples the recording from the `Simulator`'s
-//! lifetime: it owns the signal table (paths, widths, per-toggle
-//! energies) together with the records, and can serialise either VCD
-//! (via [`TraceDump::write_vcd`]) or JSONL
-//! ([`TraceDump::write_jsonl`]) long after the simulator is gone.
+//! lifetime: [`TraceDump::capture`] takes the sink's records together
+//! with the signal table (paths, widths, per-toggle energies) as it
+//! stands at capture time, and the dump writes an IEEE 1364 VCD
+//! document ([`TraceDump::write_vcd`], readable by GTKWave) or JSON
+//! lines ([`TraceDump::write_jsonl`]) long after the simulator is
+//! gone.
 
 use std::io::{self, Write};
 
@@ -41,9 +43,8 @@ pub struct TraceRecord {
     pub new: Value,
 }
 
-/// Static description of one traced signal, captured at sink
-/// installation (or dump capture) time, indexed by
-/// [`SignalId::index`].
+/// Static description of one traced signal, captured with a
+/// [`TraceDump`], indexed by [`SignalId::index`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSignalMeta {
     /// Full hierarchical path (`scope.name`).
@@ -64,18 +65,11 @@ pub struct TraceSignalMeta {
 /// should do bounded work per call; anything expensive belongs in a
 /// post-run pass over [`TraceSink::records`].
 pub trait TraceSink: 'static {
-    /// Called once when the sink is installed, with the signal table
-    /// of the netlist as it exists at that moment. Install sinks
-    /// *after* netlist construction so paths and energies are final.
-    fn install(&mut self, signals: &[TraceSignalMeta]) {
-        let _ = signals;
-    }
-
     /// Called for every committed signal change.
     fn record(&mut self, rec: &TraceRecord);
 
     /// The retained records as a contiguous in-order slice, if this
-    /// sink keeps them that way (streaming sinks return `None`).
+    /// sink keeps them that way ([`RingTrace`] does not).
     fn records(&self) -> Option<&[TraceRecord]> {
         None
     }
@@ -154,60 +148,6 @@ impl TraceSink for RingTrace {
     }
 }
 
-/// Streaming sink: writes each record as one JSON line the moment it
-/// commits. The first I/O error latches and silences the sink (the
-/// simulation itself must not fail because a trace disk filled up).
-pub struct JsonlSink<W: Write> {
-    w: W,
-    signals: Vec<TraceSignalMeta>,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Creates a sink streaming to `w`.
-    pub fn new(w: W) -> Self {
-        JsonlSink { w, signals: Vec::new(), error: None }
-    }
-
-    /// The first I/O error encountered, if any.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flushes and returns the writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-impl<W: Write> std::fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("signals", &self.signals.len())
-            .field("error", &self.error)
-            .finish()
-    }
-}
-
-impl<W: Write + 'static> TraceSink for JsonlSink<W> {
-    fn install(&mut self, signals: &[TraceSignalMeta]) {
-        self.signals = signals.to_vec();
-    }
-
-    fn record(&mut self, rec: &TraceRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = write_jsonl_record(&mut self.w, &self.signals, rec) {
-            self.error = Some(e);
-        }
-    }
-}
-
 /// Formats a value as a fixed-width MSB-first bit string (`x` for
 /// unknown bits).
 pub fn fmt_bits(v: &Value) -> String {
@@ -257,7 +197,7 @@ pub struct TraceDump {
 impl TraceDump {
     /// Captures the installed sink's retained records together with
     /// the simulator's signal table. Returns `None` if no sink is
-    /// installed or the sink retains nothing (e.g. a streaming sink).
+    /// installed or the sink retains no records.
     pub fn capture(sim: &Simulator) -> Option<TraceDump> {
         let records = sim.trace_sink()?.snapshot()?;
         Some(TraceDump { signals: sim.trace_signal_metas(), records })
@@ -331,7 +271,7 @@ impl TraceDump {
     }
 }
 
-pub(crate) fn idcode(mut n: usize) -> String {
+fn idcode(mut n: usize) -> String {
     // Printable VCD identifier codes: '!'..='~'.
     let mut s = String::new();
     loop {
@@ -344,7 +284,7 @@ pub(crate) fn idcode(mut n: usize) -> String {
     s
 }
 
-pub(crate) fn fmt_vcd_value(v: &Value) -> String {
+fn fmt_vcd_value(v: &Value) -> String {
     if v.width() == 1 {
         match v.bit(0) {
             Logic::Zero => "0".to_string(),
@@ -430,19 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_streams_and_finishes() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.install(&metas());
-        sink.record(&rec(10, 0, 0, 1));
-        sink.record(&rec(20, 1, 1, 2));
-        let bytes = sink.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"sig\":\"a\""));
-        assert!(text.contains("\"sig\":\"blk.b\""));
-    }
-
-    #[test]
     fn dump_vcd_round_trip_structure() {
         let dump = TraceDump { signals: metas(), records: vec![rec(3000, 1, 0, 0b1010)] };
         let mut out = Vec::new();
@@ -452,6 +379,16 @@ mod tests {
         assert!(text.contains("$var wire 4"));
         assert!(text.contains("#3000"));
         assert!(text.contains("b1010 "));
+    }
+
+    #[test]
+    fn idcodes_are_unique_and_printable() {
+        let codes: Vec<String> = (0..500).map(idcode).collect();
+        let mut dedup = codes.clone();
+        dedup.sort();
+        dedup.dedup();
+        assert_eq!(dedup.len(), codes.len());
+        assert!(codes.iter().all(|c| c.bytes().all(|b| (b'!'..=b'~').contains(&b))));
     }
 
     #[test]

@@ -28,20 +28,6 @@ impl Logic {
             Logic::Zero
         }
     }
-
-    /// Returns `Some(bool)` for known levels and `None` for `X`.
-    pub fn to_bool(self) -> Option<bool> {
-        match self {
-            Logic::Zero => Some(false),
-            Logic::One => Some(true),
-            Logic::X => None,
-        }
-    }
-
-    /// True if the level is `0` or `1`.
-    pub fn is_known(self) -> bool {
-        !matches!(self, Logic::X)
-    }
 }
 
 impl fmt::Display for Logic {
@@ -350,30 +336,6 @@ impl Value {
         let both_known = !self.x & !next.x;
         (((self.bits ^ next.bits) & both_known) | x_change).count_ones()
     }
-
-    /// Reduction OR over all bits (`1` if any bit is known `1`, `0` if
-    /// all bits are known `0`, else `X`).
-    pub fn reduce_or(&self) -> Logic {
-        if self.bits & !self.x != 0 {
-            Logic::One
-        } else if self.x != 0 {
-            Logic::X
-        } else {
-            Logic::Zero
-        }
-    }
-
-    /// Reduction AND over all bits.
-    pub fn reduce_and(&self) -> Logic {
-        let m = Self::mask(self.width);
-        if (self.bits | self.x) & m != m {
-            Logic::Zero
-        } else if self.x != 0 {
-            Logic::X
-        } else {
-            Logic::One
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -532,51 +494,10 @@ impl LaneValues {
         true
     }
 
-    /// The set of lanes (as a bit mask) whose value differs from lane
-    /// `k`'s — the divergence probe of the sliced campaign engine.
-    pub fn lanes_differing_from(&self, k: u8) -> u64 {
-        assert!(k < self.lanes, "lane {k} out of {}", self.lanes);
-        let lane_mask = Value::width_mask(self.lanes);
-        let mut diff = 0u64;
-        for b in 0..self.width {
-            for plane in [self.ones[b as usize], self.xs[b as usize]] {
-                let refbit = if plane >> k & 1 == 1 { lane_mask } else { 0 };
-                diff |= (plane ^ refbit) & lane_mask;
-            }
-        }
-        diff
-    }
-
     /// Read-only plane access for lane-parallel gate evaluation:
     /// `(ones, xs)` of bit `b`.
     pub fn plane(&self, b: u8) -> (u64, u64) {
         (self.ones[b as usize], self.xs[b as usize])
-    }
-
-    /// Builds lane planes directly from per-bit `(ones, xs)` plane
-    /// words (the output path of lane-parallel gate evaluation). Plane
-    /// words are masked to the lane count; an X plane bit clears the
-    /// corresponding ones bit, preserving the "X is never also a
-    /// known 1" invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane slices are empty, longer than 64 or of
-    /// unequal length, or `lanes` is out of range.
-    pub fn from_planes(ones: &[u64], xs: &[u64], lanes: u8) -> LaneValues {
-        assert!((1..=64).contains(&ones.len()), "width must be 1..=64");
-        assert_eq!(ones.len(), xs.len(), "plane slices must match");
-        assert!((1..=64).contains(&lanes), "lanes must be 1..=64");
-        let lane_mask = Value::width_mask(lanes);
-        let width = ones.len() as u8;
-        let mut o = Vec::with_capacity(ones.len());
-        let mut x = Vec::with_capacity(xs.len());
-        for (&pb, &px) in ones.iter().zip(xs) {
-            let px = px & lane_mask;
-            o.push(pb & lane_mask & !px);
-            x.push(px);
-        }
-        LaneValues { ones: o, xs: x, width, lanes }
     }
 }
 
@@ -894,15 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn reductions() {
-        assert_eq!(Value::from_u64(4, 0b0010).reduce_or(), Logic::One);
-        assert_eq!(Value::zero(4).reduce_or(), Logic::Zero);
-        assert_eq!(Value::all_x(4).reduce_or(), Logic::X);
-        assert_eq!(Value::ones(4).reduce_and(), Logic::One);
-        assert_eq!(Value::from_u64(4, 0b0111).reduce_and(), Logic::Zero);
-    }
-
-    #[test]
     fn display_binary() {
         assert_eq!(Value::from_u64(4, 0b1010).to_string(), "1010");
         assert_eq!(Value::all_x(2).to_string(), "xx");
@@ -936,9 +848,6 @@ mod tests {
     #[test]
     fn logic_conversions() {
         assert_eq!(Logic::from_bool(true), Logic::One);
-        assert_eq!(Logic::One.to_bool(), Some(true));
-        assert_eq!(Logic::X.to_bool(), None);
-        assert!(Logic::Zero.is_known() && !Logic::X.is_known());
         assert_eq!(Logic::X.to_string(), "x");
     }
 
@@ -1015,14 +924,14 @@ mod tests {
         let v = lane_sample(63, 7);
         let mut lv = LaneValues::broadcast(&v, 64);
         assert!(lv.all_equal());
-        assert_eq!(lv.lanes_differing_from(0), 0);
+        assert_eq!(lv.lanes_ne_value(&v), 0);
         assert_eq!(lv.unpack(63), v);
         let w = lane_sample(63, 8);
         assert_ne!(w, v);
         lv.set_lane(5, &w);
         assert!(!lv.all_equal());
-        assert_eq!(lv.lanes_differing_from(0), 1 << 5);
-        assert_eq!(lv.lanes_differing_from(5), !(1u64 << 5));
+        assert_eq!(lv.lanes_ne_value(&v), 1 << 5);
+        assert_eq!(lv.lanes_ne_value(&w), !(1u64 << 5));
         assert_eq!(lv.unpack(5), w);
         assert_eq!(lv.unpack(4), v);
     }
@@ -1121,29 +1030,5 @@ mod tests {
         let other = LaneValues::broadcast(&v, 8);
         assert_eq!(lv.lanes_ne(&other), 1 << 6);
         assert_eq!(other.lanes_ne(&lv), 1 << 6);
-    }
-
-    #[test]
-    fn lane_garbage_above_width_never_leaks() {
-        // from_planes with plane words full of garbage above the lane
-        // count: unpacked values must still honour the Value invariant
-        // (this is the masked-lane-garbage audit of the energy/toggle
-        // path — toggles_to on unpacked values must count real bits
-        // only).
-        for width in [1u8, 63, 64] {
-            let ones = vec![u64::MAX; width as usize];
-            let xs = vec![0xAAAA_AAAA_AAAA_AAAA; width as usize];
-            let lv = LaneValues::from_planes(&ones, &xs, 3);
-            for k in 0..3 {
-                let u = lv.unpack(k);
-                assert_eq!(u.raw_bits() & u.x_mask(), 0);
-                assert_eq!(u.raw_bits() & !Value::width_mask(width), 0);
-                let toggles = Value::zero(width).toggles_to(&u);
-                assert!(
-                    toggles <= width as u32,
-                    "width {width} lane {k}: {toggles} toggles from garbage"
-                );
-            }
-        }
     }
 }

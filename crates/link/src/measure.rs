@@ -105,17 +105,6 @@ pub struct MeasureOptions {
     /// the duration of the run (the dump itself is only retained on
     /// the [`LinkRun`] if [`MeasureOptions::trace`] asks for it).
     pub metrics: bool,
-    /// Kernel event budget for the run, `None` for the kernel default.
-    /// Fault campaigns that legitimately provoke long retry storms set
-    /// this to bound how much simulated work a wedged run may consume
-    /// before the event-limit watchdog declares a deadlock.
-    pub watchdog_horizon: Option<u64>,
-    /// Execute combinational cells through the compiled netlist engine
-    /// (default). Compiled runs are bit-identical to interpreted ones
-    /// — the golden-replay suite enforces it — so this is purely a
-    /// wall-clock knob; [`MeasureOptions::without_compile`] exists for
-    /// A/B measurements and for pinning down a suspected compiler bug.
-    pub compiled: bool,
 }
 
 impl Default for MeasureOptions {
@@ -128,8 +117,6 @@ impl Default for MeasureOptions {
             reset_hold: Time::from_ns(2),
             trace: TraceMode::Off,
             metrics: false,
-            watchdog_horizon: None,
-            compiled: true,
         }
     }
 }
@@ -188,38 +175,6 @@ impl MeasureOptions {
     #[must_use]
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
-        self
-    }
-
-    /// Bounds the kernel event budget for the run (the event-limit
-    /// watchdog then converts a runaway retry storm into a
-    /// [`RunFailure::Deadlock`] instead of simulating indefinitely).
-    /// `None` — the default — keeps the kernel's own limit, leaving
-    /// the run bit-identical to one made without this option.
-    ///
-    /// ```
-    /// use sal_link::MeasureOptions;
-    /// let opts = MeasureOptions::default().with_watchdog_horizon(1_000_000);
-    /// assert_eq!(opts.watchdog_horizon, Some(1_000_000));
-    /// assert_eq!(MeasureOptions::default().watchdog_horizon, None);
-    /// ```
-    #[must_use]
-    pub fn with_watchdog_horizon(mut self, events: u64) -> Self {
-        self.watchdog_horizon = Some(events);
-        self
-    }
-
-    /// Keeps the run on the interpreted event loop (A/B baseline for
-    /// the compiled engine).
-    ///
-    /// ```
-    /// use sal_link::MeasureOptions;
-    /// assert!(MeasureOptions::default().compiled);
-    /// assert!(!MeasureOptions::default().without_compile().compiled);
-    /// ```
-    #[must_use]
-    pub fn without_compile(mut self) -> Self {
-        self.compiled = false;
         self
     }
 }
@@ -537,12 +492,7 @@ fn run_family(
     if let Some(plan) = &opts.fault_plan {
         sim.apply_fault_plan(plan).map_err(RunFailure::Fault)?;
     }
-    if let Some(limit) = opts.watchdog_horizon {
-        sim.set_max_events(limit);
-    }
-    if opts.compiled {
-        sim.compile();
-    }
+    sim.compile();
     let probes = handles.recovery.as_ref().map(|taps| RecoveryProbes::attach(&mut sim, taps));
 
     // Hold reset until every control path has settled to a defined
@@ -831,21 +781,6 @@ mod tests {
             .expect_err("unknown fault target");
         assert!(matches!(err, RunFailure::Fault(_)));
         assert!(err.source().expect("chained").downcast_ref::<SimError>().is_some());
-    }
-
-    #[test]
-    fn watchdog_horizon_bounds_a_run() {
-        let cfg = LinkConfig::default();
-        let words = worst_case_pattern(4, 32);
-        // A budget far too small for even one word: the event-limit
-        // watchdog fires and the run comes back as a deadlock.
-        let opts = MeasureOptions::default().with_watchdog_horizon(2_000);
-        let err = run_spec(&paper(LinkFamily::PerTransfer), &cfg, &words, &opts)
-            .expect_err("budget exceeded");
-        assert!(matches!(err, RunFailure::Deadlock { .. }));
-        // The default (None) leaves the kernel limit alone.
-        run_spec(&paper(LinkFamily::PerTransfer), &cfg, &words, &MeasureOptions::default())
-            .expect("clean run under the kernel default");
     }
 
     #[test]

@@ -134,33 +134,22 @@ fn deadlocked_run_stays_structured_with_tracing_enabled() {
 #[test]
 fn compiled_i2_run_populates_compiled_profile_counters() {
     // The compiled-engine counters are part of the observability
-    // contract: a default (compiled) I2 run must report how many cones
-    // were built, how often they fired and how many per-gate events
-    // that avoided — and an interpreted run of the same link must
-    // report zeros, with identical delivery either way.
+    // contract: a measured I2 run (always compiled) must report how
+    // many cones were built, how often they fired and how many
+    // per-gate events that avoided. The interpreted side of the
+    // comparison lives in sal-bench's `compile_report` tests.
     let cfg = LinkConfig::default();
     let words = worst_case_pattern(4, 32);
     let compiled = run_link(LinkFamily::PerTransfer, &cfg, &words, &observed()).expect("clean run");
-    let interpreted =
-        run_link(LinkFamily::PerTransfer, &cfg, &words, &observed().without_compile())
-            .expect("clean run");
 
     assert!(compiled.profile.cones_built > 0, "compiled run built no cones");
     assert!(compiled.profile.cone_evals > 0, "compiled run never fired a cone");
     assert!(compiled.profile.events_avoided > 0, "compiled run avoided no events");
-    assert_eq!(interpreted.profile.cones_built, 0);
-    assert_eq!(interpreted.profile.cone_evals, 0);
-    assert_eq!(interpreted.profile.events_avoided, 0);
 
-    // Neither run is a sliced campaign: the lane counters stay zero
+    // The run is not a sliced campaign: the lane counters stay zero
     // until a slice pass is sealed (covered by the sal-bench suite).
     assert_eq!(compiled.profile.lanes_active, 0);
     assert_eq!(compiled.profile.scalar_fallbacks, 0);
-
-    // The engines agree behaviorally even though the counters differ.
-    assert_eq!(compiled.received, interpreted.received);
-    assert_eq!(compiled.sent, interpreted.sent);
-    assert_eq!(compiled.profile.commits, interpreted.profile.commits);
 }
 
 #[test]

@@ -7,10 +7,10 @@
 //! Then:     gtkwave i3_word.vcd
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 
 use sal::cells::CircuitBuilder;
-use sal::des::{vcd, MemoryTrace, Simulator, Time, Value};
+use sal::des::{MemoryTrace, Simulator, Time, TraceDump, Value};
 use sal::link::testbench::{
     attach_consumer, attach_producer, HsConsumer, HsProducer,
 };
@@ -49,8 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(got, words, "round trip failed");
 
     let path = "i3_word.vcd";
-    let file = BufWriter::new(File::create(path)?);
-    vcd::write_vcd(&sim, file)?;
+    let mut file = BufWriter::new(File::create(path)?);
+    TraceDump::capture(&sim).ok_or("the memory trace keeps every record")?.write_vcd(&mut file)?;
+    file.flush()?;
     println!(
         "transferred {:#010x} and {:#010x} bit-exact over the word-level link",
         words[0], words[1]
