@@ -8,7 +8,7 @@ use sal_link::testbench::worst_case_pattern;
 use sal_link::{LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
 use sal_tech::{Corner, St012Library};
 
-use crate::sweep::sweep_map;
+use crate::sweep::parallel_map;
 
 /// Early-ack ablation row: saturation throughput of I3 with and
 /// without the early word acknowledgement, per buffer count.
@@ -38,7 +38,7 @@ fn saturation(cfg: &LinkConfig) -> f64 {
 /// the upper bound throughput could be achieved by earlier
 /// acknowledging".
 pub fn early_ack() -> Vec<EarlyAckRow> {
-    sweep_map(vec![2u32, 4, 8], |buffers| {
+    parallel_map(vec![2u32, 4, 8], |buffers| {
         let base = LinkConfig { buffers, ..LinkConfig::default() };
         let early = LinkConfig { early_word_ack: true, ..base.clone() };
         EarlyAckRow {
@@ -66,7 +66,7 @@ pub struct SliceRow {
 /// Wires vs. throughput vs. power across serialization factors
 /// (serial ratios 2:1, 4:1 and 8:1 over the 32-bit paper word).
 pub fn slice_width() -> Vec<SliceRow> {
-    sweep_map(vec![2u8, 4, 8], |ratio| {
+    parallel_map(vec![2u8, 4, 8], |ratio| {
         let spec = LinkSpec::builder()
             .family(LinkFamily::PerWord)
             .serial_ratio(ratio)
@@ -105,7 +105,7 @@ pub struct RxStyleRow {
 /// latches one. The paper: "all four registers are being latched every
 /// time a slice of the flit arrives opposed to just one register".
 pub fn rx_style() -> Vec<RxStyleRow> {
-    sweep_map(vec![WordRxStyle::ShiftRegister, WordRxStyle::Demux], |style| {
+    parallel_map(vec![WordRxStyle::ShiftRegister, WordRxStyle::Demux], |style| {
         let cfg = LinkConfig { word_rx_style: style, ..LinkConfig::default() };
         let run = run_spec(
             &LinkSpec::paper(LinkFamily::PerWord),
@@ -137,7 +137,7 @@ pub struct CornerRow {
 /// slower corners run slower — while the synchronous link is pinned to
 /// its clock at every corner.
 pub fn corners() -> Vec<CornerRow> {
-    sweep_map(vec![Corner::Fast, Corner::Typical, Corner::Slow], |corner| {
+    parallel_map(vec![Corner::Fast, Corner::Typical, Corner::Slow], |corner| {
         let lib = St012Library::at_corner(corner);
         let opts = MeasureOptions { lib: lib.clone(), ..MeasureOptions::default() };
         let fast_cfg = LinkConfig {

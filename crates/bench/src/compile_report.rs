@@ -15,9 +15,7 @@ use sal_cells::{CircuitBuilder, UnitLibrary};
 use sal_des::json::Json;
 use sal_des::{Simulator, Time, Value};
 use sal_link::measure::MeasureOptions;
-use sal_link::testbench::{
-    attach_sync_sink, attach_sync_source, SyncFlitSink, SyncFlitSource,
-};
+use sal_link::testbench::attach_link_testbench;
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 
 use crate::sliced;
@@ -126,23 +124,7 @@ fn link_stats(family: LinkFamily, compiled: bool) -> EngineStats {
     if compiled {
         sim.compile();
     }
-    sim.stimulus(
-        handles.rstn,
-        &[(Time::ZERO, Value::zero(1)), (Time::from_ns(2), Value::one(1))],
-    );
-    let (src, _sent) = SyncFlitSource::new(
-        handles.clk,
-        handles.stall_out,
-        handles.flit_in,
-        handles.valid_in,
-        cfg.flit_width,
-        words.clone(),
-    );
-    let src = src.with_rstn(handles.rstn);
-    attach_sync_source(&mut sim, "tb_src", src, Time::ZERO);
-    let (snk, received) =
-        SyncFlitSink::new(handles.clk, handles.valid_out, handles.flit_out, handles.stall_in);
-    attach_sync_sink(&mut sim, "tb_snk", snk, Time::ZERO);
+    let (_sent, received) = attach_link_testbench(&mut sim, &handles, &words, Time::from_ns(2));
     let slice = cfg.clk_period * 32;
     while received.borrow().len() < words.len() {
         sim.run_for(slice).expect("link run completes");

@@ -8,7 +8,7 @@ use sal_link::{LinkConfig, LinkFamily, LinkSpec};
 use sal_noc::{LinkModel, Mesh, Network, NetworkConfig, TrafficPattern};
 use sal_tech::WireModel;
 
-use crate::sweep::sweep_map;
+use crate::sweep::parallel_map;
 
 /// All three link families, in the paper's order.
 pub const FAMILIES: [LinkFamily; 3] = LinkFamily::ALL;
@@ -144,7 +144,7 @@ pub fn fig13() -> Vec<PowerRow> {
             BUFFER_SWEEP.iter().map(move |&buffers| (family, buffers))
         })
         .collect();
-    sweep_map(points, |(family, buffers)| {
+    parallel_map(points, |(family, buffers)| {
         let opts = MeasureOptions {
             window_override: lookup(family, buffers),
             ..MeasureOptions::default()
@@ -160,7 +160,7 @@ fn power_runs(clk: Time, window: Option<Time>) -> Vec<LinkRun> {
         .iter()
         .flat_map(|&family| BUFFER_SWEEP.iter().map(move |&b| (family, b)))
         .collect();
-    sweep_map(points, |(family, buffers)| {
+    parallel_map(points, |(family, buffers)| {
         let opts = MeasureOptions { window_override: window, ..MeasureOptions::default() };
         run_spec(&spec_at(family, buffers), &base_at(clk), &worst_case_pattern(4, 32), &opts)
             .expect("clean run")
@@ -431,7 +431,7 @@ pub fn noc_study() -> Vec<NocRow> {
             }
         }
     }
-    sweep_map(points, |(mhz, period_ps, family, offered)| {
+    parallel_map(points, |(mhz, period_ps, family, offered)| {
         let lcfg = LinkConfig {
             clk_period: Time::from_ps(period_ps),
             ..LinkConfig::default()
@@ -484,7 +484,7 @@ pub fn noc_curves() -> Vec<CurvePoint> {
         .iter()
         .flat_map(|&family| (1..=8).map(move |i| (family, 0.08 * i as f64)))
         .collect();
-    sweep_map(points, |(family, offered)| {
+    parallel_map(points, |(family, offered)| {
         let lcfg = LinkConfig {
             clk_period: Time::from_ps(1_667),
             ..LinkConfig::default()

@@ -178,7 +178,7 @@ pub fn campaign() -> FlowsReport {
             });
         }
     }
-    let cells = sweep::parallel_map(specs, run_cell).expect("a flow cell panicked");
+    let cells = sweep::parallel_map(specs, run_cell);
     FlowsReport { cells }
 }
 

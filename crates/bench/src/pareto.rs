@@ -189,7 +189,7 @@ fn measure(spec: &LinkSpec, opts: &MeasureOptions) -> MeasuredCell {
 /// campaign with holes would silently bias the fronts.
 pub fn campaign(specs: &[LinkSpec]) -> Vec<MeasuredCell> {
     let opts = MeasureOptions::default();
-    parallel_map(specs.to_vec(), |spec| measure(&spec, &opts)).unwrap_or_else(|e| panic!("{e}"))
+    parallel_map(specs.to_vec(), |spec| measure(&spec, &opts))
 }
 
 /// `true` if `a` dominates `b`: no worse on every objective, strictly

@@ -28,9 +28,7 @@ use sal_cells::CircuitBuilder;
 use sal_des::trace::MemoryTrace;
 use sal_des::{FaultPlan, SignalId, Simulator, Time, Value};
 use sal_link::measure::MeasureOptions;
-use sal_link::testbench::{
-    attach_sync_sink, attach_sync_source, worst_case_pattern, SyncFlitSink, SyncFlitSource,
-};
+use sal_link::testbench::{attach_link_testbench, worst_case_pattern};
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 
 /// Words streamed per campaign run.
@@ -126,36 +124,19 @@ pub struct CampaignResult {
     pub profile: sal_des::SimProfile,
 }
 
-fn link_sim(cfg: &LinkConfig) -> (Simulator, sal_link::LinkHandles) {
+/// The campaign's I2 link with the standard testbench streaming
+/// [`WORDS`] worst-case words.
+fn link_sim() -> (Simulator, sal_link::LinkHandles) {
+    let cfg = LinkConfig::default();
     let opts = MeasureOptions::default();
     let mut sim = Simulator::new();
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
-    let spec = LinkSpec::from_config(LinkFamily::PerTransfer, cfg)
+    let spec = LinkSpec::from_config(LinkFamily::PerTransfer, &cfg)
         .expect("campaign config is a valid spec");
-    let handles = generate(&mut builder, &spec, "link", cfg).expect("I2 link builds");
+    let handles = generate(&mut builder, &spec, "link", &cfg).expect("I2 link builds");
     builder.finish();
+    attach_link_testbench(&mut sim, &handles, &worst_case_pattern(WORDS, 32), Time::from_ns(2));
     (sim, handles)
-}
-
-fn attach_testbench(sim: &mut Simulator, handles: &sal_link::LinkHandles, cfg: &LinkConfig) {
-    sim.stimulus(
-        handles.rstn,
-        &[(Time::ZERO, Value::zero(1)), (Time::from_ns(2), Value::one(1))],
-    );
-    let words = worst_case_pattern(WORDS, 32);
-    let (src, _sent) = SyncFlitSource::new(
-        handles.clk,
-        handles.stall_out,
-        handles.flit_in,
-        handles.valid_in,
-        cfg.flit_width,
-        words,
-    );
-    let src = src.with_rstn(handles.rstn);
-    attach_sync_source(sim, "tb_src", src, Time::ZERO);
-    let (snk, _received) =
-        SyncFlitSink::new(handles.clk, handles.valid_out, handles.flit_out, handles.stall_in);
-    attach_sync_sink(sim, "tb_snk", snk, Time::ZERO);
 }
 
 fn seg_signal(sim: &Simulator, seg: u8) -> SignalId {
@@ -167,9 +148,7 @@ fn seg_signal(sim: &Simulator, seg: u8) -> SignalId {
 /// fault-plan machinery, delivered-flit change series extracted from
 /// a full transition trace.
 pub fn scalar_run(storm_seed: u64, lane: u8, lanes: u8) -> Series {
-    let cfg = LinkConfig::default();
-    let (mut sim, handles) = link_sim(&cfg);
-    attach_testbench(&mut sim, &handles, &cfg);
+    let (mut sim, handles) = link_sim();
     let mut plan = FaultPlan::new(0);
     for (i, site) in sites(storm_seed).iter().enumerate() {
         let mask = lane_masks(storm_seed, i, lanes)[lane as usize];
@@ -217,9 +196,7 @@ pub fn lane_series(history: &[(Time, sal_des::LaneValues)], lane: u8) -> Series 
 /// `lane_masks(storm_seed, site, lanes)[k]` at each shared site.
 pub fn sliced_campaign(storm_seed: u64, lanes: u8) -> CampaignResult {
     let t0 = Instant::now();
-    let cfg = LinkConfig::default();
-    let (mut sim, handles) = link_sim(&cfg);
-    attach_testbench(&mut sim, &handles, &cfg);
+    let (mut sim, handles) = link_sim();
     sim.compile();
     sim.slice_begin(lanes);
     for (i, site) in sites(storm_seed).iter().enumerate() {

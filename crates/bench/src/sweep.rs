@@ -11,26 +11,11 @@
 //! table — identical to the sequential run regardless of which worker
 //! finishes first.
 //!
-//! Worker panics are surfaced as a [`SweepError`] after all other
-//! workers drain the remaining work; a poisoned run can never hang or
+//! A worker panic is re-raised in the caller after all other workers
+//! drain the remaining work; a poisoned run can never hang or
 //! silently drop rows.
 
 use std::sync::Mutex;
-
-/// Error returned when a sweep worker panicked.
-#[derive(Debug)]
-pub struct SweepError {
-    /// Panic payload of the first worker that died, as text.
-    pub message: String,
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep worker panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for SweepError {}
 
 /// Worker-thread count: the `SAL_SWEEP_THREADS` environment variable
 /// if set to a positive integer, otherwise the machine's available
@@ -49,12 +34,12 @@ pub fn thread_count() -> usize {
 /// Maps `f` over `items` on up to [`thread_count`] scoped threads,
 /// returning the results in input order.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`SweepError`] if any worker panicked. The surviving
-/// workers finish the remaining items first, so the error path joins
-/// every thread — it cannot hang.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>, SweepError>
+/// Re-raises the first worker's panic. The surviving workers finish
+/// the remaining items first, so the panic path joins every thread —
+/// it cannot hang.
+pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -65,11 +50,7 @@ where
 
 /// [`parallel_map`] with an explicit worker count (exposed for tests;
 /// experiments should use [`parallel_map`]).
-pub fn parallel_map_with<T, R, F>(
-    items: Vec<T>,
-    workers: usize,
-    f: F,
-) -> Result<Vec<R>, SweepError>
+pub fn parallel_map_with<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -77,7 +58,7 @@ where
 {
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        return Ok(items.into_iter().map(f).collect());
+        return items.into_iter().map(f).collect();
     }
     let workers = workers.min(n);
     // Work list and result slots. Items are *taken* from the back of
@@ -103,52 +84,18 @@ where
                 })
             })
             .collect();
-        let mut panic_msg: Option<String> = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                // `&*` reaches the payload inside the box — `&payload`
-                // would unsize-coerce the `Box` itself to `&dyn Any`
-                // and every downcast would miss.
-                panic_msg.get_or_insert_with(|| panic_text(&*payload));
-            }
-        }
-        panic_msg
+        // Join every worker before re-raising, keeping the first
+        // panic's payload.
+        handles.into_iter().filter_map(|h| h.join().err()).reduce(|first, _| first)
     });
-    if let Some(message) = first_panic {
-        return Err(SweepError { message });
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
     }
     let slots = results.into_inner().expect("result list poisoned");
-    Ok(slots
+    slots
         .into_iter()
         .map(|slot| slot.expect("no panic, so every slot was filled"))
-        .collect())
-}
-
-/// Renders a panic payload (`&str` or `String` in practice) as text.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// [`parallel_map`] for infallible experiment sweeps: propagates a
-/// worker panic as a panic in the caller (matching the behaviour the
-/// sequential loop had), instead of burdening every figure function
-/// with a `Result`.
-pub fn sweep_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    match parallel_map(items, f) {
-        Ok(rows) => rows,
-        Err(e) => panic!("{e}"),
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -165,38 +112,40 @@ mod tests {
         let out = parallel_map_with(items, 4, |i| {
             std::thread::sleep(Duration::from_micros(((32 - i) * 50) as u64));
             i * 10
-        })
-        .unwrap();
+        });
         assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let f = |i: u64| i.wrapping_mul(0x9E37_79B9).rotate_left(7);
-        let seq = parallel_map_with((0..100).collect(), 1, f).unwrap();
-        let par = parallel_map_with((0..100).collect(), 8, f).unwrap();
+        let seq = parallel_map_with((0..100).collect(), 1, f);
+        let par = parallel_map_with((0..100).collect(), 8, f);
         assert_eq!(seq, par);
     }
 
     #[test]
-    fn worker_panic_surfaces_as_error_not_hang() {
+    fn worker_panic_is_reraised_after_the_sweep_drains() {
         let done = AtomicUsize::new(0);
-        let err = parallel_map_with((0..16).collect::<Vec<usize>>(), 4, |i| {
-            assert!(i != 3, "boom at {i}");
-            done.fetch_add(1, Ordering::Relaxed);
-            i
+        let payload = std::panic::catch_unwind(|| {
+            parallel_map_with((0..16).collect::<Vec<usize>>(), 4, |i| {
+                assert!(i != 3, "boom at {i}");
+                done.fetch_add(1, Ordering::Relaxed);
+                i
+            })
         })
         .unwrap_err();
-        assert!(err.message.contains("boom at 3"), "got: {}", err.message);
+        let message = payload.downcast_ref::<String>().expect("assert! panics with a String");
+        assert!(message.contains("boom at 3"), "got: {message}");
         // The surviving workers drained the rest of the sweep.
         assert_eq!(done.load(Ordering::Relaxed), 15);
     }
 
     #[test]
     fn single_worker_and_empty_inputs() {
-        assert_eq!(parallel_map_with(Vec::<u8>::new(), 4, |x| x).unwrap(), Vec::<u8>::new());
-        assert_eq!(parallel_map_with(vec![7], 4, |x: u8| x + 1).unwrap(), vec![8]);
-        assert_eq!(parallel_map_with(vec![1, 2, 3], 1, |x: u8| x * 2).unwrap(), vec![2, 4, 6]);
+        assert_eq!(parallel_map_with(Vec::<u8>::new(), 4, |x| x), Vec::<u8>::new());
+        assert_eq!(parallel_map_with(vec![7], 4, |x: u8| x + 1), vec![8]);
+        assert_eq!(parallel_map_with(vec![1, 2, 3], 1, |x: u8| x * 2), vec![2, 4, 6]);
     }
 
     #[test]

@@ -1,27 +1,6 @@
 //! Combinational cells.
 
-use sal_des::{Component, Ctx, SignalId, Time, Value};
-
-/// The boolean function computed by a [`Gate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOp {
-    /// Buffer (single input).
-    Buf,
-    /// Inverter (single input).
-    Inv,
-    /// N-input AND.
-    And,
-    /// N-input OR.
-    Or,
-    /// N-input NAND.
-    Nand,
-    /// N-input NOR.
-    Nor,
-    /// 2-input XOR.
-    Xor,
-    /// 2-input XNOR.
-    Xnor,
-}
+use sal_des::{Component, Ctx, GateOp, SignalId, Time, Value};
 
 /// A word-wide combinational gate.
 ///

@@ -56,7 +56,8 @@ mod sources;
 pub use async_cells::{CElement, DavidCell};
 pub use builder::{AreaLedger, CircuitBuilder};
 pub use error::BuildError;
-pub use comb::{Gate, GateOp, Mux2};
+pub use comb::{Gate, Mux2};
 pub use kind::{CellKind, CellParams, Library, UnitLibrary};
+pub use sal_des::GateOp;
 pub use seq::{DLatch, Dff};
 pub use sources::{ClockGen, ConstDriver};

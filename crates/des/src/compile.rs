@@ -39,11 +39,12 @@ use std::collections::VecDeque;
 
 use crate::{ComponentId, LaneValues, SignalId, Time, Value};
 
-/// The boolean function of a compiled gate. Mirrors the cell library's
-/// `GateOp`, re-declared here because `sal-des` sits *below* the cell
-/// crates in the dependency order.
+/// The boolean function of a gate: one enum for the interpreted `Gate`
+/// cell of `sal-cells` (which re-exports it) and the compiled engine's
+/// [`CombFunc::Gate`]. It lives here because `sal-des` sits *below*
+/// the cell crates in the dependency order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecOp {
+pub enum GateOp {
     /// Buffer (single input).
     Buf,
     /// Inverter (single input).
@@ -69,7 +70,7 @@ pub enum CombFunc {
     /// A word-wide gate; 1-bit inputs broadcast across the word.
     Gate {
         /// Boolean operation.
-        op: SpecOp,
+        op: GateOp,
         /// Input signals (1, or 2..=4 depending on `op`).
         inputs: Vec<SignalId>,
         /// Output width in bits.
@@ -239,14 +240,14 @@ impl LowNode {
             CombFunc::Gate { op, width, .. } => {
                 node.width = *width;
                 node.op = match op {
-                    SpecOp::Buf => LowOp::Buf,
-                    SpecOp::Inv => LowOp::Inv,
-                    SpecOp::And => LowOp::And,
-                    SpecOp::Or => LowOp::Or,
-                    SpecOp::Nand => LowOp::Nand,
-                    SpecOp::Nor => LowOp::Nor,
-                    SpecOp::Xor => LowOp::Xor,
-                    SpecOp::Xnor => LowOp::Xnor,
+                    GateOp::Buf => LowOp::Buf,
+                    GateOp::Inv => LowOp::Inv,
+                    GateOp::And => LowOp::And,
+                    GateOp::Or => LowOp::Or,
+                    GateOp::Nand => LowOp::Nand,
+                    GateOp::Nor => LowOp::Nor,
+                    GateOp::Xor => LowOp::Xor,
+                    GateOp::Xnor => LowOp::Xnor,
                 };
             }
             CombFunc::Mux2 { .. } => node.op = LowOp::Mux2,

@@ -71,7 +71,7 @@ pub mod trace;
 mod value;
 mod watchdog;
 
-pub use compile::{CombFunc, CombSpec, SpecOp};
+pub use compile::{CombFunc, CombSpec, GateOp};
 pub use component::{Component, ComponentId, Ctx};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultPlan, Glitch, SkewRule, StuckAt};

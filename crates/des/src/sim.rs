@@ -943,11 +943,11 @@ impl Simulator {
     /// Full metadata and statistics for a signal.
     pub fn signal_info(&self, sig: SignalId) -> SignalInfo {
         let s = &self.kernel.signals[sig.index()];
-        let scope_path = self.scopes.path(s.scope);
-        let path = if scope_path.as_str().is_empty() {
+        let scope_path = self.scopes.path_str(s.scope);
+        let path = if scope_path.is_empty() {
             s.name.clone()
         } else {
-            format!("{}.{}", scope_path, s.name)
+            format!("{scope_path}.{}", s.name)
         };
         SignalInfo {
             name: s.name.clone(),
@@ -960,11 +960,20 @@ impl Simulator {
         }
     }
 
-    /// Looks a signal up by its full hierarchical path.
+    /// Looks a signal up by its full hierarchical path: its bare name
+    /// in the root scope, else its scope's path, a `.` and its name.
+    /// Compares in place, so a lookup allocates nothing.
     pub fn signal_by_path(&self, path: &str) -> Option<SignalId> {
-        (0..self.kernel.signals.len())
-            .map(|i| SignalId(i as u32))
-            .find(|&id| self.signal_info(id).path == path)
+        self.signal_ids().find(|&id| {
+            let s = &self.kernel.signals[id.index()];
+            let scope = self.scopes.path_str(s.scope);
+            let name = if scope.is_empty() {
+                Some(path)
+            } else {
+                path.strip_prefix(scope).and_then(|rest| rest.strip_prefix('.'))
+            };
+            name == Some(s.name.as_str())
+        })
     }
 
     /// Iterates over all signal ids.
@@ -1936,6 +1945,24 @@ mod tests {
         assert_eq!(sim.signal_info(a).path, "top.sub.data");
         assert_eq!(sim.signal_by_path("top.sub.data"), Some(a));
         assert_eq!(sim.signal_by_path("nope"), None);
+        // A name that ends another name, and a scope path that starts
+        // another scope path, each resolve to their own signal.
+        sim.push_scope("top");
+        sim.push_scope("sub");
+        let xdata = sim.add_signal("xdata", 8);
+        sim.pop_scope();
+        sim.push_scope("subx");
+        let b = sim.add_signal("data", 8);
+        sim.pop_scope();
+        sim.pop_scope();
+        let root = sim.add_signal("data", 1);
+        assert_eq!(sim.signal_by_path("top.sub.xdata"), Some(xdata));
+        assert_eq!(sim.signal_by_path("top.subx.data"), Some(b));
+        assert_eq!(sim.signal_by_path("top.sub.data"), Some(a));
+        assert_eq!(sim.signal_by_path("data"), Some(root));
+        assert_eq!(sim.signal_by_path("top.sub"), None);
+        assert_eq!(sim.signal_by_path("top.subdata"), None);
+        assert_eq!(sim.signal_by_path("top.sub.ata"), None);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn build_as_interface(
     let wtok = b.ring_counter("wtok", nreq, Some(rstn), FIFO_DEPTH);
 
     // Sync read pointer (pre-declared consume enable, below).
-    let consume = b.input("consume_pre", 1);
+    let consume = b.net("consume_pre", 1);
     let rtok = b.ring_counter_en("rtok", clk, consume, Some(rstn), FIFO_DEPTH);
 
     let mut les = Vec::with_capacity(FIFO_DEPTH);
@@ -64,8 +64,8 @@ pub fn build_as_interface(
         b.push_scope(&format!("cell{kidx}"));
         // Occupancy flag: async set by the latch-enable, cleared by a
         // one-cycle sync pulse after consumption.
-        let clear = b.input("clear", 1);
-        let flag = b.input("flag", 1);
+        let clear = b.net("clear", 1);
+        let flag = b.net("flag", 1);
         let nflag = b.inv("nflag", flag);
         let nclear = b.inv("nclear", clear);
         let free = b.and2("free", nflag, nclear);

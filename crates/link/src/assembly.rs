@@ -138,8 +138,8 @@ pub(crate) fn build_i2(
     let stall_in = b.input("stall_in", 1);
 
     // Word-level acknowledge wires (pre-declared feedback).
-    let ack_word_tx = b.input("ack_word_tx", 1);
-    let ack_word_rx = b.input("ack_word_rx", 1);
+    let ack_word_tx = b.net("ack_word_tx", 1);
+    let ack_word_rx = b.net("ack_word_rx", 1);
 
     let tx = build_sa_interface(b, "tx_if", cfg, clk, rstn, flit_in, valid_in, ack_word_tx);
 
@@ -154,8 +154,8 @@ pub(crate) fn build_i2(
     let (ser_din, ser_req) = if cfg.protection == ProtectionMode::Off {
         (tx.dout, tx.reqout)
     } else {
-        let nh = b.input("nack_heard", 1);
-        let ac = b.input("ack_core", 1);
+        let nh = b.net("nack_heard", 1);
+        let ac = b.net("ack_core", 1);
         let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, false);
         let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
         b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
@@ -171,7 +171,7 @@ pub(crate) fn build_i2(
     // heard by stage k-1 (acks_in[0] by the serializer).
     let nstations = cfg.buffers as usize;
     let acks_in: Vec<SignalId> =
-        (0..=nstations).map(|k| b.input(&format!("ack_in{k}"), 1)).collect();
+        (0..=nstations).map(|k| b.net(&format!("ack_in{k}"), 1)).collect();
 
     let ser = build_serializer(b, "ser", &icfg, ser_din, ser_req, acks_in[0], core_rstn);
     match ack_core {
@@ -238,7 +238,7 @@ pub(crate) fn build_i2(
     let des_ack = if cfg.protection == ProtectionMode::Off {
         ack_word_rx
     } else {
-        b.input("des_ack", 1)
+        b.net("des_ack", 1)
     };
     let des = build_deserializer(b, "des", &icfg, d, r, des_ack, rx_rstn);
     b.transport_into(
@@ -336,10 +336,10 @@ pub(crate) fn build_i3(
     let valid_in = b.input("valid_in", 1);
     let stall_in = b.input("stall_in", 1);
 
-    let ack_word_tx = b.input("ack_word_tx", 1);
-    let ack_word_rx = b.input("ack_word_rx", 1);
+    let ack_word_tx = b.net("ack_word_tx", 1);
+    let ack_word_rx = b.net("ack_word_rx", 1);
     // The per-word acknowledge as heard by the transmitter.
-    let ack_back_heard = b.input("ack_back_heard", 1);
+    let ack_back_heard = b.net("ack_back_heard", 1);
 
     let tx = build_sa_interface(b, "tx_if", cfg, clk, rstn, flit_in, valid_in, ack_word_tx);
 
@@ -353,8 +353,8 @@ pub(crate) fn build_i3(
     let (ser_din, ser_req) = if cfg.protection == ProtectionMode::Off {
         (tx.dout, tx.reqout)
     } else {
-        let nh = b.input("nack_heard", 1);
-        let ac = b.input("ack_core", 1);
+        let nh = b.net("nack_heard", 1);
+        let ac = b.net("ack_core", 1);
         let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, true);
         let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
         b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
@@ -411,7 +411,7 @@ pub(crate) fn build_i3(
     let des_ack = if cfg.protection == ProtectionMode::Off {
         ack_word_rx
     } else {
-        b.input("des_ack", 1)
+        b.net("des_ack", 1)
     };
     let des = match (cfg.early_word_ack, cfg.word_rx_style) {
         (true, _) => build_word_deserializer_early(b, "des", &icfg, d, v, des_ack, rx_rstn),

@@ -112,7 +112,7 @@ mod tests {
         let rstn = b.input("rstn", 1);
         let din = b.input("din", cfg.flit_width);
         let reqin = b.input("reqin", 1);
-        let ack_mid = b.input("ack_mid", 1); // deserializer -> serializer
+        let ack_mid = b.net("ack_mid", 1); // deserializer -> serializer
         let ser = build_serializer(&mut b, "ser", cfg, din, reqin, ack_mid, rstn);
         let ack_end = b.input("ack_end", 1); // consumer -> deserializer
         let des = build_deserializer(&mut b, "des", cfg, ser.dout, ser.reqout, ack_end, rstn);
@@ -127,7 +127,7 @@ mod tests {
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(des.reqout, des.dout, ack_end);
         let c = c.with_ack_delay(ack_delay);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_us(4)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         got

@@ -29,9 +29,7 @@ use crate::metrics::{self, LinkMetrics};
 use crate::retry::RecoverySignals;
 use crate::scoreboard::{check_integrity, IntegrityCounts, RecoveryCounts};
 use crate::spec::{LinkFamily, LinkSpec, SpecError};
-use crate::testbench::{
-    attach_sync_sink, attach_sync_source, SyncFlitSink, SyncFlitSource,
-};
+use crate::testbench::attach_link_testbench;
 use crate::LinkConfig;
 
 /// Link usage factor the power is averaged at: the paper's 50 %.
@@ -501,27 +499,7 @@ fn run_family(
     // unreset silicon). `opts.reset_hold` defaults to 2 ns — the
     // longest matched-delay chain at the slow technology corner — and
     // is stretched by fault plans that derate gate delays.
-    sim.stimulus(
-        handles.rstn,
-        &[(Time::ZERO, sal_des::Value::zero(1)), (opts.reset_hold, sal_des::Value::one(1))],
-    );
-    let (src, sent) = SyncFlitSource::new(
-        handles.clk,
-        handles.stall_out,
-        handles.flit_in,
-        handles.valid_in,
-        cfg.flit_width,
-        words.to_vec(),
-    );
-    let src = src.with_rstn(handles.rstn);
-    attach_sync_source(&mut sim, "tb_src", src, Time::ZERO);
-    let (snk, received) = SyncFlitSink::new(
-        handles.clk,
-        handles.valid_out,
-        handles.flit_out,
-        handles.stall_in,
-    );
-    attach_sync_sink(&mut sim, "tb_snk", snk, Time::ZERO);
+    let (sent, received) = attach_link_testbench(&mut sim, &handles, words, opts.reset_hold);
 
     // Install the trace sink only now, once the netlist (link +
     // testbench) is final, so the captured signal table is complete.

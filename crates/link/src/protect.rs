@@ -260,7 +260,7 @@ pub(crate) fn build_checker(
 
     // The NACK is a self-clearing pulse: set with the consumption of
     // the bad word, cleared by its own delayed copy.
-    let nack = b.input("nack", 1);
+    let nack = b.net("nack", 1);
     let nack_tail = b.buf_chain("nack_tail", nack, NACK_PULSE_BUFS);
     b.david_cell_into("nack", nack, bad, nack_tail, Some(rstn), false);
 

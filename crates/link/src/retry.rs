@@ -145,10 +145,10 @@ pub(crate) fn build_retry(
     let one = b.tie("one", Value::one(1));
     // Pre-declared flags: the logic computing their set/clear inputs
     // reads them back.
-    let req_down = b.input("req_down", 1);
-    let ack_up = b.input("ack_up", 1);
-    let backoff = b.input("backoff", 1);
-    let resync = b.input("resync", 1);
+    let req_down = b.net("req_down", 1);
+    let ack_up = b.net("ack_up", 1);
+    let backoff = b.net("backoff", 1);
+    let resync = b.net("resync", 1);
 
     let nack_n = b.inv("nack_n", nack_heard);
     let ack_n = b.inv("ack_n", ack_core);

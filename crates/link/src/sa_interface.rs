@@ -64,7 +64,7 @@ pub fn build_sa_interface(
     let mut regs = Vec::with_capacity(FIFO_DEPTH);
 
     // Write pointer: advances on every accepted write.
-    let stall_sig = b.input("stall_pre", 1);
+    let stall_sig = b.net("stall_pre", 1);
     let nstall = b.inv("nstall", stall_sig);
     let wr_accept = b.and2("wr_accept", valid, nstall);
     let wtok = b.ring_counter_en("wtok", clk, wr_accept, Some(rstn), FIFO_DEPTH);
@@ -78,7 +78,7 @@ pub fn build_sa_interface(
         let clear = b.and2("clear", ackin, rtok[kidx]);
         let nclear = b.inv("nclear", clear);
         let flag_rstn = b.and2("flag_rstn", rstn, nclear);
-        let ff1 = b.input("ff1", 1);
+        let ff1 = b.net("ff1", 1);
         let set_or_hold = b.or2("set_or_hold", wr_en, ff1);
         b.dff_into("ff1_ff", ff1, set_or_hold, clk, Some(flag_rstn));
         let ff2 = b.dff("ff2", ff1, clk, Some(flag_rstn));
@@ -91,7 +91,7 @@ pub fn build_sa_interface(
         occupied.push(occ);
 
         // Data register with write enable (mux + DFF).
-        let q = b.input("reg", m);
+        let q = b.net("reg", m);
         let d = b.mux2("wd", wr_en, q, flitin);
         b.dff_into("reg_ff", q, d, clk, Some(rstn));
         regs.push(q);
@@ -176,7 +176,7 @@ mod tests {
         attach_sync_source(&mut sim, "src", src, Time::ZERO);
         let (c, rx) = HsConsumer::new(ports.reqout, ports.dout, ackin);
         let c = c.with_ack_delay(ack_delay);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(run_for).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         let sent_log = sent.borrow().clone();

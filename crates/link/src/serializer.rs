@@ -141,7 +141,7 @@ mod tests {
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(ports.reqout, ports.dout, ackin);
         let c = c.with_ack_delay(ack_delay);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_us(2)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         // Reassemble slices into words for comparison.

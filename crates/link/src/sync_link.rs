@@ -56,9 +56,9 @@ pub fn build_skid_stage(
     let m = w - 1;
     let valid = b.slice("valid_in", data_in, m, 1);
 
-    let use_skid = b.input("use_skid", 1);
+    let use_skid = b.net("use_skid", 1);
     let nstall = b.inv("nstall", stall_down);
-    let out_q = b.input("out_q", w);
+    let out_q = b.net("out_q", w);
     let valid_q = b.slice("valid_q", out_q, m, 1);
     let nvalidq = b.inv("nvalidq", valid_q);
     let out_en = b.or2("out_en", nstall, nvalidq);
@@ -70,7 +70,7 @@ pub fn build_skid_stage(
     let use_next = b.or2("use_next", hold, skid_en);
     b.dff_into("use_skid_ff", use_skid, use_next, clk, Some(rstn));
 
-    let skid_q = b.input("skid_q", w);
+    let skid_q = b.net("skid_q", w);
     let skid_d = b.mux2("skid_d", skid_en, skid_q, data_in);
     b.dff_into("skid_ff", skid_q, skid_d, clk, Some(rstn));
 
@@ -101,9 +101,11 @@ pub fn build_sync_pipeline(
     let nstages = cfg.buffers as usize;
     // Pre-declare the stall wires (they run against the data flow).
     // stalls[k] is driven by stage k (k < nstages) or by the receiving
-    // switch (k == nstages); stage k listens to stalls[k + 1].
-    let stalls: Vec<SignalId> =
-        (0..=nstages).map(|k| b.input(&format!("stall{k}"), 1)).collect();
+    // switch (k == nstages, the pipeline's port); stage k listens to
+    // stalls[k + 1].
+    let mut stalls: Vec<SignalId> =
+        (0..nstages).map(|k| b.net(&format!("stall{k}"), 1)).collect();
+    stalls.push(b.input(&format!("stall{nstages}"), 1));
 
     let mut flit = flit_in;
     let mut valid = valid_in;

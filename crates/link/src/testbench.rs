@@ -10,6 +10,8 @@ use std::rc::Rc;
 
 use sal_des::{CellClass, Component, ComponentId, Ctx, Logic, SignalId, Simulator, Time, Value};
 
+use crate::LinkHandles;
+
 /// A shared recording of `(time, word)` observations.
 pub type Record = Rc<RefCell<Vec<(Time, u64)>>>;
 
@@ -196,10 +198,9 @@ impl Component for HsConsumer {
 }
 
 /// Attaches a consumer, registering it as the driver of `ack`.
-pub fn attach_consumer(sim: &mut Simulator, name: &str, c: HsConsumer, start: Time) -> ComponentId {
+pub fn attach_consumer(sim: &mut Simulator, name: &str, c: HsConsumer) -> ComponentId {
     let req = c.req;
     let ack = c.ack;
-    let _ = start;
     let id = sim.add_component(name, c, &[req]);
     sim.set_component_class(id, CellClass::Env);
     sim.connect_driver(id, ack).expect("consumer ack already driven");
@@ -415,6 +416,33 @@ pub fn attach_sync_sink(
     id
 }
 
+/// Attaches the standard link testbench: `rstn` held low until
+/// `reset_hold`, a synchronous switch (`tb_src`, silent while the
+/// link is in reset) presenting `words` at the link's input, and an
+/// always-ready switch (`tb_snk`) at its output. Returns the source's
+/// send log and the sink's receive log.
+pub fn attach_link_testbench(
+    sim: &mut Simulator,
+    handles: &LinkHandles,
+    words: &[u64],
+    reset_hold: Time,
+) -> (Record, Record) {
+    sim.stimulus(handles.rstn, &[(Time::ZERO, Value::zero(1)), (reset_hold, Value::one(1))]);
+    let (src, sent) = SyncFlitSource::new(
+        handles.clk,
+        handles.stall_out,
+        handles.flit_in,
+        handles.valid_in,
+        sim.signal_width(handles.flit_in),
+        words.to_vec(),
+    );
+    attach_sync_source(sim, "tb_src", src.with_rstn(handles.rstn), Time::ZERO);
+    let (snk, received) =
+        SyncFlitSink::new(handles.clk, handles.valid_out, handles.flit_out, handles.stall_in);
+    attach_sync_sink(sim, "tb_snk", snk, Time::ZERO);
+    (sent, received)
+}
+
 /// The paper's worst-case data pattern: alternating `0xA5A5A5A5` /
 /// `0x5A5A5A5A` words "which exercise the data wires as much as
 /// possible and give worst case data activity" (§V), truncated to the
@@ -458,7 +486,7 @@ mod tests {
         let (p, _sent) = HsProducer::new(req, data, ack, 16, words.clone());
         attach_producer(&mut sim, "prod", p, Time::ZERO);
         let (c, received) = HsConsumer::new(req, data, ack);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_ns(100)).unwrap();
         let got: Vec<u64> = received.borrow().iter().map(|&(_, w)| w).collect();
         assert_eq!(got, words);
@@ -476,7 +504,7 @@ mod tests {
         let (c, received) =
             HsConsumer::new(req, data, ack);
         let c = c.with_ack_delay(Time::from_ns(5));
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_ns(100)).unwrap();
         let times: Vec<Time> = received.borrow().iter().map(|&(t, _)| t).collect();
         assert_eq!(times.len(), 4);

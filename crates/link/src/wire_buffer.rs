@@ -85,9 +85,11 @@ pub fn build_wire_buffer_chain(
 ) -> (WireBufferPorts, SignalId, SignalId) {
     assert!(n >= 1, "chain needs at least one buffer");
     // Pre-declare the ack each stage listens to; acks_in[k] is driven
-    // by stage k+1 (or by the receiver for the last stage).
-    let acks_in: Vec<SignalId> =
-        (0..n).map(|k| b.input(&format!("{name}_ackin{k}"), 1)).collect();
+    // by stage k+1 (or by the receiver for the last stage, the
+    // chain's port).
+    let mut acks_in: Vec<SignalId> =
+        (0..n - 1).map(|k| b.net(&format!("{name}_ackin{k}"), 1)).collect();
+    acks_in.push(b.input(&format!("{name}_ackin{}", n - 1), 1));
     let mut d = din;
     let mut r = reqin;
     let mut first_ack = None;
@@ -140,7 +142,7 @@ mod tests {
         let (p, _) = HsProducer::new(reqin, din, ports.ack_to_prev, 8, words.clone());
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(ports.reqout, ports.dout, ack_next);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_ns(100)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         assert_eq!(got, words);
@@ -162,7 +164,7 @@ mod tests {
         let (p, _) = HsProducer::new(reqin, din, ack_first, 8, words.clone());
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(end.reqout, end.dout, ack_end);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_ns(300)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         assert_eq!(got, words);
@@ -185,7 +187,7 @@ mod tests {
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(end.reqout, end.dout, ack_end);
         let c = c.with_ack_delay(Time::from_ns(20));
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_ns(400)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         assert_eq!(got, words);

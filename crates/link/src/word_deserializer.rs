@@ -175,9 +175,9 @@ pub fn build_word_deserializer_early(
     // Pulse register marking word arrival; cleared when the word is
     // copied into the holding register (NOT by the interface ack).
     let one = b.tie("one", sal_des::Value::one(1));
-    let hold_full = b.input("hold_full", 1);
+    let hold_full = b.net("hold_full", 1);
     let hold_free = b.inv("hold_free", hold_full);
-    let copy_clr = b.input("copy_clr", 1);
+    let copy_clr = b.net("copy_clr", 1);
     let ncopy_clr = b.inv("ncopy_clr", copy_clr);
     let p_rstn = b.and2("p_rstn", rstn, ncopy_clr);
     let pulses = b.shift_register("p", one, valid, Some(p_rstn), k);
@@ -247,7 +247,7 @@ mod tests {
         let rstn = b.input("rstn", 1);
         let din = b.input("din", cfg.flit_width);
         let reqin = b.input("reqin", 1);
-        let ack_back_wire = b.input("ack_back", 1);
+        let ack_back_wire = b.net("ack_back", 1);
         let ser = build_word_serializer(&mut b, "wser", cfg, din, reqin, ack_back_wire, rstn);
         let ackin = b.input("ackin", 1);
         let des = build_rx(&mut b, "wdes", cfg, ser.dout, ser.valid, ackin, rstn);
@@ -261,7 +261,7 @@ mod tests {
         attach_producer(&mut sim, "prod", p, Time::from_ns(1));
         let (c, rx) = HsConsumer::new(des.reqout, des.dout, ackin);
         let c = c.with_ack_delay(ack_delay);
-        attach_consumer(&mut sim, "cons", c, Time::ZERO);
+        attach_consumer(&mut sim, "cons", c);
         sim.run_until(Time::from_us(2)).unwrap();
         let got: Vec<u64> = rx.borrow().iter().map(|&(_, w)| w).collect();
         got
@@ -355,7 +355,7 @@ mod tests {
             let rstn = b.input("rstn", 1);
             let din = b.input("din", cfg.flit_width);
             let reqin = b.input("reqin", 1);
-            let ack_back_wire = b.input("ack_back", 1);
+            let ack_back_wire = b.net("ack_back", 1);
             let ser =
                 build_word_serializer(&mut b, "wser", &cfg, din, reqin, ack_back_wire, rstn);
             let ackin = b.input("ackin", 1);
@@ -373,7 +373,7 @@ mod tests {
             // Interface with a realistic ~0.5 ns turnaround.
             let (c, rx) = HsConsumer::new(des.reqout, des.dout, ackin);
             let c = c.with_ack_delay(Time::from_ps(500));
-            attach_consumer(&mut sim, "cons", c, Time::ZERO);
+            attach_consumer(&mut sim, "cons", c);
             sim.run_until(Time::from_us(2)).unwrap();
             let log = rx.borrow();
             assert_eq!(log.len(), n, "transfer incomplete");

@@ -62,7 +62,7 @@ pub fn build_word_serializer(
         .collect();
 
     // Burst control: set on a fresh request, cleared when done.
-    let done = b.input("done", 1);
+    let done = b.net("done", 1);
     let ndone = b.inv("ndone", done);
     let start = b.and2("start", reqin, ndone);
     let burst = b.david_cell("burst", start, done, Some(rstn), false);

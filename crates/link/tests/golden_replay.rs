@@ -16,11 +16,9 @@
 //! ```
 
 use sal_cells::CircuitBuilder;
-use sal_des::{Simulator, Time, Value};
+use sal_des::{Simulator, Time};
 use sal_link::measure::MeasureOptions;
-use sal_link::testbench::{
-    attach_sync_sink, attach_sync_source, worst_case_pattern, SyncFlitSink, SyncFlitSource,
-};
+use sal_link::testbench::{attach_link_testbench, worst_case_pattern};
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 use std::fmt::Write as _;
 
@@ -60,27 +58,7 @@ fn replay_with(spec: &LinkSpec, empty_plan: bool, compiled: bool) -> String {
     if compiled {
         assert!(sim.compile() > 0, "a link netlist has combinational cells to compile");
     }
-    sim.stimulus(
-        handles.rstn,
-        &[(Time::ZERO, Value::zero(1)), (Time::from_ns(2), Value::one(1))],
-    );
-    let (src, _sent) = SyncFlitSource::new(
-        handles.clk,
-        handles.stall_out,
-        handles.flit_in,
-        handles.valid_in,
-        cfg.flit_width,
-        words.clone(),
-    );
-    let src = src.with_rstn(handles.rstn);
-    attach_sync_source(&mut sim, "tb_src", src, Time::ZERO);
-    let (snk, received) = SyncFlitSink::new(
-        handles.clk,
-        handles.valid_out,
-        handles.flit_out,
-        handles.stall_in,
-    );
-    attach_sync_sink(&mut sim, "tb_snk", snk, Time::ZERO);
+    let (_sent, received) = attach_link_testbench(&mut sim, &handles, &words, Time::from_ns(2));
     let slice = cfg.clk_period * 32;
     while received.borrow().len() < words.len() {
         sim.run_for(slice).expect("simulation error");

@@ -60,6 +60,57 @@ fn clean_links_have_zero_lint_errors_across_corners() {
     }
 }
 
+/// A port is a signal the link's environment drives; a wire the link
+/// drives itself is a net. A port with a driver inside the link hides
+/// that wire from the connectivity lint's undriven check, so no link
+/// may have one: every family × protection, with both I3 receiver
+/// styles, and early word acknowledge where it is allowed (without
+/// protection).
+#[test]
+fn links_drive_none_of_their_ports() {
+    let base = LinkConfig::default();
+    let cfgs = [
+        ("default", base.clone()),
+        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
+        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
+    ];
+    for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
+        for protection in [ProtectionMode::Off, ProtectionMode::Parity, ProtectionMode::Crc8] {
+            if family == LinkFamily::Sync && protection != ProtectionMode::Off {
+                continue; // the synchronous link carries no protection
+            }
+            let spec = LinkSpec::builder()
+                .family(family)
+                .protection(protection)
+                .build()
+                .expect("valid spec");
+            for (label, cfg) in &cfgs {
+                if cfg.early_word_ack && protection != ProtectionMode::Off {
+                    continue;
+                }
+                let mut sim = Simulator::new();
+                let lib = St012Library::default();
+                let mut b = CircuitBuilder::new(&mut sim, &lib);
+                generate(&mut b, &spec, "link", cfg).expect("link builds cleanly");
+                b.finish();
+                let graph = sim.netgraph();
+                let driven: Vec<&str> = graph
+                    .signals
+                    .iter()
+                    .filter(|s| s.is_port && !s.drivers.is_empty())
+                    .map(|s| s.path.as_str())
+                    .collect();
+                assert!(
+                    driven.is_empty(),
+                    "{} {} @ {label}: driven ports {driven:?}",
+                    family.label(),
+                    protection.label()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn async_links_have_positive_static_margins() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {

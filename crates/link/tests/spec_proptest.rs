@@ -9,11 +9,9 @@
 
 use proptest::prelude::*;
 use sal_cells::CircuitBuilder;
-use sal_des::{Simulator, Time, Value};
+use sal_des::{Simulator, Time};
 use sal_link::measure::{run_spec, MeasureOptions};
-use sal_link::testbench::{
-    attach_sync_sink, attach_sync_source, worst_case_pattern, SyncFlitSink, SyncFlitSource,
-};
+use sal_link::testbench::{attach_link_testbench, worst_case_pattern};
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode};
 use sal_lint::run_all;
 use std::fmt::Write as _;
@@ -107,27 +105,7 @@ fn replay_spec(spec: &LinkSpec) -> String {
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
     let handles = generate(&mut builder, spec, "link", &base).expect("link builds");
     let _area = builder.finish();
-    sim.stimulus(
-        handles.rstn,
-        &[(Time::ZERO, Value::zero(1)), (Time::from_ns(2), Value::one(1))],
-    );
-    let (src, _sent) = SyncFlitSource::new(
-        handles.clk,
-        handles.stall_out,
-        handles.flit_in,
-        handles.valid_in,
-        cfg.flit_width,
-        words.clone(),
-    );
-    let src = src.with_rstn(handles.rstn);
-    attach_sync_source(&mut sim, "tb_src", src, Time::ZERO);
-    let (snk, received) = SyncFlitSink::new(
-        handles.clk,
-        handles.valid_out,
-        handles.flit_out,
-        handles.stall_in,
-    );
-    attach_sync_sink(&mut sim, "tb_snk", snk, Time::ZERO);
+    let (_sent, received) = attach_link_testbench(&mut sim, &handles, &words, Time::from_ns(2));
     let slice = cfg.clk_period * 32;
     while received.borrow().len() < words.len() {
         sim.run_for(slice).expect("simulation error");

@@ -45,6 +45,26 @@ fn connectivity_fires_on_floating_input() {
 }
 
 #[test]
+fn connectivity_fires_on_an_undriven_net_but_not_on_a_port() {
+    // A feedback net that a cell reads but nothing ever drives floats;
+    // the same wire declared as a port is the environment's to drive.
+    for port in [false, true] {
+        let mut sim = Simulator::new();
+        let lib = St012Library::default();
+        let mut b = CircuitBuilder::new(&mut sim, &lib);
+        let a = b.input("a", 1);
+        let ack = if port { b.input("ack", 1) } else { b.net("ack", 1) };
+        let _y = b.and2("y", a, ack);
+        b.finish();
+        let report = run_all(&sim.netgraph());
+        let fired = errors_of(&report, "connectivity")
+            .iter()
+            .any(|f| f.path == "ack" && f.message.contains("undriven"));
+        assert_eq!(fired, !port, "port = {port}:\n{}", report.to_text());
+    }
+}
+
+#[test]
 fn connectivity_fires_on_unarbitrated_double_driver() {
     let mut sim = Simulator::new();
     let lib = St012Library::default();
@@ -144,7 +164,7 @@ fn loops_fire_on_cross_coupled_nands() {
     // state element, structurally a combinational cycle — exactly the
     // hazard the pass exists for (un-modelled storage the timing
     // passes cannot see).
-    let qb_pre = b.input("qb_pre", 1);
+    let qb_pre = b.net("qb_pre", 1);
     let q = b.nand2("q", set, qb_pre);
     let qb = b.nand2("qb", rst, q);
     b.buf_into("qb_drv", qb_pre, qb);
@@ -193,7 +213,7 @@ fn loops_silent_on_sequential_feedback() {
     let rstn = b.input("rstn", 1);
     // Handshake feedback through a C-element: cyclic, but the cycle
     // passes through a state-holding cell — not a combinational loop.
-    let ack_pre = b.input("ack_pre", 1);
+    let ack_pre = b.net("ack_pre", 1);
     let nack = b.inv("nack", ack_pre);
     let lt = b.celement2("lt", req, nack, Some(rstn), false);
     b.buf_into("ack_drv", ack_pre, lt);

@@ -89,7 +89,7 @@ pub fn build_switch(
     for i in 0..5 {
         b.push_scope(&format!("in_{}", PORTS[i]));
         let bus = b.concat("bus", &[flit_in[i], valid_in[i]]);
-        let stall_down = b.input("stall_down", 1);
+        let stall_down = b.net("stall_down", 1);
         let (out_q, use_skid) = build_skid_stage(b, clk, rstn, bus, stall_down);
         clocked_bits += m as u32 + 2;
         let v = b.slice("vq", out_q, m, 1);

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rstn = b.input("rstn", 1);
     let din = b.input("din", cfg.flit_width);
     let reqin = b.input("reqin", 1);
-    let ack_back = b.input("ack_back", 1);
+    let ack_back = b.net("ack_back", 1);
     let ser = build_word_serializer(&mut b, "wser", &cfg, din, reqin, ack_back, rstn);
     let ackin = b.input("ackin", 1);
     let des = build_word_deserializer(&mut b, "wdes", &cfg, ser.dout, ser.valid, ackin, rstn);
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (p, _) = HsProducer::new(reqin, din, ser.ackout, cfg.flit_width, words.clone());
     attach_producer(&mut sim, "prod", p, Time::from_ns(1));
     let (c, rx) = HsConsumer::new(des.reqout, des.dout, ackin);
-    attach_consumer(&mut sim, "cons", c, Time::ZERO);
+    attach_consumer(&mut sim, "cons", c);
     sim.set_trace_sink(Box::new(MemoryTrace::new()));
     sim.run_until(Time::from_ns(20))?;
 
