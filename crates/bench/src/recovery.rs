@@ -78,8 +78,10 @@ impl Glitch {
     }
 }
 
-/// Deterministic xorshift64* stream for storm synthesis.
-struct Rng(u64);
+/// Deterministic xorshift64* stream for storm and site synthesis
+/// (campaign artifacts must be reproducible from the seed alone); the
+/// state must be non-zero.
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
@@ -91,7 +93,7 @@ impl Rng {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 }

@@ -31,6 +31,8 @@ use sal_link::measure::MeasureOptions;
 use sal_link::testbench::{attach_link_testbench, worst_case_pattern};
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 
+use crate::recovery::Rng;
+
 /// Words streamed per campaign run.
 pub const WORDS: usize = 16;
 
@@ -51,25 +53,6 @@ pub struct Site {
     pub at_ps: u64,
     /// Upset width, picoseconds.
     pub width_ps: u64,
-}
-
-/// Deterministic xorshift64* stream (campaign artifacts must be
-/// reproducible from the seed alone).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
 }
 
 /// Synthesizes the shared site list: [`SITES`] windows spread across

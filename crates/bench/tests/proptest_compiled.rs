@@ -1,10 +1,13 @@
 //! Property test: the compiled netlist engine is bit-identical to the
 //! interpreted event loop on randomly generated gate networks.
 //!
-//! The generator grows a random DAG of word-wide gates (INV/BUF/AND/
-//! OR/NAND/XOR/MUX), 1-bit control logic, D flip-flops and transparent
-//! latches, then drives it with random stimulus schedules and a seeded
-//! glitch plan, so fault forces and restores run too. Both engines run
+//! The generator grows a random DAG of every combinational cell shape
+//! the builder places (word-wide INV/BUF, 2- to 4-input AND/OR, NAND,
+//! XOR/XNOR and MUX gates, 1-bit control logic, bit slices, and
+//! concats of up to 16 parts, most wider than a node's four inline
+//! pins), D flip-flops and transparent latches, then drives it with
+//! random stimulus schedules and a seeded glitch plan, so fault forces
+//! and restores run too. Both engines run
 //! the identical netlist and the *entire* transition trace — every
 //! `(time, signal, old, new)` commit in order — plus per-signal toggle
 //! counters must match exactly, and each trace must hold one record
@@ -72,28 +75,46 @@ fn run_random_net(seed: u64, compiled: bool) -> NetRun {
         let (pool_w, out) = if word {
             let a = rng.pick(&wpool);
             let c = rng.pick(&wpool);
-            let out = match rng.below(7) {
+            let d = rng.pick(&wpool);
+            let out = match rng.below(12) {
                 0 => b.inv(&name, a),
                 1 => b.buf(&name, a),
                 2 => b.and2(&name, a, c),
                 3 => b.or2(&name, a, c),
                 4 => b.nand2(&name, a, c),
                 5 => b.xor2(&name, a, c),
-                _ => {
+                6 => b.xnor2(&name, a, c),
+                7 => b.and3(&name, a, c, d),
+                8 => b.or3(&name, a, c, d),
+                9 => b.or4(&name, a, c, d, rng.pick(&wpool)),
+                10 => {
                     let sel = rng.pick(&bpool);
                     b.mux2(&name, sel, a, c)
+                }
+                _ => {
+                    // A low slice of `a` under `k` control bits: up to
+                    // `width` parts.
+                    let k = rng.below(u64::from(width)) as u8;
+                    let mut parts = vec![b.slice(&format!("{name}_lo"), a, 0, width - k)];
+                    parts.extend((0..k).map(|_| rng.pick(&bpool)));
+                    b.concat(&name, &parts)
                 }
             };
             (true, out)
         } else {
             let a = rng.pick(&bpool);
             let c = rng.pick(&bpool);
-            let out = match rng.below(5) {
+            let out = match rng.below(7) {
                 0 => b.inv(&name, a),
                 1 => b.and2(&name, a, c),
                 2 => b.or2(&name, a, c),
                 3 => b.nand2(&name, a, c),
-                _ => b.xor2(&name, a, c),
+                4 => b.xor2(&name, a, c),
+                5 => b.xnor2(&name, a, c),
+                _ => {
+                    let word = rng.pick(&wpool);
+                    b.slice(&name, word, rng.below(u64::from(width)) as u8, 1)
+                }
             };
             (false, out)
         };

@@ -4,12 +4,10 @@
 use std::collections::BTreeMap;
 
 use sal_des::{
-    CellClass, CombFunc, CombSpec, Component, ComponentId, GateOp, ScopeId, SignalId, SimResult,
-    Simulator, Time, Value,
+    CellClass, CombFunc, ComponentId, GateOp, ScopeId, SignalId, SimResult, Simulator, Time, Value,
 };
 
 use crate::async_cells::{CElement, DavidCell};
-use crate::comb::{ConcatWire, Gate, Mux2, SliceWire};
 use crate::error::BuildError;
 use crate::kind::{CellKind, CellParams, Library};
 use crate::seq::{DLatch, Dff};
@@ -238,22 +236,22 @@ impl<'a> CircuitBuilder<'a> {
         p
     }
 
-    /// The one placement sequence every cell goes through: add `comp`,
-    /// woken by changes of `wake`; tag its class and nominal delay
-    /// (metadata only; see `sal_des::NetGraph`); let `meta` add the
-    /// cell's own annotations and switching energy; register it as
-    /// the driver of `out`.
+    /// The one placement sequence every cell goes through: `add` puts
+    /// the cell in the netlist with its wake list (a behavioural
+    /// component, or a combinational node the kernel evaluates); tag
+    /// its class and nominal delay (metadata only; see
+    /// `sal_des::NetGraph`); let `meta` add the cell's own annotations
+    /// and switching energy; register it as the driver of `out`.
     fn place(
         &mut self,
         name: &str,
-        comp: impl Component,
-        wake: &[SignalId],
+        add: impl FnOnce(&mut Simulator) -> ComponentId,
         out: SignalId,
         class: CellClass,
         delay: Time,
         meta: impl FnOnce(&mut Simulator, ComponentId),
     ) -> ComponentId {
-        let id = self.sim.add_component(name, comp, wake);
+        let id = add(self.sim);
         self.sim.set_component_class(id, class);
         self.sim.set_component_delay(id, delay);
         meta(self.sim, id);
@@ -262,24 +260,23 @@ impl<'a> CircuitBuilder<'a> {
         id
     }
 
-    /// Places a gate, buffer or wire segment driving `out`, with its
-    /// compiled-execution description.
-    fn place_gate(
+    /// Places a combinational cell (gate, buffer, wire segment, mux,
+    /// slice or concat) computing `func` onto `out`, charging
+    /// `energy_fj` per output toggle; pure wiring charges none.
+    fn place_comb(
         &mut self,
         name: &str,
         out: SignalId,
-        op: GateOp,
-        inputs: &[SignalId],
+        func: CombFunc,
         class: CellClass,
         delay: Time,
-        energy_fj: f64,
+        energy_fj: Option<f64>,
     ) -> ComponentId {
-        let width = self.sim.signal_width(out);
-        let comp = Gate::new(op, inputs.to_vec(), out, width, delay);
-        self.place(name, comp, inputs, out, class, delay, |sim, id| {
-            let func = CombFunc::Gate { op, inputs: inputs.to_vec(), width, delay };
-            sim.set_comb_spec(id, CombSpec::new(out, func));
-            sim.set_signal_energy(out, energy_fj);
+        let add = |sim: &mut Simulator| sim.add_comb(name, out, func);
+        self.place(name, add, out, class, delay, |sim, _| {
+            if let Some(fj) = energy_fj {
+                sim.set_signal_energy(out, fj);
+            }
         })
     }
 
@@ -301,7 +298,8 @@ impl<'a> CircuitBuilder<'a> {
             return None;
         }
         let p = self.account(kind, width);
-        Some(self.place_gate(name, out, op, inputs, CellClass::Comb, p.delay, p.energy_fj))
+        let func = CombFunc::Gate { op, inputs: inputs.to_vec(), delay: p.delay };
+        Some(self.place_comb(name, out, func, CellClass::Comb, p.delay, Some(p.energy_fj)))
     }
 
     fn gate(&mut self, name: &str, op: GateOp, kind: CellKind, inputs: &[SignalId]) -> SignalId {
@@ -386,11 +384,8 @@ impl<'a> CircuitBuilder<'a> {
         }
         let p = self.account(CellKind::Mux2, width);
         let out = self.net(name, width);
-        let comp = Mux2::new(sel, a, b, out, p.delay);
-        self.place(name, comp, &[sel, a, b], out, CellClass::Comb, p.delay, |sim, id| {
-            sim.set_comb_spec(id, CombSpec::new(out, CombFunc::Mux2 { sel, a, b, delay: p.delay }));
-            sim.set_signal_energy(out, p.energy_fj);
-        });
+        let func = CombFunc::Mux2 { sel, a, b, delay: p.delay };
+        self.place_comb(name, out, func, CellClass::Comb, p.delay, Some(p.energy_fj));
         out
     }
 
@@ -407,7 +402,8 @@ impl<'a> CircuitBuilder<'a> {
         let q = self.net(name, width);
         let comp = DLatch::new(d, en, rstn, q, width, p.delay);
         let wake: Vec<SignalId> = [d, en].into_iter().chain(rstn).collect();
-        self.place(name, comp, &wake, q, CellClass::Latch, p.delay, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, comp, &wake);
+        self.place(name, add, q, CellClass::Latch, p.delay, |sim, id| {
             sim.set_component_pins(id, &[d], &[en]);
             sim.set_capture_rule(q, d);
             sim.set_signal_energy(q, p.energy_fj);
@@ -454,7 +450,8 @@ impl<'a> CircuitBuilder<'a> {
         // detected), so waking the flop on data activity would only
         // burn no-op evaluations. `d` is still read at the edge.
         let wake: Vec<SignalId> = [clk].into_iter().chain(rstn).collect();
-        self.place(name, comp, &wake, q, CellClass::Dff, p.delay, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, comp, &wake);
+        self.place(name, add, q, CellClass::Dff, p.delay, |sim, id| {
             sim.set_component_pins(id, &[d], &[clk]);
             sim.declare_read(id, d);
             sim.set_capture_rule(q, d);
@@ -486,7 +483,8 @@ impl<'a> CircuitBuilder<'a> {
         let z = self.net(name, 1);
         let comp = CElement::new(inputs.to_vec(), rstn, z, p.delay, init);
         let wake: Vec<SignalId> = inputs.iter().copied().chain(rstn).collect();
-        self.place(name, comp, &wake, z, CellClass::CElement, p.delay, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, comp, &wake);
+        self.place(name, add, z, CellClass::CElement, p.delay, |sim, id| {
             sim.set_component_pins(id, &[], inputs);
             sim.set_signal_energy(z, p.energy_fj);
         });
@@ -528,7 +526,8 @@ impl<'a> CircuitBuilder<'a> {
         let p = self.account(CellKind::DavidCell, 1);
         let comp = DavidCell::new(set, clr, rstn, out, p.delay, init);
         let wake: Vec<SignalId> = [set, clr].into_iter().chain(rstn).collect();
-        self.place(name, comp, &wake, out, CellClass::DavidCell, p.delay, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, comp, &wake);
+        self.place(name, add, out, CellClass::DavidCell, p.delay, |sim, id| {
             sim.set_component_pins(id, &[], &[set, clr]);
             sim.set_signal_energy(out, p.energy_fj);
         });
@@ -538,8 +537,8 @@ impl<'a> CircuitBuilder<'a> {
     pub fn tie(&mut self, name: &str, value: Value) -> SignalId {
         let p = self.account(CellKind::Tie, value.width());
         let out = self.net(name, value.width());
-        let comp = ConstDriver::new(out, value);
-        self.place(name, comp, &[], out, CellClass::Source, Time::ZERO, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, ConstDriver::new(out, value), &[]);
+        self.place(name, add, out, CellClass::Source, Time::ZERO, |sim, id| {
             sim.set_signal_energy(out, p.energy_fj);
             sim.schedule_wake(id, Time::ZERO);
         });
@@ -550,8 +549,8 @@ impl<'a> CircuitBuilder<'a> {
     /// tree cost is modelled analytically by the technology layer).
     pub fn clock(&mut self, name: &str, period: Time) -> SignalId {
         let out = self.net(name, 1);
-        let comp = ClockGen::new(out, period);
-        self.place(name, comp, &[], out, CellClass::Source, Time::ZERO, |sim, id| {
+        let add = |sim: &mut Simulator| sim.add_component(name, ClockGen::new(out, period), &[]);
+        self.place(name, add, out, CellClass::Source, Time::ZERO, |sim, id| {
             sim.schedule_wake(id, Time::ZERO);
         });
         out
@@ -604,10 +603,8 @@ impl<'a> CircuitBuilder<'a> {
             return self.placeholder(name, width);
         }
         let out = self.net(name, width);
-        let comp = SliceWire::new(bus, lo, width, out);
-        self.place(name, comp, &[bus], out, CellClass::Route, Time::ZERO, |sim, id| {
-            sim.set_comb_spec(id, CombSpec::new(out, CombFunc::Slice { src: bus, lo, width }));
-        });
+        let func = CombFunc::Slice { src: bus, lo };
+        self.place_comb(name, out, func, CellClass::Route, Time::ZERO, None);
         out
     }
 
@@ -627,10 +624,8 @@ impl<'a> CircuitBuilder<'a> {
             return self.placeholder(name, 1);
         }
         let out = self.net(name, width as u8);
-        let comp = ConcatWire::new(parts.to_vec(), out);
-        self.place(name, comp, parts, out, CellClass::Route, Time::ZERO, |sim, id| {
-            sim.set_comb_spec(id, CombSpec::new(out, CombFunc::Concat { parts: parts.to_vec() }));
-        });
+        let func = CombFunc::Concat { parts: parts.to_vec() };
+        self.place_comb(name, out, func, CellClass::Route, Time::ZERO, None);
         out
     }
 
@@ -665,7 +660,8 @@ impl<'a> CircuitBuilder<'a> {
         energy_fj: f64,
     ) {
         if self.width_ok(name, self.sim.signal_width(src), self.sim.signal_width(out)) {
-            self.place_gate(name, out, GateOp::Buf, &[src], CellClass::Wire, delay, energy_fj);
+            let func = CombFunc::Gate { op: GateOp::Buf, inputs: vec![src], delay };
+            self.place_comb(name, out, func, CellClass::Wire, delay, Some(energy_fj));
         }
     }
 

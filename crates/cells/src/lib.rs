@@ -1,12 +1,17 @@
 //! # sal-cells — primitive cell library
 //!
 //! Gate-level building blocks for the circuits of *Serialized
-//! Asynchronous Links for NoC* (Ogg et al., DATE 2008), implemented as
-//! [`sal_des`] components:
+//! Asynchronous Links for NoC* (Ogg et al., DATE 2008):
 //!
 //! * **Combinational**: inverters, buffers, N-input AND/OR/NAND/NOR,
-//!   XOR/XNOR, 2-way multiplexers — all word-wide (a 32-bit bus is one
-//!   signal; area and energy scale with the width).
+//!   XOR/XNOR, 2-way multiplexers and slice/concat wiring — all
+//!   word-wide (a 32-bit bus is one signal; area and energy scale
+//!   with the width). The builder places them with
+//!   [`Simulator::add_comb`](sal_des::Simulator::add_comb) as nodes
+//!   the kernel evaluates itself; they have no component type here.
+//!
+//! The other cells are [`sal_des`] components:
+//!
 //! * **Sequential**: transparent D-latches and positive-edge D
 //!   flip-flops with asynchronous active-low reset.
 //! * **Asynchronous** (Fig 3 of the paper): the Muller **C-element**
@@ -47,7 +52,6 @@
 
 mod async_cells;
 mod builder;
-mod comb;
 mod error;
 mod kind;
 mod seq;
@@ -56,8 +60,6 @@ mod sources;
 pub use async_cells::{CElement, DavidCell};
 pub use builder::{AreaLedger, CircuitBuilder};
 pub use error::BuildError;
-pub use comb::{Gate, Mux2};
 pub use kind::{CellKind, CellParams, Library, UnitLibrary};
-pub use sal_des::GateOp;
 pub use seq::{DLatch, Dff};
 pub use sources::{ClockGen, ConstDriver};

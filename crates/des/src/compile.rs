@@ -1,48 +1,55 @@
-//! Netlist compilation: spec-driven execution of combinational cells.
+//! Combinational cells: the node table and its one evaluator.
 //!
-//! The interpreted kernel routes *every* gate evaluation through the
-//! global three-tier event queue and a `dyn Component` dispatch. For
-//! the combinational regions between state cells that is pure
-//! overhead: the cells are side-effect-free functions of their
-//! committed inputs, their drives are inertial, and their fanout is
-//! static. The compiler exploits this. Cell builders register a
-//! [`CombSpec`] — a closed description of the cell's boolean function,
-//! pins and nominal delay — alongside the component, and
-//! [`Simulator::compile`](crate::Simulator::compile) then flips every
-//! specced, transparent, non-loop-exempt component into *compiled*
-//! execution:
+//! A combinational cell (a gate, a mux, a slice or a concat) is a
+//! side-effect-free function of its committed inputs with a fixed
+//! nominal delay. [`Simulator::add_comb`](crate::Simulator::add_comb)
+//! lowers its [`CombFunc`] once into a flat [`LowNode`] record that the
+//! simulator owns (opcode, inline pin list, output and delay), and the
+//! kernel evaluates that record itself on every input commit: no box
+//! and no virtual call. One function body, [`LowNode::eval`], computes
+//! a node over any [`CombValue`]: a [`Value`] in a scalar run, a
+//! [`LaneValues`] plane set for the lanes of a sliced campaign, with
+//! one 1-bit-to-word input broadcast rule for both.
 //!
-//! - evaluation reads the committed input values and computes the
-//!   output directly from the spec (no box, no virtual call);
-//! - the resulting inertial drive is scheduled on a small private
-//!   **calendar** owned by the compiled engine instead of the global
-//!   event queue, so the dominant gate-delay churn never touches the
-//!   queue's near-lane insertion path;
-//! - state cells (latches, flops, C-elements), matched-delay chains,
-//!   handshake edges, environment models and the loop-closing inverter
-//!   of a ring oscillator keep their event-queue semantics untouched —
-//!   their *timing* is the design under test, not an implementation
-//!   detail to optimise away.
+//! The two engines differ only in where a node's operands come from
+//! and where its drive goes:
+//!
+//! - uncompiled, a node reads the committed values and drives through
+//!   [`Ctx::drive`](crate::Ctx::drive) onto the global event queue,
+//!   exactly as a behavioural cell would. So does every node that
+//!   [`Simulator::compile`](crate::Simulator::compile) leaves out: one
+//!   whose cell class is not transparent, or the loop-closing inverter
+//!   of a ring oscillator, whose free-running timing is the design
+//!   under test;
+//! - compiled, a node reads the dense committed-value shadow and its
+//!   inertial drive goes on a small private **calendar** instead of
+//!   the global event queue, so the dominant gate-delay churn never
+//!   touches the queue's near-lane insertion path. `compile()` lowers
+//!   nothing: it picks the member nodes, counts their cones and
+//!   snapshots the shadow.
+//!
+//! State cells (latches, flops, C-elements), matched-delay chains,
+//! handshake edges and environment models are behavioural components
+//! on the event queue in both engines: their *timing* is the design
+//! under test, not an implementation detail to optimise away.
 //!
 //! Equivalence contract: a compiled run commits the same per-signal
 //! `(time, value)` sequences, toggle counts and energies as the
-//! interpreted run. The proof obligation is local: a compiled
-//! evaluation goes through the kernel's one inertial-drive rule, the
-//! one [`Ctx::drive`](crate::Ctx::drive) applies, and calendar entries
+//! uncompiled run. The proof obligation is local: both engines compute
+//! a node with the same function, a compiled evaluation goes through
+//! the kernel's one inertial-drive rule, the one
+//! [`Ctx::drive`](crate::Ctx::drive) applies, and calendar entries
 //! are validated against the signal's drive epoch at pop time and
-//! committed by the same commit core as queued drive events. Intra-timestamp *interleaving*
-//! (delta boundaries, evaluation counts) may differ in designs with
-//! same-femtosecond data/trigger races — the races the lint's timing
-//! pass exists to flag.
+//! committed by the same commit core as queued drive events.
+//! Intra-timestamp *interleaving* (delta boundaries, evaluation
+//! counts) may differ in designs with same-femtosecond data/trigger
+//! races — the races the lint's timing pass exists to flag.
 
 use std::collections::VecDeque;
 
-use crate::{ComponentId, LaneValues, SignalId, Time, Value};
+use crate::{LaneValues, Logic, SignalId, Time, Value};
 
-/// The boolean function of a gate: one enum for the interpreted `Gate`
-/// cell of `sal-cells` (which re-exports it) and the compiled engine's
-/// [`CombFunc::Gate`]. It lives here because `sal-des` sits *below*
-/// the cell crates in the dependency order.
+/// The boolean function of a gate (see [`CombFunc::Gate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateOp {
     /// Buffer (single input).
@@ -63,8 +70,9 @@ pub enum GateOp {
     Xnor,
 }
 
-/// The function a [`CombSpec`] computes, one variant per combinational
-/// cell shape in the library.
+/// The function of a combinational cell, one variant per cell shape in
+/// the library. The output signal handed to
+/// [`Simulator::add_comb`](crate::Simulator::add_comb) sets the width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CombFunc {
     /// A word-wide gate; 1-bit inputs broadcast across the word.
@@ -73,8 +81,6 @@ pub enum CombFunc {
         op: GateOp,
         /// Input signals (1, or 2..=4 depending on `op`).
         inputs: Vec<SignalId>,
-        /// Output width in bits.
-        width: u8,
         /// Nominal propagation delay.
         delay: Time,
     },
@@ -89,14 +95,13 @@ pub enum CombFunc {
         /// Nominal propagation delay.
         delay: Time,
     },
-    /// Pure routing: a bit range of a bus on its own signal.
+    /// Pure routing: a bit range of a bus, as wide as the output, on
+    /// its own signal.
     Slice {
         /// Source bus.
         src: SignalId,
         /// Low bit of the extracted range.
         lo: u8,
-        /// Width of the extracted range.
-        width: u8,
     },
     /// Pure routing: buses concatenated low-bits-first.
     Concat {
@@ -105,66 +110,95 @@ pub enum CombFunc {
     },
 }
 
-/// A compiled description of one combinational component: its output
-/// signal and the function that computes it. Registered by the cell
-/// builders via
-/// [`Simulator::set_comb_spec`](crate::Simulator::set_comb_spec);
-/// inert until [`Simulator::compile`](crate::Simulator::compile).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CombSpec {
-    out: SignalId,
-    func: CombFunc,
+/// The operand algebra a [`LowNode`] evaluates over: [`Value`] for a
+/// scalar run (and a sliced pass's carrier), [`LaneValues`] for the
+/// lanes of a sliced pass. Each method is the type's own operator.
+pub(crate) trait CombValue: Sized {
+    fn width(&self) -> u8;
+    fn not(&self) -> Self;
+    fn and(&self, other: &Self) -> Self;
+    fn or(&self, other: &Self) -> Self;
+    fn xor(&self, other: &Self) -> Self;
+    fn mux(sel: &Self, a: &Self, b: &Self) -> Self;
+    fn slice(&self, lo: u8, width: u8) -> Self;
+    fn concat(&self, hi: &Self) -> Self;
+    /// Spreads a 1-bit value across `width` bits: a known 0 becomes
+    /// all zeros, a known 1 all ones, an X all X.
+    fn broadcast_to(&self, width: u8) -> Self;
 }
 
-impl CombSpec {
-    /// Creates a spec computing `func` onto `out`.
-    pub fn new(out: SignalId, func: CombFunc) -> CombSpec {
-        CombSpec { out, func }
+impl CombValue for Value {
+    fn width(&self) -> u8 {
+        Value::width(self)
     }
-
-    /// The output signal the spec drives.
-    pub fn out(&self) -> SignalId {
-        self.out
+    fn not(&self) -> Self {
+        Value::not(self)
     }
-
-    /// The spec's function.
-    pub fn func(&self) -> &CombFunc {
-        &self.func
+    fn and(&self, other: &Self) -> Self {
+        Value::and(self, other)
     }
-
-    /// The nominal drive delay — the wiring variants (`Slice`,
-    /// `Concat`) use the same 1 fs token delay as their interpreted
-    /// counterparts.
-    pub fn delay(&self) -> Time {
-        match &self.func {
-            CombFunc::Gate { delay, .. } | CombFunc::Mux2 { delay, .. } => *delay,
-            CombFunc::Slice { .. } | CombFunc::Concat { .. } => Time::from_fs(1),
-        }
+    fn or(&self, other: &Self) -> Self {
+        Value::or(self, other)
     }
-
-    /// Visits every input signal the function reads.
-    pub fn for_each_input(&self, mut f: impl FnMut(SignalId)) {
-        match &self.func {
-            CombFunc::Gate { inputs, .. } => inputs.iter().copied().for_each(&mut f),
-            CombFunc::Mux2 { sel, a, b, .. } => [*sel, *a, *b].into_iter().for_each(&mut f),
-            CombFunc::Slice { src, .. } => f(*src),
-            CombFunc::Concat { parts } => parts.iter().copied().for_each(&mut f),
+    fn xor(&self, other: &Self) -> Self {
+        Value::xor(self, other)
+    }
+    fn mux(sel: &Self, a: &Self, b: &Self) -> Self {
+        Value::mux(sel, a, b)
+    }
+    fn slice(&self, lo: u8, width: u8) -> Self {
+        Value::slice(self, lo, width)
+    }
+    fn concat(&self, hi: &Self) -> Self {
+        Value::concat(self, hi)
+    }
+    fn broadcast_to(&self, width: u8) -> Self {
+        match self.as_logic() {
+            Logic::Zero => Value::zero(width),
+            Logic::One => Value::ones(width),
+            Logic::X => Value::all_x(width),
         }
     }
 }
 
-/// Replicates the interpreted `Gate`'s input broadcast: a 1-bit input
-/// spreads across the gate's word width.
-fn broadcast(v: Value, width: u8) -> Value {
+impl CombValue for LaneValues {
+    fn width(&self) -> u8 {
+        LaneValues::width(self)
+    }
+    fn not(&self) -> Self {
+        LaneValues::not(self)
+    }
+    fn and(&self, other: &Self) -> Self {
+        LaneValues::and(self, other)
+    }
+    fn or(&self, other: &Self) -> Self {
+        LaneValues::or(self, other)
+    }
+    fn xor(&self, other: &Self) -> Self {
+        LaneValues::xor(self, other)
+    }
+    fn mux(sel: &Self, a: &Self, b: &Self) -> Self {
+        LaneValues::mux(sel, a, b)
+    }
+    fn slice(&self, lo: u8, width: u8) -> Self {
+        LaneValues::slice(self, lo, width)
+    }
+    fn concat(&self, hi: &Self) -> Self {
+        LaneValues::concat(self, hi)
+    }
+    fn broadcast_to(&self, width: u8) -> Self {
+        LaneValues::broadcast_to(self, width)
+    }
+}
+
+/// The gate input rule: an input as wide as the gate passes through, a
+/// 1-bit input spreads across the gate's word width.
+fn broadcast<V: CombValue>(v: V, width: u8) -> V {
     if v.width() == width {
         v
     } else {
         assert_eq!(v.width(), 1, "gate input width must be 1 or the gate width");
-        match v.as_logic() {
-            crate::Logic::Zero => Value::zero(width),
-            crate::Logic::One => Value::ones(width),
-            crate::Logic::X => Value::all_x(width),
-        }
+        v.broadcast_to(width)
     }
 }
 
@@ -172,37 +206,26 @@ fn broadcast(v: Value, width: u8) -> Value {
 /// selector for the hot evaluation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LowOp {
-    Buf,
-    Inv,
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
+    Gate(GateOp),
     Mux2,
-    Slice,
+    /// A slice from this low bit.
+    Slice(u8),
     Concat,
 }
 
 /// Number of input pins a [`LowNode`] stores inline; wider pin lists
-/// (big concats) spill into the shared pool.
+/// (big concats) spill into the simulator's shared pin pool.
 const INLINE_INS: usize = 4;
 
-/// One member's [`CombSpec`] lowered into a flat, fixed-size record:
-/// opcode, inline pin list, output and delay all in one ~40-byte copy
-/// — no enum-with-`Vec` indirection on the hot path. Evaluation reads
-/// input values from the engine's dense committed-value shadow, so a
-/// two-input gate usually gathers both operands from a single cache
-/// line instead of two scattered `SignalState` records.
+/// One [`CombFunc`] lowered into a flat, fixed-size record: opcode,
+/// inline pin list, output and delay all in one ~40-byte copy — no
+/// enum-with-`Vec` indirection on the hot path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LowNode {
     op: LowOp,
     /// Gate/slice output width (unused by `Mux2`/`Concat`, which take
-    /// their width from their operands like the interpreted cells).
+    /// their width from their operands).
     width: u8,
-    /// Slice low bit (`Slice` only).
-    lo: u8,
     /// Number of input pins.
     n: u8,
     /// Start of the pin list in the pool when `n > INLINE_INS`.
@@ -215,55 +238,45 @@ pub(crate) struct LowNode {
 }
 
 impl LowNode {
-    /// Lowers a spec, spilling wide pin lists into `pool`.
-    fn lower(spec: &CombSpec, pool: &mut Vec<SignalId>) -> LowNode {
-        let mut node = LowNode {
-            op: LowOp::Buf,
-            width: 0,
-            lo: 0,
-            n: 0,
-            spill: 0,
-            out: spec.out(),
-            ins: [SignalId(0); INLINE_INS],
-            delay: spec.delay(),
+    /// Lowers `func` computing the `width`-bit `out`, spilling a pin
+    /// list wider than [`INLINE_INS`] into `pool`. Slices and concats
+    /// drive after a 1 fs token delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's input count does not suit its operation (1
+    /// for Buf/Inv, exactly 2 for Xor/Xnor, 2..=4 otherwise).
+    pub fn lower(out: SignalId, width: u8, func: &CombFunc, pool: &mut Vec<SignalId>) -> LowNode {
+        let (op, pins, delay) = match func {
+            CombFunc::Gate { op, inputs, delay } => {
+                let n = inputs.len();
+                let ok = match op {
+                    GateOp::Buf | GateOp::Inv => n == 1,
+                    GateOp::Xor | GateOp::Xnor => n == 2,
+                    _ => (2..=4).contains(&n),
+                };
+                assert!(ok, "gate {op:?} cannot have {n} inputs");
+                (LowOp::Gate(*op), inputs.clone(), *delay)
+            }
+            CombFunc::Mux2 { sel, a, b, delay } => (LowOp::Mux2, vec![*sel, *a, *b], *delay),
+            CombFunc::Slice { src, lo } => (LowOp::Slice(*lo), vec![*src], Time::from_fs(1)),
+            CombFunc::Concat { parts } => (LowOp::Concat, parts.clone(), Time::from_fs(1)),
         };
-        let mut pins: Vec<SignalId> = Vec::new();
-        spec.for_each_input(|s| pins.push(s));
-        node.n = u8::try_from(pins.len()).expect("pin count fits u8");
+        let mut ins = [SignalId(0); INLINE_INS];
+        let mut spill = 0;
         if pins.len() <= INLINE_INS {
-            node.ins[..pins.len()].copy_from_slice(&pins);
+            ins[..pins.len()].copy_from_slice(&pins);
         } else {
-            node.spill = u32::try_from(pool.len()).expect("pool fits u32");
+            spill = u32::try_from(pool.len()).expect("pool fits u32");
             pool.extend_from_slice(&pins);
         }
-        match spec.func() {
-            CombFunc::Gate { op, width, .. } => {
-                node.width = *width;
-                node.op = match op {
-                    GateOp::Buf => LowOp::Buf,
-                    GateOp::Inv => LowOp::Inv,
-                    GateOp::And => LowOp::And,
-                    GateOp::Or => LowOp::Or,
-                    GateOp::Nand => LowOp::Nand,
-                    GateOp::Nor => LowOp::Nor,
-                    GateOp::Xor => LowOp::Xor,
-                    GateOp::Xnor => LowOp::Xnor,
-                };
-            }
-            CombFunc::Mux2 { .. } => node.op = LowOp::Mux2,
-            CombFunc::Slice { lo, width, .. } => {
-                node.op = LowOp::Slice;
-                node.lo = *lo;
-                node.width = *width;
-            }
-            CombFunc::Concat { .. } => node.op = LowOp::Concat,
-        }
-        node
+        let n = u8::try_from(pins.len()).expect("pin count fits u8");
+        LowNode { op, width, n, spill, out, ins, delay }
     }
 
-    /// The node's input pins.
+    /// The node's input pins, in the order they wake it.
     #[inline]
-    fn inputs<'a>(&'a self, pool: &'a [SignalId]) -> &'a [SignalId] {
+    pub fn inputs<'a>(&'a self, pool: &'a [SignalId]) -> &'a [SignalId] {
         let n = self.n as usize;
         if n <= INLINE_INS {
             &self.ins[..n]
@@ -272,115 +285,54 @@ impl LowNode {
         }
     }
 
-    /// Evaluates the node over the dense committed-value shadow,
-    /// replicating the interpreted cells bit for bit: the same `Value`
-    /// algebra, the 1-bit-to-word broadcast and the width panics.
+    /// Evaluates the node over the operands `read` returns, with the
+    /// operand type's own algebra, the 1-bit-to-word broadcast and the
+    /// width panics. Because a scalar run and every lane of a sliced
+    /// pass go through this one body, lane `k` of a [`LaneValues`]
+    /// evaluation is exactly the [`Value`] evaluation of lane `k`'s
+    /// inputs — the equivalence the sliced campaign engine rests on.
     #[inline]
-    pub fn eval(&self, values: &[Value], pool: &[SignalId]) -> Value {
+    pub fn eval<V: CombValue>(&self, pool: &[SignalId], read: impl Fn(SignalId) -> V) -> V {
         let ins = self.inputs(pool);
-        let read = |s: SignalId| values[s.index()];
         match self.op {
-            LowOp::Mux2 => Value::mux(&read(ins[0]), &read(ins[1]), &read(ins[2])),
-            LowOp::Slice => read(ins[0]).slice(self.lo, self.width),
-            LowOp::Concat => {
-                let first = read(ins[0]);
-                ins[1..].iter().fold(first, |acc, &s| acc.concat(&read(s)))
-            }
-            op => {
-                let w = self.width;
-                let n = ins.len();
-                let first = broadcast(read(ins[0]), w);
-                if n == 1 {
+            LowOp::Mux2 => V::mux(&read(ins[0]), &read(ins[1]), &read(ins[2])),
+            LowOp::Slice(lo) => read(ins[0]).slice(lo, self.width),
+            LowOp::Concat => ins[1..].iter().fold(read(ins[0]), |acc, &s| acc.concat(&read(s))),
+            LowOp::Gate(op) => {
+                let arg = |s: SignalId| broadcast(read(s), self.width);
+                let first = arg(ins[0]);
+                // One- and two-input gates are the bulk of every
+                // netlist: straight-line paths for them, a fold for
+                // the rest. `lower` checked each op's input count.
+                if let [_] = ins {
                     match op {
-                        LowOp::Buf => first,
-                        LowOp::Inv => first.not(),
+                        GateOp::Buf => first,
+                        GateOp::Inv => first.not(),
                         _ => unreachable!("multi-input op with one input"),
                     }
-                } else if n == 2 {
-                    let b = broadcast(read(ins[1]), w);
+                } else if let [_, b] = ins {
+                    let b = arg(*b);
                     match op {
-                        LowOp::And => first.and(&b),
-                        LowOp::Or => first.or(&b),
-                        LowOp::Nand => first.and(&b).not(),
-                        LowOp::Nor => first.or(&b).not(),
-                        LowOp::Xor => first.xor(&b),
-                        LowOp::Xnor => first.xor(&b).not(),
-                        _ => unreachable!("1-input op with two inputs"),
+                        GateOp::And => first.and(&b),
+                        GateOp::Or => first.or(&b),
+                        GateOp::Nand => first.and(&b).not(),
+                        GateOp::Nor => first.or(&b).not(),
+                        GateOp::Xor => first.xor(&b),
+                        GateOp::Xnor => first.xor(&b).not(),
+                        GateOp::Buf | GateOp::Inv => unreachable!("1-input op with two inputs"),
                     }
                 } else {
-                    let it = ins[1..].iter().map(|&s| broadcast(read(s), w));
+                    let rest = ins[1..].iter().map(|&s| arg(s));
                     match op {
-                        LowOp::And => it.fold(first, |a, b| a.and(&b)),
-                        LowOp::Or => it.fold(first, |a, b| a.or(&b)),
-                        LowOp::Nand => it.fold(first, |a, b| a.and(&b)).not(),
-                        LowOp::Nor => it.fold(first, |a, b| a.or(&b)).not(),
-                        _ => unreachable!("op {op:?} cannot have {n} inputs"),
+                        GateOp::And => rest.fold(first, |a, b| a.and(&b)),
+                        GateOp::Or => rest.fold(first, |a, b| a.or(&b)),
+                        GateOp::Nand => rest.fold(first, |a, b| a.and(&b)).not(),
+                        GateOp::Nor => rest.fold(first, |a, b| a.or(&b)).not(),
+                        _ => unreachable!("op {op:?} cannot have {} inputs", ins.len()),
                     }
                 }
             }
         }
-    }
-
-    /// Lane-parallel [`LowNode::eval`]: the identical function lifted
-    /// over [`LaneValues`] planes. Lane `k`'s result is exactly what
-    /// [`LowNode::eval`] would compute from lane `k`'s input values —
-    /// the equivalence the sliced campaign engine rests on.
-    pub fn eval_lanes<F: Fn(SignalId) -> LaneValues>(
-        &self,
-        read: F,
-        pool: &[SignalId],
-    ) -> LaneValues {
-        let ins = self.inputs(pool);
-        match self.op {
-            LowOp::Mux2 => LaneValues::mux(&read(ins[0]), &read(ins[1]), &read(ins[2])),
-            LowOp::Slice => read(ins[0]).slice(self.lo, self.width),
-            LowOp::Concat => {
-                let first = read(ins[0]);
-                ins[1..].iter().fold(first, |acc, &s| acc.concat(&read(s)))
-            }
-            op => {
-                let w = self.width;
-                let n = ins.len();
-                let first = spread(read(ins[0]), w);
-                if n == 1 {
-                    match op {
-                        LowOp::Buf => first,
-                        LowOp::Inv => first.not(),
-                        _ => unreachable!("multi-input op with one input"),
-                    }
-                } else if n == 2 {
-                    let b = spread(read(ins[1]), w);
-                    match op {
-                        LowOp::And => first.and(&b),
-                        LowOp::Or => first.or(&b),
-                        LowOp::Nand => first.and(&b).not(),
-                        LowOp::Nor => first.or(&b).not(),
-                        LowOp::Xor => first.xor(&b),
-                        LowOp::Xnor => first.xor(&b).not(),
-                        _ => unreachable!("1-input op with two inputs"),
-                    }
-                } else {
-                    let it = ins[1..].iter().map(|&s| spread(read(s), w));
-                    match op {
-                        LowOp::And => it.fold(first, |a, b| a.and(&b)),
-                        LowOp::Or => it.fold(first, |a, b| a.or(&b)),
-                        LowOp::Nand => it.fold(first, |a, b| a.and(&b)).not(),
-                        LowOp::Nor => it.fold(first, |a, b| a.or(&b)).not(),
-                        _ => unreachable!("op {op:?} cannot have {n} inputs"),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lane-parallel twin of [`broadcast`]: a 1-bit lane set spreads
-/// across the gate's word width.
-fn spread(v: LaneValues, width: u8) -> LaneValues {
-    if v.width() == width {
-        v
-    } else {
-        v.broadcast_to(width)
     }
 }
 
@@ -395,20 +347,13 @@ pub(crate) struct CalEntry {
     pub epoch: u64,
 }
 
-/// The active compiled engine: membership table, private calendar of
-/// in-flight compiled drives, and profiling counters.
+/// The active compiled engine: the committed-value shadow its nodes
+/// read, the private calendar of in-flight compiled drives, and
+/// profiling counters.
 #[derive(Debug, Default)]
 pub(crate) struct Compiled {
-    /// `node_of[comp]` — index of the component's lowered node in
-    /// `nodes`, or [`NO_NODE`] for non-members. One lookup answers
-    /// both membership and dispatch.
-    node_of: Vec<u32>,
-    /// Lowered execution table, one record per member.
-    nodes: Vec<LowNode>,
-    /// Spilled pin lists for nodes wider than [`INLINE_INS`].
-    pool: Vec<SignalId>,
     /// Dense shadow of every signal's committed value, maintained by
-    /// the kernel's commit paths. Spec evaluation gathers operands
+    /// the kernel's commit paths. Compiled nodes gather their operands
     /// here — 24-byte entries packed back to back — instead of walking
     /// the fat, scattered `SignalState` records.
     pub values: Vec<Value>,
@@ -424,42 +369,17 @@ pub(crate) struct Compiled {
     seq: u64,
     /// Weakly-connected compiled regions found at `compile()` time.
     pub cones_built: u64,
-    /// Spec evaluations performed.
+    /// Compiled node evaluations performed.
     pub cone_evals: u64,
     /// Global-queue events avoided (calendar pushes).
     pub events_avoided: u64,
 }
 
-/// [`Compiled::node_of`] marker for components without a lowered node.
-pub(crate) const NO_NODE: u32 = u32::MAX;
-
 impl Compiled {
-    /// Creates an engine from the lowered tables and a snapshot of the
-    /// committed signal values, empty calendar.
-    pub fn new(
-        node_of: Vec<u32>,
-        nodes: Vec<LowNode>,
-        pool: Vec<SignalId>,
-        values: Vec<Value>,
-        cones_built: u64,
-    ) -> Compiled {
-        Compiled { node_of, nodes, pool, values, cones_built, ..Compiled::default() }
-    }
-
-    /// The lowered node of a member component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `comp` is not a member.
-    #[inline]
-    pub fn node(&self, comp: ComponentId) -> LowNode {
-        self.nodes[self.node_of[comp.index()] as usize]
-    }
-
-    /// The spilled-pin pool backing wide nodes.
-    #[inline]
-    pub fn pool(&self) -> &[SignalId] {
-        &self.pool
+    /// Creates an engine over a snapshot of the committed signal
+    /// values, empty calendar.
+    pub fn new(values: Vec<Value>, cones_built: u64) -> Compiled {
+        Compiled { values, cones_built, ..Compiled::default() }
     }
 
     /// Earliest calendar timestamp, if any drive is in flight.
@@ -489,19 +409,6 @@ impl Compiled {
             Some(e) if e.time == time => self.calendar.pop_front(),
             _ => None,
         }
-    }
-
-    /// True when `comp` executes through its spec.
-    #[inline]
-    pub fn is_member(&self, comp: ComponentId) -> bool {
-        self.node_of.get(comp.index()).is_some_and(|&n| n != NO_NODE)
-    }
-
-    /// Lowers one spec into the node table (compile-time only).
-    pub fn add_node(&mut self, comp: ComponentId, spec: &CombSpec) {
-        let idx = u32::try_from(self.nodes.len()).expect("node count fits u32");
-        self.node_of[comp.index()] = idx;
-        self.nodes.push(LowNode::lower(spec, &mut self.pool));
     }
 }
 
@@ -543,6 +450,138 @@ impl ConeForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CellClass, Simulator};
+
+    /// A stimulus schedule for one cell input.
+    type Schedule<'a> = &'a [(Time, Value)];
+
+    /// Builds one `add_comb` cell of output width `width` over fresh
+    /// inputs (each a width and its schedule) and samples the output
+    /// at each of `at`, uncompiled and compiled. The two runs must
+    /// agree on every sample, on the output's toggle count and on its
+    /// last change; returns the samples.
+    fn both_engines(
+        width: u8,
+        inputs: &[(u8, Schedule<'_>)],
+        func: impl Fn(Vec<SignalId>) -> CombFunc,
+        at: &[Time],
+    ) -> Vec<Value> {
+        let run = |compiled: bool| {
+            let mut sim = Simulator::new();
+            let ins: Vec<SignalId> =
+                (0..inputs.len()).map(|i| sim.add_signal(&format!("i{i}"), inputs[i].0)).collect();
+            let out = sim.add_signal("out", width);
+            let id = sim.add_comb("c", out, func(ins.clone()));
+            sim.set_component_class(id, CellClass::Comb);
+            sim.connect_driver(id, out).unwrap();
+            for (&s, &(_, schedule)) in ins.iter().zip(inputs) {
+                sim.stimulus(s, schedule);
+            }
+            if compiled {
+                assert_eq!(sim.compile(), 1, "the cell runs compiled");
+            }
+            let samples: Vec<Value> = at
+                .iter()
+                .map(|&t| {
+                    sim.run_until(t).unwrap();
+                    sim.value(out)
+                })
+                .collect();
+            (samples, sim.toggles(out), sim.signal_info(out).last_change)
+        };
+        let uncompiled = run(false);
+        assert_eq!(run(true), uncompiled, "compiled and uncompiled runs disagree");
+        uncompiled.0
+    }
+
+    fn run_gate(op: GateOp, ins: &[u64], width: u8) -> Value {
+        let schedules: Vec<[(Time, Value); 1]> =
+            ins.iter().map(|&v| [(Time::ZERO, Value::from_u64(width, v))]).collect();
+        let inputs: Vec<(u8, Schedule<'_>)> = schedules.iter().map(|s| (width, &s[..])).collect();
+        let gate = |inputs| CombFunc::Gate { op, inputs, delay: Time::from_ps(5) };
+        both_engines(width, &inputs, gate, &[Time::MAX])[0]
+    }
+
+    #[test]
+    fn basic_truth_tables() {
+        assert_eq!(run_gate(GateOp::And, &[0b1100, 0b1010], 4).to_u64(), Some(0b1000));
+        assert_eq!(run_gate(GateOp::Or, &[0b1100, 0b1010], 4).to_u64(), Some(0b1110));
+        assert_eq!(run_gate(GateOp::Nand, &[0b11, 0b01], 2).to_u64(), Some(0b10));
+        assert_eq!(run_gate(GateOp::Nor, &[0b00, 0b01], 2).to_u64(), Some(0b10));
+        assert_eq!(run_gate(GateOp::Xor, &[0b1100, 0b1010], 4).to_u64(), Some(0b0110));
+        assert_eq!(run_gate(GateOp::Xnor, &[0b1100, 0b1010], 4).to_u64(), Some(0b1001));
+        assert_eq!(run_gate(GateOp::Inv, &[0b1010], 4).to_u64(), Some(0b0101));
+        assert_eq!(run_gate(GateOp::Buf, &[0b1010], 4).to_u64(), Some(0b1010));
+    }
+
+    #[test]
+    fn three_input_and() {
+        assert_eq!(run_gate(GateOp::And, &[0b1111, 0b1101, 0b1001], 4).to_u64(), Some(0b1001));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot have")]
+    fn xor_rejects_three_inputs() {
+        let mut sim = Simulator::new();
+        let a = sim.add_signal("a", 1);
+        let out = sim.add_signal("o", 1);
+        let inputs = vec![a, a, a];
+        sim.add_comb("x", out, CombFunc::Gate { op: GateOp::Xor, inputs, delay: Time::from_ps(1) });
+    }
+
+    #[test]
+    fn one_bit_control_broadcasts_over_bus() {
+        let bus = [(Time::ZERO, Value::from_u64(8, 0xA5))];
+        let en = [(Time::ZERO, Value::zero(1)), (Time::from_ps(50), Value::one(1))];
+        let and = |inputs| CombFunc::Gate { op: GateOp::And, inputs, delay: Time::from_ps(5) };
+        let out = both_engines(8, &[(8, &bus), (1, &en)], and, &[Time::from_ps(30), Time::MAX]);
+        assert_eq!(out[0].to_u64(), Some(0));
+        assert_eq!(out[1].to_u64(), Some(0xA5));
+    }
+
+    #[test]
+    fn mux_switches_buses() {
+        let sel = [(Time::ZERO, Value::zero(1)), (Time::from_ps(100), Value::one(1))];
+        let a = [(Time::ZERO, Value::from_u64(8, 0x11))];
+        let b = [(Time::ZERO, Value::from_u64(8, 0x22))];
+        let delay = Time::from_ps(5);
+        let mux = |ins: Vec<SignalId>| CombFunc::Mux2 { sel: ins[0], a: ins[1], b: ins[2], delay };
+        let at = [Time::from_ps(50), Time::MAX];
+        let out = both_engines(8, &[(1, &sel), (8, &a), (8, &b)], mux, &at);
+        assert_eq!(out[0].to_u64(), Some(0x11));
+        assert_eq!(out[1].to_u64(), Some(0x22));
+    }
+
+    /// A concat of more parts than a node stores inline reads its pins
+    /// from the pool, in both engines.
+    #[test]
+    fn wide_concat_spills_its_pins_and_agrees_across_engines() {
+        let widths = [1u8, 3, 4, 8, 2, 6];
+        let parts: Vec<SignalId> = (0..widths.len() as u32).map(SignalId).collect();
+        let mut pool = vec![SignalId(99)];
+        let func = CombFunc::Concat { parts: parts.clone() };
+        let node = LowNode::lower(SignalId(6), 24, &func, &mut pool);
+        assert_eq!(pool.len(), 1 + widths.len(), "the pins spill into the pool");
+        assert_eq!(node.inputs(&pool), &parts[..]);
+        // Part k holds k + 1 from the start and goes all-ones at
+        // (k + 1) * 10 ps.
+        let schedules: Vec<[(Time, Value); 2]> = (0..widths.len())
+            .map(|k| {
+                let (w, k) = (widths[k], k as u64);
+                let change = Time::from_ps(10 * (k + 1));
+                [(Time::ZERO, Value::from_u64(w, k + 1)), (change, Value::ones(w))]
+            })
+            .collect();
+        let inputs: Vec<(u8, Schedule<'_>)> =
+            widths.iter().zip(&schedules).map(|(&w, s)| (w, &s[..])).collect();
+        let at: Vec<Time> = (0..=widths.len() as u64).map(|k| Time::from_ps(10 * k + 5)).collect();
+        let out = both_engines(24, &inputs, |parts| CombFunc::Concat { parts }, &at);
+        // Low bits first: 1 | 2 << 1 | 3 << 4 | 4 << 8 | (5 & 3) << 16 | 6 << 18.
+        assert_eq!(out[0].to_u64(), Some(0x19_0435));
+        assert_eq!(out[1].to_u64(), Some(0x19_0435), "part 0 was already all-ones");
+        assert_eq!(out[2].to_u64(), Some(0x19_043F));
+        assert_eq!(out[widths.len()], Value::ones(24));
+    }
 
     #[test]
     fn calendar_orders_by_time_then_seq() {

@@ -17,11 +17,13 @@
 //!   signals. Transition counts are *bit-toggle* counts, which is what
 //!   an activity-based power model needs.
 //! * A [`Component`] is anything that reacts to input-signal changes
-//!   (combinational and sequential cells, stimulus generators,
-//!   monitors). Components drive their output signals through the
-//!   scheduler with *inertial* delay semantics: re-driving an output
-//!   cancels a still-pending older drive, so pulses shorter than a
-//!   cell's delay are filtered exactly like in an HDL simulator.
+//!   (sequential cells, stimulus generators, monitors); a
+//!   combinational cell is a [`CombFunc`] node the kernel evaluates
+//!   itself ([`Simulator::add_comb`]). Both drive their output
+//!   signals through the scheduler with *inertial* delay semantics:
+//!   re-driving an output cancels a still-pending older drive, so
+//!   pulses shorter than a cell's delay are filtered exactly like in
+//!   an HDL simulator.
 //! * The [`Simulator`] owns the netlist, the event wheel and all
 //!   statistics, and is fully deterministic: simultaneous events are
 //!   processed in schedule order.
@@ -71,7 +73,7 @@ pub mod trace;
 mod value;
 mod watchdog;
 
-pub use compile::{CombFunc, CombSpec, GateOp};
+pub use compile::{CombFunc, GateOp};
 pub use component::{Component, ComponentId, Ctx};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultPlan, Glitch, SkewRule, StuckAt};

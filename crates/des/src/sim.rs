@@ -1,6 +1,6 @@
 //! The simulator: netlist container plus event loop.
 
-use crate::compile::{CombSpec, Compiled, ConeForest};
+use crate::compile::{CombFunc, Compiled, ConeForest, LowNode};
 use crate::component::{Component, ComponentId, Ctx};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan, FaultState};
@@ -181,6 +181,16 @@ impl Kernel {
     }
 }
 
+/// One component slot of the netlist.
+enum Slot {
+    /// A combinational node the kernel evaluates itself: its index in
+    /// `Simulator::nodes`, and whether [`Simulator::compile`] moved it
+    /// onto the calendar.
+    Comb { node: u32, compiled: bool },
+    /// A behavioural cell, called through `dyn Component`.
+    Cell(Box<dyn Component>),
+}
+
 /// An event-driven gate-level simulator holding a netlist of signals
 /// and [`Component`]s.
 ///
@@ -188,7 +198,12 @@ impl Kernel {
 /// and a complete example.
 pub struct Simulator {
     kernel: Kernel,
-    comps: Vec<Box<dyn Component>>,
+    /// Component slots, indexed by `ComponentId`.
+    comps: Vec<Slot>,
+    /// Lowered combinational nodes, one per [`Simulator::add_comb`].
+    nodes: Vec<LowNode>,
+    /// Pin lists of nodes too wide to store theirs inline.
+    pool: Vec<SignalId>,
     comp_names: Vec<String>,
     scopes: ScopeTree,
     scope_stack: Vec<ScopeId>,
@@ -225,10 +240,6 @@ pub struct Simulator {
     queue_peak: usize,
     /// Wall-clock time spent inside `run_until` since construction.
     wall: std::time::Duration,
-    /// Compiled execution specs registered by the cell builders,
-    /// indexed by `ComponentId` (sparse — `None` for cells with no
-    /// combinational description). Inert until [`Simulator::compile`].
-    comb_specs: Vec<Option<CombSpec>>,
     /// The active compiled engine, if [`Simulator::compile`] ran.
     compiled: Option<Compiled>,
     /// State-cell capture rules `q <- d` registered by the cell
@@ -278,6 +289,8 @@ impl Simulator {
                 commits: 0,
             },
             comps: Vec::new(),
+            nodes: Vec::new(),
+            pool: Vec::new(),
             comp_names: Vec::new(),
             scopes: ScopeTree::new(),
             scope_stack: vec![ScopeId::ROOT],
@@ -293,7 +306,6 @@ impl Simulator {
             queue_samples: 0,
             queue_peak: 0,
             wall: std::time::Duration::ZERO,
-            comb_specs: Vec::new(),
             compiled: None,
             capture_rules: Vec::new(),
             lanes_active: 0,
@@ -368,8 +380,30 @@ impl Simulator {
         comp: C,
         inputs: &[SignalId],
     ) -> ComponentId {
+        self.add_slot(name, Slot::Cell(Box::new(comp)), inputs)
+    }
+
+    /// Adds a combinational cell computing `func` onto `out` to the
+    /// current scope, woken by every signal `func` reads, in the order
+    /// `func` lists them. The kernel evaluates the cell itself (see
+    /// [`Simulator::compile`]); register it as `out`'s driver with
+    /// [`Simulator::connect_driver`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's input count does not suit its operation (1
+    /// for Buf/Inv, exactly 2 for Xor/Xnor, 2..=4 otherwise).
+    pub fn add_comb(&mut self, name: &str, out: SignalId, func: CombFunc) -> ComponentId {
+        let node = LowNode::lower(out, self.signal_width(out), &func, &mut self.pool);
+        let pins = node.inputs(&self.pool).to_vec();
+        let index = u32::try_from(self.nodes.len()).expect("node count fits u32");
+        self.nodes.push(node);
+        self.add_slot(name, Slot::Comb { node: index, compiled: false }, &pins)
+    }
+
+    fn add_slot(&mut self, name: &str, slot: Slot, inputs: &[SignalId]) -> ComponentId {
         let id = ComponentId(self.comps.len() as u32);
-        self.comps.push(Box::new(comp));
+        self.comps.push(slot);
         self.comp_names.push(name.to_string());
         self.kernel.comp_scopes.push(self.current_scope());
         self.kernel.comp_stamp.push(0);
@@ -505,80 +539,54 @@ impl Simulator {
         self.net.set_loop_exempt(comp);
     }
 
-    /// Registers a compiled execution spec for a combinational
-    /// component. Inert until [`Simulator::compile`] — a simulator
-    /// that never compiles behaves bit-identically to one with no
-    /// specs registered.
-    pub fn set_comb_spec(&mut self, comp: ComponentId, spec: CombSpec) {
-        if self.comb_specs.len() <= comp.index() {
-            self.comb_specs.resize_with(comp.index() + 1, || None);
-        }
-        self.comb_specs[comp.index()] = Some(spec);
-    }
-
-    /// Switches every eligible combinational component to compiled
+    /// Switches every eligible combinational node to compiled
     /// execution. Call once, after netlist construction.
     ///
-    /// Eligibility: a [`CombSpec`] is registered, the cell class is
-    /// transparent (combinational, wiring or routing), and the
-    /// component is not [loop-exempt](Simulator::set_loop_exempt).
-    /// State cells, matched-delay models, environment components and
-    /// ring-oscillator loop closers keep interpreted event-queue
-    /// execution — their event timing is the object of study.
+    /// Eligibility: the component was added with
+    /// [`Simulator::add_comb`], its cell class is transparent
+    /// (combinational, wiring or routing), and it is not
+    /// [loop-exempt](Simulator::set_loop_exempt). Every other node,
+    /// and every behavioural component (state cells, matched-delay
+    /// models, environment components), keeps driving through the
+    /// event queue — their event timing is the object of study.
     ///
-    /// Returns the number of components switched. Calling it on a
-    /// netlist with no registered specs activates an empty (no-op)
-    /// compiled engine.
+    /// Returns the number of nodes switched. Calling it on a netlist
+    /// with no eligible node activates an empty (no-op) compiled
+    /// engine.
     pub fn compile(&mut self) -> usize {
-        let ncomp = self.comps.len();
-        let mut member = vec![false; ncomp];
-        for (i, m) in member.iter_mut().enumerate() {
-            let id = ComponentId(i as u32);
-            *m = self.comb_specs.get(i).is_some_and(|s| s.is_some())
-                && self.net.class(id).is_transparent()
-                && !self.net.loop_exempt.get(i).copied().unwrap_or(false);
+        for (i, slot) in self.comps.iter_mut().enumerate() {
+            if let Slot::Comb { compiled, .. } = slot {
+                *compiled = self.net.class(ComponentId(i as u32)).is_transparent()
+                    && !self.net.loop_exempt.get(i).copied().unwrap_or(false);
+            }
         }
-        let members = member.iter().filter(|&&m| m).count();
+        let ncomp = self.comps.len();
+        let members: Vec<ComponentId> =
+            (0..ncomp as u32).map(ComponentId).filter(|&c| self.is_compiled(c)).collect();
         // Count the weakly-connected compiled regions ("cones"): two
         // members share a cone when one's output feeds the other.
         let mut forest = ConeForest::new(ncomp);
         for st in &self.kernel.signals {
-            let Some(driver) = st.driver else { continue };
-            if !member[driver.index()] {
-                continue;
-            }
-            for &reader in &st.fanout {
-                if member[reader.index()] {
-                    forest.union(driver.0, reader.0);
-                }
+            let Some(driver) = st.driver.filter(|&d| self.is_compiled(d)) else { continue };
+            for &reader in st.fanout.iter().filter(|&&r| self.is_compiled(r)) {
+                forest.union(driver.0, reader.0);
             }
         }
-        let mut roots: Vec<u32> = (0..ncomp as u32)
-            .filter(|&i| member[i as usize])
-            .map(|i| forest.find(i))
-            .collect();
+        let mut roots: Vec<u32> = members.iter().map(|c| forest.find(c.0)).collect();
         roots.sort_unstable();
         roots.dedup();
-        // Lower every member's spec into the flat node table and
-        // snapshot the committed values into the dense shadow the
-        // nodes evaluate over (maintained by the commit paths from
+        // Snapshot the committed values into the dense shadow the
+        // members evaluate over (maintained by the commit paths from
         // here on).
         let values: Vec<Value> = self.kernel.signals.iter().map(|s| s.value).collect();
-        let mut compiled = Compiled::new(
-            vec![crate::compile::NO_NODE; ncomp],
-            Vec::new(),
-            Vec::new(),
-            values,
-            roots.len() as u64,
-        );
-        for (i, m) in member.iter().enumerate() {
-            if *m {
-                let spec = self.comb_specs[i].as_ref().expect("member has a spec");
-                compiled.add_node(ComponentId(i as u32), spec);
-            }
-        }
-        self.compiled = Some(compiled);
-        members
+        self.compiled = Some(Compiled::new(values, roots.len() as u64));
+        members.len()
+    }
+
+    /// Whether `comp` is a node [`Simulator::compile`] switched to the
+    /// calendar.
+    fn is_compiled(&self, comp: ComponentId) -> bool {
+        matches!(self.comps[comp.index()], Slot::Comb { compiled: true, .. })
     }
 
     // ------------------------------------------------------------------
@@ -597,7 +605,7 @@ impl Simulator {
     /// Starts a bit-sliced campaign pass carrying `lanes` seeds (1 to
     /// 64) over this simulator. Requires compiled execution
     /// ([`Simulator::compile`]): the lane planes advance through the
-    /// compiled nodes' lane-parallel evaluators.
+    /// compiled nodes, evaluated over [`LaneValues`].
     ///
     /// Schedule per-lane glitches with [`Simulator::slice_glitch`],
     /// record per-lane histories with [`Simulator::slice_tap`], run
@@ -611,7 +619,7 @@ impl Simulator {
     /// Panics if [`Simulator::compile`] has not run or `lanes` is
     /// outside `1..=64`.
     pub fn slice_begin(&mut self, lanes: u8) {
-        let compiled = self.compiled.as_ref().expect("slice_begin requires compile()");
+        assert!(self.compiled.is_some(), "slice_begin requires compile()");
         let nsignals = self.kernel.signals.len();
         // Non-member probe lists: the signals each interpreted cell
         // reacts to (sensitivity fanout) plus its declared
@@ -621,7 +629,7 @@ impl Simulator {
         for (i, st) in self.kernel.signals.iter().enumerate() {
             let s = SignalId(i as u32);
             for &comp in &st.fanout {
-                if !compiled.is_member(comp) {
+                if !self.is_compiled(comp) {
                     if let Some(r) = reads.get_mut(comp.index()) {
                         r.push(s);
                     }
@@ -629,7 +637,7 @@ impl Simulator {
             }
         }
         for &(comp, s) in &self.net.declared_reads {
-            if !compiled.is_member(comp) {
+            if !self.is_compiled(comp) {
                 if let Some(r) = reads.get_mut(comp.index()) {
                     if !r.contains(&s) {
                         r.push(s);
@@ -1629,44 +1637,45 @@ impl Simulator {
     }
 
     fn eval(&mut self, comp: ComponentId, wake: bool) {
-        // Compiled components short-circuit the dynamic dispatch:
-        // their spec is evaluated directly and the resulting drive
-        // lands on the compiled calendar, not the global queue. (A
-        // compiled cell never schedules wakes, so the wake path cannot
-        // reach a member.)
-        if !wake {
-            if let Some(compiled) = &self.compiled {
-                if compiled.is_member(comp) {
-                    self.eval_compiled(comp);
-                    return;
+        match self.comps[comp.index()] {
+            // A combinational node never schedules a wake of its own.
+            Slot::Comb { .. } if wake => {}
+            Slot::Comb { node, compiled } => self.eval_comb(comp, node, compiled),
+            // `comps` and `kernel` are disjoint fields, and a component
+            // only sees the kernel through its `Ctx` — it can never
+            // reach back into the component list — so the component
+            // can be called in place, with no take/put of its box.
+            Slot::Cell(ref mut cell) => {
+                let mut ctx = Ctx { kernel: &mut self.kernel, comp };
+                if wake {
+                    cell.on_wake(&mut ctx);
+                } else {
+                    cell.on_input(&mut ctx);
                 }
             }
         }
-        // `comps` and `kernel` are disjoint fields, and a component
-        // only sees the kernel through its `Ctx` — it can never reach
-        // back into the component list — so the component can be
-        // called in place, with no take/put of its box.
-        let boxed = &mut self.comps[comp.index()];
-        let mut ctx = Ctx { kernel: &mut self.kernel, comp };
-        if wake {
-            boxed.on_wake(&mut ctx);
-        } else {
-            boxed.on_input(&mut ctx);
-        }
     }
 
-    /// Evaluates a compiled combinational component: computes the spec
-    /// over the committed input values and drives the result through
-    /// [`Kernel::drive`], the rule [`Ctx::drive`] applies, scheduling
-    /// an in-flight drive on the compiled calendar instead of the
-    /// global queue.
-    fn eval_compiled(&mut self, comp: ComponentId) {
-        let compiled = self.compiled.as_mut().expect("caller checked membership");
-        compiled.cone_evals += 1;
-        let node = compiled.node(comp);
-        let value = node.eval(&compiled.values, compiled.pool());
-        let out = node.out;
+    /// Evaluates a combinational node. An uncompiled one reads the
+    /// committed values and drives through [`Ctx::drive`], like a
+    /// behavioural cell; a compiled one reads the dense value shadow
+    /// and hands its result to [`Kernel::drive`], the rule
+    /// [`Ctx::drive`] applies, scheduling an in-flight drive on the
+    /// compiled calendar instead of the global queue.
+    fn eval_comb(&mut self, comp: ComponentId, node: u32, compiled: bool) {
+        let node = &self.nodes[node as usize];
         let kernel = &mut self.kernel;
+        let engine = match &mut self.compiled {
+            Some(engine) if compiled => engine,
+            _ => {
+                let value = node.eval(&self.pool, |s| kernel.signals[s.index()].value);
+                Ctx { kernel, comp }.drive(node.out, value, node.delay);
+                return;
+            }
+        };
+        engine.cone_evals += 1;
+        let value = node.eval(&self.pool, |s| engine.values[s.index()]);
+        let out = node.out;
         // Lane twin: advance every campaign lane through the same
         // function the carrier just evaluated, and keep the value a
         // superseding drive would cancel. The drive rule's skips
@@ -1674,7 +1683,7 @@ impl Simulator {
         // differs from what the carrier compared against would *not*
         // have skipped in their scalar run, and diverge.
         let lanes = kernel.sliced.as_ref().map(|sl| {
-            let plane = node.eval_lanes(|s| sl.read_plane(s, &compiled.values), compiled.pool());
+            let plane = node.eval(&self.pool, |s| sl.read_plane(s, &engine.values));
             (plane, kernel.signals[out.index()].pending_value)
         });
         match kernel.drive(comp, out, value, node.delay) {
@@ -1688,7 +1697,7 @@ impl Simulator {
                 if let (Some(sl), Some((plane, in_flight))) = (kernel.sliced.as_mut(), lanes) {
                     sl.note_drive(out, plane, superseded.then_some(&in_flight));
                 }
-                compiled.push(at, out, epoch);
+                engine.push(at, out, epoch);
             }
         }
     }

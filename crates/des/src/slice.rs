@@ -14,9 +14,9 @@
 //!   masks is no lane's disturbance: at 64 lanes it flips every wire
 //!   bit, and a carrier running it skips edges no real lane skips.)
 //! - every tracked signal additionally carries a [`LaneValues`]
-//!   plane set, advanced lane-parallel through the compiled engine's
-//!   `eval_lanes` — one bitwise operation per plane advances all 64
-//!   lanes at once;
+//!   plane set, advanced lane-parallel through the compiled nodes by
+//!   the same evaluator the carrier runs — one bitwise operation per
+//!   plane advances all 64 lanes at once;
 //! - glitch injection XORs each lane's own mask into that lane only,
 //!   and state-cell outputs follow their registered capture rules
 //!   (`q` inherits `d`'s planes when the carrier latched `d`

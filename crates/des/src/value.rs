@@ -656,9 +656,9 @@ impl LaneValues {
     }
 
     /// Spreads a 1-bit lane set across `width` bits — the
-    /// lane-parallel analogue of the interpreted gate's 1-bit-to-word
-    /// input broadcast (a lane's known 0 becomes all-zeros, known 1
-    /// all-ones, X all-X).
+    /// lane-parallel form of a gate's 1-bit-to-word input broadcast
+    /// (a lane's known 0 becomes all-zeros, known 1 all-ones, X
+    /// all-X).
     ///
     /// # Panics
     ///

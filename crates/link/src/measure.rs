@@ -265,9 +265,6 @@ impl From<SpecError> for RunFailure {
 pub struct LinkRun {
     /// Which link family was measured.
     pub family: LinkFamily,
-    /// The spec the link was generated from, when the run came in
-    /// through [`run_spec`].
-    pub spec: Option<LinkSpec>,
     /// The effective configuration measured (spec merged onto the
     /// physical base).
     pub cfg: LinkConfig,
@@ -469,23 +466,12 @@ pub fn run_spec(
     words: &[u64],
     opts: &MeasureOptions,
 ) -> Result<LinkRun, RunFailure> {
+    let family = spec.family();
     let cfg = spec.apply(base);
-    run_family(spec.family(), &cfg, Some(spec.clone()), words, opts)
-}
-
-/// The measurement protocol behind [`run_spec`]: `cfg` is the final
-/// effective configuration.
-fn run_family(
-    family: LinkFamily,
-    cfg: &LinkConfig,
-    spec: Option<LinkSpec>,
-    words: &[u64],
-    opts: &MeasureOptions,
-) -> Result<LinkRun, RunFailure> {
     cfg.check().map_err(RunFailure::Config)?;
     let mut sim = Simulator::new();
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
-    let handles = build_family(&mut builder, family, "link", cfg).map_err(RunFailure::Build)?;
+    let handles = build_family(&mut builder, family, "link", &cfg).map_err(RunFailure::Build)?;
     let area = builder.finish();
     if let Some(plan) = &opts.fault_plan {
         sim.apply_fault_plan(plan).map_err(RunFailure::Fault)?;
@@ -614,8 +600,7 @@ fn run_family(
 
     Ok(LinkRun {
         family,
-        spec,
-        cfg: cfg.clone(),
+        cfg,
         sent,
         received,
         in_use,
@@ -688,15 +673,22 @@ mod tests {
         assert!(run.area_um2() > 1000.0, "area {} implausibly small", run.area_um2());
     }
 
+    /// A CRC-8 spec over a base that asks for the early word
+    /// acknowledge: a configuration no spec check can see.
+    fn crc8_over_early_ack() -> Result<LinkRun, RunFailure> {
+        let spec = LinkSpec::builder()
+            .family(LinkFamily::PerTransfer)
+            .protection(crate::ProtectionMode::Crc8)
+            .build()
+            .expect("valid spec");
+        let base = LinkConfig { early_word_ack: true, ..Default::default() };
+        run_spec(&spec, &base, &[1], &MeasureOptions::default())
+    }
+
     #[test]
     fn bad_config_is_a_config_error_not_a_panic() {
-        let cfg = LinkConfig { slice_width: 5, ..Default::default() };
-        let err = run_family(LinkFamily::PerTransfer, &cfg, None, &[1], &MeasureOptions::default())
-            .expect_err("misconfigured");
-        assert!(matches!(
-            err,
-            RunFailure::Config(ConfigError::SliceNotDividing { slice: 5, flit: 32 })
-        ));
+        let err = crc8_over_early_ack().expect_err("misconfigured");
+        assert!(matches!(err, RunFailure::Config(ConfigError::ProtectionWithEarlyAck)));
     }
 
     #[test]
@@ -742,9 +734,7 @@ mod tests {
     #[test]
     fn run_failures_chain_their_sources() {
         use std::error::Error as _;
-        let cfg = LinkConfig { slice_width: 5, ..Default::default() };
-        let err = run_family(LinkFamily::PerTransfer, &cfg, None, &[1], &MeasureOptions::default())
-            .expect_err("misconfigured");
+        let err = crc8_over_early_ack().expect_err("misconfigured");
         let src = err.source().expect("Config failures chain to the typed ConfigError");
         assert!(src.downcast_ref::<ConfigError>().is_some());
         assert!(src.source().is_none(), "ConfigError is the end of the chain");
