@@ -294,7 +294,13 @@ impl<'a> CircuitBuilder<'a> {
             self.record_error(BuildError::EmptyInputs { cell: name.to_string() });
             return None;
         };
-        if !self.width_ok(name, width, self.sim.signal_width(out)) {
+        // A 1-bit input is broadcast across the word; any other input
+        // must be as wide as the gate.
+        let inputs_ok = inputs.iter().all(|&s| {
+            let w = self.sim.signal_width(s);
+            w == 1 || self.width_ok(name, width, w)
+        });
+        if !inputs_ok || !self.width_ok(name, width, self.sim.signal_width(out)) {
             return None;
         }
         let p = self.account(kind, width);
@@ -379,7 +385,9 @@ impl<'a> CircuitBuilder<'a> {
     /// Word-wide 2-way multiplexer (`sel` 1 bit; `a`, `b` same width).
     pub fn mux2(&mut self, name: &str, sel: SignalId, a: SignalId, b: SignalId) -> SignalId {
         let width = self.sim.signal_width(a);
-        if !self.width_ok(name, width, self.sim.signal_width(b)) {
+        if !self.width_ok(name, 1, self.sim.signal_width(sel))
+            || !self.width_ok(name, width, self.sim.signal_width(b))
+        {
             return self.placeholder(name, width);
         }
         let p = self.account(CellKind::Mux2, width);
@@ -1304,6 +1312,56 @@ mod tests {
         // take_error clears the poison; the builder is usable again.
         let _ = b.inv("i0", s);
         assert!(b.try_finish().is_ok());
+    }
+
+    /// Builds one cell with `build` on fresh inputs `s` (1 bit), `s2`
+    /// (2 bits), `w4` and `w8`, then runs the netlist for a few ns.
+    fn build_and_run(
+        build: impl FnOnce(&mut CircuitBuilder<'_>, [SignalId; 4]),
+    ) -> Result<AreaLedger, BuildError> {
+        let mut sim = Simulator::new();
+        let lib = UnitLibrary;
+        let mut b = CircuitBuilder::new(&mut sim, &lib);
+        let ins = [b.input("s", 1), b.input("s2", 2), b.input("w4", 4), b.input("w8", 8)];
+        build(&mut b, ins);
+        let res = b.try_finish();
+        for (sig, width) in ins.into_iter().zip([1, 2, 4, 8]) {
+            let edges = [(Time::ZERO, Value::zero(width)), (Time::from_ns(1), Value::ones(width))];
+            sim.stimulus(sig, &edges);
+        }
+        sim.run_until(Time::from_ns(3)).unwrap();
+        res
+    }
+
+    #[test]
+    fn bad_width_muxes_and_gates_are_recorded_not_built() {
+        let mismatch = |res: Result<AreaLedger, BuildError>| match res {
+            Err(BuildError::WidthMismatch { cell, expected, actual }) => (cell, expected, actual),
+            other => panic!("expected a width mismatch, got {other:?}"),
+        };
+        // A multi-bit select.
+        let res = build_and_run(|b, [_, s2, w4, _]| {
+            b.mux2("m", s2, w4, w4);
+        });
+        assert_eq!(mismatch(res), ("m".to_string(), 1, 2));
+        // Gate inputs neither 1 bit nor the gate width.
+        let res = build_and_run(|b, [_, s2, _, w8]| {
+            b.and2("g", s2, w8);
+        });
+        assert_eq!(mismatch(res), ("g".to_string(), 8, 2));
+        let res = build_and_run(|b, [s, _, w4, w8]| {
+            b.or3("o", w8, s, w4);
+        });
+        assert_eq!(mismatch(res), ("o".to_string(), 8, 4));
+        // The legal shapes beside them build: a 1-bit input broadcast
+        // across the word, and a 1-bit select.
+        let broadcast = build_and_run(|b, [s, _, _, w8]| {
+            b.and2("g", s, w8);
+        });
+        let select = build_and_run(|b, [s, _, w4, _]| {
+            b.mux2("m", s, w4, w4);
+        });
+        assert!(broadcast.is_ok() && select.is_ok());
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub use flow::{
 };
 pub use link_model::LinkModel;
 pub use network::{FlowNetReport, Network, NetworkConfig};
-pub use packet::{Flit, FlitKind, Packet, PacketId};
-pub use router::Router;
 pub use routing::{LinkKill, RouteTable, RoutingMode};
 pub use stats::{LinkRecovery, NetworkStats};
 pub use topology::{Direction, Mesh, NodeId};

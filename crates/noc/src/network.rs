@@ -10,12 +10,11 @@ use crate::fault::{
     NACK_LATENCY, RESYNC_AFTER, RESYNC_PENALTY,
 };
 use crate::flow::{FlowConfig, FlowEngine, FlowStats, FlowTag, StallReport, StalledChannel, jain_index};
+use crate::packet::{Flit, PacketId};
+use crate::router::Router;
 use crate::routing::{LinkKill, RouteTable, RoutingMode};
 use crate::stats::LinkRecovery;
-use crate::{
-    Direction, Flit, LinkModel, Mesh, NetworkStats, NodeId, Packet, PacketId, Router,
-    TrafficPattern,
-};
+use crate::{Direction, LinkModel, Mesh, NetworkStats, NodeId, TrafficPattern};
 
 /// Static configuration of a network instance.
 #[derive(Debug, Clone)]
@@ -78,25 +77,11 @@ struct Channel {
     /// a last-resort retrain can revive the *state*, but the failure
     /// must stay visible in the recovery rows.
     ever_failed: bool,
-    /// Fault machinery, when the network is lossy.
-    lossy: Option<Lossy>,
+    /// Fault machinery when lossy, boxed to keep fault-free channels small.
+    lossy: Option<Box<Lossy>>,
 }
 
 impl Channel {
-    fn new(model: LinkModel, to: NodeId, downstream_capacity: usize, lossy: Option<Lossy>) -> Self {
-        Channel {
-            model,
-            to,
-            in_flight: VecDeque::new(),
-            rate_credit: 1.0,
-            buffer_credits: downstream_capacity,
-            last_delivery: 0,
-            state: ChannelState::Up,
-            ever_failed: false,
-            lossy,
-        }
-    }
-
     /// Availability: a failed channel never accepts, a resyncing one
     /// is draining and refuses new work.
     fn is_open(&self) -> bool {
@@ -127,6 +112,27 @@ impl Channel {
             _ => {}
         }
         self.rate_credit = (self.rate_credit + rate).min(CREDIT_CAP);
+    }
+}
+
+/// What phase 3 of `Network::step_cycle` reads of each channel, by
+/// dense id, recorded by the delivery pass and again after an epoch
+/// (DESIGN.md §5h). Edge ports keep `false` and the `Failed` penalty.
+#[derive(Debug)]
+struct ChannelViews {
+    can_accept: Vec<bool>,
+    score: Vec<u32>,
+    /// XY routing reads no score, so none is recorded.
+    scored: bool,
+}
+
+impl ChannelViews {
+    fn record(&mut self, id: usize, ch: &Channel) {
+        self.can_accept[id] = ch.can_accept();
+        if self.scored {
+            // Health penalty plus queue depth.
+            self.score[id] = ch.state.penalty() + ch.in_flight.len() as u32;
+        }
     }
 }
 
@@ -161,8 +167,9 @@ impl PacketSlab {
             self.slots[id.0 as usize] = Some(slot);
             id
         } else {
+            let id = u32::try_from(self.slots.len()).expect("2^32 packets in the fabric");
             self.slots.push(Some(slot));
-            PacketId(self.slots.len() as u64 - 1)
+            PacketId(id)
         }
     }
 
@@ -263,9 +270,14 @@ pub struct Network {
     inject_rate: f64,
     rng: StdRng,
     routers: Vec<Router>,
+    /// Every router's input FIFOs, one allocation ([`Router::buffer`]).
+    flits: Vec<Flit>,
     /// Outgoing channels by dense id ([`Mesh::channel_id`]); `None`
     /// where the port faces the mesh edge.
     channels: Vec<Option<Channel>>,
+    views: ChannelViews,
+    /// The moves of the router being stepped, reused by every step.
+    moves: Vec<(Direction, Flit)>,
     inject_q: Vec<VecDeque<Flit>>,
     packets: PacketSlab,
     /// The transport engine (flow mode only).
@@ -296,7 +308,6 @@ impl Network {
         assert!(inject_rate >= 0.0, "negative injection rate");
         let mesh = cfg.mesh;
         let nodes = mesh.nodes();
-        let routers: Vec<Router> = (0..nodes).map(|_| Router::new(cfg.input_queue_flits)).collect();
         // The protection mode taxes the link: CRC check bytes ride the
         // serial wire, parity rides an extra physical wire.
         let model = match cfg.faults {
@@ -310,14 +321,23 @@ impl Network {
         let channels = (0..4 * nodes)
             .map(|id| {
                 let (n, dir) = mesh.channel(id);
-                let to = mesh.neighbor(n, dir)?;
                 let lossy = cfg.faults.map(|fc| Lossy {
                     dice: FaultDice::new(fc, seed, n.0, dir.index()),
                     consec: 0,
                     head_resyncs: 0,
                     counts: RecoveryCounts::default(),
                 });
-                Some(Channel::new(model, to, cfg.input_queue_flits, lossy))
+                Some(Channel {
+                    model,
+                    to: mesh.neighbor(n, dir)?,
+                    in_flight: VecDeque::new(),
+                    rate_credit: 1.0,
+                    buffer_credits: cfg.input_queue_flits,
+                    last_delivery: 0,
+                    state: ChannelState::Up,
+                    ever_failed: false,
+                    lossy: lossy.map(Box::new),
+                })
             })
             .collect();
         let mut kills = cfg.link_kills.clone();
@@ -333,12 +353,19 @@ impl Network {
             );
         }
         Network {
+            routers: (0..nodes).map(|n| Router::new(n, cfg.input_queue_flits)).collect(),
+            flits: Router::buffer(nodes, cfg.input_queue_flits),
+            views: ChannelViews {
+                can_accept: vec![false; 4 * nodes],
+                score: vec![ChannelState::Failed.penalty(); 4 * nodes],
+                scored: cfg.routing.is_adaptive(),
+            },
             cfg,
             pattern,
             inject_rate,
             rng: StdRng::seed_from_u64(seed),
-            routers,
             channels,
+            moves: Vec::new(),
             inject_q: vec![VecDeque::new(); nodes],
             packets: PacketSlab::default(),
             flows: None,
@@ -592,17 +619,28 @@ impl Network {
             .collect()
     }
 
-    /// Creates a packet at `from` bound for `to` and feeds its flits
-    /// into the source queue.
-    fn spawn_packet(&mut self, from: NodeId, to: NodeId, len_flits: u32, tag: Option<FlowTag>) {
-        let id = self.packets.insert(PacketSlot {
-            inject_cycle: self.cycle,
-            corrupt_xor: 0,
-            tag,
-            stranded: false,
-        });
-        let pkt = Packet { id, src: from, dst: to, len_flits };
-        self.inject_q[from.0 as usize].extend(pkt.flits());
+    /// Creates a packet at `from` bound for `to`, one flit if it is an
+    /// ack and `packet_len_flits` otherwise, feeds its flits into the
+    /// source queue and, when `measuring`, counts it offered.
+    fn spawn_packet(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tag: Option<FlowTag>,
+        stats: &mut NetworkStats,
+        measuring: bool,
+    ) {
+        let len = match tag {
+            Some(FlowTag::Ack { .. }) => 1,
+            _ => self.cfg.packet_len_flits,
+        };
+        let slot = PacketSlot { inject_cycle: self.cycle, corrupt_xor: 0, tag, stranded: false };
+        let id = self.packets.insert(slot);
+        self.inject_q[from.0 as usize].extend(Flit::of_packet(id, from, to, len));
+        if measuring {
+            stats.offered_packets += 1;
+            stats.injected_flits += u64::from(len);
+        }
     }
 
     /// One reconfiguration epoch around the channels that entered
@@ -669,7 +707,7 @@ impl Network {
         let mut salvage: BTreeSet<PacketId> = BTreeSet::new();
         for r in &mut self.routers {
             for out in Direction::ALL {
-                if let Some((pid, head_still_queued)) = r.disown_output(out) {
+                if let Some((pid, head_still_queued)) = r.disown_output(&self.flits, out) {
                     if head_still_queued {
                         salvage.insert(pid);
                     } else {
@@ -728,41 +766,30 @@ impl Network {
             }
             stats.retrained_links += 1;
         }
-        for (idx, r) in self.routers.iter().enumerate() {
-            let at = NodeId(idx as u16);
-            for (in_port, f) in r.queued_heads() {
-                if self.routes.permitted(f.src, at, in_port, f.dst).is_empty() {
-                    doomed.insert(f.packet);
-                }
+        let routes = &self.routes;
+        let mut doom_unroutable = |at: NodeId, in_port: Direction, f: &Flit| {
+            if f.head && routes.permitted(f.src, at, in_port, f.dst).is_empty() {
+                doomed.insert(f.packet);
+            }
+        };
+        for ((at, r), q) in self.cfg.mesh.node_ids().zip(&self.routers).zip(&self.inject_q) {
+            for d in Direction::ALL {
+                r.fifo(&self.flits, d.index()).for_each(|f| doom_unroutable(at, d, f));
+            }
+            for f in q {
+                doom_unroutable(at, Direction::Local, f);
             }
         }
         for (id, ch) in self.channels.iter().enumerate() {
             let Some(ch) = ch else { continue };
             let in_port = self.cfg.mesh.channel(id).1.opposite();
-            for (_, f) in &ch.in_flight {
-                if f.is_head() && self.routes.permitted(f.src, ch.to, in_port, f.dst).is_empty() {
-                    doomed.insert(f.packet);
-                }
-            }
+            ch.in_flight.iter().for_each(|(_, f)| doom_unroutable(ch.to, in_port, f));
         }
-        for (idx, q) in self.inject_q.iter().enumerate() {
-            let at = NodeId(idx as u16);
-            for f in q {
-                if f.is_head()
-                    && self.routes.permitted(f.src, at, Direction::Local, f.dst).is_empty()
-                {
-                    doomed.insert(f.packet);
-                }
-            }
-        }
-        for pid in &doomed {
-            salvage.remove(pid);
-        }
-        stats.salvaged_packets += salvage.len() as u64;
+        stats.salvaged_packets += salvage.difference(&doomed).count() as u64;
         // Purge every trace of the severed packets: router FIFOs and
         // locks, surviving channel queues, source queues, bookkeeping.
         for r in &mut self.routers {
-            stats.stranded_flits += r.purge(&doomed);
+            stats.stranded_flits += r.purge(&mut self.flits, &doomed);
         }
         for ch in self.channels.iter_mut().flatten() {
             let before = ch.in_flight.len();
@@ -821,25 +848,13 @@ impl Network {
             let in_port = mesh.channel(id).1.opposite();
             let router = &mut self.routers[ch.to.0 as usize];
             // Expire transient states.
-            let mut open = true;
-            match ch.state {
-                ChannelState::Failed => open = false,
-                ChannelState::Resyncing { until } => {
-                    if now >= until {
-                        ch.state = ChannelState::Up;
-                        changed = true;
-                    } else {
-                        open = false;
-                    }
+            if let ChannelState::Resyncing { until } | ChannelState::Degraded { until } = ch.state {
+                if now >= until {
+                    ch.state = ChannelState::Up;
+                    changed = true;
                 }
-                ChannelState::Degraded { until } => {
-                    if now >= until {
-                        ch.state = ChannelState::Up;
-                        changed = true;
-                    }
-                }
-                ChannelState::Up => {}
             }
+            let mut open = ch.is_open();
             while open {
                 let Some(&(at, flit)) = ch.in_flight.front() else { break };
                 if at > now || router.free_slots(in_port) == 0 {
@@ -862,7 +877,7 @@ impl Network {
                             self.packets.get_mut(flit.packet).corrupt_xor ^= mask;
                         }
                         ch.in_flight.pop_front();
-                        router.accept(in_port, flit);
+                        router.accept(&mut self.flits, in_port, flit);
                         ch.last_delivery = now;
                         if let Some(l) = &mut ch.lossy {
                             l.consec = 0;
@@ -913,6 +928,7 @@ impl Network {
                 }
             }
             ch.tick(now);
+            self.views.record(id, ch);
         }
 
         // 1b. Reconfiguration epoch: strand/salvage around every
@@ -920,6 +936,11 @@ impl Network {
         //     rebuild the route table and pause injection.
         if !newly_failed.is_empty() {
             self.handle_failures(newly_failed, stats);
+            for (id, ch) in self.channels.iter().enumerate() {
+                if let Some(ch) = ch {
+                    self.views.record(id, ch);
+                }
+            }
         }
 
         // 2. Injection: flow senders or the open-loop pattern.
@@ -927,26 +948,14 @@ impl Network {
             let sends = self.flows.as_mut().expect("flow mode").poll(now);
             changed |= !sends.is_empty();
             for s in sends {
-                let len = match s.tag {
-                    FlowTag::Payload { .. } => self.cfg.packet_len_flits,
-                    FlowTag::Ack { .. } => 1,
-                };
-                self.spawn_packet(s.from, s.to, len, Some(s.tag));
-                if measuring {
-                    stats.offered_packets += 1;
-                    stats.injected_flits += u64::from(len);
-                }
+                self.spawn_packet(s.from, s.to, Some(s.tag), stats, measuring);
             }
         } else {
             let p_packet = self.inject_rate / self.cfg.packet_len_flits as f64;
             for n in mesh.node_ids() {
                 if mesh.nodes() > 1 && self.rng.gen_bool(p_packet.min(1.0)) {
                     let dst = self.pattern.destination(&mesh, n, &mut self.rng);
-                    self.spawn_packet(n, dst, self.cfg.packet_len_flits, None);
-                    if measuring {
-                        stats.offered_packets += 1;
-                        stats.injected_flits += u64::from(self.cfg.packet_len_flits);
-                    }
+                    self.spawn_packet(n, dst, None, stats, measuring);
                 }
             }
         }
@@ -954,16 +963,11 @@ impl Network {
         // unless a reconfiguration epoch has injection paused (senders
         // keep queueing; the fabric interface holds them back).
         if now >= self.inject_frozen_until {
-            for n in mesh.node_ids() {
-                let r = &mut self.routers[n.0 as usize];
+            for (r, q) in self.routers.iter_mut().zip(&mut self.inject_q) {
                 while r.free_slots(Direction::Local) > 0 {
-                    match self.inject_q[n.0 as usize].pop_front() {
-                        Some(f) => {
-                            r.accept(Direction::Local, f);
-                            changed = true;
-                        }
-                        None => break,
-                    }
+                    let Some(f) = q.pop_front() else { break };
+                    r.accept(&mut self.flits, Direction::Local, f);
+                    changed = true;
                 }
             }
         }
@@ -971,8 +975,9 @@ impl Network {
         // 3. Switch allocation and traversal. The route closure is
         //    the single routing decision point: static XY, or the
         //    adaptive table biased by per-channel health and queue
-        //    depth (the link monitors' view).
+        //    depth (the link monitors' view), both read from `views`.
         let adaptive = self.cfg.routing.is_adaptive();
+        let mut moves = std::mem::take(&mut self.moves);
         for n in mesh.node_ids() {
             let idx = n.0 as usize;
             // An empty router has no head to grant and nothing to
@@ -981,32 +986,29 @@ impl Network {
             if self.routers[idx].occupancy() == 0 {
                 continue;
             }
-            // Split borrows: collect sendability and health first.
-            let mut can = [true; 5];
-            let mut score = [0u32; 5];
-            for dir in Direction::CARDINAL {
-                let ch = self.channels[mesh.channel_id(n, dir)].as_ref();
-                can[dir.index()] = ch.is_some_and(Channel::can_accept);
-                score[dir.index()] = ch.map_or(ChannelState::Failed.penalty(), |c| {
-                    c.state.penalty() + c.in_flight.len() as u32
-                });
-            }
-            let routes = &self.routes;
-            let moves = self.routers[idx].step(
+            let (routes, views) = (&self.routes, &self.views);
+            let score = |d: Direction| match d {
+                Direction::Local => 0,
+                d => views.score[mesh.channel_id(n, d)],
+            };
+            moves.clear();
+            self.routers[idx].step(
+                &self.flits,
                 |in_port, flit| {
                     if adaptive {
-                        routes.choose(flit.src, n, in_port, flit.dst, |d| score[d.index()])
+                        routes.choose(flit.src, n, in_port, flit.dst, score)
                     } else {
                         Some(mesh.route_xy(n, flit.dst))
                     }
                 },
-                |d| can[d.index()],
+                |d| d == Direction::Local || views.can_accept[mesh.channel_id(n, d)],
+                &mut moves,
             );
             changed |= !moves.is_empty();
-            for (out, flit) in moves {
+            for &(out, flit) in &moves {
                 if out == Direction::Local {
                     // Ejected at the destination core.
-                    if flit.is_tail() {
+                    if flit.tail {
                         debug_assert_eq!(flit.dst, n, "packet ejected at wrong node");
                         let pkt = self.packets.remove(flit.packet);
                         if measuring {
@@ -1022,11 +1024,7 @@ impl Network {
                         if let Some(tag) = pkt.tag {
                             let engine = self.flows.as_mut().expect("tagged packet needs flows");
                             if let Some(ack) = engine.on_delivery(n, tag, pkt.corrupt_xor, now) {
-                                self.spawn_packet(ack.from, ack.to, 1, Some(ack.tag));
-                                if measuring {
-                                    stats.offered_packets += 1;
-                                    stats.injected_flits += 1;
-                                }
+                                self.spawn_packet(ack.from, ack.to, Some(ack.tag), stats, measuring);
                             }
                         }
                     }
@@ -1041,6 +1039,7 @@ impl Network {
                 }
             }
         }
+        self.moves = moves;
 
         // 4. Return buffer credits for flits the routers consumed: the
         //    credit view is refreshed from actual occupancy (simpler

@@ -1,4 +1,4 @@
-//! Packets and flits.
+//! Flits, the units a packet crosses the fabric in.
 
 use crate::NodeId;
 
@@ -7,82 +7,40 @@ use crate::NodeId;
 /// (its tail ejected, or reconfiguration purged it), so an id is
 /// unique among the packets in flight at one time, not over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PacketId(pub u64);
+pub(crate) struct PacketId(pub(crate) u32);
 
-/// A network packet, segmented into flits for wormhole switching.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
-    /// Identifier.
-    pub id: PacketId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Length in flits (including head and tail).
-    pub len_flits: u32,
-}
-
-/// Position of a flit within its packet.
+/// One flow-control unit, 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlitKind {
-    /// First flit: carries the route.
-    Head,
-    /// Middle flit.
-    Body,
-    /// Last flit: releases the wormhole path.
-    Tail,
-    /// Single-flit packet (head and tail at once).
-    HeadTail,
-}
-
-/// One flow-control unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// The packet this flit belongs to.
-    pub packet: PacketId,
-    /// Kind within the packet.
-    pub kind: FlitKind,
+    pub(crate) packet: PacketId,
     /// Source node (odd-even routing may turn freely only in the
     /// source column, so the route function needs it; replicated like
     /// `dst` so routers need no packet table).
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Destination (replicated so routers need no packet table).
-    pub dst: NodeId,
-    /// Sequence number within the packet (0 = head).
-    pub seq: u32,
-}
-
-impl Packet {
-    /// Segments the packet into its flit sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet has zero length.
-    pub fn flits(&self) -> Vec<Flit> {
-        assert!(self.len_flits >= 1, "packet must have at least one flit");
-        (0..self.len_flits)
-            .map(|i| {
-                let kind = match (i, self.len_flits) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, n) if i + 1 == n => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit { packet: self.id, kind, src: self.src, dst: self.dst, seq: i }
-            })
-            .collect()
-    }
+    pub(crate) dst: NodeId,
+    /// First flit of its packet: it carries the route.
+    pub(crate) head: bool,
+    /// Last flit of its packet: it releases the wormhole path.
+    pub(crate) tail: bool,
 }
 
 impl Flit {
-    /// True if this flit ends its packet.
-    pub fn is_tail(&self) -> bool {
-        matches!(self.kind, FlitKind::Tail | FlitKind::HeadTail)
-    }
-
-    /// True if this flit starts its packet.
-    pub fn is_head(&self) -> bool {
-        matches!(self.kind, FlitKind::Head | FlitKind::HeadTail)
+    /// The `len` flits of packet `packet` from `src` to `dst`, in
+    /// order; a one-flit packet's flit is both head and tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    pub(crate) fn of_packet(
+        packet: PacketId,
+        src: NodeId,
+        dst: NodeId,
+        len: u32,
+    ) -> impl Iterator<Item = Flit> {
+        assert!(len >= 1, "packet must have at least one flit");
+        (0..len).map(move |i| Flit { packet, src, dst, head: i == 0, tail: i + 1 == len })
     }
 }
 
@@ -90,33 +48,26 @@ impl Flit {
 mod tests {
     use super::*;
 
-    fn pkt(len: u32) -> Packet {
-        Packet {
-            id: PacketId(7),
-            src: NodeId(0),
-            dst: NodeId(5),
-            len_flits: len,
-        }
+    fn ends(len: u32) -> Vec<(bool, bool)> {
+        Flit::of_packet(PacketId(7), NodeId(0), NodeId(5), len).map(|f| (f.head, f.tail)).collect()
     }
 
     #[test]
-    fn segmentation_kinds() {
-        let f = pkt(4).flits();
-        assert_eq!(f.len(), 4);
-        assert_eq!(f[0].kind, FlitKind::Head);
-        assert_eq!(f[1].kind, FlitKind::Body);
-        assert_eq!(f[2].kind, FlitKind::Body);
-        assert_eq!(f[3].kind, FlitKind::Tail);
-        assert!(f[0].is_head() && !f[0].is_tail());
-        assert!(f[3].is_tail() && !f[3].is_head());
-        assert_eq!(f.iter().map(|x| x.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+    fn segmentation_marks_head_and_tail() {
+        let body = (false, false);
+        assert_eq!(ends(4), [(true, false), body, body, (false, true)]);
+        assert_eq!(ends(2), [(true, false), (false, true)]);
+        let f: Vec<Flit> = Flit::of_packet(PacketId(7), NodeId(0), NodeId(5), 3).collect();
+        assert!(f.iter().all(|x| x.packet == PacketId(7) && x.src == NodeId(0) && x.dst == NodeId(5)));
     }
 
     #[test]
-    fn single_flit_packet_is_headtail() {
-        let f = pkt(1).flits();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].kind, FlitKind::HeadTail);
-        assert!(f[0].is_head() && f[0].is_tail());
+    fn single_flit_packet_is_head_and_tail() {
+        assert_eq!(ends(1), [(true, true)]);
+    }
+
+    #[test]
+    fn a_flit_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 12);
     }
 }

@@ -11,7 +11,8 @@
 //! adaptive routing, ideal and serialized channels, uniform, transpose
 //! and hotspot traffic, loads past saturation) cut to a few hundred
 //! cycles, plus a lossy 4×4 mesh with scheduled link kills under each
-//! routing mode.
+//! routing mode. A second test pins two full-length uniform 8×8 runs
+//! at twice saturation, `in_flight` included, captured later.
 
 use sal_link::{LinkConfig, LinkFamily};
 use sal_noc::{
@@ -250,6 +251,54 @@ const EXPECTED: &[(&str, &str)] = &[
          links=48:9f9a6590f2073636 totals=494ed0698e754834",
     ),
 ];
+
+/// Full-length `mesh_load` runs past saturation: 8×8 uniform traffic
+/// at twice its saturation load on ideal channels, 2,000 cycles with
+/// 500 of warm-up, once per routing mode. Source queues grow hundreds
+/// of flits deep and thousands of packets are alive at once, which
+/// the cut-down cases above never reach.
+fn saturated_cases() -> Vec<(String, NetworkStats)> {
+    [("xy", RoutingMode::XyStatic, 701), ("adaptive", RoutingMode::adaptive(), 702)]
+        .into_iter()
+        .map(|(rname, routing, seed)| {
+            let cfg = config(Mesh::new(8, 8), LinkModel::ideal(), routing);
+            let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.7, seed);
+            (format!("8x8 uniform {rname} ideal 2x saturation"), net.run(2_000, 500))
+        })
+        .collect()
+}
+
+/// Captured before the router inputs became one ring buffer and
+/// packet ids 32-bit; `in_flight` is pinned too.
+const EXPECTED_SATURATED: &[(&str, &str)] = &[
+    (
+        "8x8 uniform xy ideal 2x saturation",
+        "cycles=1500 nodes=64 offered=16765 delivered=8347/33407 \
+         latency=4588878/1492/8347:b60907ab8ba483fc corrupt=0 \
+         injected=67060 stranded=0/0 salvaged=0 residual=45566 epochs=0 retrained=0 \
+         links=224:e1b29820cee4c845 totals=f14b84b8290b8965 in_flight=11403",
+    ),
+    (
+        "8x8 uniform adaptive ideal 2x saturation",
+        "cycles=1500 nodes=64 offered=16833 delivered=4246/16987 \
+         latency=3409322/1937/4246:4536e8bdf2e1bb37 corrupt=0 \
+         injected=67332 stranded=0/0 salvaged=0 residual=67282 epochs=0 retrained=0 \
+         links=224:e1b29820cee4c845 totals=f14b84b8290b8965 in_flight=16826",
+    ),
+];
+
+#[test]
+fn saturated_full_length_stats_match_the_pinned_lines() {
+    let got: Vec<(String, String)> = saturated_cases()
+        .into_iter()
+        .map(|(name, s)| (name, format!("{} in_flight={}", summary(&s), s.in_flight)))
+        .collect();
+    assert_eq!(got.len(), EXPECTED_SATURATED.len(), "case count");
+    for ((name, line), (want_name, want)) in got.iter().zip(EXPECTED_SATURATED) {
+        assert_eq!(name, want_name);
+        assert_eq!(line, want, "{name}");
+    }
+}
 
 #[test]
 fn open_loop_stats_match_the_pinned_lines() {

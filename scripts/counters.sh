@@ -5,8 +5,10 @@
 #
 # Each RUNNER is a built `sal-perfbench` binary, e.g. one per tree from
 # `CARGO_TARGET_DIR=... cargo build --release --manifest-path
-# perfbench/Cargo.toml`. Both run the `gate_stream` and `lattice_sweep`
-# workloads with `--seed 901 --seconds 5 --trace 1` (about 10 s each).
+# perfbench/Cargo.toml`. Both run the `gate_stream`, `lattice_sweep`,
+# `mesh_load` and `mesh_chaos` workloads with `--seed 901 --seconds 5
+# --trace 1`; a traced run has a fixed round count, so the whole
+# comparison takes about 15 s on a 2-vCPU VM.
 # From each run's result line (its last line of output, one JSON
 # object) the script compares `correct`, `attempted`, `failed` and
 # every metric whose unit is `count` or `ratio`, except the `trace.*`
@@ -21,7 +23,8 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for workload in gate_stream lattice_sweep; do
+workloads="gate_stream lattice_sweep mesh_load mesh_chaos"
+for workload in $workloads; do
     for side in A B; do
         if [ "$side" = A ]; then runner=$1; else runner=$2; fi
         "$runner" --workload "$workload" --seed 901 --seconds 5 --trace 1 >"$tmp/out"
@@ -29,11 +32,11 @@ for workload in gate_stream lattice_sweep; do
     done
 done
 
-python3 - "$tmp" <<'EOF'
+python3 - "$tmp" $workloads <<'EOF'
 import json
 import sys
 
-tmp = sys.argv[1]
+tmp, workloads = sys.argv[1], sys.argv[2:]
 
 
 def counters(path):
@@ -46,7 +49,7 @@ def counters(path):
 
 
 differ = 0
-for workload in ("gate_stream", "lattice_sweep"):
+for workload in workloads:
     a = counters(f"{tmp}/{workload}.A.json")
     b = counters(f"{tmp}/{workload}.B.json")
     for name in sorted(a.keys() | b.keys()):
