@@ -300,6 +300,90 @@ mod tests {
         assert_eq!(fold, 0x2f96_abfc_fd26_47f9);
     }
 
+    /// FNV-1a over everything formatted into it.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &byte in s.as_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Every generated netlist is pinned: the `Debug` text of its
+    /// netgraph, its handles and its area ledger, folded per (receiver,
+    /// family, protection) group over the full grid, the full grid's
+    /// I3 cells again with the demux receiver, its unprotected I3
+    /// cells with early word acknowledge, and the two gate-level
+    /// fabrics the benchmark runs. Signal and component ids, wake
+    /// lists, watch order and cell areas all follow construction
+    /// order, so a digest that moves means a netlist changed.
+    #[test]
+    fn every_generated_netlist_is_pinned() {
+        use sal_link::WordRxStyle;
+        use std::fmt::Write as _;
+        let lib = MeasureOptions::default().lib;
+        let mut groups = std::collections::BTreeMap::new();
+        let mut digest = |group: String, build: &dyn Fn(&mut CircuitBuilder<'_>) -> String| {
+            let mut sim = Simulator::new();
+            let mut b = CircuitBuilder::new(&mut sim, &lib);
+            let handles = build(&mut b);
+            let area = b.finish();
+            let h = groups.entry(group).or_insert(Fnv(0xcbf2_9ce4_8422_2325));
+            write!(h, "{:?}{handles}{area:?}", sim.netgraph()).expect("hashing never fails");
+        };
+        let default = LinkConfig::default();
+        let demux = LinkConfig { word_rx_style: WordRxStyle::Demux, ..default.clone() };
+        let early = LinkConfig { early_word_ack: true, ..default.clone() };
+        let grid = full_grid();
+        let i3 = |s: &&LinkSpec| s.family() == LinkFamily::PerWord;
+        let unprotected = |s: &&LinkSpec| s.protection() == ProtectionMode::Off;
+        let runs = grid
+            .iter()
+            .map(|s| ("default", s, &default))
+            .chain(grid.iter().filter(i3).map(|s| ("demux", s, &demux)))
+            .chain(grid.iter().filter(i3).filter(unprotected).map(|s| ("early", s, &early)));
+        let mut built = 0;
+        for (rx, spec, base) in runs {
+            let group = format!("{rx} {} {}", spec.family().label(), spec.protection().label());
+            digest(group, &|b| {
+                let h = generate(b, spec, "link", base).expect("grid specs are valid");
+                format!("{h:?}")
+            });
+            built += 1;
+        }
+        assert_eq!(built, 219 + 105 + 48);
+        for (dims, family) in [((3, 3), LinkFamily::PerWord), ((3, 2), LinkFamily::PerTransfer)] {
+            let group = format!("fabric {}x{} {}", dims.0, dims.1, family.label());
+            digest(group, &|b| {
+                let f = sal_switch::build_mesh_fabric(b, "fab", dims, family, &default);
+                format!("{f:?}")
+            });
+        }
+        let digests: Vec<(&str, u64)> = groups.iter().map(|(g, h)| (g.as_str(), h.0)).collect();
+        assert_eq!(
+            digests,
+            [
+                ("default I1 off", 0xaae7_22da_0ed9_2570),
+                ("default I2 crc", 0x8dec_1347_a694_9329),
+                ("default I2 off", 0x0b11_8ff5_ce5c_5fe4),
+                ("default I2 parity", 0xfe15_3afa_d84f_94c8),
+                ("default I3 crc", 0x0a9a_03d2_0cbf_2a56),
+                ("default I3 off", 0x5121_7f1e_8e0d_b6b0),
+                ("default I3 parity", 0x5895_e532_c34c_3d5d),
+                ("demux I3 crc", 0xdcca_1f95_bdea_bfb4),
+                ("demux I3 off", 0x8d8d_c0f0_7d97_9934),
+                ("demux I3 parity", 0x6cba_28bd_2b07_c654),
+                ("early I3 off", 0x0a21_4198_d2bd_1554),
+                ("fabric 3x2 I2", 0x4f6b_90dd_a6f9_0e03),
+                ("fabric 3x3 I3", 0x9217_6cc1_cbc1_c762),
+            ],
+            "a generated netlist changed"
+        );
+    }
+
     /// Backs the campaign's "every generated link lints clean": all
     /// full-grid cells, zero error findings and a positive static margin
     /// on every bundled capture.

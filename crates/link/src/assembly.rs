@@ -6,7 +6,7 @@ use sal_cells::{BuildError, CircuitBuilder};
 use sal_des::{SignalId, Time};
 
 use crate::protect::{build_checker, build_protector};
-use crate::retry::{build_retry, RetryPorts};
+use crate::retry::build_retry;
 use crate::spec::LinkFamily;
 use crate::{
     build_as_interface, build_deserializer, build_sa_interface, build_serializer,
@@ -50,22 +50,80 @@ pub struct LinkHandles {
     pub recovery: Option<RecoverySignals>,
 }
 
-fn seg_params(b: &CircuitBuilder<'_>, cfg: &LinkConfig) -> (Time, f64) {
-    let lib = b.library();
-    let seg = cfg.segment_um();
-    let vdd = lib.vdd();
-    let energy = 0.5 * lib.wire_cap_ff_per_um() * seg * vdd * vdd;
-    // First-order distributed RC for one segment.
-    let r = 0.075 * seg;
-    let c = lib.wire_cap_ff_per_um() * seg * 1e-15;
-    let delay = Time::from_ps_f64((0.38 * r * c * 1e12).max(0.001));
-    (delay, energy)
+/// A wire segment's first-order model: every segment of a link has
+/// the same length, so one delay and one switching energy.
+#[derive(Clone, Copy)]
+struct Segment {
+    delay: Time,
+    energy_fj: f64,
 }
 
-/// Maps a configuration failure into the builder error channel,
-/// preserving the typed cause's message.
-fn check_cfg(cfg: &LinkConfig) -> Result<(), BuildError> {
-    cfg.check().map_err(BuildError::from)
+impl Segment {
+    fn new(b: &CircuitBuilder<'_>, cfg: &LinkConfig) -> Self {
+        let lib = b.library();
+        let seg = cfg.segment_um();
+        let vdd = lib.vdd();
+        let energy_fj = 0.5 * lib.wire_cap_ff_per_um() * seg * vdd * vdd;
+        // First-order distributed RC for one segment.
+        let r = 0.075 * seg;
+        let c = lib.wire_cap_ff_per_um() * seg * 1e-15;
+        let delay = Time::from_ps_f64((0.38 * r * c * 1e12).max(0.001));
+        Segment { delay, energy_fj }
+    }
+
+    /// Lays a segment driven by `from`; returns its far end.
+    fn lay(self, b: &mut CircuitBuilder<'_>, name: &str, from: SignalId) -> SignalId {
+        b.transport(name, from, self.delay, self.energy_fj)
+    }
+
+    /// Lays a segment from `from` onto the pre-declared net `to`.
+    fn lay_into(self, b: &mut CircuitBuilder<'_>, name: &str, to: SignalId, from: SignalId) {
+        b.transport_into(name, to, from, self.delay, self.energy_fj);
+    }
+}
+
+/// I3's wire station on one wire: the inverter pair `rep_{wire}{k}a`,
+/// `rep_{wire}{k}b`.
+fn repeat(b: &mut CircuitBuilder<'_>, wire: &str, k: usize, from: SignalId) -> SignalId {
+    let a = b.inv(&format!("rep_{wire}{k}a"), from);
+    b.inv(&format!("rep_{wire}{k}b"), a)
+}
+
+/// Lays a backward wire in the `wire` scope: segments `seg_{wire}0` …
+/// `seg_{wire}{stations-1}` from `from`, an inverter pair after each
+/// of them when `repeated`, and `seg_{wire}_last` onto the
+/// transmitter's pre-declared `heard` net.
+fn backward_wire(
+    b: &mut CircuitBuilder<'_>,
+    seg: Segment,
+    wire: &str,
+    from: SignalId,
+    heard: SignalId,
+    stations: usize,
+    repeated: bool,
+) {
+    b.push_scope("wire");
+    let mut w = from;
+    for k in 0..stations {
+        w = seg.lay(b, &format!("seg_{wire}{k}"), w);
+        if repeated {
+            w = repeat(b, wire, k, w);
+        }
+    }
+    seg.lay_into(b, &format!("seg_{wire}_last"), heard, w);
+    b.pop_scope();
+}
+
+/// Gates `rstn` with the inverse of a resync pulse.
+fn reset_gate(
+    b: &mut CircuitBuilder<'_>,
+    inv: &str,
+    name: &str,
+    rstn: SignalId,
+    resync: SignalId,
+) -> SignalId {
+    let n = b.inv(inv, resync);
+    b.and2(name, rstn, n)
 }
 
 /// Builds the synchronous reference link I1 in scope `name`.
@@ -81,7 +139,7 @@ pub(crate) fn build_i1(
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
-    check_cfg(cfg)?;
+    cfg.check()?;
     let clk = b.clock(&format!("{name}_clk"), cfg.clk_period);
     let rstn = b.input(&format!("{name}_rstn"), 1);
     b.push_scope(name);
@@ -109,22 +167,42 @@ pub(crate) fn build_i1(
     })
 }
 
-/// Builds the proposed asynchronous serialized link with per-transfer
-/// acknowledgement (I2) in scope `name`: sync→async interface,
-/// serializer, `cfg.buffers` four-phase wire buffers with wire
-/// segments between them, deserializer, async→sync interface.
+/// Builds one of the paper's asynchronous serialized links, I2
+/// ([`LinkFamily::PerTransfer`]) or I3 ([`LinkFamily::PerWord`]), in
+/// scope `name`.
 ///
-/// Every four-phase req/ack pair along the link is registered with the
-/// kernel's handshake watchdog, so a wedged transfer yields a
-/// [`DeadlockReport`](sal_des::DeadlockReport) naming the stage.
-pub(crate) fn build_i2(
+/// Both families share the end interfaces and everything around the
+/// serial core: the sync→async interface, the protection wrap (retry
+/// controller, code generator and a resync-gated core reset; I3's
+/// controller additionally degrades to per-transfer pacing after a
+/// resync), the receive reset gated by the resync drain as it arrives
+/// over the wire, the checker with its backward NACK wire, and the
+/// async→sync interface. With protection off none of the wrap is
+/// built. The serial cores differ:
+/// - I2 (Fig 6): a four-phase serializer, `cfg.buffers` wire buffers
+///   with a slice acknowledge returned over every segment, and a
+///   four-phase deserializer;
+/// - I3 (Figs 7–8): a source-synchronous burst serializer, data and
+///   valid wires through inverter-pair stations, the receiver `cfg`
+///   selects, and one repeated acknowledge wire that returns once per
+///   word.
+///
+/// Every four-phase req/ack pair along the link (for I3, only the
+/// word-level pairs at both interfaces; its burst has no per-slice
+/// handshake) is registered with the kernel's handshake watchdog, so a
+/// wedged transfer yields a [`DeadlockReport`](sal_des::DeadlockReport)
+/// naming the stage.
+pub(crate) fn build_serial(
     b: &mut CircuitBuilder<'_>,
+    family: LinkFamily,
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
-    check_cfg(cfg)?;
-    let (seg_delay, seg_energy_per_um_bit) = seg_params(b, cfg);
-    // The serializer core is protection-agnostic: it carries whatever
+    cfg.check()?;
+    let per_word = family == LinkFamily::PerWord;
+    let seg = Segment::new(b, cfg);
+    let stations = cfg.buffers as usize;
+    // The serial core is protection-agnostic: it carries whatever
     // word/slice widths the (possibly widened) inner config names.
     // With protection off `icfg` equals `cfg` and no extra cell or
     // signal is built, keeping the netlist bit-identical to the seed.
@@ -137,153 +215,139 @@ pub(crate) fn build_i2(
     let valid_in = b.input("valid_in", 1);
     let stall_in = b.input("stall_in", 1);
 
-    // Word-level acknowledge wires (pre-declared feedback).
+    // Word-level acknowledge wires (pre-declared feedback), and I3's
+    // per-word acknowledge as heard by the transmitter.
     let ack_word_tx = b.net("ack_word_tx", 1);
     let ack_word_rx = b.net("ack_word_rx", 1);
+    let ack_back_heard = per_word.then(|| b.net("ack_back_heard", 1));
 
     let tx = build_sa_interface(b, "tx_if", cfg, clk, rstn, flit_in, valid_in, ack_word_tx);
 
     // Protection/recovery wraps the core between the interfaces: the
     // retry controller gates the word request, the generator widens
     // the word, and the core's reset is gated so a watchdog resync
-    // can drain it.
-    let mut recovery: Option<RetryPorts> = None;
-    let mut nack_heard = None;
-    let mut ack_core = None;
-    let mut core_rstn = rstn;
-    let (ser_din, ser_req) = if cfg.protection == ProtectionMode::Off {
-        (tx.dout, tx.reqout)
+    // can drain it. `wrap` keeps the controller and the NACK net its
+    // backward wire lands on.
+    let (wrap, ser_din, ser_req, ser_ack, core_rstn) = if cfg.protection == ProtectionMode::Off {
+        (None, tx.dout, tx.reqout, ack_word_tx, rstn)
     } else {
-        let nh = b.net("nack_heard", 1);
-        let ac = b.net("ack_core", 1);
-        let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, false);
-        let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
+        let nack_heard = b.net("nack_heard", 1);
+        let ack_core = b.net("ack_core", 1);
+        let rt = build_retry(b, "retry", tx.reqout, ack_core, nack_heard, rstn, per_word);
+        let (data, req) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
         b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
-        let rs_n = b.inv("resync_n", rt.resync);
-        core_rstn = b.and2("core_rstn", rstn, rs_n);
-        recovery = Some(rt);
-        nack_heard = Some(nh);
-        ack_core = Some(ac);
-        (pdata, preq)
+        let core_rstn = reset_gate(b, "resync_n", "core_rstn", rstn, rt.resync);
+        (Some((rt, nack_heard)), data, req, ack_core, core_rstn)
     };
 
-    // Slice-level acknowledge each stage listens to: acks_in[k] is
-    // heard by stage k-1 (acks_in[0] by the serializer).
-    let nstations = cfg.buffers as usize;
-    let acks_in: Vec<SignalId> =
-        (0..=nstations).map(|k| b.net(&format!("ack_in{k}"), 1)).collect();
-
-    let ser = build_serializer(b, "ser", &icfg, ser_din, ser_req, acks_in[0], core_rstn);
-    match ack_core {
-        Some(ac) => b.buf_into("ack_core_drv", ac, ser.ackout),
-        None => b.buf_into("ack_word_tx_drv", ack_word_tx, ser.ackout),
-    }
-    match nack_heard {
-        Some(nh) => {
-            b.sim().watch_handshake_nack(&format!("{name}.tx_if word"), tx.reqout, ack_word_tx, nh);
+    // The serializer: its word acknowledge, slice data and slice
+    // strobe (I2's request, I3's valid). I2's acks_in[k] is the slice
+    // acknowledge heard by stage k-1 (acks_in[0] by the serializer).
+    let (acks_in, ser_ackout, ser_dout, ser_strobe) = match ack_back_heard {
+        Some(heard) => {
+            let ser = build_word_serializer(b, "ser", &icfg, ser_din, ser_req, heard, core_rstn);
+            (Vec::new(), ser.ackout, ser.dout, ser.valid)
         }
-        None => b.sim().watch_handshake(&format!("{name}.tx_if word"), tx.reqout, ack_word_tx),
+        None => {
+            let acks_in: Vec<SignalId> =
+                (0..=stations).map(|k| b.net(&format!("ack_in{k}"), 1)).collect();
+            let ser = build_serializer(b, "ser", &icfg, ser_din, ser_req, acks_in[0], core_rstn);
+            (acks_in, ser.ackout, ser.dout, ser.reqout)
+        }
+    };
+    let drv = if wrap.is_some() { "ack_core_drv" } else { "ack_word_tx_drv" };
+    b.buf_into(drv, ser_ack, ser_ackout);
+    let tx_word = format!("{name}.tx_if word");
+    match wrap {
+        Some((_, nack_heard)) => {
+            b.sim().watch_handshake_nack(&tx_word, tx.reqout, ack_word_tx, nack_heard);
+        }
+        None => b.sim().watch_handshake(&tx_word, tx.reqout, ack_word_tx),
     }
-    b.sim().watch_handshake(&format!("{name}.ser slice"), ser.reqout, acks_in[0]);
+    if !per_word {
+        b.sim().watch_handshake(&format!("{name}.ser slice"), ser_strobe, acks_in[0]);
+    }
 
-    // Wire with buffers: segment → buffer → segment → … → segment.
-    // With protection, the resync drain travels a dedicated forward
-    // wire so every station's reset is gated by the locally heard
-    // pulse.
+    // Forward wire: segment → station → segment → … → segment, for the
+    // data, the strobe and (when protected) the resync drain, which
+    // travels its own wire so every station's reset is gated by the
+    // locally heard pulse.
+    let strobe = if per_word { "v" } else { "r" };
     b.push_scope("wire");
-    let mut rs = recovery
-        .as_ref()
-        .map(|rt| b.transport("seg_rs0", rt.resync, seg_delay, seg_energy_per_um_bit));
-    let mut d = b.transport("seg_d0", ser.dout, seg_delay, seg_energy_per_um_bit);
-    let mut r = b.transport("seg_r0", ser.reqout, seg_delay, seg_energy_per_um_bit);
-    for k in 0..nstations {
-        let buf_rstn = match rs {
-            Some(rs_here) => {
-                let n = b.inv(&format!("rs_n{k}"), rs_here);
-                b.and2(&format!("buf{k}_rstn"), rstn, n)
-            }
-            None => rstn,
+    let mut rs = wrap.map(|(rt, _)| seg.lay(b, "seg_rs0", rt.resync));
+    let mut d = seg.lay(b, "seg_d0", ser_dout);
+    let mut s = seg.lay(b, &format!("seg_{strobe}0"), ser_strobe);
+    for k in 0..stations {
+        let (d_out, s_out) = if per_word {
+            (repeat(b, "d", k, d), repeat(b, "v", k, s))
+        } else {
+            let buf_rstn = rs.map_or(rstn, |rs| {
+                reset_gate(b, &format!("rs_n{k}"), &format!("buf{k}_rstn"), rstn, rs)
+            });
+            let ports = build_wire_buffer(b, &format!("buf{k}"), d, s, acks_in[k + 1], buf_rstn);
+            // Watch the stage boundary as the *upstream* side
+            // experiences it: its transported request against the
+            // transported acknowledge it listens to. A fault anywhere
+            // along the return path then shows up at the boundary
+            // that actually starves.
+            b.sim().watch_handshake(&format!("{name}.wire.buf{k} slice"), s, acks_in[k]);
+            // The acknowledge travels back over segment k.
+            seg.lay_into(b, &format!("seg_a{k}"), acks_in[k], ports.ack_to_prev);
+            (ports.dout, ports.reqout)
         };
-        let ports = build_wire_buffer(b, &format!("buf{k}"), d, r, acks_in[k + 1], buf_rstn);
-        // Watch the stage boundary as the *upstream* side experiences
-        // it: its transported request against the transported
-        // acknowledge it listens to. A fault anywhere along the return
-        // path then shows up at the boundary that actually starves.
-        b.sim().watch_handshake(&format!("{name}.wire.buf{k} slice"), r, acks_in[k]);
-        // The acknowledge travels back over segment k.
-        b.transport_into(
-            &format!("seg_a{k}"),
-            acks_in[k],
-            ports.ack_to_prev,
-            seg_delay,
-            seg_energy_per_um_bit,
-        );
-        d = b.transport(&format!("seg_d{}", k + 1), ports.dout, seg_delay, seg_energy_per_um_bit);
-        r = b.transport(&format!("seg_r{}", k + 1), ports.reqout, seg_delay, seg_energy_per_um_bit);
-        rs = rs.map(|rs_here| {
-            b.transport(&format!("seg_rs{}", k + 1), rs_here, seg_delay, seg_energy_per_um_bit)
+        d = seg.lay(b, &format!("seg_d{}", k + 1), d_out);
+        s = seg.lay(b, &format!("seg_{strobe}{}", k + 1), s_out);
+        rs = rs.map(|rs| {
+            let rs = if per_word { repeat(b, "rs", k, rs) } else { rs };
+            seg.lay(b, &format!("seg_rs{}", k + 1), rs)
         });
     }
     b.pop_scope();
 
     // Receive-side core reset: gated by the resync pulse as it
     // arrives over the wire.
-    let rx_rstn = match rs {
-        Some(rs_rx) => {
-            let n = b.inv("rs_rx_n", rs_rx);
-            b.and2("rx_core_rstn", rstn, n)
+    let rx_rstn = rs.map_or(rstn, |rs| reset_gate(b, "rs_rx_n", "rx_core_rstn", rstn, rs));
+    let des_ack = if wrap.is_some() { b.net("des_ack", 1) } else { ack_word_rx };
+    // The deserializer and its acknowledge return: I2's over the last
+    // segment, I3's over the repeated backward wire.
+    let (des_dout, des_req) = match ack_back_heard {
+        Some(heard) => {
+            let build = match (cfg.early_word_ack, cfg.word_rx_style) {
+                (true, _) => build_word_deserializer_early,
+                (false, WordRxStyle::ShiftRegister) => build_word_deserializer,
+                (false, WordRxStyle::Demux) => build_word_deserializer_demux,
+            };
+            let des = build(b, "des", &icfg, d, s, des_ack, rx_rstn);
+            backward_wire(b, seg, "ab", des.ack_back, heard, stations, true);
+            (des.dout, des.reqout)
         }
-        None => rstn,
+        None => {
+            let des = build_deserializer(b, "des", &icfg, d, s, des_ack, rx_rstn);
+            seg.lay_into(b, &format!("seg_a{stations}"), acks_in[stations], des.ackout);
+            (des.dout, des.reqout)
+        }
     };
-    let des_ack = if cfg.protection == ProtectionMode::Off {
-        ack_word_rx
-    } else {
-        b.net("des_ack", 1)
-    };
-    let des = build_deserializer(b, "des", &icfg, d, r, des_ack, rx_rstn);
-    b.transport_into(
-        &format!("seg_a{nstations}"),
-        acks_in[nstations],
-        des.ackout,
-        seg_delay,
-        seg_energy_per_um_bit,
-    );
 
     // The checker verifies every word, self-acknowledges corrupted
-    // ones and launches the NACK back over its own wire.
-    let chk = if cfg.protection == ProtectionMode::Off {
-        None
-    } else {
-        let chk = build_checker(b, "chk", cfg, des.dout, des.reqout, ack_word_rx, rx_rstn);
+    // ones and launches the NACK back over its own wire (repeated
+    // like I3's acknowledge).
+    let chk = wrap.map(|(_, nack_heard)| {
+        let chk = build_checker(b, "chk", cfg, des_dout, des_req, ack_word_rx, rx_rstn);
         b.buf_into("des_ack_drv", des_ack, chk.ack_down);
-        b.push_scope("wire");
-        let mut nw = chk.nack;
-        for k in 0..nstations {
-            nw = b.transport(&format!("seg_n{k}"), nw, seg_delay, seg_energy_per_um_bit);
-        }
-        b.transport_into(
-            "seg_n_last",
-            nack_heard.expect("protected build declared the NACK wire"),
-            nw,
-            seg_delay,
-            seg_energy_per_um_bit,
-        );
-        b.pop_scope();
-        Some(chk)
-    };
-    let (rx_din, rx_req) = match &chk {
-        Some(c) => (c.dout, c.reqout),
-        None => (des.dout, des.reqout),
-    };
+        backward_wire(b, seg, "n", chk.nack, nack_heard, stations, per_word);
+        chk
+    });
+    let (rx_din, rx_req) = chk.as_ref().map_or((des_dout, des_req), |c| (c.dout, c.reqout));
 
     let rx = build_as_interface(b, "rx_if", cfg, clk, rstn, rx_din, rx_req, stall_in);
     b.buf_into("ack_word_rx_drv", ack_word_rx, rx.ackout);
-    b.sim().watch_handshake(&format!("{name}.des slice"), r, acks_in[nstations]);
+    if !per_word {
+        b.sim().watch_handshake(&format!("{name}.des slice"), s, acks_in[stations]);
+    }
+    let des_word = format!("{name}.des word");
     match &chk {
-        Some(c) => {
-            b.sim().watch_handshake_nack(&format!("{name}.des word"), c.reqout, ack_word_rx, c.nack);
-        }
-        None => b.sim().watch_handshake(&format!("{name}.des word"), des.reqout, ack_word_rx),
+        Some(c) => b.sim().watch_handshake_nack(&des_word, c.reqout, ack_word_rx, c.nack),
+        None => b.sim().watch_handshake(&des_word, des_req, ack_word_rx),
     }
 
     b.pop_scope();
@@ -291,7 +355,7 @@ pub(crate) fn build_i2(
         return Err(e);
     }
     Ok(LinkHandles {
-        family: LinkFamily::PerTransfer,
+        family,
         clk,
         rstn,
         flit_in,
@@ -308,199 +372,7 @@ pub(crate) fn build_i2(
         // The interfaces sit at the switches; only a short local clock
         // stub is needed (no clocked elements along the wire).
         clock_tree_um: 200.0,
-        recovery: recovery.map(|rt| rt.signals),
-    })
-}
-
-/// Builds the proposed asynchronous serialized link with per-word
-/// acknowledgement (I3) in scope `name`: the wire "buffers" are plain
-/// inverter pairs on the data/valid wires, and a single acknowledge
-/// wire (also repeated) returns once per word.
-///
-/// The word-level handshakes at both interfaces are registered with
-/// the kernel's handshake watchdog (the burst itself is
-/// source-synchronous and has no per-slice handshake to watch).
-pub(crate) fn build_i3(
-    b: &mut CircuitBuilder<'_>,
-    name: &str,
-    cfg: &LinkConfig,
-) -> Result<LinkHandles, BuildError> {
-    check_cfg(cfg)?;
-    let (seg_delay, seg_energy) = seg_params(b, cfg);
-    let icfg = cfg.inner();
-    let clk = b.clock(&format!("{name}_clk"), cfg.clk_period);
-    let rstn = b.input(&format!("{name}_rstn"), 1);
-    b.push_scope(name);
-
-    let flit_in = b.input("flit_in", cfg.flit_width);
-    let valid_in = b.input("valid_in", 1);
-    let stall_in = b.input("stall_in", 1);
-
-    let ack_word_tx = b.net("ack_word_tx", 1);
-    let ack_word_rx = b.net("ack_word_rx", 1);
-    // The per-word acknowledge as heard by the transmitter.
-    let ack_back_heard = b.net("ack_back_heard", 1);
-
-    let tx = build_sa_interface(b, "tx_if", cfg, clk, rstn, flit_in, valid_in, ack_word_tx);
-
-    // Protection/recovery wrap (see `build_i2`); the I3 controller
-    // additionally degrades to per-transfer-ack pacing after a
-    // resync.
-    let mut recovery: Option<RetryPorts> = None;
-    let mut nack_heard = None;
-    let mut ack_core = None;
-    let mut core_rstn = rstn;
-    let (ser_din, ser_req) = if cfg.protection == ProtectionMode::Off {
-        (tx.dout, tx.reqout)
-    } else {
-        let nh = b.net("nack_heard", 1);
-        let ac = b.net("ack_core", 1);
-        let rt = build_retry(b, "retry", tx.reqout, ac, nh, rstn, true);
-        let (pdata, preq) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
-        b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
-        let rs_n = b.inv("resync_n", rt.resync);
-        core_rstn = b.and2("core_rstn", rstn, rs_n);
-        recovery = Some(rt);
-        nack_heard = Some(nh);
-        ack_core = Some(ac);
-        (pdata, preq)
-    };
-
-    let ser = build_word_serializer(b, "ser", &icfg, ser_din, ser_req, ack_back_heard, core_rstn);
-    match ack_core {
-        Some(ac) => b.buf_into("ack_core_drv", ac, ser.ackout),
-        None => b.buf_into("ack_word_tx_drv", ack_word_tx, ser.ackout),
-    }
-    match nack_heard {
-        Some(nh) => {
-            b.sim().watch_handshake_nack(&format!("{name}.tx_if word"), tx.reqout, ack_word_tx, nh);
-        }
-        None => b.sim().watch_handshake(&format!("{name}.tx_if word"), tx.reqout, ack_word_tx),
-    }
-
-    // Forward wire: data + valid (and the resync drain, when
-    // protected) through inverter-pair stations.
-    b.push_scope("wire");
-    let nstations = cfg.buffers as usize;
-    let mut rs =
-        recovery.as_ref().map(|rt| b.transport("seg_rs0", rt.resync, seg_delay, seg_energy));
-    let mut d = b.transport("seg_d0", ser.dout, seg_delay, seg_energy);
-    let mut v = b.transport("seg_v0", ser.valid, seg_delay, seg_energy);
-    for k in 0..nstations {
-        let d1 = b.inv(&format!("rep_d{k}a"), d);
-        let d2 = b.inv(&format!("rep_d{k}b"), d1);
-        let v1 = b.inv(&format!("rep_v{k}a"), v);
-        let v2 = b.inv(&format!("rep_v{k}b"), v1);
-        d = b.transport(&format!("seg_d{}", k + 1), d2, seg_delay, seg_energy);
-        v = b.transport(&format!("seg_v{}", k + 1), v2, seg_delay, seg_energy);
-        rs = rs.map(|rs_here| {
-            let r1 = b.inv(&format!("rep_rs{k}a"), rs_here);
-            let r2 = b.inv(&format!("rep_rs{k}b"), r1);
-            b.transport(&format!("seg_rs{}", k + 1), r2, seg_delay, seg_energy)
-        });
-    }
-    b.pop_scope();
-
-    let rx_rstn = match rs {
-        Some(rs_rx) => {
-            let n = b.inv("rs_rx_n", rs_rx);
-            b.and2("rx_core_rstn", rstn, n)
-        }
-        None => rstn,
-    };
-    let des_ack = if cfg.protection == ProtectionMode::Off {
-        ack_word_rx
-    } else {
-        b.net("des_ack", 1)
-    };
-    let des = match (cfg.early_word_ack, cfg.word_rx_style) {
-        (true, _) => build_word_deserializer_early(b, "des", &icfg, d, v, des_ack, rx_rstn),
-        (false, WordRxStyle::ShiftRegister) => {
-            build_word_deserializer(b, "des", &icfg, d, v, des_ack, rx_rstn)
-        }
-        (false, WordRxStyle::Demux) => {
-            build_word_deserializer_demux(b, "des", &icfg, d, v, des_ack, rx_rstn)
-        }
-    };
-
-    // Backward acknowledge wire through the same stations.
-    b.push_scope("wire");
-    let mut ab = b.transport("seg_ab0", des.ack_back, seg_delay, seg_energy);
-    for k in 0..nstations {
-        let a1 = b.inv(&format!("rep_ab{k}a"), ab);
-        let a2 = b.inv(&format!("rep_ab{k}b"), a1);
-        ab = if k + 1 < nstations {
-            b.transport(&format!("seg_ab{}", k + 1), a2, seg_delay, seg_energy)
-        } else {
-            a2
-        };
-    }
-    b.transport_into("seg_ab_last", ack_back_heard, ab, seg_delay, seg_energy);
-    b.pop_scope();
-
-    // The checker and its backward NACK wire (repeated like the
-    // acknowledge).
-    let chk = if cfg.protection == ProtectionMode::Off {
-        None
-    } else {
-        let chk = build_checker(b, "chk", cfg, des.dout, des.reqout, ack_word_rx, rx_rstn);
-        b.buf_into("des_ack_drv", des_ack, chk.ack_down);
-        b.push_scope("wire");
-        let mut nw = b.transport("seg_n0", chk.nack, seg_delay, seg_energy);
-        for k in 0..nstations {
-            let n1 = b.inv(&format!("rep_n{k}a"), nw);
-            let n2 = b.inv(&format!("rep_n{k}b"), n1);
-            nw = if k + 1 < nstations {
-                b.transport(&format!("seg_n{}", k + 1), n2, seg_delay, seg_energy)
-            } else {
-                n2
-            };
-        }
-        b.transport_into(
-            "seg_n_last",
-            nack_heard.expect("protected build declared the NACK wire"),
-            nw,
-            seg_delay,
-            seg_energy,
-        );
-        b.pop_scope();
-        Some(chk)
-    };
-    let (rx_din, rx_req) = match &chk {
-        Some(c) => (c.dout, c.reqout),
-        None => (des.dout, des.reqout),
-    };
-
-    let rx = build_as_interface(b, "rx_if", cfg, clk, rstn, rx_din, rx_req, stall_in);
-    b.buf_into("ack_word_rx_drv", ack_word_rx, rx.ackout);
-    match &chk {
-        Some(c) => {
-            b.sim().watch_handshake_nack(&format!("{name}.des word"), c.reqout, ack_word_rx, c.nack);
-        }
-        None => b.sim().watch_handshake(&format!("{name}.des word"), des.reqout, ack_word_rx),
-    }
-
-    b.pop_scope();
-    if let Some(e) = b.take_error() {
-        return Err(e);
-    }
-    Ok(LinkHandles {
-        family: LinkFamily::PerWord,
-        clk,
-        rstn,
-        flit_in,
-        valid_in,
-        stall_out: tx.stall,
-        flit_out: rx.flit_out,
-        valid_out: rx.valid_out,
-        stall_in,
-        scope: name.to_string(),
-        clock_sinks: vec![
-            (format!("{name}.tx_if"), tx.clocked_bits),
-            (format!("{name}.rx_if"), rx.clocked_bits),
-        ],
-        clock_tree_um: 200.0,
-        recovery: recovery.map(|rt| rt.signals),
+        recovery: wrap.map(|(rt, _)| rt.signals),
     })
 }
 
@@ -514,8 +386,7 @@ pub(crate) fn build_family(
 ) -> Result<LinkHandles, BuildError> {
     let handles = match family {
         LinkFamily::Sync => build_i1(b, name, cfg),
-        LinkFamily::PerTransfer => build_i2(b, name, cfg),
-        LinkFamily::PerWord => build_i3(b, name, cfg),
+        LinkFamily::PerTransfer | LinkFamily::PerWord => build_serial(b, family, name, cfg),
     }?;
     // In debug builds (every test run), fail fast on netlists that
     // violate the structural invariants the links rely on. The lint

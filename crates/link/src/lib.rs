@@ -83,7 +83,7 @@ pub use sa_interface::{build_sa_interface, SaInterfacePorts};
 pub use scoreboard::{check_integrity, IntegrityCounts, RecoveryCounts};
 pub use serializer::{build_serializer, SerializerPorts};
 pub use sync_link::{build_skid_stage, build_sync_pipeline, SyncPipelinePorts};
-pub use wire_buffer::{build_wire_buffer, build_wire_buffer_chain, WireBufferPorts};
+pub use wire_buffer::{build_wire_buffer, WireBufferPorts};
 pub use word_deserializer::{
     build_word_deserializer, build_word_deserializer_demux, build_word_deserializer_early,
     WordDeserializerPorts,

@@ -69,55 +69,49 @@ pub fn build_wire_buffer(
     WireBufferPorts { ack_to_prev: lt, dout, reqout }
 }
 
-/// Builds a chain of `n` wire buffers with direct (zero-length)
-/// connections, for tests and short links. Returns the downstream end
-/// ports, the acknowledge heard by the chain's *driver*, and the
-/// pre-declared acknowledge signal the last stage listens to (to be
-/// driven by the receiver via
-/// [`buf_into`](sal_cells::CircuitBuilder::buf_into) or a transport).
-pub fn build_wire_buffer_chain(
-    b: &mut CircuitBuilder<'_>,
-    name: &str,
-    din: SignalId,
-    reqin: SignalId,
-    rstn: SignalId,
-    n: u32,
-) -> (WireBufferPorts, SignalId, SignalId) {
-    assert!(n >= 1, "chain needs at least one buffer");
-    // Pre-declare the ack each stage listens to; acks_in[k] is driven
-    // by stage k+1 (or by the receiver for the last stage, the
-    // chain's port).
-    let mut acks_in: Vec<SignalId> =
-        (0..n - 1).map(|k| b.net(&format!("{name}_ackin{k}"), 1)).collect();
-    acks_in.push(b.input(&format!("{name}_ackin{}", n - 1), 1));
-    let mut d = din;
-    let mut r = reqin;
-    let mut first_ack = None;
-    let mut last = None;
-    for k in 0..n as usize {
-        let ports = build_wire_buffer(b, &format!("{name}{k}"), d, r, acks_in[k], rstn);
-        if k == 0 {
-            first_ack = Some(ports.ack_to_prev);
-        } else {
-            b.buf_into(&format!("{name}_ackdrv{k}"), acks_in[k - 1], ports.ack_to_prev);
-        }
-        d = ports.dout;
-        r = ports.reqout;
-        last = Some(ports);
-    }
-    (
-        last.expect("n >= 1"),
-        first_ack.expect("n >= 1"),
-        acks_in[n as usize - 1],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testbench::{attach_consumer, attach_producer, HsConsumer, HsProducer};
     use sal_des::{Simulator, Time, Value};
     use sal_tech::St012Library;
+
+    /// Builds a chain of `n` wire buffers with direct (zero-length)
+    /// connections. Returns the downstream end's ports, the
+    /// acknowledge heard by the chain's *driver*, and the acknowledge
+    /// port the last stage listens to (driven by the consumer).
+    fn build_wire_buffer_chain(
+        b: &mut CircuitBuilder<'_>,
+        name: &str,
+        din: SignalId,
+        reqin: SignalId,
+        rstn: SignalId,
+        n: u32,
+    ) -> (WireBufferPorts, SignalId, SignalId) {
+        assert!(n >= 1, "chain needs at least one buffer");
+        // Pre-declare the ack each stage listens to; acks_in[k] is driven
+        // by stage k+1 (or by the receiver for the last stage, the
+        // chain's port).
+        let mut acks_in: Vec<SignalId> =
+            (0..n - 1).map(|k| b.net(&format!("{name}_ackin{k}"), 1)).collect();
+        acks_in.push(b.input(&format!("{name}_ackin{}", n - 1), 1));
+        let mut d = din;
+        let mut r = reqin;
+        let mut first_ack = None;
+        let mut last = None;
+        for k in 0..n as usize {
+            let ports = build_wire_buffer(b, &format!("{name}{k}"), d, r, acks_in[k], rstn);
+            if k == 0 {
+                first_ack = Some(ports.ack_to_prev);
+            } else {
+                b.buf_into(&format!("{name}_ackdrv{k}"), acks_in[k - 1], ports.ack_to_prev);
+            }
+            d = ports.dout;
+            r = ports.reqout;
+            last = Some(ports);
+        }
+        (last.expect("n >= 1"), first_ack.expect("n >= 1"), acks_in[n as usize - 1])
+    }
 
     fn reset(sim: &mut Simulator, rstn: SignalId) {
         sim.stimulus(

@@ -585,9 +585,8 @@ impl Network {
                 let mut counts = ch.lossy.as_ref().map(|l| l.counts).unwrap_or_default();
                 // Scheduled kills fail channels without fault
                 // machinery, and a retrained channel no longer *is*
-                // Failed — the sticky bit surfaces both in the
-                // recovery rows.
-                counts.failed = counts.failed || ch.ever_failed;
+                // Failed — the sticky bit records both.
+                counts.failed = ch.ever_failed;
                 Some(LinkRecovery { node, dir, counts })
             })
             .collect();
@@ -643,6 +642,9 @@ impl Network {
         }
     }
 
+    /// Cycles a retrained link stays dark before re-entering service.
+    const RETRAIN_DRAIN: u64 = 256;
+
     /// One reconfiguration epoch around the channels that entered
     /// `Failed` this cycle.
     ///
@@ -665,11 +667,8 @@ impl Network {
     /// reconfiguration window. See DESIGN.md §5h.
     /// When even reconfiguration cannot keep every pair routable, the
     /// minimal set of failed channels is *revived* through a deep
-    /// retrain instead (counted in `retrained_links`) — a retrained
-    /// link stays dark for this many cycles before re-entering
-    /// service.
-    const RETRAIN_DRAIN: u64 = 256;
-
+    /// retrain instead (counted in `retrained_links`), dark for
+    /// [`Self::RETRAIN_DRAIN`] cycles before re-entering service.
     fn handle_failures(&mut self, mut newly: Vec<usize>, stats: &mut NetworkStats) {
         newly.sort_unstable();
         newly.dedup();
@@ -768,7 +767,7 @@ impl Network {
         }
         let routes = &self.routes;
         let mut doom_unroutable = |at: NodeId, in_port: Direction, f: &Flit| {
-            if f.head && routes.permitted(f.src, at, in_port, f.dst).is_empty() {
+            if f.head && routes.choose(f.src, at, in_port, f.dst, |_| 0).is_none() {
                 doomed.insert(f.packet);
             }
         };
@@ -912,7 +911,6 @@ impl Network {
                             if cfg.fail_after_resyncs.is_some_and(|n| l.head_resyncs >= n) {
                                 ch.state = ChannelState::Failed;
                                 ch.ever_failed = true;
-                                l.counts.failed = true;
                                 newly_failed.push(id);
                             } else if l.head_resyncs >= DEGRADE_AFTER {
                                 l.counts.degrades += 1;

@@ -291,19 +291,8 @@ impl RouteTable {
         }
     }
 
-    /// Permitted outputs under the active regime, unbiased, in
-    /// direction-index order. Empty means unroutable (destination
-    /// severed from the survivors).
-    pub fn permitted(
-        &self,
-        src: NodeId,
-        at: NodeId,
-        in_port: Direction,
-        dst: NodeId,
-    ) -> Vec<Direction> {
-        self.permitted_set(src, at, in_port, dst).iter().collect()
-    }
-
+    /// Permitted outputs under the active regime, unbiased. Empty
+    /// means unroutable (destination severed from the survivors).
     fn permitted_set(&self, src: NodeId, at: NodeId, in_port: Direction, dst: NodeId) -> DirSet {
         if at == dst {
             return DirSet(1 << Direction::Local.index());
@@ -421,6 +410,17 @@ mod tests {
         failed
     }
 
+    /// The permitted outputs, in direction-index order.
+    fn permitted(
+        t: &RouteTable,
+        src: NodeId,
+        at: NodeId,
+        in_port: Direction,
+        dst: NodeId,
+    ) -> Vec<Direction> {
+        t.permitted_set(src, at, in_port, dst).iter().collect()
+    }
+
     /// Walks every adaptive branch from `src` toward `dst`, asserting
     /// minimality and collecting `(travel_from, travel_to, column)`
     /// turns; `in_port` tracks the arrival port for phase recovery.
@@ -439,7 +439,7 @@ mod tests {
         if at == dst {
             return;
         }
-        let permitted = t.permitted(src, at, in_port, dst);
+        let permitted = permitted(t, src, at, in_port, dst);
         assert!(!permitted.is_empty(), "no route {src} -> {dst} at {at}");
         for dir in permitted {
             let next = mesh.neighbor(at, dir).expect("route led off the mesh");
@@ -608,7 +608,7 @@ mod tests {
         // From n5 (1,1) to n15 (3,3): odd column 1 eastbound offers
         // both South and East. Penalizing East must flip the choice.
         let src = NodeId(5);
-        let p = t.permitted(src, src, Direction::Local, NodeId(15));
+        let p = permitted(&t, src, src, Direction::Local, NodeId(15));
         assert!(p.contains(&Direction::East) && p.contains(&Direction::South), "{p:?}");
         let east_bad = t.choose(src, src, Direction::Local, NodeId(15), |d| {
             u32::from(d == Direction::East) * ChannelState::Degraded { until: 0 }.penalty()
@@ -666,8 +666,7 @@ mod tests {
                 .collect();
             let in_port = ports[picks.3 % ports.len()];
             let score = |d: Direction| scores[d.index()];
-            let argmin = t
-                .permitted(src, at, in_port, dst)
+            let argmin = permitted(&t, src, at, in_port, dst)
                 .into_iter()
                 .min_by_key(|&d| (score(d), d.index()));
             prop_assert_eq!(t.choose(src, at, in_port, dst, score), argmin);
