@@ -11,26 +11,11 @@
 
 use sal_cells::CircuitBuilder;
 use sal_des::json::Json;
-use sal_des::{Simulator, Time};
-use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
+use sal_bench::robustness::lint_corners;
+use sal_des::Simulator;
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 use sal_lint::{run_all, timing_margins, LintReport, Severity, TimingMargin};
 use sal_tech::St012Library;
-
-/// The corners the robustness/power sweeps visit (keep in sync with
-/// `crates/link/tests/lint_links.rs`).
-fn corners() -> Vec<(&'static str, LinkConfig)> {
-    let base = LinkConfig::default();
-    vec![
-        ("default", base.clone()),
-        ("buffers=2", LinkConfig { buffers: 2, ..base.clone() }),
-        ("buffers=8", LinkConfig { buffers: 8, ..base.clone() }),
-        ("slice=16", LinkConfig { slice_width: 16, ..base.clone() }),
-        ("slice=4", LinkConfig { slice_width: 4, ..base.clone() }),
-        ("clk=300MHz", LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() }),
-        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
-        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
-    ]
-}
 
 fn lint_corner(family: LinkFamily, cfg: &LinkConfig) -> (LintReport, Vec<TimingMargin>) {
     let mut sim = Simulator::new();
@@ -64,7 +49,7 @@ fn main() {
     j.key("corners").arr_block();
     let mut total_errors = 0usize;
     for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let (report, margins) = lint_corner(family, &cfg);
             let errors = report.count(Severity::Error);
             let warnings = report.count(Severity::Warning);

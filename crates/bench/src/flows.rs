@@ -20,8 +20,8 @@
 
 use sal_des::json::Json;
 use sal_noc::{
-    ChannelFaults, ChannelProtection, ErrorProcess, FlowConfig, FlowNetReport, FlowSpec,
-    LinkModel, Mesh, Network, NetworkConfig, NodeId, WatchdogConfig,
+    ChannelFaults, ChannelProtection, ErrorProcess, FlowNetReport, FlowSpec, LinkModel, Mesh,
+    Network, NetworkConfig, NodeId,
 };
 
 use crate::sweep;
@@ -106,7 +106,7 @@ pub fn cell_process(process: &str, rate: f64) -> ErrorProcess {
     }
 }
 
-fn cell_config(spec: CellSpec) -> (NetworkConfig, FlowConfig) {
+fn cell_config(spec: CellSpec) -> (NetworkConfig, Vec<FlowSpec>) {
     let mut faults = ChannelFaults::new(cell_process(spec.process, spec.rate), spec.protection);
     if spec.kill_links {
         faults = faults.with_permanent_failure(2);
@@ -120,12 +120,7 @@ fn cell_config(spec: CellSpec) -> (NetworkConfig, FlowConfig) {
         routing: sal_noc::RoutingMode::XyStatic,
         link_kills: Vec::new(),
     };
-    let mut flows = FlowConfig::new(layout_flows(spec.layout));
-    // The livelock horizon must exceed the worst legitimate silence
-    // (a fully backed-off RTO plus a round trip), or a patient sender
-    // gets misdiagnosed as livelocked.
-    flows.watchdog = WatchdogConfig { interval: 4_096, hard_stall_checks: 8 };
-    (cfg, flows)
+    (cfg, layout_flows(spec.layout))
 }
 
 /// Runs one cell.

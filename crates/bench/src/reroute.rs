@@ -27,8 +27,8 @@
 
 use sal_des::json::Json;
 use sal_noc::{
-    ChannelFaults, ChannelProtection, Direction, FlowConfig, FlowNetReport, LinkKill, LinkModel,
-    Mesh, Network, NetworkConfig, NodeId, RoutingMode, WatchdogConfig,
+    ChannelFaults, ChannelProtection, Direction, FlowNetReport, FlowSpec, LinkKill, LinkModel,
+    Mesh, Network, NetworkConfig, NodeId, RoutingMode,
 };
 
 use crate::flows::{cell_process, layout_flows, FLOW_PACKETS, LAYOUTS, MAX_CYCLES, SEEDS};
@@ -117,7 +117,7 @@ pub fn scenario_kills(scenario: &str, layout: &str) -> Vec<LinkKill> {
     }
 }
 
-fn cell_config(spec: CellSpec) -> (NetworkConfig, FlowConfig) {
+fn cell_config(spec: CellSpec) -> (NetworkConfig, Vec<FlowSpec>) {
     // `storm` reproduces the flow campaign's link-killer cells
     // exactly (bursty 10 % + CRC-8 + permanent failure after two
     // resyncs); the scheduled scenarios run clean links so the kill
@@ -135,9 +135,7 @@ fn cell_config(spec: CellSpec) -> (NetworkConfig, FlowConfig) {
         routing: mode_of(spec.mode),
         link_kills: scenario_kills(spec.scenario, spec.layout),
     };
-    let mut flows = FlowConfig::new(layout_flows(spec.layout));
-    flows.watchdog = WatchdogConfig { interval: 4_096, hard_stall_checks: 8 };
-    (cfg, flows)
+    (cfg, layout_flows(spec.layout))
 }
 
 /// Runs one cell.

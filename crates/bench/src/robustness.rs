@@ -29,9 +29,27 @@ use sal_des::json::Json;
 use sal_des::{FaultPlan, Time};
 use sal_link::measure::{run_spec, MeasureOptions, RunFailure};
 use sal_link::testbench::worst_case_pattern;
-use sal_link::{LinkConfig, LinkFamily, LinkSpec};
+use sal_link::{LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
 
 use crate::sweep;
+
+/// The configuration corners the robustness and power sweeps visit,
+/// labelled: `--bin sal-lint` lints every family at each, and the
+/// `lint_links` tests hold each to zero lint errors and positive
+/// static margins.
+pub fn lint_corners() -> Vec<(&'static str, LinkConfig)> {
+    let base = LinkConfig::default();
+    vec![
+        ("default", base.clone()),
+        ("buffers=2", LinkConfig { buffers: 2, ..base.clone() }),
+        ("buffers=8", LinkConfig { buffers: 8, ..base.clone() }),
+        ("slice=16", LinkConfig { slice_width: 16, ..base.clone() }),
+        ("slice=4", LinkConfig { slice_width: 4, ..base.clone() }),
+        ("clk=300MHz", LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() }),
+        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
+        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
+    ]
+}
 
 /// Delay-derating factors swept on the scale axis.
 pub const SCALE_AXIS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 96.0, 128.0];

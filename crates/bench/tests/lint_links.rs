@@ -4,6 +4,7 @@
 //! timing pass computes must agree with the *simulated* skew margins
 //! recorded in `BENCH_robustness.json`.
 
+use sal_bench::robustness::lint_corners;
 use sal_cells::CircuitBuilder;
 use sal_des::Simulator;
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, WordRxStyle};
@@ -24,31 +25,10 @@ fn lint_of(family: LinkFamily, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<T
     lint_spec(&LinkSpec::from_config(family, cfg).expect("corner configs are valid specs"), cfg)
 }
 
-/// The configuration corners the robustness and power sweeps visit.
-fn corners() -> Vec<(String, LinkConfig)> {
-    let base = LinkConfig::default();
-    vec![
-        ("default".into(), base.clone()),
-        ("buffers=2".into(), LinkConfig { buffers: 2, ..base.clone() }),
-        ("buffers=8".into(), LinkConfig { buffers: 8, ..base.clone() }),
-        ("slice=16".into(), LinkConfig { slice_width: 16, ..base.clone() }),
-        ("slice=4".into(), LinkConfig { slice_width: 4, ..base.clone() }),
-        (
-            "clk=300MHz".into(),
-            LinkConfig { clk_period: sal_des::Time::from_ns_f64(10.0 / 3.0), ..base.clone() },
-        ),
-        (
-            "rx=demux".into(),
-            LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() },
-        ),
-        ("early_ack".into(), LinkConfig { early_word_ack: true, ..base }),
-    ]
-}
-
 #[test]
 fn clean_links_have_zero_lint_errors_across_corners() {
     for kind in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let (report, _) = lint_of(kind, &cfg);
             assert!(
                 !report.has_errors(),
@@ -114,7 +94,7 @@ fn links_drive_none_of_their_ports() {
 #[test]
 fn async_links_have_positive_static_margins() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let (_, margins) = lint_of(kind, &cfg);
             assert!(
                 !margins.is_empty(),
@@ -141,7 +121,7 @@ fn async_links_have_positive_static_margins() {
 #[test]
 fn async_link_margins_carry_generator_params() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let spec = LinkSpec::from_config(kind, &cfg).expect("corner configs are valid specs");
             let (_, margins) = lint_of(kind, &cfg);
             for m in &margins {
@@ -220,7 +200,7 @@ fn first_failures(json: &str, section: &str) -> Option<[Option<f64>; 3]> {
 /// failure mode is the clock period, not a matched delay).
 #[test]
 fn static_margins_reconcile_with_simulated_robustness() {
-    let json = include_str!("../../bench/fixtures/BENCH_robustness.json");
+    let json = include_str!("../fixtures/BENCH_robustness.json");
     let ff = first_failures(json, "data_skew_ps")
         .expect("data_skew_ps.first_failure parses");
     let [i1, i2, i3] = ff;

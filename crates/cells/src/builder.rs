@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 
 use sal_des::{
-    CellClass, CombFunc, ComponentId, GateOp, ScopeId, SignalId, SimResult, Simulator, Time, Value,
+    within_scope, CellClass, CombFunc, ComponentId, GateOp, ScopeId, SignalId, SimResult, Simulator,
+    Time, Value,
 };
 
 use crate::async_cells::{CElement, DavidCell};
@@ -44,17 +45,10 @@ impl AreaLedger {
         self.entries.values().sum()
     }
 
-    /// Area of the subtree rooted at `prefix` (inclusive), µm².
+    /// Area of the subtree rooted at `prefix` (inclusive,
+    /// [`within_scope`]), µm².
     pub fn subtree_um2(&self, prefix: &str) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(p, _)| {
-                prefix.is_empty()
-                    || p.as_str() == prefix
-                    || (p.starts_with(prefix) && p[prefix.len()..].starts_with('.'))
-            })
-            .map(|(_, a)| a)
-            .sum()
+        self.entries.iter().filter(|(p, _)| within_scope(p, prefix)).map(|(_, a)| a).sum()
     }
 
     /// Iterates over `(scope path, exclusive area)` entries.

@@ -14,7 +14,7 @@
 //! the same plan on the same netlist produces bit-identical runs —
 //! Monte Carlo margin sweeps are reproducible point by point.
 
-use crate::{SignalId, Time, Value};
+use crate::{within_scope, SignalId, Time, Value};
 
 /// Lower clamp for delay multipliers: a Gaussian sample far in the
 /// left tail must not produce a zero or negative gate delay.
@@ -127,8 +127,8 @@ impl FaultPlan {
     }
 
     /// Restricts the delay perturbation to components whose scope path
-    /// equals `prefix` or starts with `prefix` followed by a dot. May
-    /// be called repeatedly; matching any listed prefix qualifies.
+    /// is within `prefix` ([`within_scope`]; `""` is the whole tree).
+    /// May be called repeatedly; matching any listed prefix qualifies.
     pub fn in_scope(mut self, prefix: &str) -> Self {
         self.scopes.push(prefix.to_string());
         self
@@ -177,9 +177,7 @@ impl FaultPlan {
         if self.scopes.is_empty() {
             return true;
         }
-        self.scopes.iter().any(|p| {
-            path == p || (path.len() > p.len() && path.starts_with(p.as_str()) && path.as_bytes()[p.len()] == b'.')
-        })
+        self.scopes.iter().any(|scope| within_scope(path, scope))
     }
 
     /// The deterministic delay multiplier for component index `comp`.
@@ -304,6 +302,8 @@ mod tests {
         assert!(!p.scope_matches("link"));
         let all = FaultPlan::new(0);
         assert!(all.scope_matches("anything.at.all"));
+        // The empty scope is the root: it selects every component.
+        assert!(FaultPlan::new(0).in_scope("").scope_matches("link.wire"));
     }
 
     #[test]

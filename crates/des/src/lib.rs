@@ -80,7 +80,7 @@ pub use fault::{FaultPlan, Glitch, SkewRule, StuckAt};
 pub use netgraph::{
     BundleParams, CellClass, NetBundle, NetCapture, NetComponent, NetGraph, NetSignal, NetWatch,
 };
-pub use scope::{ScopeId, ScopePath};
+pub use scope::{within_scope, ScopeId, ScopePath};
 pub use signal::{SignalId, SignalInfo};
 pub use sim::Simulator;
 pub use trace::{MemoryTrace, RingTrace, TraceDump, TraceRecord, TraceSignalMeta, TraceSink};

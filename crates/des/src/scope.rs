@@ -25,11 +25,21 @@ impl ScopePath {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+}
 
-    /// True if this path equals `prefix` or is nested beneath it.
-    pub fn starts_with_scope(&self, prefix: &str) -> bool {
-        self.0 == prefix || (self.0.starts_with(prefix) && self.0[prefix.len()..].starts_with('.'))
-    }
+/// True if the dotted scope path `path` is `scope` or nested beneath
+/// it, component-wise (`link.serde` is not within `link.ser`). The
+/// empty scope is the root, so every path is within it.
+///
+/// ```
+/// use sal_des::within_scope;
+/// assert!(within_scope("link.ser.dc0", "link.ser"));
+/// assert!(!within_scope("link.serde", "link.ser"));
+/// assert!(within_scope("blk", ""));
+/// ```
+pub fn within_scope(path: &str, scope: &str) -> bool {
+    scope.is_empty()
+        || path.strip_prefix(scope).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
 }
 
 impl fmt::Display for ScopePath {
@@ -38,38 +48,27 @@ impl fmt::Display for ScopePath {
     }
 }
 
+/// Every scope's dotted path, indexed by [`ScopeId`]; the root's is
+/// empty.
 #[derive(Debug)]
 pub(crate) struct ScopeTree {
-    names: Vec<String>,
-    parents: Vec<Option<ScopeId>>,
     paths: Vec<String>,
 }
 
 impl ScopeTree {
     pub fn new() -> Self {
-        ScopeTree {
-            names: vec![String::new()],
-            parents: vec![None],
-            paths: vec![String::new()],
-        }
+        ScopeTree { paths: vec![String::new()] }
     }
 
     pub fn child(&mut self, parent: ScopeId, name: &str) -> ScopeId {
-        let id = ScopeId(self.names.len() as u32);
+        let id = ScopeId(self.paths.len() as u32);
         let path = if self.paths[parent.0 as usize].is_empty() {
             name.to_string()
         } else {
             format!("{}.{}", self.paths[parent.0 as usize], name)
         };
-        self.names.push(name.to_string());
-        self.parents.push(Some(parent));
         self.paths.push(path);
         id
-    }
-
-    #[allow(dead_code)] // part of the tree's natural API; used in tests
-    pub fn parent(&self, id: ScopeId) -> Option<ScopeId> {
-        self.parents[id.0 as usize]
     }
 
     pub fn path(&self, id: ScopeId) -> ScopePath {
@@ -80,11 +79,11 @@ impl ScopeTree {
         &self.paths[id.0 as usize]
     }
 
-    /// All scope ids whose path is `prefix` or nested beneath it.
+    /// All scope ids whose path is within `prefix` ([`within_scope`]).
     pub fn subtree(&self, prefix: &str) -> Vec<ScopeId> {
-        (0..self.names.len())
+        (0..self.paths.len())
+            .filter(|&i| within_scope(&self.paths[i], prefix))
             .map(|i| ScopeId(i as u32))
-            .filter(|id| ScopePath(self.paths[id.0 as usize].clone()).starts_with_scope(prefix))
             .collect()
     }
 }
@@ -98,18 +97,19 @@ mod tests {
         let mut t = ScopeTree::new();
         let a = t.child(ScopeId::ROOT, "link");
         let b = t.child(a, "ser");
+        assert_eq!(t.path(ScopeId::ROOT).as_str(), "");
         assert_eq!(t.path(a).as_str(), "link");
         assert_eq!(t.path(b).as_str(), "link.ser");
-        assert_eq!(t.parent(b), Some(a));
-        assert_eq!(t.parent(ScopeId::ROOT), None);
     }
 
     #[test]
-    fn starts_with_scope_is_component_wise() {
-        let p = ScopePath("link.serde".to_string());
-        assert!(!p.starts_with_scope("link.ser"));
-        assert!(p.starts_with_scope("link"));
-        assert!(p.starts_with_scope("link.serde"));
+    fn within_scope_is_component_wise() {
+        assert!(!within_scope("link.serde", "link.ser"));
+        assert!(within_scope("link.serde", "link"));
+        assert!(within_scope("link.serde", "link.serde"));
+        assert!(!within_scope("link", "link.serde"));
+        assert!(within_scope("link.serde", ""));
+        assert!(within_scope("", ""));
     }
 
     #[test]
@@ -121,5 +121,7 @@ mod tests {
         let sub = t.subtree("link");
         assert!(sub.contains(&a) && sub.contains(&b));
         assert_eq!(sub.len(), 2);
+        // The empty prefix is the root: the whole tree.
+        assert_eq!(t.subtree("").len(), 4);
     }
 }

@@ -1018,7 +1018,8 @@ impl Simulator {
         EnergyReport { scopes: per_scope, sim_time: self.kernel.now }
     }
 
-    /// Energy (femtojoules) of a scope subtree selected by path prefix.
+    /// Energy (femtojoules) of the scopes within `prefix`
+    /// ([`within_scope`](crate::within_scope); `""` is the whole design).
     pub fn subtree_energy_fj(&self, prefix: &str) -> f64 {
         let energies = self.scope_energies_fj();
         self.scopes.subtree(prefix).into_iter().map(|s| energies[s.0 as usize]).sum()
@@ -1941,6 +1942,8 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         assert!((sim.subtree_energy_fj("blk") - 6.0).abs() < 1e-9);
         assert_eq!(sim.subtree_energy_fj("other"), 0.0);
+        // The empty prefix is the root scope's whole subtree.
+        assert!((sim.subtree_energy_fj("") - 6.0).abs() < 1e-9, "{}", sim.subtree_energy_fj(""));
     }
 
     #[test]

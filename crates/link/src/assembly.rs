@@ -384,16 +384,21 @@ pub(crate) fn build_family(
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
+    // In debug builds (every test run), fail fast on netlists that
+    // violate the structural invariants the links rely on. A link
+    // built into an empty simulator is the whole netlist and is linted
+    // here; one built into a larger design (a fabric) is linted with
+    // it, once that design is finished. The lint passes only read the
+    // connectivity snapshot — they never touch kernel state — so a
+    // linted netlist replays bit-identically.
+    #[cfg(debug_assertions)]
+    let alone = b.sim().signal_count() == 0;
     let handles = match family {
         LinkFamily::Sync => build_i1(b, name, cfg),
         LinkFamily::PerTransfer | LinkFamily::PerWord => build_serial(b, family, name, cfg),
     }?;
-    // In debug builds (every test run), fail fast on netlists that
-    // violate the structural invariants the links rely on. The lint
-    // passes only read the connectivity snapshot — they never touch
-    // kernel state — so a linted netlist replays bit-identically.
     #[cfg(debug_assertions)]
-    {
+    if alone {
         let report = sal_lint::run_all(&b.sim().netgraph());
         if report.has_errors() {
             let summary: Vec<String> = report

@@ -461,9 +461,11 @@ impl LinkSpecBuilder {
 /// parameters the spec does not name (clock period, early word
 /// acknowledge, receiver style).
 ///
-/// In debug builds (every test run) the freshly generated netlist is
-/// passed through every `sal-lint` pass and the first error aborts
-/// the build — generated links are lint-clean by construction.
+/// In debug builds (every test run) a link generated into an empty
+/// simulator is passed through every `sal-lint` pass and the first
+/// error aborts the build — generated links are lint-clean by
+/// construction. A link generated into a larger design is linted
+/// with it: `sal-switch` lints each finished fabric once.
 ///
 /// ```
 /// use sal_cells::CircuitBuilder;

@@ -103,17 +103,6 @@ impl ErrorProcess {
             }
         }
     }
-
-    /// True if the process can never produce an error (the lossy path
-    /// must then be cycle-identical to the loss-free path).
-    pub fn is_error_free(&self) -> bool {
-        match *self {
-            ErrorProcess::Iid { p } => p == 0.0,
-            ErrorProcess::GilbertElliott { p_good, p_bad, good_to_bad, .. } => {
-                p_good == 0.0 && (p_bad == 0.0 || good_to_bad == 0.0)
-            }
-        }
-    }
 }
 
 /// Network-level image of the link protection modes of PR 5: decides
@@ -448,7 +437,6 @@ mod tests {
             ErrorProcess::Iid { p: 0.0 },
             ErrorProcess::bursty(0.0, 0.5, 0.1),
         ] {
-            assert!(proc.is_error_free());
             let mut dice =
                 FaultDice::new(ChannelFaults::new(proc, ChannelProtection::Off), 1, 1, 1);
             assert!((0..10_000).all(|_| dice.roll() == Upset::Clean));

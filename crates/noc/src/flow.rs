@@ -39,15 +39,14 @@
 //! dedup keeps delivery exactly-once across the reroute (see
 //! DESIGN.md §5h).
 //!
-//! The progress watchdog ([`WatchdogConfig`]) closes the loop on the
-//! failure modes the protocol *cannot* heal (a permanently failed
-//! channel on the only path static XY ever offers): every `interval`
-//! cycles it compares cumulative acks against the last check and,
-//! when flows starve, emits a [`StallReport`] naming the starved flows
-//! (with their whole sender state) and the stalled channels. A run
-//! whose every flow stops progressing for
-//! [`WatchdogConfig::hard_stall_checks`] consecutive checks is
-//! declared livelocked and aborted — diagnosed, never hung.
+//! The progress watchdog closes the loop on the failure modes the
+//! protocol *cannot* heal (a permanently failed channel on the only
+//! path static XY ever offers): every [`WATCHDOG_INTERVAL`] cycles it
+//! compares cumulative acks against the last check and, when flows
+//! starve, emits a [`StallReport`] naming the starved flows (with
+//! their whole sender state) and the stalled channels. A run whose
+//! every flow stops progressing for [`WATCHDOG_CHECKS`] consecutive
+//! checks is declared livelocked and aborted — diagnosed, never hung.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,50 +79,20 @@ const RTO_MIN: u64 = 64;
 /// Upper clamp on the backed-off RTO, cycles.
 const RTO_MAX: u64 = 16_384;
 
-/// Progress-watchdog knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Cycles between progress checks; 0 disables the watchdog (no
-    /// check ever fires, so a starved run lasts until `max_cycles`).
-    pub interval: u64,
-    /// Consecutive checks with zero progress on *every* incomplete
-    /// flow before the run is declared livelocked.
-    pub hard_stall_checks: u32,
-}
+/// Cycles between two progress-watchdog checks.
+pub(crate) const WATCHDOG_INTERVAL: u64 = 4_096;
+/// Consecutive checks without progress on any incomplete flow that
+/// declare the run livelocked.
+pub(crate) const WATCHDOG_CHECKS: u32 = 8;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { interval: 1_024, hard_stall_checks: 3 }
-    }
-}
-
-/// A complete flow workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowConfig {
-    /// The flows.
-    pub flows: Vec<FlowSpec>,
-    /// Watchdog knobs.
-    pub watchdog: WatchdogConfig,
-}
-
-impl FlowConfig {
-    /// A workload with the default watchdog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any flow is empty or self-addressed.
-    pub fn new(flows: Vec<FlowSpec>) -> Self {
-        for (i, f) in flows.iter().enumerate() {
-            assert!(f.packets >= 1, "flow {i} has no payload");
-            assert!(f.src != f.dst, "flow {i} is self-addressed ({})", f.src);
-        }
-        FlowConfig { flows, watchdog: WatchdogConfig::default() }
-    }
-}
+// A sender backed off to `RTO_MAX` is legitimately silent that long
+// before it retransmits; a no-progress window no longer than that
+// declares a patient run livelocked.
+const _: () = assert!(WATCHDOG_INTERVAL * WATCHDOG_CHECKS as u64 > RTO_MAX);
 
 /// The flow-level content of a network packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowTag {
+pub(crate) enum FlowTag {
     /// A payload packet.
     Payload {
         /// Owning flow.
@@ -154,26 +123,26 @@ fn splitmix64(x: u64) -> u64 {
 
 /// The deterministic payload word of `(flow, seq)`: sender emits it,
 /// receiver recomputes it — any in-flight bit flip breaks equality.
-pub fn payload_word(flow: FlowId, seq: u64) -> u64 {
+pub(crate) fn payload_word(flow: FlowId, seq: u64) -> u64 {
     splitmix64((u64::from(flow.0) << 40) ^ seq)
 }
 
 /// The ack self-check word: `splitmix64` is a bijection, so any
 /// corruption of `cum` changes the expected check — a single shared
 /// bit flip can never stay self-consistent.
-pub fn ack_check(flow: FlowId, cum: u64) -> u64 {
+pub(crate) fn ack_check(flow: FlowId, cum: u64) -> u64 {
     splitmix64((u64::from(flow.0) << 40) ^ cum ^ 0x5DEE_CE66_D1CE_5EED)
 }
 
 /// What the engine wants injected into the mesh this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowSend {
+pub(crate) struct FlowSend {
     /// Injecting node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Destination node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Flow-level content.
-    pub tag: FlowTag,
+    pub(crate) tag: FlowTag,
 }
 
 /// Per-flow transport counters (monotonic).
@@ -463,7 +432,7 @@ pub struct FlowStats {
 
 /// Jain's fairness index over nonnegative allocations:
 /// `(Σx)² / (n·Σx²)`; 1 is perfectly fair, `1/n` is a single hog.
-pub fn jain_index(xs: &[f64]) -> f64 {
+pub(crate) fn jain_index(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
@@ -475,11 +444,10 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-/// The engine driving every flow of a network run. Owned by
-/// [`crate::Network`] in flow mode; all methods are deterministic.
+/// The engine driving every flow of a network run: the traffic source
+/// of a flow-mode [`crate::Network`]. All methods are deterministic.
 #[derive(Debug)]
-pub struct FlowEngine {
-    watchdog: WatchdogConfig,
+pub(crate) struct FlowEngine {
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
     /// Watchdog snapshot: cumulative acks at the last check.
@@ -488,44 +456,36 @@ pub struct FlowEngine {
     last_starved: Vec<FlowId>,
     no_progress_checks: u32,
     stalls: Vec<StallReport>,
-    livelocked: bool,
 }
 
 impl FlowEngine {
     /// Builds the engine.
-    pub fn new(cfg: &FlowConfig) -> Self {
-        let senders: Vec<Sender> = cfg.flows.iter().map(|&s| Sender::new(s)).collect();
+    pub(crate) fn new(flows: &[FlowSpec]) -> Self {
+        let senders: Vec<Sender> = flows.iter().map(|&s| Sender::new(s)).collect();
         let n = senders.len();
         FlowEngine {
-            watchdog: cfg.watchdog,
             senders,
             receivers: (0..n).map(|_| Receiver::default()).collect(),
             last_cum: vec![0; n],
             last_starved: Vec::new(),
             no_progress_checks: 0,
             stalls: Vec::new(),
-            livelocked: false,
         }
     }
 
-    /// Watchdog check cadence, cycles.
-    pub fn watchdog_interval(&self) -> u64 {
-        self.watchdog.interval
-    }
-
     /// True once every flow is fully acked.
-    pub fn all_complete(&self) -> bool {
+    pub(crate) fn all_complete(&self) -> bool {
         self.senders.iter().all(Sender::complete)
     }
 
-    /// True once the watchdog declared livelock.
-    pub fn livelocked(&self) -> bool {
-        self.livelocked
+    /// True once the watchdog declared livelock (a run stops there).
+    pub(crate) fn livelocked(&self) -> bool {
+        self.no_progress_checks >= WATCHDOG_CHECKS
     }
 
     /// Timer + window pass over every sender; the network injects the
     /// returned packets this cycle (flow order fixes determinism).
-    pub fn poll(&mut self, now: u64) -> Vec<FlowSend> {
+    pub(crate) fn poll(&mut self, now: u64) -> Vec<FlowSend> {
         let mut out = Vec::new();
         for (i, s) in self.senders.iter_mut().enumerate() {
             let flow = FlowId(i as u32);
@@ -552,7 +512,7 @@ impl FlowEngine {
     /// undetected-corruption bit-flip mask the channels applied to the
     /// packet's payload (0 = intact). Returns the ack to send back,
     /// if any.
-    pub fn on_delivery(&mut self, node: NodeId, tag: FlowTag, xor: u64, now: u64) -> Option<FlowSend> {
+    pub(crate) fn on_delivery(&mut self, node: NodeId, tag: FlowTag, xor: u64, now: u64) -> Option<FlowSend> {
         match tag {
             FlowTag::Payload { flow, seq, payload } => {
                 let i = flow.0 as usize;
@@ -604,10 +564,9 @@ impl FlowEngine {
     /// Progress check: `stalled_channels` is the network's channel
     /// diagnosis (failed / long-idle channels with queued flits).
     /// Records a [`StallReport`] when incomplete flows starved, and
-    /// declares livelock after
-    /// [`WatchdogConfig::hard_stall_checks`] checks with zero global
-    /// progress.
-    pub fn watchdog_check(&mut self, now: u64, stalled_channels: Vec<StalledChannel>) {
+    /// declares livelock after [`WATCHDOG_CHECKS`] checks with zero
+    /// global progress.
+    pub(crate) fn watchdog_check(&mut self, now: u64, stalled_channels: Vec<StalledChannel>) {
         let mut starved = Vec::new();
         let mut any_progress = false;
         for (i, s) in self.senders.iter().enumerate() {
@@ -633,10 +592,7 @@ impl FlowEngine {
         } else if !self.all_complete() {
             self.no_progress_checks += 1;
         }
-        let hard = self.no_progress_checks >= self.watchdog.hard_stall_checks;
-        if hard {
-            self.livelocked = true;
-        }
+        let hard = self.livelocked();
         let starved_ids: Vec<FlowId> = starved.iter().map(|f| f.flow).collect();
         if !starved.is_empty() && (hard || starved_ids != self.last_starved) {
             self.last_starved = starved_ids;
@@ -647,12 +603,12 @@ impl FlowEngine {
     }
 
     /// All stall reports recorded so far.
-    pub fn stalls(&self) -> &[StallReport] {
+    pub(crate) fn stalls(&self) -> &[StallReport] {
         &self.stalls
     }
 
     /// Final per-flow statistics over a run of `cycles`.
-    pub fn stats(&self, cycles: u64) -> Vec<FlowStats> {
+    pub(crate) fn stats(&self, cycles: u64) -> Vec<FlowStats> {
         self.senders
             .iter()
             .zip(&self.receivers)
@@ -685,7 +641,7 @@ mod tests {
     }
 
     fn engine(packets: u64) -> FlowEngine {
-        FlowEngine::new(&FlowConfig::new(vec![spec(packets)]))
+        FlowEngine::new(&[spec(packets)])
     }
 
     /// Delivers a payload send to the engine and returns the ack.
@@ -852,24 +808,27 @@ mod tests {
 
     #[test]
     fn watchdog_names_starved_flows_and_declares_livelock() {
-        let mut e = FlowEngine::new(&FlowConfig {
-            flows: vec![spec(10), FlowSpec { src: NodeId(1), dst: NodeId(2), packets: 10 }],
-            watchdog: WatchdogConfig { interval: 100, hard_stall_checks: 2 },
-        });
+        let mut e = FlowEngine::new(&[
+            spec(10),
+            FlowSpec { src: NodeId(1), dst: NodeId(2), packets: 10 },
+        ]);
         e.poll(0);
         // Flow 1 progresses, flow 0 starves: stall named, no livelock.
         let tag = FlowTag::Payload { flow: FlowId(1), seq: 0, payload: payload_word(FlowId(1), 0) };
         let ack = e.on_delivery(NodeId(2), tag, 0, 50).unwrap();
         e.on_delivery(NodeId(1), ack.tag, 0, 60);
-        e.watchdog_check(100, Vec::new());
+        e.watchdog_check(WATCHDOG_INTERVAL, Vec::new());
         assert!(!e.livelocked());
         assert_eq!(e.stalls().len(), 1);
         assert_eq!(e.stalls()[0].starved.len(), 1);
         assert_eq!(e.stalls()[0].starved[0].flow, FlowId(0));
-        // Now nothing progresses: two more checks declare livelock.
-        e.watchdog_check(200, Vec::new());
-        assert!(!e.livelocked());
-        e.watchdog_check(300, Vec::new());
+        // Now nothing progresses: the WATCHDOG_CHECKS-th check after
+        // the last progress declares livelock, and not one before.
+        for k in 2..=WATCHDOG_CHECKS {
+            e.watchdog_check(u64::from(k) * WATCHDOG_INTERVAL, Vec::new());
+            assert!(!e.livelocked(), "livelock declared at check {k}");
+        }
+        e.watchdog_check(u64::from(WATCHDOG_CHECKS + 1) * WATCHDOG_INTERVAL, Vec::new());
         assert!(e.livelocked());
         let last = e.stalls().last().unwrap();
         assert!(last.hard);

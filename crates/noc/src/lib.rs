@@ -15,7 +15,7 @@
 //! upper bound) while cutting the wiring by 75 %.
 //!
 //! ```
-//! use sal_noc::{LinkModel, Mesh, NetworkConfig, Network, TrafficPattern};
+//! use sal_noc::{FlowSpec, LinkModel, Mesh, NetworkConfig, Network, NodeId, TrafficPattern};
 //!
 //! let cfg = NetworkConfig {
 //!     mesh: Mesh::new(4, 4),
@@ -26,49 +26,50 @@
 //!     routing: sal_noc::RoutingMode::XyStatic,
 //!     link_kills: Vec::new(),
 //! };
-//! let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 42);
+//! let mut net = Network::new(cfg.clone(), TrafficPattern::UniformRandom, 0.1, 42);
 //! let stats = net.run(2_000, 500);
 //! assert!(stats.delivered_packets > 0);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! let flows = [FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 10 }];
+//! assert!(Network::with_flows(cfg, &flows, 42).run_flows(100_000).completed);
 //! ```
 //!
 //! Beyond open-loop traffic, the crate models *lossy* channels
 //! ([`ChannelFaults`]: seeded i.i.d. or bursty Gilbert–Elliott error
 //! processes with a NACK/timeout/resync/degrade/fail escalation
-//! ladder) and *end-to-end flows* ([`FlowConfig`]: windowed senders
-//! with AIMD congestion control, cumulative acks riding the mesh, and
-//! a progress watchdog that names starved flows and stalled channels
-//! instead of hanging).
+//! ladder) and *end-to-end flows* ([`Network::with_flows`] over
+//! [`FlowSpec`]s: windowed senders with AIMD congestion control,
+//! cumulative acks riding the mesh, and a progress watchdog that names
+//! starved flows and stalled channels instead of hanging). A network
+//! runs exactly one traffic source, fixed by its constructor:
+//! `Network<OpenLoop>` has [`Network::run`], `Network<Flows>` has
+//! [`Network::run_flows`].
 //!
 //! Routing is pluggable ([`RoutingMode`]): static dimension-ordered
-//! XY, or fault-tolerant adaptive routing ([`routing`]) that survives
-//! permanent link failure by online reconfiguration — odd-even
-//! turn-model adaptivity on the whole mesh, up*/down* routing around
-//! holes, stranded/salvaged packet accounting, and health-biased
-//! output selection away from degraded channels.
+//! XY, or fault-tolerant adaptive routing that survives permanent link
+//! failure by online reconfiguration — odd-even turn-model adaptivity
+//! on the whole mesh, up*/down* routing around holes, stranded/salvaged
+//! packet accounting, and health-biased output selection away from
+//! degraded channels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
-pub mod flow;
+mod fault;
+mod flow;
 mod link_model;
 mod network;
 mod packet;
 mod router;
-pub mod routing;
+mod routing;
 mod stats;
 mod topology;
 mod traffic;
 
 pub use fault::{ChannelFaults, ChannelProtection, ErrorProcess, RecoveryCounts, RecoveryTotals};
-pub use flow::{
-    FlowConfig, FlowEngine, FlowId, FlowSpec, FlowStats, StallReport, StalledChannel,
-    StarvedFlow, WatchdogConfig, jain_index,
-};
+pub use flow::{FlowCounts, FlowId, FlowSpec, FlowStats, StallReport, StalledChannel, StarvedFlow};
 pub use link_model::LinkModel;
-pub use network::{FlowNetReport, Network, NetworkConfig};
-pub use routing::{LinkKill, RouteTable, RoutingMode};
+pub use network::{FlowNetReport, Flows, Network, NetworkConfig, OpenLoop};
+pub use routing::{LinkKill, RoutingMode};
 pub use stats::{LinkRecovery, NetworkStats};
 pub use topology::{Direction, Mesh, NodeId};
 pub use traffic::TrafficPattern;

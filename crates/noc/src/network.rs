@@ -9,7 +9,10 @@ use crate::fault::{
     ChannelFaults, ChannelState, FaultDice, RecoveryCounts, Upset, DEGRADE_AFTER, DEGRADE_CYCLES,
     NACK_LATENCY, RESYNC_AFTER, RESYNC_PENALTY,
 };
-use crate::flow::{FlowConfig, FlowEngine, FlowStats, FlowTag, StallReport, StalledChannel, jain_index};
+use crate::flow::{
+    jain_index, FlowEngine, FlowSend, FlowSpec, FlowStats, FlowTag, StallReport, StalledChannel,
+    WATCHDOG_INTERVAL,
+};
 use crate::packet::{Flit, PacketId};
 use crate::router::Router;
 use crate::routing::{LinkKill, RouteTable, RoutingMode};
@@ -251,24 +254,95 @@ impl FlowNetReport {
 }
 
 /// A cycle-level network simulation over a wormhole-routed mesh of
-/// [`LinkModel`] channels, in one of two modes:
+/// [`LinkModel`] channels, driven by exactly one traffic source that
+/// its constructor fixes:
 ///
-/// * **Open loop** ([`Network::new`] + [`Network::run`]): cores
-///   inject packets per a [`TrafficPattern`] at a configured rate.
-/// * **Flows** ([`Network::with_flows`] + [`Network::run_flows`]):
-///   a [`FlowEngine`] drives windowed end-to-end senders whose acks
+/// * **Open loop** (`Network<OpenLoop>`, [`Network::new`] +
+///   [`Network::run`]): cores inject packets per a [`TrafficPattern`]
+///   at a configured rate.
+/// * **Flows** (`Network<Flows>`, [`Network::with_flows`] +
+///   [`Network::run_flows`]): windowed end-to-end senders whose acks
 ///   ride the mesh as ordinary return packets.
 ///
 /// With [`NetworkConfig::faults`] set, every channel runs a seeded
 /// dynamic fault process with the NACK/timeout/resync/degrade/fail
 /// escalation ladder; per-channel [`RecoveryCounts`] surface in
 /// [`NetworkStats::link_recovery`].
-pub struct Network {
-    cfg: NetworkConfig,
+///
+/// An open-loop network has no `run_flows` (the crate example runs
+/// both modes):
+///
+/// ```compile_fail,E0599
+/// use sal_noc::{Network, NetworkConfig, TrafficPattern};
+/// fn flows_on_open_loop(cfg: NetworkConfig) {
+///     Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 7).run_flows(100_000);
+/// }
+/// ```
+pub struct Network<T = OpenLoop> {
+    fabric: Fabric,
+    traffic: T,
+}
+
+/// The traffic source of a network built by [`Network::new`]: every
+/// core injects packets per a [`TrafficPattern`] at a fixed offered
+/// load, drawn from the network's seeded RNG.
+#[derive(Debug)]
+pub struct OpenLoop {
     pattern: TrafficPattern,
-    /// Offered load, flits per node per cycle.
-    inject_rate: f64,
+    /// Chance that a core creates a packet in a cycle.
+    p_packet: f64,
     rng: StdRng,
+}
+
+/// The traffic source of a network built by [`Network::with_flows`]:
+/// its flows' senders, receivers and progress watchdog.
+#[derive(Debug)]
+pub struct Flows(FlowEngine);
+
+/// What a traffic source does each cycle of [`Fabric::step_cycle`].
+trait Traffic {
+    /// Creates the packets due at `fabric`'s current cycle; returns
+    /// false only if that changed nothing.
+    fn inject(&mut self, fabric: &mut Fabric, stats: &mut NetworkStats, measuring: bool) -> bool;
+
+    /// Hears of a flow packet's delivery (node, tag, payload bit flips,
+    /// cycle); returns the ack to send back. Open-loop packets carry no tag.
+    fn on_delivery(&mut self, _: NodeId, _: FlowTag, _: u64, _: u64) -> Option<FlowSend> {
+        None
+    }
+}
+
+impl Traffic for OpenLoop {
+    fn inject(&mut self, fabric: &mut Fabric, stats: &mut NetworkStats, measuring: bool) -> bool {
+        let mesh = fabric.cfg.mesh;
+        for n in mesh.node_ids() {
+            if mesh.nodes() > 1 && self.rng.gen_bool(self.p_packet) {
+                let dst = self.pattern.destination(&mesh, n, &mut self.rng);
+                fabric.spawn_packet(n, dst, None, stats, measuring);
+            }
+        }
+        // The RNG draws every cycle, so no open-loop cycle is quiet.
+        true
+    }
+}
+
+impl Traffic for FlowEngine {
+    fn inject(&mut self, fabric: &mut Fabric, stats: &mut NetworkStats, measuring: bool) -> bool {
+        let sends = self.poll(fabric.cycle);
+        for s in &sends {
+            fabric.spawn_packet(s.from, s.to, Some(s.tag), stats, measuring);
+        }
+        !sends.is_empty()
+    }
+
+    fn on_delivery(&mut self, node: NodeId, tag: FlowTag, xor: u64, now: u64) -> Option<FlowSend> {
+        FlowEngine::on_delivery(self, node, tag, xor, now)
+    }
+}
+
+/// Everything of a network but its traffic source.
+struct Fabric {
+    cfg: NetworkConfig,
     routers: Vec<Router>,
     /// Every router's input FIFOs, one allocation ([`Router::buffer`]).
     flits: Vec<Flit>,
@@ -280,8 +354,6 @@ pub struct Network {
     moves: Vec<(Direction, Flit)>,
     inject_q: Vec<VecDeque<Flit>>,
     packets: PacketSlab,
-    /// The transport engine (flow mode only).
-    flows: Option<FlowEngine>,
     /// The live routing function (used in adaptive mode; rebuilt on
     /// every reconfiguration epoch).
     routes: RouteTable,
@@ -294,7 +366,14 @@ pub struct Network {
     cycle: u64,
 }
 
-impl Network {
+impl<T> Network<T> {
+    /// The current cycle.
+    pub fn cycle(&self) -> u64 {
+        self.fabric.cycle
+    }
+}
+
+impl Network<OpenLoop> {
     /// Builds an open-loop network.
     ///
     /// # Panics
@@ -303,9 +382,133 @@ impl Network {
     /// queues, negative rate, a scheduled kill of a channel the mesh
     /// does not have).
     pub fn new(cfg: NetworkConfig, pattern: TrafficPattern, inject_rate: f64, seed: u64) -> Self {
+        let fabric = Fabric::new(cfg, seed);
+        assert!(inject_rate >= 0.0, "negative injection rate");
+        let p_packet = (inject_rate / fabric.cfg.packet_len_flits as f64).min(1.0);
+        let rng = StdRng::seed_from_u64(seed);
+        Network { fabric, traffic: OpenLoop { pattern, p_packet, rng } }
+    }
+
+    /// Runs open loop for `total_cycles` from the current cycle,
+    /// measuring after the first `warmup_cycles` of this call, so a
+    /// second call on the same network measures only its own window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warmup_cycles >= total_cycles`.
+    pub fn run(&mut self, total_cycles: u64, warmup_cycles: u64) -> NetworkStats {
+        assert!(warmup_cycles < total_cycles, "warmup must leave measurement cycles");
+        let Network { fabric, traffic } = self;
+        let mut stats = NetworkStats::default();
+        let measure_from = fabric.cycle + warmup_cycles;
+        for _ in 0..total_cycles {
+            let measuring = fabric.cycle >= measure_from;
+            fabric.step_cycle(traffic, &mut stats, measuring);
+        }
+        stats.cycles = total_cycles - warmup_cycles;
+        fabric.finalize(&mut stats);
+        stats
+    }
+}
+
+impl Network<Flows> {
+    /// Builds a flow-mode network: the given flows drive all traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow has an endpoint outside the mesh, no packets,
+    /// or the same source and destination, and on the configurations
+    /// [`Network::new`] rejects.
+    pub fn with_flows(cfg: NetworkConfig, flows: &[FlowSpec], seed: u64) -> Self {
+        let on_mesh = |n: NodeId| usize::from(n.0) < cfg.mesh.nodes();
+        for (i, f) in flows.iter().enumerate() {
+            assert!(on_mesh(f.src) && on_mesh(f.dst), "flow {i} has an endpoint outside the mesh");
+            assert!(f.packets >= 1, "flow {i} has no payload");
+            assert!(f.src != f.dst, "flow {i} is self-addressed ({})", f.src);
+        }
+        Network { fabric: Fabric::new(cfg, seed), traffic: Flows(FlowEngine::new(flows)) }
+    }
+
+    /// Runs flow mode until every flow completes, the watchdog
+    /// declares livelock, or `max_cycles` simulated cycles elapse.
+    ///
+    /// The run steps by fixpoint: after a step that changed nothing,
+    /// `cycle` jumps to the first cycle whose step can differ
+    /// (DESIGN.md §5f). Skipped cycles count as simulated in
+    /// [`FlowNetReport::cycles`] and [`NetworkStats::cycles`], and every
+    /// statistic equals the one stepping each cycle would give;
+    /// [`FlowNetReport::stepped_cycles`] counts the steps taken.
+    pub fn run_flows(&mut self, max_cycles: u64) -> FlowNetReport {
+        let mut stats = NetworkStats::default();
+        let start = self.fabric.cycle;
+        let end = start.saturating_add(max_cycles);
+        let mut stepped: u64 = 0;
+        while self.fabric.cycle < end {
+            let Network { fabric, traffic: Flows(engine) } = self;
+            let changed = fabric.step_cycle(engine, &mut stats, true);
+            stepped += 1;
+            if engine.all_complete() {
+                break;
+            }
+            if !changed {
+                // The flows' own wakes: a send or timeout, or a check.
+                let now = fabric.cycle;
+                let wake = engine.next_deadline(now).unwrap_or(end).min(end);
+                fabric.skip_quiet_cycles(wake.min(now.next_multiple_of(WATCHDOG_INTERVAL)));
+            }
+            if self.watchdog_declares_livelock() {
+                break;
+            }
+        }
+        self.flow_report(stats, self.fabric.cycle - start, stepped)
+    }
+
+    /// Runs the progress watchdog's check if one falls due at the
+    /// current cycle; returns whether it declared livelock.
+    fn watchdog_declares_livelock(&mut self) -> bool {
+        let Network { fabric, traffic: Flows(engine) } = self;
+        if !fabric.cycle.is_multiple_of(WATCHDOG_INTERVAL) {
+            return false;
+        }
+        engine.watchdog_check(fabric.cycle, fabric.stalled_channels());
+        engine.livelocked()
+    }
+
+    /// The flow-mode report of a run of `cycles` simulated cycles,
+    /// `stepped` of them stepped.
+    fn flow_report(&self, mut stats: NetworkStats, cycles: u64, stepped: u64) -> FlowNetReport {
+        let Network { fabric, traffic: Flows(engine) } = self;
+        stats.cycles = cycles;
+        fabric.finalize(&mut stats);
+        // Flow mode measures from cycle 0, so the flit conservation
+        // law is exact: every injected flit was delivered, stranded
+        // by a channel death, or is still queued somewhere.
+        assert_eq!(
+            stats.injected_flits,
+            stats.delivered_flits + stats.stranded_flits + stats.residual_flits,
+            "flit conservation violated"
+        );
+        let flows = engine.stats(cycles);
+        let goodputs: Vec<f64> = flows.iter().map(|f| f.goodput_ppc).collect();
+        FlowNetReport {
+            cycles,
+            stepped_cycles: stepped,
+            completed: engine.all_complete(),
+            livelocked: engine.livelocked(),
+            jain: jain_index(&goodputs),
+            flows,
+            stalls: engine.stalls().to_vec(),
+            net: stats,
+        }
+    }
+}
+
+impl Fabric {
+    /// Builds the fabric of `cfg`, its channels' fault dice seeded
+    /// from `seed`.
+    fn new(cfg: NetworkConfig, seed: u64) -> Self {
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.input_queue_flits >= 1, "routers need input buffering");
-        assert!(inject_rate >= 0.0, "negative injection rate");
         let mesh = cfg.mesh;
         let nodes = mesh.nodes();
         // The protection mode taxes the link: CRC check bytes ride the
@@ -352,7 +555,7 @@ impl Network {
                 k.dir
             );
         }
-        Network {
+        Fabric {
             routers: (0..nodes).map(|n| Router::new(n, cfg.input_queue_flits)).collect(),
             flits: Router::buffer(nodes, cfg.input_queue_flits),
             views: ChannelViews {
@@ -361,14 +564,10 @@ impl Network {
                 scored: cfg.routing.is_adaptive(),
             },
             cfg,
-            pattern,
-            inject_rate,
-            rng: StdRng::seed_from_u64(seed),
             channels,
             moves: Vec::new(),
             inject_q: vec![VecDeque::new(); nodes],
             packets: PacketSlab::default(),
-            flows: None,
             routes: RouteTable::new(mesh),
             kills,
             kill_idx: 0,
@@ -377,117 +576,20 @@ impl Network {
         }
     }
 
-    /// Builds a flow-mode network: no open-loop injection; the given
-    /// flows drive all traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flow endpoint is outside the mesh.
-    pub fn with_flows(cfg: NetworkConfig, flows: &FlowConfig, seed: u64) -> Self {
-        let nodes = cfg.mesh.nodes() as u16;
-        for f in &flows.flows {
-            assert!(f.src.0 < nodes && f.dst.0 < nodes, "flow endpoint outside the mesh");
-        }
-        let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.0, seed);
-        net.flows = Some(FlowEngine::new(flows));
-        net
-    }
-
-    /// The current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Runs open loop for `total_cycles` from the current cycle,
-    /// measuring after the first `warmup_cycles` of this call, so a
-    /// second call on the same network measures only its own window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup_cycles >= total_cycles`.
-    pub fn run(&mut self, total_cycles: u64, warmup_cycles: u64) -> NetworkStats {
-        assert!(warmup_cycles < total_cycles, "warmup must leave measurement cycles");
-        let mut stats = NetworkStats {
-            nodes: self.cfg.mesh.nodes(),
-            ..NetworkStats::default()
-        };
-        let measure_from = self.cycle + warmup_cycles;
-        for _ in 0..total_cycles {
-            let measuring = self.cycle >= measure_from;
-            self.step_cycle(&mut stats, measuring);
-        }
-        stats.cycles = total_cycles - warmup_cycles;
-        self.finalize(&mut stats);
-        stats
-    }
-
-    /// Runs flow mode until every flow completes, the watchdog
-    /// declares livelock, or `max_cycles` simulated cycles elapse.
-    ///
-    /// The run steps by fixpoint: after a step that changed nothing,
-    /// `cycle` jumps to the first cycle whose step can differ
-    /// (DESIGN.md §5f). Skipped cycles count as simulated in
-    /// [`FlowNetReport::cycles`] and [`NetworkStats::cycles`], and every
-    /// statistic equals the one stepping each cycle would give;
-    /// [`FlowNetReport::stepped_cycles`] counts the steps taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network was not built with
-    /// [`Network::with_flows`].
-    pub fn run_flows(&mut self, max_cycles: u64) -> FlowNetReport {
-        assert!(self.flows.is_some(), "run_flows needs a flow-mode network");
-        let mut stats = NetworkStats {
-            nodes: self.cfg.mesh.nodes(),
-            ..NetworkStats::default()
-        };
-        let start = self.cycle;
-        let end = start.saturating_add(max_cycles);
-        let mut stepped: u64 = 0;
-        while self.cycle < end {
-            let changed = self.step_cycle(&mut stats, true);
-            stepped += 1;
-            if self.flows.as_ref().expect("flow mode").all_complete() {
-                break;
-            }
-            if !changed {
-                self.skip_quiet_cycles(end);
-            }
-            if self.watchdog_declares_livelock() {
-                break;
-            }
-        }
-        self.flow_report(stats, self.cycle - start, stepped)
-    }
-
-    /// Runs the progress watchdog's check if one falls due at the
-    /// current cycle (never with `interval == 0`); returns whether it
-    /// declared livelock.
-    fn watchdog_declares_livelock(&mut self) -> bool {
-        let interval = self.flows.as_ref().expect("flow mode").watchdog_interval();
-        if interval == 0 || !self.cycle.is_multiple_of(interval) {
-            return false;
-        }
-        let stalled = self.stalled_channels(interval);
-        let engine = self.flows.as_mut().expect("flow mode");
-        engine.watchdog_check(self.cycle, stalled);
-        engine.livelocked()
-    }
-
     /// Fixpoint stepping, after a step that changed nothing (see
-    /// [`Network::step_cycle`]): every later step changes nothing either
-    /// until a kill, a head flit's delivery, a `Resyncing` or `Degraded`
-    /// expiry, the end of a freeze, a flow send or RTO deadline or a
-    /// watchdog check falls due, so `cycle` jumps to the earliest, or
-    /// to `end` (DESIGN.md §5f). A head flit already due waits on
-    /// downstream space or a closed channel, which only a change opens,
-    /// so only heads still to come are wakes. A live channel below its
-    /// credit cap changes every cycle, so nothing is skipped until all
-    /// sit at the cap. The skipped cycles would only have counted
+    /// [`Fabric::step_cycle`]), given the traffic source's own `wake`
+    /// (its next send, timeout or watchdog check, or the run's end):
+    /// every later step changes nothing either until that, a kill, a
+    /// head flit's delivery, a `Resyncing` or `Degraded` expiry or the
+    /// end of a freeze falls due, so `cycle` jumps to the earliest
+    /// (DESIGN.md §5f). A head flit already due waits on downstream
+    /// space or a closed channel, which only a change opens, so only
+    /// heads still to come are wakes. A live channel below its credit
+    /// cap changes every cycle, so nothing is skipped until all sit at
+    /// the cap. The skipped cycles would only have counted
     /// `degraded_cycles`, added in closed form.
-    fn skip_quiet_cycles(&mut self, end: u64) {
+    fn skip_quiet_cycles(&mut self, mut wake: u64) {
         let now = self.cycle;
-        let mut wake = end;
         for ch in self.channels.iter().flatten() {
             match ch.state {
                 ChannelState::Failed => continue,
@@ -511,14 +613,6 @@ impl Network {
         if self.inject_frozen_until >= now {
             wake = wake.min(self.inject_frozen_until);
         }
-        let engine = self.flows.as_ref().expect("flow mode");
-        if let Some(t) = engine.next_deadline(now) {
-            wake = wake.min(t);
-        }
-        let interval = engine.watchdog_interval();
-        if interval > 0 {
-            wake = wake.min(now.next_multiple_of(interval));
-        }
         if wake <= now {
             return;
         }
@@ -530,34 +624,6 @@ impl Network {
         self.cycle = wake;
     }
 
-    /// The flow-mode report of a run of `cycles` simulated cycles,
-    /// `stepped` of them stepped.
-    fn flow_report(&self, mut stats: NetworkStats, cycles: u64, stepped: u64) -> FlowNetReport {
-        stats.cycles = cycles;
-        self.finalize(&mut stats);
-        // Flow mode measures from cycle 0, so the flit conservation
-        // law is exact: every injected flit was delivered, stranded
-        // by a channel death, or is still queued somewhere.
-        assert_eq!(
-            stats.injected_flits,
-            stats.delivered_flits + stats.stranded_flits + stats.residual_flits,
-            "flit conservation violated"
-        );
-        let engine = self.flows.as_ref().expect("flow mode");
-        let flows = engine.stats(cycles);
-        let goodputs: Vec<f64> = flows.iter().map(|f| f.goodput_ppc).collect();
-        FlowNetReport {
-            cycles,
-            stepped_cycles: stepped,
-            completed: engine.all_complete(),
-            livelocked: engine.livelocked(),
-            jain: jain_index(&goodputs),
-            flows,
-            stalls: engine.stalls().to_vec(),
-            net: stats,
-        }
-    }
-
     /// End-of-run bookkeeping: sort latencies once (quantiles index
     /// directly afterwards), count what is still in the fabric, and
     /// collect the per-channel recovery rows in channel-id, i.e.
@@ -565,6 +631,7 @@ impl Network {
     /// all-zero when nothing happened, so loss-free and `p = 0` runs
     /// compare equal field-for-field.
     fn finalize(&self, stats: &mut NetworkStats) {
+        stats.nodes = self.cfg.mesh.nodes();
         stats.finalize_latencies();
         stats.in_flight = self.packets.in_flight();
         // Flits still queued anywhere in the fabric (conservation).
@@ -595,7 +662,7 @@ impl Network {
 
     /// Channels that look wedged: permanently failed, or holding
     /// flits without delivering for a whole watchdog interval.
-    fn stalled_channels(&self, interval: u64) -> Vec<StalledChannel> {
+    fn stalled_channels(&self) -> Vec<StalledChannel> {
         let now = self.cycle;
         self.channels
             .iter()
@@ -605,7 +672,7 @@ impl Network {
                 let state = ch.state.label();
                 let queued = ch.in_flight.len();
                 let wedged = state == "failed"
-                    || (queued > 0 && now.saturating_sub(ch.last_delivery) >= interval);
+                    || (queued > 0 && now.saturating_sub(ch.last_delivery) >= WATCHDOG_INTERVAL);
                 let (from, dir) = self.cfg.mesh.channel(id);
                 wedged.then_some(StalledChannel {
                     from,
@@ -812,15 +879,15 @@ impl Network {
         }
     }
 
-    /// Advances one cycle. Returns whether the step changed anything in
-    /// flow mode: a kill, a `Resyncing` or `Degraded` expiry, a delivery
-    /// attempt (the only place fault dice roll), a flow send, a
-    /// source-queue move or a router move. A wormhole grant alone does
-    /// not count: its output stays blocked, and a step after it grants
-    /// nothing new, so that step changes nothing. Open loop draws from
-    /// its RNG every cycle, which the flag does not track.
+    /// Advances one cycle, `traffic` injecting. Returns whether the
+    /// step changed anything: a kill, a `Resyncing` or `Degraded`
+    /// expiry, a delivery attempt (the only place fault dice roll), a
+    /// change in the traffic source (a flow send; every open-loop
+    /// cycle), a source-queue move or a router move. A wormhole grant
+    /// alone does not count: its output stays blocked, and a step after
+    /// it grants nothing new, so that step changes nothing.
     #[allow(clippy::too_many_lines)]
-    fn step_cycle(&mut self, stats: &mut NetworkStats, measuring: bool) -> bool {
+    fn step_cycle(&mut self, traffic: &mut impl Traffic, stats: &mut NetworkStats, measuring: bool) -> bool {
         let mesh = self.cfg.mesh;
         let now = self.cycle;
         let mut changed = false;
@@ -941,22 +1008,8 @@ impl Network {
             }
         }
 
-        // 2. Injection: flow senders or the open-loop pattern.
-        if self.flows.is_some() {
-            let sends = self.flows.as_mut().expect("flow mode").poll(now);
-            changed |= !sends.is_empty();
-            for s in sends {
-                self.spawn_packet(s.from, s.to, Some(s.tag), stats, measuring);
-            }
-        } else {
-            let p_packet = self.inject_rate / self.cfg.packet_len_flits as f64;
-            for n in mesh.node_ids() {
-                if mesh.nodes() > 1 && self.rng.gen_bool(p_packet.min(1.0)) {
-                    let dst = self.pattern.destination(&mesh, n, &mut self.rng);
-                    self.spawn_packet(n, dst, None, stats, measuring);
-                }
-            }
-        }
+        // 2. Injection: the traffic source's packets due this cycle.
+        changed |= traffic.inject(self, stats, measuring);
         // Move source-queue flits into the routers' Local inputs —
         // unless a reconfiguration epoch has injection paused (senders
         // keep queueing; the fabric interface holds them back).
@@ -1020,8 +1073,7 @@ impl Network {
                             }
                         }
                         if let Some(tag) = pkt.tag {
-                            let engine = self.flows.as_mut().expect("tagged packet needs flows");
-                            if let Some(ack) = engine.on_delivery(n, tag, pkt.corrupt_xor, now) {
+                            if let Some(ack) = traffic.on_delivery(n, tag, pkt.corrupt_xor, now) {
                                 self.spawn_packet(ack.from, ack.to, Some(ack.tag), stats, measuring);
                             }
                         }
@@ -1058,7 +1110,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::fault::{ChannelProtection, ErrorProcess};
-    use crate::flow::{FlowSpec, WatchdogConfig};
 
     fn base_cfg(link: LinkModel) -> NetworkConfig {
         NetworkConfig {
@@ -1337,10 +1388,10 @@ mod tests {
 
     #[test]
     fn flows_complete_on_a_clean_network() {
-        let flows = FlowConfig::new(vec![
+        let flows = [
             FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 50 },
             FlowSpec { src: NodeId(3), dst: NodeId(12), packets: 50 },
-        ]);
+        ];
         let mut net = Network::with_flows(base_cfg(LinkModel::ideal()), &flows, 5);
         let report = net.run_flows(200_000);
         assert!(report.completed, "clean flows must finish");
@@ -1358,10 +1409,10 @@ mod tests {
 
     #[test]
     fn flows_survive_a_lossy_network_exactly_once() {
-        let flows = FlowConfig::new(vec![
+        let flows = [
             FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 40 },
             FlowSpec { src: NodeId(12), dst: NodeId(3), packets: 40 },
-        ]);
+        ];
         let cfg = lossy_cfg(ErrorProcess::bursty(0.05, 0.6, 0.05), ChannelProtection::Parity);
         let mut net = Network::with_flows(cfg, &flows, 77);
         let report = net.run_flows(500_000);
@@ -1392,7 +1443,7 @@ mod tests {
         let faults = ChannelFaults::new(ErrorProcess::Iid { p: 1.0 }, ChannelProtection::Crc8)
             .with_permanent_failure(1);
         let cfg = NetworkConfig { faults: Some(faults), ..base_cfg(LinkModel::ideal()) };
-        let flows = FlowConfig::new(vec![FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 10 }]);
+        let flows = [FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 10 }];
         let mut net = Network::with_flows(cfg, &flows, 3);
         let report = net.run_flows(2_000_000);
         assert!(!report.completed);
@@ -1412,11 +1463,11 @@ mod tests {
 
     /// Flows whose XY paths cross row 0 between columns 1 and 2, in
     /// both directions — a single dead physical link starves both.
-    fn row0_flows() -> FlowConfig {
-        FlowConfig::new(vec![
+    fn row0_flows() -> [FlowSpec; 2] {
+        [
             FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 30 },
             FlowSpec { src: NodeId(3), dst: NodeId(12), packets: 30 },
-        ])
+        ]
     }
 
     fn kill_row0(cycle: u64) -> Vec<LinkKill> {
@@ -1501,10 +1552,10 @@ mod tests {
             link_kills: kills,
             ..base_cfg(LinkModel::ideal())
         };
-        let flows = FlowConfig::new(vec![
+        let flows = [
             FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 30 },
             FlowSpec { src: NodeId(15), dst: NodeId(0), packets: 30 },
-        ]);
+        ];
         let mut net = Network::with_flows(cfg, &flows, 9);
         let report = net.run_flows(300_000);
         assert!(report.completed, "retrained links must keep the severed corner alive");
@@ -1541,9 +1592,10 @@ mod tests {
         };
         let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 3);
         assert_eq!(net.run(200, 0).retrained_links, 1);
-        let revived: Vec<usize> = (0..net.channels.len())
+        let channels = &net.fabric.channels;
+        let revived: Vec<usize> = (0..channels.len())
             .filter(|&id| {
-                net.channels[id]
+                channels[id]
                     .as_ref()
                     .is_some_and(|c| c.ever_failed && !matches!(c.state, ChannelState::Failed))
             })
@@ -1553,25 +1605,23 @@ mod tests {
 
     /// `run_flows` without fixpoint stepping: every cycle stepped. The
     /// reference the skip is checked against.
-    fn run_flows_every_cycle(net: &mut Network, max_cycles: u64) -> FlowNetReport {
-        let mut stats = NetworkStats { nodes: net.cfg.mesh.nodes(), ..NetworkStats::default() };
-        let start = net.cycle;
-        while net.cycle < start + max_cycles {
-            net.step_cycle(&mut stats, true);
-            if net.flows.as_ref().expect("flow mode").all_complete()
-                || net.watchdog_declares_livelock()
-            {
+    fn run_flows_every_cycle(net: &mut Network<Flows>, max_cycles: u64) -> FlowNetReport {
+        let mut stats = NetworkStats::default();
+        let start = net.cycle();
+        while net.cycle() < start + max_cycles {
+            net.fabric.step_cycle(&mut net.traffic.0, &mut stats, true);
+            if net.traffic.0.all_complete() || net.watchdog_declares_livelock() {
                 break;
             }
         }
-        let cycles = net.cycle - start;
+        let cycles = net.cycle() - start;
         net.flow_report(stats, cycles, cycles)
     }
 
     /// A random flow-mode run on the 4×4 mesh, drawn from `seed`: every
     /// knob that feeds a wake or the credit guard varies. Returns the
     /// network and its `max_cycles`.
-    fn random_flow_run(seed: u64) -> (Network, u64) {
+    fn random_flow_run(seed: u64) -> (Network<Flows>, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mesh = Mesh::new(4, 4);
         let permille = |rng: &mut StdRng, lo: u32, hi: u32| f64::from(rng.gen_range(lo..hi)) / 1e3;
@@ -1629,19 +1679,16 @@ mod tests {
             routing,
             link_kills: kills,
         };
-        let specs = (0..rng.gen_range(1..5))
+        let flows: Vec<FlowSpec> = (0..rng.gen_range(1..5))
             .map(|_| {
                 let src = rng.gen_range(0..16);
                 let dst = (src + rng.gen_range(1..16)) % 16;
                 FlowSpec { src: NodeId(src), dst: NodeId(dst), packets: rng.gen_range(1..41) }
             })
             .collect();
-        let mut flows = FlowConfig::new(specs);
-        flows.watchdog = WatchdogConfig {
-            interval: [0, 0, 1, 64, 512, 1_024, 4_096, 4_096][rng.gen_range(0..8)],
-            hard_stall_checks: rng.gen_range(1..9),
-        };
-        let max_cycles = rng.gen_range(1..30_000);
+        // Long enough for the watchdog to declare livelock, which
+        // takes at least WATCHDOG_CHECKS intervals.
+        let max_cycles = rng.gen_range(1..80_000);
         (Network::with_flows(cfg, &flows, rng.gen()), max_cycles)
     }
 
@@ -1649,7 +1696,7 @@ mod tests {
     fn fixpoint_stepping_matches_stepping_every_cycle() {
         // Reports compare as `Debug` text: `jain` is NaN when no flow
         // delivers, and NaN != NaN.
-        let (mut simulated, mut stepped) = (0, 0);
+        let (mut simulated, mut stepped, mut livelocked) = (0, 0, 0);
         for case in 0..32 {
             let (mut net, max_cycles) = random_flow_run(case);
             let skipped = net.run_flows(max_cycles);
@@ -1658,6 +1705,7 @@ mod tests {
             assert!(skipped.stepped_cycles <= skipped.cycles, "case {case}");
             simulated += skipped.cycles;
             stepped += skipped.stepped_cycles;
+            livelocked += u32::from(skipped.livelocked);
             let skipped = FlowNetReport { stepped_cycles: every.stepped_cycles, ..skipped };
             let (a, b) = (format!("{skipped:#?}"), format!("{every:#?}"));
             if let Some((x, y)) = a.lines().zip(b.lines()).find(|(x, y)| x != y) {
@@ -1666,30 +1714,16 @@ mod tests {
             assert_eq!(a, b, "case {case}");
         }
         assert!(stepped * 2 < simulated, "the skip barely fired: {stepped} of {simulated} stepped");
-    }
-
-    #[test]
-    fn a_zero_watchdog_interval_disables_the_watchdog() {
-        // The XY twin of the scheduled kill starves its flows; with no
-        // watchdog the run neither reports nor aborts, and it lasts
-        // until `max_cycles`, mostly skipped.
-        let cfg = NetworkConfig { link_kills: kill_row0(100), ..base_cfg(LinkModel::ideal()) };
-        let mut flows = row0_flows();
-        flows.watchdog.interval = 0;
-        let report = Network::with_flows(cfg, &flows, 9).run_flows(200_000);
-        assert!(!report.completed && !report.livelocked);
-        assert!(report.stalls.is_empty(), "no check ever ran");
-        assert_eq!(report.cycles, 200_000);
-        assert!(report.stepped_cycles < 20_000, "{} cycles stepped", report.stepped_cycles);
+        assert!(livelocked > 0, "no case reached the watchdog's livelock verdict");
     }
 
     #[test]
     fn flow_runs_are_deterministic_given_seed() {
         let run = || {
-            let flows = FlowConfig::new(vec![
+            let flows = [
                 FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 30 },
                 FlowSpec { src: NodeId(5), dst: NodeId(10), packets: 30 },
-            ]);
+            ];
             let cfg = lossy_cfg(ErrorProcess::Iid { p: 0.03 }, ChannelProtection::Crc8);
             let mut net = Network::with_flows(cfg, &flows, 41);
             net.run_flows(500_000)

@@ -54,7 +54,7 @@ pub enum RoutingMode {
     /// pre-reroute behaviour. Link failures are *not* routed around:
     /// flows crossing a dead link starve and the watchdog names them.
     XyStatic,
-    /// Fault-tolerant adaptive routing over a live [`RouteTable`]:
+    /// Fault-tolerant adaptive routing over a live route table:
     /// odd-even adaptivity while the mesh is whole, up*/down*
     /// reconfiguration around failed links, health-biased choice
     /// between permitted outputs.
@@ -138,7 +138,7 @@ const DOWN: usize = 1;
 /// `(source, current, input port, destination)`, rebuilt against the
 /// current failed-channel set on every reconfiguration epoch.
 #[derive(Debug, Clone)]
-pub struct RouteTable {
+pub(crate) struct RouteTable {
     mesh: Mesh,
     /// Failed flag per dense channel id ([`Mesh::channel_id`]); only
     /// read in the up*/down* regime.
@@ -155,7 +155,7 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// A pristine table for a whole mesh (odd-even regime).
-    pub fn new(mesh: Mesh) -> Self {
+    pub(crate) fn new(mesh: Mesh) -> Self {
         RouteTable { mesh, failed: Vec::new(), order: Vec::new(), dist: Vec::new() }
     }
 
@@ -169,7 +169,7 @@ impl RouteTable {
     ///
     /// Panics unless `failed` has one flag per channel id
     /// (`4 * mesh.nodes()`).
-    pub fn rebuild(&mut self, failed: &[bool]) {
+    pub(crate) fn rebuild(&mut self, failed: &[bool]) {
         let n = self.mesh.nodes();
         assert_eq!(failed.len(), 4 * n, "one failed flag per channel id");
         self.failed.clear();
@@ -262,7 +262,7 @@ impl RouteTable {
     /// means the failure pattern has severed part of the fabric — the
     /// routability test behind the last-resort link retrain in
     /// `Network::handle_failures`.
-    pub fn unroutable_pairs(&self) -> u32 {
+    pub(crate) fn unroutable_pairs(&self) -> u32 {
         if self.order.is_empty() {
             // Odd-even on a whole mesh routes every pair.
             return 0;
@@ -310,7 +310,7 @@ impl RouteTable {
     /// Degraded and Resyncing links deterministically. The permitted
     /// set is walked in index order and the first minimum kept, so the
     /// call allocates nothing.
-    pub fn choose(
+    pub(crate) fn choose(
         &self,
         src: NodeId,
         at: NodeId,

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sal_noc::{
-    ChannelFaults, ChannelProtection, Direction, ErrorProcess, FlowConfig, FlowSpec, LinkKill,
+    ChannelFaults, ChannelProtection, Direction, ErrorProcess, FlowSpec, LinkKill,
     LinkModel, Mesh, Network, NetworkConfig, NetworkStats, NodeId, RoutingMode, TrafficPattern,
 };
 
@@ -97,10 +97,10 @@ proptest! {
     ) {
         let rate = f64::from(rate_mil) / 1000.0;
         let run = || {
-            let flows = FlowConfig::new(vec![
+            let flows = [
                 FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 25 },
                 FlowSpec { src: NodeId(12), dst: NodeId(3), packets: 25 },
-            ]);
+            ];
             let faults = Some(ChannelFaults::new(
                 ErrorProcess::Iid { p: rate },
                 ChannelProtection::Crc8,

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use sal_noc::{
-    ChannelFaults, ChannelProtection, Direction, ErrorProcess, FlowConfig, FlowId, FlowSpec,
-    LinkKill, LinkModel, Mesh, Network, NetworkConfig, NodeId, RoutingMode, WatchdogConfig,
+    ChannelFaults, ChannelProtection, Direction, ErrorProcess, FlowId, FlowSpec, LinkKill,
+    LinkModel, Mesh, Network, NetworkConfig, NodeId, RoutingMode,
 };
 
 const PROTECTIONS: [ChannelProtection; 3] =
@@ -68,7 +68,7 @@ fn check(s: &Scenario) -> Result<(), String> {
         routing: if s.adaptive { RoutingMode::adaptive() } else { RoutingMode::XyStatic },
         link_kills: kills,
     };
-    let specs = s
+    let flows: Vec<FlowSpec> = s
         .flows
         .iter()
         .map(|&(src, dst, packets)| {
@@ -77,10 +77,6 @@ fn check(s: &Scenario) -> Result<(), String> {
             FlowSpec { src: NodeId(src), dst: NodeId(dst), packets }
         })
         .collect();
-    let mut flows = FlowConfig::new(specs);
-    // As in the flow campaign: the livelock horizon outlasts a fully
-    // backed-off RTO, so a patient sender is not misdiagnosed.
-    flows.watchdog = WatchdogConfig { interval: 4_096, hard_stall_checks: 8 };
     let report = Network::with_flows(cfg, &flows, s.seed).run_flows(400_000);
 
     let dup: u64 = report.flows.iter().map(|f| f.counts.dup_delivered).sum();

@@ -142,6 +142,14 @@ pub fn build_mesh_fabric(
         .iter()
         .map(|sw| (sw.flit_out[port::L], sw.valid_out[port::L], sw.stall_in[port::L]))
         .collect();
+    // In debug builds the finished fabric is linted once, as a link
+    // built alone is (its links were built into a non-empty simulator,
+    // so none was linted on its own).
+    #[cfg(debug_assertions)]
+    {
+        let report = sal_lint::run_all(&b.sim().netgraph());
+        assert!(!report.has_errors(), "fabric '{name}' fails the lint:\n{}", report.to_text());
+    }
     FabricHandles { clk, rstns, local_in, local_out, switches }
 }
 

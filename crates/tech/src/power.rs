@@ -1,6 +1,6 @@
 //! Activity-based power estimation.
 
-use sal_des::{Simulator, Time};
+use sal_des::{within_scope, Simulator, Time};
 
 use crate::St012Library;
 
@@ -49,17 +49,10 @@ impl PowerBreakdown {
         self.scopes.iter().map(|(_, p)| p).sum()
     }
 
-    /// Power of the subtree rooted at `prefix` (inclusive), µW.
+    /// Power of the subtree rooted at `prefix` (inclusive,
+    /// [`within_scope`]), µW.
     pub fn subtree_uw(&self, prefix: &str) -> f64 {
-        self.scopes
-            .iter()
-            .filter(|(p, _)| {
-                prefix.is_empty()
-                    || p == prefix
-                    || (p.starts_with(prefix) && p[prefix.len()..].starts_with('.'))
-            })
-            .map(|(_, p)| p)
-            .sum()
+        self.scopes.iter().filter(|(p, _)| within_scope(p, prefix)).map(|(_, p)| p).sum()
     }
 }
 
@@ -163,6 +156,7 @@ mod tests {
         // 8 toggles × 10 fJ over 8 ns = 10 µW.
         assert!((p.subtree_uw("blk") - 10.0).abs() < 1e-6, "got {}", p.subtree_uw("blk"));
         assert!((p.total_uw() - 10.0).abs() < 1e-6);
+        assert!((p.subtree_uw("") - 10.0).abs() < 1e-6, "the empty prefix is the whole design");
     }
 
     #[test]

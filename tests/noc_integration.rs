@@ -4,8 +4,8 @@
 use sal::des::Time;
 use sal::link::{LinkConfig, LinkFamily};
 use sal::noc::{
-    ChannelFaults, ChannelProtection, ErrorProcess, FlowConfig, FlowSpec, LinkModel, Mesh,
-    Network, NetworkConfig, NodeId, TrafficPattern,
+    ChannelFaults, ChannelProtection, ErrorProcess, FlowSpec, LinkModel, Mesh, Network,
+    NetworkConfig, NodeId, TrafficPattern,
 };
 
 fn net(link: LinkModel, pattern: TrafficPattern, rate: f64, seed: u64) -> Network {
@@ -105,11 +105,11 @@ fn flows_complete_over_a_lossy_serialized_mesh() {
         routing: sal::noc::RoutingMode::XyStatic,
         link_kills: Vec::new(),
     };
-    let flows = FlowConfig::new(vec![
+    let flows = [
         FlowSpec { src: NodeId(0), dst: NodeId(15), packets: 60 },
         FlowSpec { src: NodeId(15), dst: NodeId(0), packets: 60 },
         FlowSpec { src: NodeId(3), dst: NodeId(12), packets: 60 },
-    ]);
+    ];
     let mut net = Network::with_flows(cfg, &flows, 1234);
     let report = net.run_flows(1_000_000);
     assert!(report.completed, "flows must heal through the bursty storm");
