@@ -40,7 +40,7 @@ fn saturation(cfg: &LinkConfig) -> f64 {
 pub fn early_ack() -> Vec<EarlyAckRow> {
     parallel_map(vec![2u32, 4, 8], |buffers| {
         let base = LinkConfig { buffers, ..LinkConfig::default() };
-        let early = LinkConfig { early_word_ack: true, ..base.clone() };
+        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base.clone() };
         EarlyAckRow {
             buffers,
             baseline_mflits: saturation(&base),

@@ -90,7 +90,7 @@ pub struct Fig11Row {
 
 /// Regenerates Fig 11 (0–3000 µm sweep, paper's wire counts).
 pub fn fig11() -> Vec<Fig11Row> {
-    let w = WireModel::default();
+    let w = WireModel;
     (0..=6)
         .map(|i| {
             let l = 500.0 * i as f64;
@@ -313,7 +313,7 @@ pub fn delay_check() -> DelayCheck {
     // 2 × 13 × 11 ps ≈ 1.15 ns), receiver/transmitter turnaround from
     // the gate chains (measured from the block simulations).
     let ours = PerWordDelay {
-        tp: WireModel::default().delay(cfg.segment_um()),
+        tp: WireModel.delay(cfg.segment_um()),
         tinv: Time::from_ps(11),
         tvalidwordack: Time::from_ps(350),
         tackout: Time::from_ps(450),
@@ -324,7 +324,7 @@ pub fn delay_check() -> DelayCheck {
     // gate chains of our wire buffer and serializer (C-element ≈29 ps,
     // matched-delay buffers ≈21 ps each, latch ≈33 ps).
     let i2_terms = PerTransferDelay {
-        tp: WireModel::default().delay(cfg.segment_um()),
+        tp: WireModel.delay(cfg.segment_um()),
         treqreq: Time::from_ps(95),
         treqack: Time::from_ps(85),
         tackack: Time::from_ps(60),

@@ -336,7 +336,7 @@ mod tests {
         };
         let default = LinkConfig::default();
         let demux = LinkConfig { word_rx_style: WordRxStyle::Demux, ..default.clone() };
-        let early = LinkConfig { early_word_ack: true, ..default.clone() };
+        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..default.clone() };
         let grid = full_grid();
         let i3 = |s: &&LinkSpec| s.family() == LinkFamily::PerWord;
         let unprotected = |s: &&LinkSpec| s.protection() == ProtectionMode::Off;

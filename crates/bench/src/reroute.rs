@@ -28,7 +28,7 @@
 use sal_des::json::Json;
 use sal_noc::{
     ChannelFaults, ChannelProtection, Direction, FlowNetReport, FlowSpec, LinkKill, LinkModel,
-    Mesh, Network, NetworkConfig, NodeId, RoutingMode,
+    Mesh, Network, NetworkConfig, NodeId, RoutingMode, RECONFIG_PAUSE,
 };
 
 use crate::flows::{cell_process, layout_flows, FLOW_PACKETS, LAYOUTS, MAX_CYCLES, SEEDS};
@@ -73,9 +73,7 @@ impl RerouteCell {
     /// Cycles injection spent frozen across reconfiguration epochs.
     pub fn frozen_cycles(&self) -> u64 {
         match mode_of(self.spec.mode) {
-            RoutingMode::Adaptive { reconfig_pause } => {
-                self.report.net.reconfig_epochs * u64::from(reconfig_pause)
-            }
+            RoutingMode::Adaptive => self.report.net.reconfig_epochs * RECONFIG_PAUSE,
             RoutingMode::XyStatic => 0,
         }
     }

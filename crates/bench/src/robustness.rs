@@ -47,7 +47,7 @@ pub fn lint_corners() -> Vec<(&'static str, LinkConfig)> {
         ("slice=4", LinkConfig { slice_width: 4, ..base.clone() }),
         ("clk=300MHz", LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() }),
         ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
-        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
+        ("early_ack", LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base }),
     ]
 }
 

@@ -52,7 +52,7 @@ fn links_drive_none_of_their_ports() {
     let cfgs = [
         ("default", base.clone()),
         ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
-        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
+        ("early_ack", LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base }),
     ];
     for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
         for protection in [ProtectionMode::Off, ProtectionMode::Parity, ProtectionMode::Crc8] {
@@ -65,7 +65,7 @@ fn links_drive_none_of_their_ports() {
                 .build()
                 .expect("valid spec");
             for (label, cfg) in &cfgs {
-                if cfg.early_word_ack && protection != ProtectionMode::Off {
+                if cfg.word_rx_style == WordRxStyle::EarlyAck && protection != ProtectionMode::Off {
                     continue;
                 }
                 let mut sim = Simulator::new();

@@ -845,23 +845,35 @@ impl<'a> CircuitBuilder<'a> {
             let width = data.first().map_or(1, |&d| self.sim.signal_width(d));
             return self.placeholder(name, width);
         }
-        let mut terms: Vec<SignalId> = tokens
+        let terms: Vec<SignalId> = tokens
             .iter()
             .zip(data)
             .enumerate()
             .map(|(k, (&t, &d))| self.and2(&format!("{name}_and{k}"), d, t))
             .collect();
-        // Reduce with a tree of OR gates (up to 4-input).
+        self.or4_tree(&format!("{name}_or"), &terms)
+    }
+
+    /// A tree of OR gates of up to four inputs each, reducing `bits` to
+    /// their disjunction in [`CircuitBuilder::or4_tree_depth`] levels;
+    /// gate `j` of level `l` is named `{prefix}{l}_{j}`. A single input
+    /// is returned unchanged; an empty list is a [`BuildError`].
+    pub fn or4_tree(&mut self, prefix: &str, bits: &[SignalId]) -> SignalId {
+        if bits.is_empty() {
+            self.record_error(BuildError::EmptyInputs { cell: prefix.to_string() });
+            return self.placeholder(prefix, 1);
+        }
+        let mut terms = bits.to_vec();
         let mut level = 0;
         while terms.len() > 1 {
             let mut next = Vec::with_capacity(terms.len().div_ceil(4));
             for (j, chunk) in terms.chunks(4).enumerate() {
-                let nm = format!("{name}_or{level}_{j}");
-                let out = match chunk {
-                    [a] => *a,
-                    [a, b] => self.or2(&nm, *a, *b),
-                    [a, b, c] => self.or3(&nm, *a, *b, *c),
-                    [a, b, c, d] => self.or4(&nm, *a, *b, *c, *d),
+                let nm = format!("{prefix}{level}_{j}");
+                let out = match *chunk {
+                    [a] => a,
+                    [a, b] => self.or2(&nm, a, b),
+                    [a, b, c] => self.or3(&nm, a, b, c),
+                    [a, b, c, d] => self.or4(&nm, a, b, c, d),
                     _ => unreachable!("chunks(4) yields 1..=4 items"),
                 };
                 next.push(out);
@@ -870,6 +882,18 @@ impl<'a> CircuitBuilder<'a> {
             level += 1;
         }
         terms[0]
+    }
+
+    /// Gate levels of a [`CircuitBuilder::or4_tree`] over `n` inputs:
+    /// none for one input, then one per factor of four.
+    pub fn or4_tree_depth(n: usize) -> usize {
+        let mut levels = 0;
+        let mut w = n;
+        while w > 1 {
+            w = w.div_ceil(4);
+            levels += 1;
+        }
+        levels
     }
 
     /// A gated ring oscillator: one NAND (gating with `enable`) plus
@@ -1190,6 +1214,27 @@ mod tests {
         assert_eq!(sim.value(out).to_u64(), Some(0x10));
         sim.run_to_quiescence().unwrap();
         assert_eq!(sim.value(out).to_u64(), Some(0x12));
+    }
+
+    #[test]
+    fn or4_tree_reduces_in_its_stated_depth() {
+        let depths: Vec<usize> =
+            [1, 2, 4, 5, 16, 17].into_iter().map(CircuitBuilder::or4_tree_depth).collect();
+        assert_eq!(depths, [0, 1, 1, 2, 2, 3]);
+        let mut sim = Simulator::new();
+        let lib = UnitLibrary;
+        let mut b = CircuitBuilder::new(&mut sim, &lib);
+        let bits: Vec<SignalId> = (0..6).map(|i| b.input(&format!("b{i}"), 1)).collect();
+        let out = b.or4_tree("any_", &bits);
+        b.finish();
+        // Level 0 ORs b0..b3 and b4..b5, level 1 the two results.
+        let gates: Vec<String> = sim.netgraph().components.iter().map(|c| c.name.clone()).collect();
+        assert_eq!(gates, ["any_0_0", "any_0_1", "any_1_0"]);
+        for (i, &bit) in bits.iter().enumerate() {
+            sim.stimulus(bit, &[(Time::ZERO, Value::from_bool(i == 5))]);
+        }
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.value(out).to_u64(), Some(1));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::LinkConfig;
 
 /// Ports and bookkeeping of the async→sync interface.
 #[derive(Debug, Clone)]
-pub struct AsInterfacePorts {
+pub(crate) struct AsInterfacePorts {
     /// Word-level acknowledge to the deserializer.
     pub ackout: SignalId,
     /// Flit to the receiving switch.
@@ -36,7 +36,7 @@ pub struct AsInterfacePorts {
 /// * Async side: `din`/`reqin` word channel from the deserializer.
 /// * Sync side: `clk`, `stall` from the switch; drives
 ///   `flit_out`/`valid_out`.
-pub fn build_as_interface(
+pub(crate) fn build_as_interface(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,
@@ -97,7 +97,7 @@ pub fn build_as_interface(
     // self-clears as soon as the occupancy flag sets, and a writer
     // slower than that sliver (an arbitrarily derated deserializer)
     // would simply never see it.
-    let any_le = or_tree(b, "any_le", &les);
+    let any_le = b.or4_tree("any_le_", &les);
     let ack_sr = b.david_cell("ack_sr", any_le, nreq, Some(rstn), false);
     let ackout = b.buf_chain("ack_dly", ack_sr, 2);
 
@@ -127,30 +127,6 @@ pub fn build_as_interface(
     // stage).
     let clocked_bits = FIFO_DEPTH as u32 * 4 + cfg.flit_width as u32 + 1;
     AsInterfacePorts { ackout, flit_out, valid_out, clocked_bits }
-}
-
-/// OR-tree over arbitrarily many 1-bit signals.
-fn or_tree(b: &mut CircuitBuilder<'_>, name: &str, sigs: &[SignalId]) -> SignalId {
-    assert!(!sigs.is_empty());
-    let mut terms = sigs.to_vec();
-    let mut level = 0;
-    while terms.len() > 1 {
-        let mut next = Vec::new();
-        for (j, chunk) in terms.chunks(4).enumerate() {
-            let nm = format!("{name}_{level}_{j}");
-            let out = match *chunk {
-                [a] => a,
-                [a, b2] => b.or2(&nm, a, b2),
-                [a, b2, c] => b.or3(&nm, a, b2, c),
-                [a, b2, c, d] => b.or4(&nm, a, b2, c, d),
-                _ => unreachable!(),
-            };
-            next.push(out);
-        }
-        terms = next;
-        level += 1;
-    }
-    terms[0]
 }
 
 #[cfg(test)]

@@ -5,14 +5,18 @@
 use sal_cells::{BuildError, CircuitBuilder};
 use sal_des::{SignalId, Time};
 
+use crate::as_interface::build_as_interface;
+use crate::deserializer::build_deserializer;
 use crate::protect::{build_checker, build_protector};
 use crate::retry::build_retry;
+use crate::sa_interface::build_sa_interface;
+use crate::serializer::build_serializer;
 use crate::spec::LinkFamily;
+use crate::sync_link::build_sync_pipeline;
+use crate::wire_buffer::build_wire_buffer;
 use crate::{
-    build_as_interface, build_deserializer, build_sa_interface, build_serializer,
-    build_sync_pipeline, build_wire_buffer, build_word_deserializer,
-    build_word_deserializer_demux, build_word_deserializer_early, build_word_serializer,
-    LinkConfig, ProtectionMode, RecoverySignals, WordRxStyle, LENGTH_UM,
+    build_word_deserializer, build_word_serializer, LinkConfig, ProtectionMode, RecoverySignals,
+    LENGTH_UM,
 };
 
 /// Everything the testbench and the measurement layer need to drive a
@@ -312,12 +316,7 @@ pub(crate) fn build_serial(
     // segment, I3's over the repeated backward wire.
     let (des_dout, des_req) = match ack_back_heard {
         Some(heard) => {
-            let build = match (cfg.early_word_ack, cfg.word_rx_style) {
-                (true, _) => build_word_deserializer_early,
-                (false, WordRxStyle::ShiftRegister) => build_word_deserializer,
-                (false, WordRxStyle::Demux) => build_word_deserializer_demux,
-            };
-            let des = build(b, "des", &icfg, d, s, des_ack, rx_rstn);
+            let des = build_word_deserializer(b, "des", &icfg, d, s, des_ack, rx_rstn);
             backward_wire(b, seg, "ab", des.ack_back, heard, stations, true);
             (des.dout, des.reqout)
         }

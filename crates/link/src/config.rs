@@ -38,15 +38,10 @@ pub struct LinkConfig {
     pub buffers: u32,
     /// Switch clock period (both ends share one slow clock).
     pub clk_period: Time,
-    /// Early word acknowledgement for I3 — the paper's stated future
-    /// work ("further improvements … could be achieved by earlier
-    /// acknowledging"): the receiver double-buffers the rebuilt word
-    /// and acknowledges at last-slice arrival, overlapping the
-    /// interface handoff with the next burst.
-    pub early_word_ack: bool,
-    /// Receiver datapath style for the word-level link (the comparison
-    /// behind the paper's Fig 14 discussion of shift-register vs
-    /// de-multiplexer deserializers).
+    /// The word-level (I3) receiver: the paper's shift register, the
+    /// de-multiplexer its Fig 14 discussion weighs against it, or the
+    /// shift register with the early word acknowledge of its future
+    /// work.
     pub word_rx_style: WordRxStyle,
     /// Error detection over the serialized wire ([`ProtectionMode::Off`]
     /// by default). When enabled, the link widens its internal word
@@ -83,7 +78,7 @@ impl ProtectionMode {
     }
 }
 
-/// Word-level (I3) receiver datapath style.
+/// Word-level (I3) receiver style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordRxStyle {
     /// The paper's Fig 8b shift register: every stage latches on every
@@ -92,6 +87,12 @@ pub enum WordRxStyle {
     /// A one-hot de-multiplexer (like Fig 6b, strobe-clocked): only
     /// one slice register latches per strobe.
     Demux,
+    /// The shift register with an early word acknowledge — the paper's
+    /// stated future work ("further improvements … could be achieved
+    /// by earlier acknowledging"): the receiver copies the rebuilt word
+    /// into a holding latch and acknowledges at last-slice arrival,
+    /// overlapping the interface hand-off with the next burst.
+    EarlyAck,
 }
 
 impl Default for LinkConfig {
@@ -101,7 +102,6 @@ impl Default for LinkConfig {
             slice_width: 8,
             buffers: 4,
             clk_period: Time::from_ns(10),
-            early_word_ack: false,
             word_rx_style: WordRxStyle::ShiftRegister,
             protection: ProtectionMode::Off,
         }
@@ -154,7 +154,7 @@ pub enum ConfigError {
         /// The protected word width it must divide.
         protected: u8,
     },
-    /// Protection combined with `early_word_ack`: the early ack
+    /// Protection combined with [`WordRxStyle::EarlyAck`]: the early ack
     /// completes the word handshake at last-slice arrival, *before*
     /// the checker can veto the word — detection would come too late
     /// to NACK, so the combination is rejected outright.
@@ -189,8 +189,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ProtectionWithEarlyAck => {
                 write!(
                     f,
-                    "protection is incompatible with early_word_ack (the early ack completes \
-                     the handshake before the word is checked)"
+                    "protection is incompatible with the early word acknowledge (the early \
+                     ack completes the handshake before the word is checked)"
                 )
             }
         }
@@ -243,7 +243,7 @@ impl LinkConfig {
                     protected: self.flit_width + 8,
                 });
             }
-            if self.early_word_ack {
+            if self.word_rx_style == WordRxStyle::EarlyAck {
                 return Err(ConfigError::ProtectionWithEarlyAck);
             }
         }
@@ -414,7 +414,7 @@ mod tests {
         );
         let early = LinkConfig {
             protection: ProtectionMode::Crc8,
-            early_word_ack: true,
+            word_rx_style: WordRxStyle::EarlyAck,
             ..Default::default()
         };
         assert_eq!(early.check().unwrap_err(), ConfigError::ProtectionWithEarlyAck);

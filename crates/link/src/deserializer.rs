@@ -13,9 +13,38 @@ use sal_des::SignalId;
 
 use crate::LinkConfig;
 
+/// The token-ring latch bank of the demultiplexing receivers (this
+/// one and I3's demux): a ring `sel` advanced at each fall of
+/// `strobe` (inverted as `ninv`) selects which of the `k` slice
+/// latches `reg{i}` captures `din` while `strobe ∧ token_i`, so only
+/// one register switches per slice. Returns the inverted strobe, the
+/// tokens and the concatenated word `dout`.
+pub(crate) fn latch_bank(
+    b: &mut CircuitBuilder<'_>,
+    ninv: &str,
+    din: SignalId,
+    strobe: SignalId,
+    rstn: SignalId,
+    k: usize,
+) -> (SignalId, Vec<SignalId>, SignalId) {
+    let nstrobe = b.inv(ninv, strobe);
+    let tokens = b.ring_counter("sel", nstrobe, Some(rstn), k);
+    let regs: Vec<SignalId> = (0..k)
+        .map(|i| {
+            let le = b.and2(&format!("le{i}"), strobe, tokens[i]);
+            // Static-timing capture: the selected latch closes on the
+            // strobe fall; the slice must be there first.
+            b.sim().register_capture(din, le);
+            b.dlatch(&format!("reg{i}"), din, le, None)
+        })
+        .collect();
+    let word = b.concat("dout", &regs);
+    (nstrobe, tokens, word)
+}
+
 /// Ports of the per-transfer deserializer.
 #[derive(Debug, Clone, Copy)]
-pub struct DeserializerPorts {
+pub(crate) struct DeserializerPorts {
     /// Per-slice acknowledge back to the wire.
     pub ackout: SignalId,
     /// Rebuilt word to the downstream interface.
@@ -37,7 +66,7 @@ pub struct DeserializerPorts {
 /// * `taken` (David cell) records the downstream acknowledge,
 ///   dropping the request (return-to-zero) and releasing the withheld
 ///   last-slice acknowledge.
-pub fn build_deserializer(
+pub(crate) fn build_deserializer(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,
@@ -53,21 +82,9 @@ pub fn build_deserializer(
     // derived from it fires.
     let req_d = b.buf_chain("req_dly", reqin, 3);
 
-    // Token ring advanced when each slice handshake completes.
-    let nreq = b.inv("nreq", reqin);
-    let tokens = b.ring_counter("sel", nreq, Some(rstn), k);
-
-    // Per-slice capture latches.
-    let regs: Vec<SignalId> = (0..k)
-        .map(|i| {
-            let le = b.and2(&format!("le{i}"), reqin, tokens[i]);
-            // Static-timing capture: slice data must beat its request
-            // into the selected latch.
-            b.sim().register_capture(din, le);
-            b.dlatch(&format!("reg{i}"), din, le, None)
-        })
-        .collect();
-    let dout = b.concat("dout", &regs);
+    // Token ring advanced when each slice handshake completes, and the
+    // per-slice capture latches.
+    let (_, tokens, dout) = latch_bank(b, "nreq", din, reqin, rstn, k);
 
     // Word-complete detection and downstream handshake. `delivered`
     // is a flip-flop clocked by the downstream acknowledge's rising

@@ -66,10 +66,8 @@ mod wire_buffer;
 mod word_deserializer;
 mod word_serializer;
 
-pub use as_interface::{build_as_interface, AsInterfacePorts};
 pub use assembly::LinkHandles;
 pub use config::{ConfigError, LinkConfig, ProtectionMode, WordRxStyle, LENGTH_UM};
-pub use deserializer::{build_deserializer, DeserializerPorts};
 pub use measure::{
     run_spec, BlockPower, LinkRun, MeasureOptions, RunFailure, TraceMode,
 };
@@ -79,13 +77,7 @@ pub use metrics::{
     Occupancy,
 };
 pub use retry::RecoverySignals;
-pub use sa_interface::{build_sa_interface, SaInterfacePorts};
 pub use scoreboard::{check_integrity, IntegrityCounts, RecoveryCounts};
-pub use serializer::{build_serializer, SerializerPorts};
-pub use sync_link::{build_skid_stage, build_sync_pipeline, SyncPipelinePorts};
-pub use wire_buffer::{build_wire_buffer, WireBufferPorts};
-pub use word_deserializer::{
-    build_word_deserializer, build_word_deserializer_demux, build_word_deserializer_early,
-    WordDeserializerPorts,
-};
+pub use sync_link::build_skid_stage;
+pub use word_deserializer::{build_word_deserializer, WordDeserializerPorts};
 pub use word_serializer::{build_word_serializer, WordSerializerPorts};

@@ -346,12 +346,9 @@ impl LinkRun {
     /// Power grouped into the paper's Fig 14 categories.
     pub fn block_power(&self) -> BlockPower {
         let s = &self.scope;
-        let conv_sim = self.sim_power_uw(&format!("{s}.tx_if"))
-            + self.sim_power_uw(&format!("{s}.rx_if"));
-        let serdes =
-            self.sim_power_uw(&format!("{s}.ser")) + self.sim_power_uw(&format!("{s}.des"));
-        let buffers = self.sim_power_uw(&format!("{s}.wire"))
-            + self.sim_power_uw(&format!("{s}.buffers"));
+        let [conv_sim, serdes, buffers] = metrics::FIG14_BLOCKS.map(|[a, b]| {
+            self.sim_power_uw(&format!("{s}.{a}")) + self.sim_power_uw(&format!("{s}.{b}"))
+        });
         let clock = self.clock_power_uw();
         let total = self.total_power_uw();
         // Anything not in a named block (top-level glue buffers).
@@ -622,7 +619,7 @@ pub fn run_spec(
 mod tests {
     use super::*;
     use crate::testbench::worst_case_pattern;
-    use crate::LinkSpec;
+    use crate::{LinkSpec, WordRxStyle};
 
     fn paper(family: LinkFamily) -> LinkSpec {
         LinkSpec::paper(family)
@@ -681,7 +678,7 @@ mod tests {
             .protection(crate::ProtectionMode::Crc8)
             .build()
             .expect("valid spec");
-        let base = LinkConfig { early_word_ack: true, ..Default::default() };
+        let base = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..Default::default() };
         run_spec(&spec, &base, &[1], &MeasureOptions::default())
     }
 

@@ -247,12 +247,13 @@ pub(crate) struct MetricsInputs<'a> {
 }
 
 pub(crate) fn compute(inp: &MetricsInputs<'_>) -> LinkMetrics {
+    let (occupancy, in_flight) = word_depth(inp.sent, inp.received, inp.in_use, inp.window);
     LinkMetrics {
         link: inp.family.label().to_string(),
         handshakes: handshake_stats(inp.dump, inp.watches),
         blocks: block_attribution(inp.dump, inp.scope, inp.window, inp.clock_uw),
-        occupancy: occupancy(inp.sent, inp.received, inp.in_use, inp.window),
-        in_flight: in_flight(inp.sent, inp.received, inp.window),
+        occupancy,
+        in_flight,
         burst: burst_stats(inp.dump, inp.family, inp.scope),
         events: inp.events,
     }
@@ -341,18 +342,21 @@ fn handshake_stats(
         .collect()
 }
 
-/// Which Fig 14 category a link-scope signal belongs to.
+/// The paper's Fig 14 blocks as the link scopes that make them up:
+/// the conversion interfaces, the serializer and deserializer, and the
+/// wire buffers or pipeline registers. The rest of a link is glue.
+pub(crate) const FIG14_BLOCKS: [[&str; 2]; 3] =
+    [["tx_if", "rx_if"], ["ser", "des"], ["wire", "buffers"]];
+
+/// Which Fig 14 category a link-scope signal belongs to: its index in
+/// [`FIG14_BLOCKS`], or 3 for glue.
 fn classify(path: &str, scope: &str, buf: &mut String) -> Option<usize> {
     buf.clear();
     buf.push_str(scope);
     buf.push('.');
     let rest = path.strip_prefix(buf.as_str())?;
-    for (i, prefixes) in
-        [&["tx_if", "rx_if"][..], &["ser", "des"][..], &["wire", "buffers"][..]]
-            .iter()
-            .enumerate()
-    {
-        for p in *prefixes {
+    for (i, prefixes) in FIG14_BLOCKS.iter().enumerate() {
+        for p in prefixes {
             if let Some(tail) = rest.strip_prefix(p) {
                 if tail.is_empty() || tail.starts_with('.') {
                     return Some(i);
@@ -402,9 +406,15 @@ fn block_attribution(
     }
 }
 
-/// Merges the sent/received word streams into depth-change events and
-/// folds `(busy time, peak depth, depth·dt integral)` over them.
-fn depth_sweep(sent: &[(Time, u64)], received: &[(Time, u64)]) -> (Time, u32, f64) {
+/// The busy/idle split and the words-in-flight depth over the window,
+/// from one sweep of the sent/received word streams merged into
+/// depth-change events.
+fn word_depth(
+    sent: &[(Time, u64)],
+    received: &[(Time, u64)],
+    in_use: Time,
+    window: Time,
+) -> (Occupancy, InFlightDepth) {
     let mut busy = Time::ZERO;
     let mut peak: u32 = 0;
     let mut area_ns = 0.0; // depth × ns
@@ -437,28 +447,16 @@ fn depth_sweep(sent: &[(Time, u64)], received: &[(Time, u64)]) -> (Time, u32, f6
             peak = peak.max(depth.max(0) as u32);
         }
     }
-    (busy, peak, area_ns)
-}
-
-fn occupancy(
-    sent: &[(Time, u64)],
-    received: &[(Time, u64)],
-    in_use: Time,
-    window: Time,
-) -> Occupancy {
-    let (busy, _, _) = depth_sweep(sent, received);
     let wsecs = window.as_secs();
     let busy_fraction = if wsecs > 0.0 { (busy.as_secs() / wsecs).min(1.0) } else { 0.0 };
-    Occupancy { in_use, window, busy, busy_fraction, idle_fraction: 1.0 - busy_fraction }
-}
-
-fn in_flight(sent: &[(Time, u64)], received: &[(Time, u64)], window: Time) -> InFlightDepth {
-    let (_, peak, area_ns) = depth_sweep(sent, received);
     let window_ns = window.as_ns();
-    InFlightDepth {
-        max: peak,
-        mean: if window_ns > 0.0 { area_ns / window_ns } else { 0.0 },
-    }
+    (
+        Occupancy { in_use, window, busy, busy_fraction, idle_fraction: 1.0 - busy_fraction },
+        InFlightDepth {
+            max: peak,
+            mean: if window_ns > 0.0 { area_ns / window_ns } else { 0.0 },
+        },
+    )
 }
 
 fn burst_stats(dump: &TraceDump, family: LinkFamily, scope: &str) -> Option<BurstStats> {
@@ -606,19 +604,22 @@ mod tests {
             (Time::from_ns(40), 2),
             (Time::from_ns(50), 3),
         ];
-        let (busy, peak, area) = depth_sweep(&sent, &received);
-        assert_eq!(busy, Time::from_ns(40)); // 10..50 continuously busy
-        assert_eq!(peak, 2);
+        let (o, d) = word_depth(&sent, &received, Time::from_ns(40), Time::from_ns(100));
+        assert_eq!(o.busy, Time::from_ns(40)); // 10..50 continuously busy
+        assert!((o.busy_fraction - 0.4).abs() < 1e-12, "busy {}", o.busy_fraction);
+        assert_eq!(d.max, 2);
         // 1·(20-10) + 2·(25-20) + 1·(30-25) + 2·(40-30) + 1·(50-40)
-        assert!((area - 55.0).abs() < 1e-9, "area {area}");
+        // = 55 word·ns over the 100 ns window.
+        assert!((d.mean - 0.55).abs() < 1e-9, "mean {}", d.mean);
     }
 
     #[test]
     fn occupancy_of_idle_window() {
-        let o = occupancy(&[], &[], Time::ZERO, Time::from_ns(100));
+        let (o, d) = word_depth(&[], &[], Time::ZERO, Time::from_ns(100));
         assert_eq!(o.busy, Time::ZERO);
         assert_eq!(o.busy_fraction, 0.0);
         assert_eq!(o.idle_fraction, 1.0);
+        assert_eq!((d.max, d.mean), (0, 0.0));
     }
 
     #[test]

@@ -104,6 +104,49 @@ fn bit_slices(
     (0..width).map(|j| b.slice(&format!("{prefix}{j}"), bus, lo + j, 1)).collect()
 }
 
+/// The check trees both sides compute over the message bits of `din`,
+/// in one construction order. Parity: per slice `i` (at bit
+/// `i * stride`), its data view `s{i}`, bit views `s{i}b*` and parity
+/// tree `p{i}`. CRC-8: the bit views `d*` of the `flit_width`-bit
+/// message and the trees `c0` … `c7`, one per check bit. `each(b, j,
+/// tree)` runs right after tree `j` is built. Returns the parity data
+/// views (none for CRC-8).
+fn check_trees(
+    b: &mut CircuitBuilder<'_>,
+    cfg: &LinkConfig,
+    din: SignalId,
+    stride: u8,
+    mut each: impl FnMut(&mut CircuitBuilder<'_>, u8, SignalId),
+) -> Vec<SignalId> {
+    let n = cfg.slice_width;
+    let mut data = Vec::new();
+    match cfg.protection {
+        ProtectionMode::Off => {}
+        ProtectionMode::Parity => {
+            for i in 0..cfg.slices() as u8 {
+                data.push(b.slice(&format!("s{i}"), din, i * stride, n));
+                let bits = bit_slices(b, &format!("s{i}b"), din, i * stride, n);
+                let parity = b.xor_tree(&format!("p{i}"), &bits);
+                each(b, i, parity);
+            }
+        }
+        ProtectionMode::Crc8 => {
+            let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
+            for (j, mask) in (0u8..).zip(crc8_masks(cfg.flit_width)) {
+                let sel: Vec<SignalId> = bits
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                    .map(|(_, &s)| s)
+                    .collect();
+                let crc = b.xor_tree(&format!("c{j}"), &sel);
+                each(b, j, crc);
+            }
+        }
+    }
+    data
+}
+
 /// Worst-case settle depth of the check logic in gate levels, used to
 /// match the request delay against the data cone on both sides.
 fn check_depth(cfg: &LinkConfig) -> usize {
@@ -129,36 +172,21 @@ pub(crate) fn build_protector(
     din: SignalId,
     reqin: SignalId,
 ) -> (SignalId, SignalId) {
-    let n = cfg.slice_width;
     b.push_scope(name);
+    let mut checks = Vec::new();
+    let data = check_trees(b, cfg, din, cfg.slice_width, |_, _, tree| checks.push(tree));
     let dout = match cfg.protection {
         ProtectionMode::Off => din,
+        // Interleave: protected slice i = [data slice i, parity_i].
         ProtectionMode::Parity => {
-            // Interleave: protected slice i = [data slice i, parity_i].
-            let mut parts = Vec::new();
-            for i in 0..cfg.slices() as u8 {
-                let data = b.slice(&format!("s{i}"), din, i * n, n);
-                let bits = bit_slices(b, &format!("s{i}b"), din, i * n, n);
-                let parity = b.xor_tree(&format!("p{i}"), &bits);
-                parts.push(data);
-                parts.push(parity);
-            }
+            let parts: Vec<SignalId> =
+                data.into_iter().zip(checks).flat_map(|(d, p)| [d, p]).collect();
             b.concat("dout", &parts)
         }
+        // The check byte trails the word.
         ProtectionMode::Crc8 => {
-            let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
-            let masks = crc8_masks(cfg.flit_width);
-            let mut parts = vec![din];
-            for (j, &mask) in masks.iter().enumerate() {
-                let sel: Vec<SignalId> = bits
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                    .map(|(_, &s)| s)
-                    .collect();
-                parts.push(b.xor_tree(&format!("c{j}"), &sel));
-            }
-            b.concat("dout", &parts)
+            checks.insert(0, din);
+            b.concat("dout", &checks)
         }
     };
     // Matched request delay: XOR trees are one gate per level; one
@@ -197,40 +225,20 @@ pub(crate) fn build_checker(
 ) -> CheckerPorts {
     let n = cfg.slice_width;
     b.push_scope(name);
-    let (dout, err) = match cfg.protection {
-        ProtectionMode::Parity => {
-            let mut slices = Vec::new();
-            let mut mismatches = Vec::new();
-            let wide = n + 1;
-            for i in 0..cfg.slices() as u8 {
-                let data = b.slice(&format!("s{i}"), din, i * wide, n);
-                slices.push(data);
-                let bits = bit_slices(b, &format!("s{i}b"), din, i * wide, n);
-                let recomputed = b.xor_tree(&format!("p{i}"), &bits);
-                let received = b.slice(&format!("rp{i}"), din, i * wide + n, 1);
-                mismatches.push(b.xor2(&format!("m{i}"), recomputed, received));
-            }
-            (b.concat("dout", &slices), b.or_tree("err", &mismatches))
-        }
-        ProtectionMode::Crc8 => {
-            let data = b.slice("data", din, 0, cfg.flit_width);
-            let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
-            let masks = crc8_masks(cfg.flit_width);
-            let mut mismatches = Vec::new();
-            for (j, &mask) in masks.iter().enumerate() {
-                let sel: Vec<SignalId> = bits
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                    .map(|(_, &s)| s)
-                    .collect();
-                let recomputed = b.xor_tree(&format!("c{j}"), &sel);
-                let received = b.slice(&format!("rc{j}"), din, cfg.flit_width + j as u8, 1);
-                mismatches.push(b.xor2(&format!("m{j}"), recomputed, received));
-            }
-            (data, b.or_tree("err", &mismatches))
-        }
-        ProtectionMode::Off => (din, b.tie("err", sal_des::Value::zero(1))),
+    // Each recomputed check bit is compared with the one received: a
+    // parity bit trails its slice, the CRC byte the word.
+    let crc = cfg.protection == ProtectionMode::Crc8;
+    let data = crc.then(|| b.slice("data", din, 0, cfg.flit_width));
+    let mut mismatches = Vec::new();
+    let slices = check_trees(b, cfg, din, n + 1, |b, j, recomputed| {
+        let (label, at) = if crc { ("rc", cfg.flit_width + j) } else { ("rp", j * (n + 1) + n) };
+        let received = b.slice(&format!("{label}{j}"), din, at, 1);
+        mismatches.push(b.xor2(&format!("m{j}"), recomputed, received));
+    });
+    let (dout, err) = if cfg.protection == ProtectionMode::Off {
+        (din, b.tie("err", sal_des::Value::zero(1)))
+    } else {
+        (data.unwrap_or_else(|| b.concat("dout", &slices)), b.or_tree("err", &mismatches))
     };
 
     // The deserializer freezes the word while its request is up, so

@@ -21,7 +21,7 @@ use crate::LinkConfig;
 
 /// Ports and bookkeeping of the sync→async interface.
 #[derive(Debug, Clone)]
-pub struct SaInterfacePorts {
+pub(crate) struct SaInterfacePorts {
     /// Backpressure to the sending switch (high = hold the flit).
     pub stall: SignalId,
     /// Word data to the serializer (stable for the whole handshake).
@@ -38,7 +38,7 @@ pub struct SaInterfacePorts {
 ///   `stall` back.
 /// * Async side: drives `dout`/`reqout`; `ackin` is the serializer's
 ///   word-level acknowledge.
-pub fn build_sa_interface(
+pub(crate) fn build_sa_interface(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,

@@ -13,21 +13,15 @@ use sal_des::{BundleParams, SignalId, Time};
 use crate::LinkConfig;
 
 /// Matched-delay buffer count covering the worst-case one-hot-mux
-/// settling path for `k` inputs: flip-flop + AND + one OR level per
-/// `ceil(log4 k)` of tree depth, with margin.
+/// settling path for `k` inputs: flip-flop + AND + each level of the
+/// mux's OR tree, with margin.
 pub(crate) fn matched_delay_bufs(k: usize) -> usize {
-    let mut n = k;
-    let mut levels = 0;
-    while n > 1 {
-        n = n.div_ceil(4);
-        levels += 1;
-    }
-    3 + 2 * levels.max(1)
+    3 + 2 * CircuitBuilder::or4_tree_depth(k).max(1)
 }
 
 /// Ports of the per-transfer serializer.
 #[derive(Debug, Clone, Copy)]
-pub struct SerializerPorts {
+pub(crate) struct SerializerPorts {
     /// Word-level acknowledge to the upstream interface.
     pub ackout: SignalId,
     /// Slice data to the wire.
@@ -53,7 +47,7 @@ pub struct SerializerPorts {
 ///   buffer chain so the freshly selected slice settles on `dout`
 ///   before the request reaches the receiver (the bundled-data
 ///   constraint).
-pub fn build_serializer(
+pub(crate) fn build_serializer(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,

@@ -17,7 +17,7 @@ use crate::LinkConfig;
 
 /// Ports and bookkeeping of the synchronous pipeline.
 #[derive(Debug, Clone)]
-pub struct SyncPipelinePorts {
+pub(crate) struct SyncPipelinePorts {
     /// Flit output at the far switch.
     pub flit_out: SignalId,
     /// Valid output at the far switch.
@@ -85,7 +85,7 @@ pub fn build_skid_stage(
 /// carrying `flit_in`/`valid_in` across the wire. Each of the
 /// `buffers + 1` wire segments contributes its switching load to the
 /// signal that drives it.
-pub fn build_sync_pipeline(
+pub(crate) fn build_sync_pipeline(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,

@@ -15,7 +15,7 @@ use sal_des::SignalId;
 
 /// Ports of one wire buffer stage.
 #[derive(Debug, Clone, Copy)]
-pub struct WireBufferPorts {
+pub(crate) struct WireBufferPorts {
     /// Acknowledge to the previous stage (the controller state).
     pub ack_to_prev: SignalId,
     /// Latched data to the next stage.
@@ -36,7 +36,7 @@ pub struct WireBufferPorts {
 /// (capture), acknowledges upstream and forwards the request; it
 /// falls when the request is withdrawn and downstream has
 /// acknowledged, reopening the latch.
-pub fn build_wire_buffer(
+pub(crate) fn build_wire_buffer(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     din: SignalId,

@@ -1,18 +1,27 @@
 //! The word-level-acknowledgement deserializer (paper Fig 8b, link I3).
 //!
-//! A shift-register receiver: every `VALID` strobe shifts the incoming
-//! slice into an `m/n`-deep word-wide shift register, while a single
-//! '1' walks down a one-bit shift register of the same length. When
-//! the '1' reaches the end the whole word is present and `REQOUT` is
-//! raised to the async→sync interface; the interface's acknowledge
-//! clears the pulse register (removing `REQOUT`) and sets the per-word
-//! acknowledge wire back to the transmitter, which is released again
-//! by the first strobe of the next burst.
+//! One receiver in the three styles of [`WordRxStyle`], each a front
+//! end joined to a hand-off:
+//!
+//! * the front end rebuilds the word from the `VALID`-strobed slices
+//!   and raises a word flag once the last one is in. The paper's shift
+//!   register (Fig 8b) shifts every slice into an `m/n`-deep word-wide
+//!   shift register while a single '1' walks down a one-bit shift
+//!   register of the same length; the demux latches each slice into
+//!   the register a token ring selects (I2's latch bank) and samples
+//!   the last token at each strobe fall;
+//! * the hand-off offers the word to the async→sync interface and
+//!   returns the per-word acknowledge wire to the transmitter, which is
+//!   released again by the first strobe of the next burst. Waiting, the
+//!   interface's acknowledge clears the word flag and sets the wire;
+//!   early, the word is copied into a holding latch as soon as it is
+//!   complete and the wire is set at the copy.
 
 use sal_cells::CircuitBuilder;
 use sal_des::{SignalId, Value};
 
-use crate::LinkConfig;
+use crate::deserializer::latch_bank;
+use crate::{LinkConfig, WordRxStyle};
 
 /// Ports of the word-level deserializer.
 #[derive(Debug, Clone, Copy)]
@@ -25,10 +34,35 @@ pub struct WordDeserializerPorts {
     pub ack_back: SignalId,
 }
 
-/// Builds the word-level deserializer in scope `name`.
+/// What raises a front end's word flag.
+enum Flag {
+    /// The shift register's walking '1' (the tie it shifts in).
+    Walking(SignalId),
+    /// The demux's last token, sampled at each strobe fall.
+    LastToken { nvalid: SignalId, token: SignalId },
+}
+
+/// A one-shot `name` on the acknowledge's *rising* edge
+/// (`ack ∧ ¬ack-delayed`, four buffers wide): an interface that holds
+/// its acknowledge high for a long time must not re-trigger it.
+fn ack_one_shot(b: &mut CircuitBuilder<'_>, name: &str, ackin: SignalId) -> SignalId {
+    let ack_d = b.buf_chain("ack_d", ackin, 4);
+    let nack_d = b.inv("nack_d", ack_d);
+    b.and2(name, ackin, nack_d)
+}
+
+/// Builds the word-level deserializer of style `cfg.word_rx_style` in
+/// scope `name`.
 ///
 /// * `din`/`valid` — slice data and strobe from the wire.
 /// * `ackin` — word acknowledge from the async→sync interface.
+///
+/// The early acknowledge is the paper's future work ("further
+/// improvements to the upper bound throughput could be achieved by
+/// earlier acknowledging"): the transmitter's next burst overlaps the
+/// receiver's interface hand-off. Backpressure is preserved: while the
+/// holding latch is occupied, the copy — and so the acknowledge —
+/// waits.
 pub fn build_word_deserializer(
     b: &mut CircuitBuilder<'_>,
     name: &str,
@@ -39,176 +73,99 @@ pub fn build_word_deserializer(
     rstn: SignalId,
 ) -> WordDeserializerPorts {
     let k = cfg.slices();
+    let style = cfg.word_rx_style;
+    let early = style == WordRxStyle::EarlyAck;
     b.push_scope(name);
 
-    // Data shift register: slice 0 arrives first and ends in the last
-    // stage, so the last stage holds the word's low bits.
-    // Static-timing capture: each strobe edge clocks `din` into the
-    // shift register, so the slice must be stable before `valid`.
-    b.sim().register_capture(din, valid);
-    let stages = b.shift_register("sh", din, valid, Some(rstn), k);
-    let ordered: Vec<SignalId> = stages.iter().rev().copied().collect();
-    let dout = b.concat("dout", &ordered);
+    // Front end, data half. Slice 0 arrives first and ends in the
+    // shift register's last stage, which holds the word's low bits.
+    let (word, source) = if style == WordRxStyle::Demux {
+        let (nvalid, tokens, word) = latch_bank(b, "nvalid", din, valid, rstn, k);
+        (word, Flag::LastToken { nvalid, token: tokens[k - 1] })
+    } else {
+        // Static-timing capture: each strobe edge clocks `din` into
+        // the shift register, so the slice must be stable before `valid`.
+        b.sim().register_capture(din, valid);
+        let stages = b.shift_register("sh", din, valid, Some(rstn), k);
+        let ordered: Vec<SignalId> = stages.iter().rev().copied().collect();
+        let word = b.concat(if early { "word_raw" } else { "dout" }, &ordered);
+        (word, Flag::Walking(b.tie("one", Value::one(1))))
+    };
 
-    // One-bit pulse shift register, cleared by the acknowledge. The
-    // clear is a one-shot pulse on the acknowledge's *rising* edge
-    // (edge detector: ack ∧ ¬ack-delayed): an interface that holds its
-    // acknowledge high for a long time must not wipe the next word's
-    // arriving pulses.
-    let one = b.tie("one", Value::one(1));
-    let nack = b.inv("nack", ackin);
-    let ack_d = b.buf_chain("ack_d", ackin, 4);
-    let nack_d = b.inv("nack_d", ack_d);
-    let clear_pulse = b.and2("clear_pulse", ackin, nack_d);
-    let nclear = b.inv("nclear", clear_pulse);
-    let p_rstn = b.and2("p_rstn", rstn, nclear);
-    let pulses = b.shift_register("p", one, valid, Some(p_rstn), k);
+    // Hand-off, first half: what clears the word flag — the
+    // acknowledge one-shot, or (early) the copy into the holding latch,
+    // whose occupancy is pre-declared here. Construction order fixes
+    // cell and signal ids, which the netlist digests pin: the
+    // shift-register receiver inverts the acknowledge first.
+    let nack = (style == WordRxStyle::ShiftRegister).then(|| b.inv("nack", ackin));
+    let (clear, hold) = if early {
+        let hold_full = b.net("hold_full", 1);
+        let hold_free = b.inv("hold_free", hold_full);
+        (b.net("copy_clr", 1), Some((hold_full, hold_free)))
+    } else {
+        (ack_one_shot(b, "clear_pulse", ackin), None)
+    };
+
+    // Front end, flag half: the word flag, held in reset while `clear`.
+    let nclear = b.inv(if early { "ncopy_clr" } else { "nclear" }, clear);
+    let flag = match source {
+        Flag::Walking(one) => {
+            let p_rstn = b.and2("p_rstn", rstn, nclear);
+            b.shift_register("p", one, valid, Some(p_rstn), k)[k - 1]
+        }
+        Flag::LastToken { nvalid, token } => {
+            let done_rstn = b.and2("done_rstn", rstn, nclear);
+            b.dff("done", token, nvalid, Some(done_rstn))
+        }
+    };
+
+    // Hand-off, second half: the word offered downstream, its
+    // occupancy `full`, the one-shot that empties it, and what sets the
+    // acknowledge back to the transmitter.
+    let (dout, served_set, full, ack_set) = match hold {
+        Some((hold_full, hold_free)) => {
+            // Copy window: word present and the holding latch free. The
+            // delayed copy closes the loop: it clears the word flag
+            // (ending the window) and marks the latch occupied, until a
+            // one-shot on the interface acknowledge frees it.
+            let copy = b.and2("copy", flag, hold_free);
+            let dout = b.dlatch("hold", word, copy, None);
+            let copy_d = b.buf_chain("copy_d", copy, 3);
+            b.buf_into("copy_clr_drv", clear, copy_d);
+            let took = ack_one_shot(b, "took", ackin);
+            b.david_cell_into("hold_sr", hold_full, copy_d, took, Some(rstn), false);
+            (dout, took, hold_full, copy_d)
+        }
+        None => (word, clear, flag, clear),
+    };
+    let nack = nack.unwrap_or_else(|| b.inv("nack", ackin));
+    let empty = match hold {
+        Some((_, hold_free)) => hold_free,
+        None => b.inv(if style == WordRxStyle::Demux { "ndone" } else { "npulse" }, flag),
+    };
+
     // Gate the request on the acknowledge having returned to zero, so
     // a new word arriving while a slow interface still holds the
     // previous acknowledge high does not violate the four-phase
     // protocol (request must only rise when acknowledge is low).
     //
     // `served` closes a delay-sensitive window: between the
-    // acknowledge's return to zero (interface-paced) and the pulse
-    // register's actual clearing (our own reset path), `pulses[k-1]`
-    // is still high and the request would re-rise for a word the
-    // interface already took — a duplicate delivery. The guard is set
-    // with the clear one-shot and released only once the pulse
-    // register is visibly empty, making the handoff insensitive to
-    // how slow the clear path is relative to the interface.
-    let npulse = b.inv("npulse", pulses[k - 1]);
-    let served = b.david_cell("served", clear_pulse, npulse, Some(rstn), false);
+    // acknowledge's return to zero (interface-paced) and `full`
+    // actually clearing (through our own reset path or David cell),
+    // the request would re-rise for a word the interface already took
+    // — a duplicate delivery. The guard is set with the one-shot and
+    // released only once `full` is visibly empty, making the hand-off
+    // insensitive to how slow the clear path is relative to the
+    // interface.
+    let served = b.david_cell("served", served_set, empty, Some(rstn), false);
     let nserved = b.inv("nserved", served);
-    let reqout = b.and3("reqout", pulses[k - 1], nack, nserved);
+    let reqout = b.and3("reqout", full, nack, nserved);
 
-    // Word acknowledge back to the transmitter: set by the interface
-    // taking the word (the acknowledge's rising edge — the level may
-    // stay high long into the next burst and must not re-trigger),
-    // cleared by the next burst's first strobe.
-    let ack_back = b.david_cell("ack_back", clear_pulse, valid, Some(rstn), false);
-
-    b.pop_scope();
-    WordDeserializerPorts { dout, reqout, ack_back }
-}
-
-/// Builds the **demux-style** word receiver: a one-hot token ring
-/// advanced at each strobe fall selects which slice register latches,
-/// so only one register switches per strobe (the alternative the
-/// paper's Fig 14 discussion compares the shift register against).
-pub fn build_word_deserializer_demux(
-    b: &mut CircuitBuilder<'_>,
-    name: &str,
-    cfg: &LinkConfig,
-    din: SignalId,
-    valid: SignalId,
-    ackin: SignalId,
-    rstn: SignalId,
-) -> WordDeserializerPorts {
-    let k = cfg.slices();
-    b.push_scope(name);
-
-    // Slice-select ring advanced at each strobe fall; slice i latches
-    // while strobe ∧ token_i.
-    let nvalid = b.inv("nvalid", valid);
-    let tokens = b.ring_counter("sel", nvalid, Some(rstn), k);
-    let regs: Vec<SignalId> = (0..k)
-        .map(|i| {
-            let le = b.and2(&format!("le{i}"), valid, tokens[i]);
-            // Static-timing capture: the selected latch closes on the
-            // strobe fall; the slice must be there first.
-            b.sim().register_capture(din, le);
-            b.dlatch(&format!("reg{i}"), din, le, None)
-        })
-        .collect();
-    let dout = b.concat("dout", &regs);
-
-    // Word-complete flag: sample the last token at each strobe fall;
-    // cleared by a one-shot pulse on the interface acknowledge.
-    let ack_d = b.buf_chain("ack_d", ackin, 4);
-    let nack_d = b.inv("nack_d", ack_d);
-    let clear_pulse = b.and2("clear_pulse", ackin, nack_d);
-    let nclear = b.inv("nclear", clear_pulse);
-    let done_rstn = b.and2("done_rstn", rstn, nclear);
-    let done = b.dff("done", tokens[k - 1], nvalid, Some(done_rstn));
-    let nack = b.inv("nack", ackin);
-    // Same served guard as the shift-register receiver: `done` clears
-    // through our (possibly slow) reset path while the interface's
-    // acknowledge returns to zero at its own pace — without the guard
-    // the request re-rises for an already-taken word.
-    let ndone = b.inv("ndone", done);
-    let served = b.david_cell("served", clear_pulse, ndone, Some(rstn), false);
-    let nserved = b.inv("nserved", served);
-    let reqout = b.and3("reqout", done, nack, nserved);
-
-    let ack_back = b.david_cell("ack_back", clear_pulse, valid, Some(rstn), false);
-
-    b.pop_scope();
-    WordDeserializerPorts { dout, reqout, ack_back }
-}
-
-/// Builds the **early-acknowledge** word receiver — the paper's future
-/// work ("further improvements to the upper bound throughput could be
-/// achieved by earlier acknowledging"): the rebuilt word is copied
-/// into a holding register the moment the last slice arrives and the
-/// per-word acknowledge returns immediately, so the transmitter's next
-/// burst overlaps the receiver's interface handoff. Backpressure is
-/// preserved: if the holding register is still occupied, the copy —
-/// and therefore the acknowledge — waits.
-pub fn build_word_deserializer_early(
-    b: &mut CircuitBuilder<'_>,
-    name: &str,
-    cfg: &LinkConfig,
-    din: SignalId,
-    valid: SignalId,
-    ackin: SignalId,
-    rstn: SignalId,
-) -> WordDeserializerPorts {
-    let k = cfg.slices();
-    b.push_scope(name);
-
-    // Shift-register front end, exactly as the baseline Fig 8b.
-    b.sim().register_capture(din, valid);
-    let stages = b.shift_register("sh", din, valid, Some(rstn), k);
-    let ordered: Vec<SignalId> = stages.iter().rev().copied().collect();
-    let word_raw = b.concat("word_raw", &ordered);
-
-    // Pulse register marking word arrival; cleared when the word is
-    // copied into the holding register (NOT by the interface ack).
-    let one = b.tie("one", sal_des::Value::one(1));
-    let hold_full = b.net("hold_full", 1);
-    let hold_free = b.inv("hold_free", hold_full);
-    let copy_clr = b.net("copy_clr", 1);
-    let ncopy_clr = b.inv("ncopy_clr", copy_clr);
-    let p_rstn = b.and2("p_rstn", rstn, ncopy_clr);
-    let pulses = b.shift_register("p", one, valid, Some(p_rstn), k);
-
-    // Copy window: word present and the holding register free.
-    let copy = b.and2("copy", pulses[k - 1], hold_free);
-    let dout = b.dlatch("hold", word_raw, copy, None);
-    // Delayed copy closes the loop: clears the pulse register (ending
-    // the copy window) and marks the holding register occupied.
-    let copy_d = b.buf_chain("copy_d", copy, 3);
-    b.buf_into("copy_clr_drv", copy_clr, copy_d);
-
-    // Holding-register occupancy: set by the copy, cleared by a
-    // one-shot on the interface acknowledge.
-    let ack_d = b.buf_chain("ack_d", ackin, 4);
-    let nack_d = b.inv("nack_d", ack_d);
-    let took = b.and2("took", ackin, nack_d);
-    b.david_cell_into("hold_sr", hold_full, copy_d, took, Some(rstn), false);
-
-    // Downstream handshake from the holding register, with the served
-    // guard (see the shift-register receiver): the request must not
-    // re-rise between the acknowledge's fall and `hold_full` actually
-    // clearing through the David cell.
-    let nack = b.inv("nack", ackin);
-    let served = b.david_cell("served", took, hold_free, Some(rstn), false);
-    let nserved = b.inv("nserved", served);
-    let reqout = b.and3("reqout", hold_full, nack, nserved);
-
-    // EARLY acknowledge: returned at the copy, not at the interface
-    // handshake; cleared by the next burst's first strobe.
-    let ack_back = b.david_cell("ack_back", copy_d, valid, Some(rstn), false);
+    // Word acknowledge back to the transmitter: set on the hand-off
+    // (the acknowledge's rising edge, or the copy — a level that may
+    // stay high long into the next burst must not re-trigger), cleared
+    // by the next burst's first strobe.
+    let ack_back = b.david_cell("ack_back", ack_set, valid, Some(rstn), false);
 
     b.pop_scope();
     WordDeserializerPorts { dout, reqout, ack_back }
@@ -222,25 +179,10 @@ mod tests {
     use sal_des::{Simulator, Time};
     use sal_tech::St012Library;
 
-    type BuildRx = fn(
-        &mut CircuitBuilder<'_>,
-        &str,
-        &LinkConfig,
-        SignalId,
-        SignalId,
-        SignalId,
-        SignalId,
-    ) -> WordDeserializerPorts;
-
-    /// Word serializer wired straight into a word receiver variant,
-    /// with a handshake consumer standing in for the async→sync
-    /// interface.
-    fn round_trip_with(
-        build_rx: BuildRx,
-        cfg: &LinkConfig,
-        words: Vec<u64>,
-        ack_delay: Time,
-    ) -> Vec<u64> {
+    /// Word serializer wired straight into the word receiver `cfg`
+    /// selects, with a handshake consumer standing in for the
+    /// async→sync interface.
+    fn round_trip(cfg: &LinkConfig, words: Vec<u64>, ack_delay: Time) -> Vec<u64> {
         let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -250,7 +192,7 @@ mod tests {
         let ack_back_wire = b.net("ack_back", 1);
         let ser = build_word_serializer(&mut b, "wser", cfg, din, reqin, ack_back_wire, rstn);
         let ackin = b.input("ackin", 1);
-        let des = build_rx(&mut b, "wdes", cfg, ser.dout, ser.valid, ackin, rstn);
+        let des = build_word_deserializer(&mut b, "wdes", cfg, ser.dout, ser.valid, ackin, rstn);
         b.buf_into("ab_loop", ack_back_wire, des.ack_back);
         b.finish();
         sim.stimulus(
@@ -267,8 +209,8 @@ mod tests {
         got
     }
 
-    fn round_trip(cfg: &LinkConfig, words: Vec<u64>, ack_delay: Time) -> Vec<u64> {
-        round_trip_with(build_word_deserializer, cfg, words, ack_delay)
+    fn styled(word_rx_style: WordRxStyle) -> LinkConfig {
+        LinkConfig { word_rx_style, ..LinkConfig::default() }
     }
 
     #[test]
@@ -302,44 +244,32 @@ mod tests {
 
     #[test]
     fn demux_receiver_round_trip() {
-        let cfg = LinkConfig::default();
+        let cfg = styled(WordRxStyle::Demux);
         let words = crate::testbench::worst_case_pattern(6, 32);
-        assert_eq!(
-            round_trip_with(build_word_deserializer_demux, &cfg, words.clone(), Time::from_ps(60)),
-            words
-        );
+        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn demux_receiver_tolerates_slow_interface() {
-        let cfg = LinkConfig::default();
+        let cfg = styled(WordRxStyle::Demux);
         let words = vec![0x0102_0304, 0x0506_0708, 0x090A_0B0C];
-        assert_eq!(
-            round_trip_with(build_word_deserializer_demux, &cfg, words.clone(), Time::from_ns(12)),
-            words
-        );
+        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ns(12)), words);
     }
 
     #[test]
     fn early_ack_receiver_round_trip() {
-        let cfg = LinkConfig::default();
+        let cfg = styled(WordRxStyle::EarlyAck);
         let words = crate::testbench::worst_case_pattern(6, 32);
-        assert_eq!(
-            round_trip_with(build_word_deserializer_early, &cfg, words.clone(), Time::from_ps(60)),
-            words
-        );
+        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn early_ack_receiver_backpressures_on_full_holding_register() {
         // A very slow interface: the holding register stays full, the
         // copy waits, the acknowledge is withheld, nothing is lost.
-        let cfg = LinkConfig::default();
+        let cfg = styled(WordRxStyle::EarlyAck);
         let words: Vec<u64> = (1..=5).map(|i| i * 0x1111_1111).collect();
-        assert_eq!(
-            round_trip_with(build_word_deserializer_early, &cfg, words.clone(), Time::from_ns(20)),
-            words
-        );
+        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ns(20)), words);
     }
 
     #[test]
@@ -347,8 +277,8 @@ mod tests {
         // Measure the spacing between word requests at the receiver:
         // with early acknowledgement the next burst overlaps the
         // interface handoff, so words arrive closer together.
-        let spacing = |build_rx: BuildRx| -> f64 {
-            let cfg = LinkConfig::default();
+        let spacing = |style: WordRxStyle| -> f64 {
+            let cfg = styled(style);
             let mut sim = Simulator::new();
             let lib = St012Library::default();
             let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -359,7 +289,8 @@ mod tests {
             let ser =
                 build_word_serializer(&mut b, "wser", &cfg, din, reqin, ack_back_wire, rstn);
             let ackin = b.input("ackin", 1);
-            let des = build_rx(&mut b, "wdes", &cfg, ser.dout, ser.valid, ackin, rstn);
+            let des =
+                build_word_deserializer(&mut b, "wdes", &cfg, ser.dout, ser.valid, ackin, rstn);
             b.buf_into("ab_loop", ack_back_wire, des.ack_back);
             b.finish();
             sim.stimulus(
@@ -381,8 +312,8 @@ mod tests {
             let t1 = log[n - 1].0;
             (t1 - t0).as_ns() / (n - 2) as f64
         };
-        let base = spacing(build_word_deserializer);
-        let early = spacing(build_word_deserializer_early);
+        let base = spacing(WordRxStyle::ShiftRegister);
+        let early = spacing(WordRxStyle::EarlyAck);
         assert!(
             early < base * 0.9,
             "early ack should shorten the word cycle: {early:.2} vs {base:.2} ns"

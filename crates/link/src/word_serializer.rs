@@ -79,13 +79,7 @@ pub fn build_word_serializer(
     // burst must be paced slower for the data to settle between
     // strobes — the knob the paper describes as altering the number
     // (or sizing) of the ring's inverters.
-    let mut levels: usize = 0;
-    let mut n = k;
-    while n > 1 {
-        n = n.div_ceil(4);
-        levels += 1;
-    }
-    let stages = BURST_OSC_STAGES + 4 * levels.saturating_sub(1);
+    let stages = BURST_OSC_STAGES + 4 * CircuitBuilder::or4_tree_depth(k).saturating_sub(1);
     let osc = b.ring_oscillator_stages("osc", burst, stages);
     let valid_core = b.and3("valid", burst, osc, ndone);
     let nvalid = b.inv("nvalid", valid_core);

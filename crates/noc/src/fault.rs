@@ -148,15 +148,6 @@ impl ChannelProtection {
         }
     }
 
-    /// Extra physical wires over the unprotected serialized channel
-    /// (parity interleaves one odd-parity wire beside the data).
-    pub fn extra_wires(self) -> u32 {
-        match self {
-            ChannelProtection::Off | ChannelProtection::Crc8 => 0,
-            ChannelProtection::Parity => 1,
-        }
-    }
-
     /// Label for tables and JSON.
     pub fn label(self) -> &'static str {
         match self {

@@ -68,7 +68,7 @@ mod traffic;
 pub use fault::{ChannelFaults, ChannelProtection, ErrorProcess, RecoveryCounts, RecoveryTotals};
 pub use flow::{FlowCounts, FlowId, FlowSpec, FlowStats, StallReport, StalledChannel, StarvedFlow};
 pub use link_model::LinkModel;
-pub use network::{FlowNetReport, Flows, Network, NetworkConfig, OpenLoop};
+pub use network::{FlowNetReport, Flows, Network, NetworkConfig, OpenLoop, RECONFIG_PAUSE};
 pub use routing::{LinkKill, RoutingMode};
 pub use stats::{LinkRecovery, NetworkStats};
 pub use topology::{Direction, Mesh, NodeId};

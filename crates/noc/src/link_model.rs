@@ -75,7 +75,7 @@ impl LinkModel {
 /// default technology point (measured from `sal-link` simulations).
 fn per_transfer_defaults(cfg: &LinkConfig) -> PerTransferDelay {
     PerTransferDelay {
-        tp: sal_tech::WireModel::default().delay(cfg.segment_um()),
+        tp: sal_tech::WireModel.delay(cfg.segment_um()),
         treqreq: Time::from_ps(90),
         treqack: Time::from_ps(85),
         tackack: Time::from_ps(60),
@@ -88,7 +88,7 @@ fn per_transfer_defaults(cfg: &LinkConfig) -> PerTransferDelay {
 /// propagation term from the configured geometry.
 fn per_word_defaults(cfg: &LinkConfig) -> PerWordDelay {
     PerWordDelay {
-        tp: sal_tech::WireModel::default().delay(cfg.segment_um()),
+        tp: sal_tech::WireModel.delay(cfg.segment_um()),
         ..PerWordDelay::paper_example()
     }
 }

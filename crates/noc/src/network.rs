@@ -58,6 +58,14 @@ struct Lossy {
 /// The most bandwidth credit a channel banks: two flits of burst.
 const CREDIT_CAP: f64 = 2.0;
 
+/// Cycles a retrained link stays dark before re-entering service.
+const RETRAIN_DRAIN: u64 = 256;
+
+/// Cycles injection pauses after each reconfiguration epoch under
+/// [`RoutingMode::Adaptive`] (models the table-update epoch of a real
+/// fabric).
+pub const RECONFIG_PAUSE: u64 = 64;
+
 /// One unidirectional inter-router channel instance.
 #[derive(Debug)]
 struct Channel {
@@ -511,12 +519,11 @@ impl Fabric {
         assert!(cfg.input_queue_flits >= 1, "routers need input buffering");
         let mesh = cfg.mesh;
         let nodes = mesh.nodes();
-        // The protection mode taxes the link: CRC check bytes ride the
-        // serial wire, parity rides an extra physical wire.
+        // The protection mode taxes the link's bandwidth: CRC check
+        // bytes ride the serial wire.
         let model = match cfg.faults {
             Some(fc) => LinkModel {
                 flits_per_cycle: cfg.link.flits_per_cycle * fc.protection.bandwidth_factor(),
-                wires: cfg.link.wires + fc.protection.extra_wires(),
                 ..cfg.link
             },
             None => cfg.link,
@@ -709,9 +716,6 @@ impl Fabric {
         }
     }
 
-    /// Cycles a retrained link stays dark before re-entering service.
-    const RETRAIN_DRAIN: u64 = 256;
-
     /// One reconfiguration epoch around the channels that entered
     /// `Failed` this cycle.
     ///
@@ -730,12 +734,12 @@ impl Fabric {
     /// rebuilt relation (the transport layer retransmits it over the
     /// new routes). The route table is rebuilt against the full failed
     /// set, heads the new relation cannot route from where they stand
-    /// are severed too, and injection pauses for the configured
-    /// reconfiguration window. See DESIGN.md §5h.
+    /// are severed too, and injection pauses for the
+    /// [`RECONFIG_PAUSE`] reconfiguration window. See DESIGN.md §5h.
     /// When even reconfiguration cannot keep every pair routable, the
     /// minimal set of failed channels is *revived* through a deep
     /// retrain instead (counted in `retrained_links`), dark for
-    /// [`Self::RETRAIN_DRAIN`] cycles before re-entering service.
+    /// [`RETRAIN_DRAIN`] cycles before re-entering service.
     fn handle_failures(&mut self, mut newly: Vec<usize>, stats: &mut NetworkStats) {
         newly.sort_unstable();
         newly.dedup();
@@ -825,7 +829,7 @@ impl Fabric {
             let (id, _) = best.expect("an unroutable table has failed channels");
             failed[id] = false;
             let ch = self.channels[id].as_mut().expect("revived channel exists");
-            ch.state = ChannelState::Resyncing { until: self.cycle + Self::RETRAIN_DRAIN };
+            ch.state = ChannelState::Resyncing { until: self.cycle + RETRAIN_DRAIN };
             if let Some(l) = &mut ch.lossy {
                 l.consec = 0;
                 l.head_resyncs = 0;
@@ -874,8 +878,8 @@ impl Fabric {
         // Open the reconfiguration window (the table itself was
         // rebuilt above, before the routability sweep).
         stats.reconfig_epochs += 1;
-        if let RoutingMode::Adaptive { reconfig_pause } = self.cfg.routing {
-            self.inject_frozen_until = self.cycle + u64::from(reconfig_pause);
+        if self.cfg.routing.is_adaptive() {
+            self.inject_frozen_until = self.cycle + RECONFIG_PAUSE;
         }
     }
 
@@ -1619,8 +1623,9 @@ mod tests {
     }
 
     /// A random flow-mode run on the 4×4 mesh, drawn from `seed`: every
-    /// knob that feeds a wake or the credit guard varies. Returns the
-    /// network and its `max_cycles`.
+    /// knob that feeds a wake or the credit guard varies, except the
+    /// reconfiguration pause, which is the constant [`RECONFIG_PAUSE`].
+    /// Returns the network and its `max_cycles`.
     fn random_flow_run(seed: u64) -> (Network<Flows>, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mesh = Mesh::new(4, 4);
@@ -1654,11 +1659,7 @@ mod tests {
                 n => faults.with_permanent_failure(n),
             }
         });
-        let routing = if rng.gen() {
-            RoutingMode::XyStatic
-        } else {
-            RoutingMode::Adaptive { reconfig_pause: rng.gen_range(0..300) }
-        };
+        let routing = if rng.gen() { RoutingMode::XyStatic } else { RoutingMode::Adaptive };
         // Serial links bank credit below one flit per cycle, so the
         // credit guard matters on them.
         let link = if rng.gen() {

@@ -57,23 +57,21 @@ pub enum RoutingMode {
     /// Fault-tolerant adaptive routing over a live route table:
     /// odd-even adaptivity while the mesh is whole, up*/down*
     /// reconfiguration around failed links, health-biased choice
-    /// between permitted outputs.
-    Adaptive {
-        /// Cycles injection is paused after each reconfiguration
-        /// (models the table-update epoch of a real fabric).
-        reconfig_pause: u32,
-    },
+    /// between permitted outputs. Injection pauses for
+    /// [`RECONFIG_PAUSE`](crate::RECONFIG_PAUSE) cycles after each
+    /// reconfiguration.
+    Adaptive,
 }
 
 impl RoutingMode {
-    /// Adaptive routing with the default reconfiguration pause.
+    /// Adaptive routing.
     pub fn adaptive() -> Self {
-        RoutingMode::Adaptive { reconfig_pause: 64 }
+        RoutingMode::Adaptive
     }
 
     /// True for the adaptive variant.
     pub fn is_adaptive(self) -> bool {
-        matches!(self, RoutingMode::Adaptive { .. })
+        self == RoutingMode::Adaptive
     }
 }
 

@@ -3,7 +3,7 @@
 use sal_cells::{CellKind, CellParams, Library};
 use sal_des::Time;
 
-use crate::wire::WireModel;
+use crate::wire::CAP_FF_PER_UM;
 
 /// A process/voltage/temperature corner of the technology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,11 +45,13 @@ impl Corner {
 /// for other cells. Areas follow typical 0.12 µm cell footprints
 /// (track-height 3.6 µm standard cells), tuned once so the full link
 /// netlists land on the paper's Table 2 block areas. Energies are
-/// per-bit-toggle switching energies at `vdd` = 1.2 V.
+/// per-bit-toggle switching energies at 1.2 V.
 ///
-/// All fields are public so experiments can run technology ablations
-/// (e.g. slower or leakier corners); [`St012Library::default`] is the
-/// calibrated baseline used throughout the benchmarks.
+/// The process corner is the one setting: [`St012Library::at_corner`]
+/// scales the typical delays and energies, which
+/// [`St012Library::default`] — the calibrated baseline used throughout
+/// the benchmarks — keeps. Supply, area calibration and wire model are
+/// fixed.
 ///
 /// # Examples
 ///
@@ -62,33 +64,25 @@ impl Corner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct St012Library {
-    /// Supply voltage, volts.
-    pub vdd: f64,
-    /// Inverter propagation delay, ps (paper: 0.011 ns).
-    pub inv_delay_ps: f64,
-    /// Uniform scale factor on all cell energies (calibration knob;
-    /// 1.0 is the calibrated baseline).
-    pub energy_scale: f64,
-    /// Uniform scale factor on all cell areas.
-    pub area_scale: f64,
-    /// The wire/metal model used for loads and wiring area.
-    pub wire: WireModel,
+    corner: Corner,
 }
+
+/// Supply voltage, volts.
+const VDD: f64 = 1.2;
+
+/// Typical inverter propagation delay, ps (paper: 0.011 ns).
+const INV_DELAY_PS: f64 = 11.0;
+
+/// Uniform scale factor on all cell areas, calibrated once against the
+/// paper's Table 2 block-area anchors (sync->async interface
+/// 9 408 um^2, deserializer 1 030 um^2, ...): the netlist cell counts
+/// come out of the circuits, this factor absorbs the row-utilisation
+/// and drive-sizing overhead of the authors' synthesis flow.
+const AREA_SCALE: f64 = 1.3;
 
 impl Default for St012Library {
     fn default() -> Self {
-        St012Library {
-            vdd: 1.2,
-            inv_delay_ps: 11.0,
-            energy_scale: 1.0,
-            // Calibrated once against the paper's Table 2 block-area
-            // anchors (sync->async interface 9 408 um^2, deserializer
-            // 1 030 um^2, ...): the netlist cell counts come out of the
-            // circuits, this factor absorbs the row-utilisation and
-            // drive-sizing overhead of the authors' synthesis flow.
-            area_scale: 1.3,
-            wire: WireModel::default(),
-        }
+        Self::at_corner(Corner::Typical)
     }
 }
 
@@ -99,12 +93,12 @@ impl St012Library {
     /// silicon allows); a synchronous design's margin is fixed by its
     /// clock — the ablation benchmark quantifies exactly that.
     pub fn at_corner(corner: Corner) -> Self {
-        let base = Self::default();
-        St012Library {
-            inv_delay_ps: base.inv_delay_ps * corner.delay_scale(),
-            energy_scale: base.energy_scale * corner.energy_scale(),
-            ..base
-        }
+        St012Library { corner }
+    }
+
+    /// Inverter propagation delay at this corner, ps.
+    fn inv_delay_ps(&self) -> f64 {
+        INV_DELAY_PS * self.corner.delay_scale()
     }
 
     /// Relative delay of a cell in inverter-delay units.
@@ -166,25 +160,25 @@ impl St012Library {
     /// This is the per-sink coefficient of the synchronous link's
     /// dominant power term.
     pub fn clock_energy_per_ff_fj(&self) -> f64 {
-        34.0 * self.energy_scale
+        34.0 * self.corner.energy_scale()
     }
 }
 
 impl Library for St012Library {
     fn params(&self, kind: CellKind) -> CellParams {
         CellParams {
-            delay: Time::from_ps_f64(Self::rel_delay(kind) * self.inv_delay_ps),
-            area_um2: Self::base_area(kind) * self.area_scale,
-            energy_fj: Self::base_energy(kind) * self.energy_scale,
+            delay: Time::from_ps_f64(Self::rel_delay(kind) * self.inv_delay_ps()),
+            area_um2: Self::base_area(kind) * AREA_SCALE,
+            energy_fj: Self::base_energy(kind) * self.corner.energy_scale(),
         }
     }
 
     fn vdd(&self) -> f64 {
-        self.vdd
+        VDD
     }
 
     fn wire_cap_ff_per_um(&self) -> f64 {
-        self.wire.cap_ff_per_um
+        CAP_FF_PER_UM
     }
 }
 
@@ -227,11 +221,15 @@ mod tests {
 
     #[test]
     fn scale_knobs_apply() {
-        let lib = St012Library { energy_scale: 2.0, area_scale: 3.0, ..Default::default() };
-        let base = St012Library { energy_scale: 1.0, area_scale: 1.0, ..Default::default() };
+        // A corner scales energy and delay by its factors, never area.
+        let lib = St012Library::at_corner(Corner::Fast);
+        let base = St012Library::default();
         let k = CellKind::Nand(2);
-        assert!((lib.params(k).energy_fj - 2.0 * base.params(k).energy_fj).abs() < 1e-12);
-        assert!((lib.params(k).area_um2 - 3.0 * base.params(k).area_um2).abs() < 1e-12);
+        assert!((lib.params(k).energy_fj - 1.15 * base.params(k).energy_fj).abs() < 1e-12);
+        let delay_ratio = lib.params(k).delay.as_ps() / base.params(k).delay.as_ps();
+        assert!((delay_ratio - 0.8).abs() < 1e-3, "delay ratio {delay_ratio}");
+        assert_eq!(lib.params(k).area_um2, base.params(k).area_um2);
+        assert_eq!(lib.vdd(), 1.2);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Activity-based power estimation.
 
+use sal_cells::Library;
 use sal_des::{within_scope, Simulator, Time};
 
-use crate::St012Library;
+use crate::{St012Library, WireModel};
 
 /// Analytical clock-load power of a synchronous block, µW.
 ///
@@ -29,7 +30,7 @@ use crate::St012Library;
 /// ```
 pub fn clock_power_uw(lib: &St012Library, n_ffs: u32, tree_length_um: f64, freq_hz: f64) -> f64 {
     let e_ffs = n_ffs as f64 * lib.clock_energy_per_ff_fj();
-    let e_tree = lib.wire.cap_ff(tree_length_um) * lib.vdd * lib.vdd;
+    let e_tree = WireModel.cap_ff(tree_length_um) * lib.vdd() * lib.vdd();
     // fJ per cycle × cycles/s = fW; µW = 1e-9 × fW.
     (e_ffs + e_tree) * freq_hz * 1e-9
 }

@@ -143,7 +143,7 @@ fn area_overhead_is_modest() {
 fn wiring_area_crossover_never_happens() {
     // Fig 11: at every length the serialized link's wiring area is
     // ~4x smaller (8+gaps vs 32+gaps wires).
-    let w = WireModel::default();
+    let w = WireModel;
     for l in [100.0, 500.0, 1000.0, 2000.0, 3000.0] {
         let ratio = w.area_um2(32, l) / w.area_um2(8, l);
         assert!((3.5..=4.2).contains(&ratio), "ratio {ratio} at {l} um");
