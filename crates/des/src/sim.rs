@@ -13,7 +13,7 @@ use crate::signal::{SignalId, SignalInfo, SignalState};
 use crate::stats::{EnergyReport, ScopeEnergy, SimProfile};
 use crate::trace::{TraceRecord, TraceSignalMeta, TraceSink};
 use crate::slice::Sliced;
-use crate::watchdog::{DeadlockReport, HandshakeWatch, StalledHandshake};
+use crate::watchdog::{DeadlockReport, StalledHandshake};
 use crate::{LaneValues, SimError, SimResult, Time, Value};
 
 /// Default hard cap on processed events per `run_*` call, a safety
@@ -220,7 +220,7 @@ pub struct Simulator {
     pending_evals: Vec<ComponentId>,
     /// Handshake pairs registered for deadlock diagnosis, in
     /// registration order.
-    watches: Vec<HandshakeWatch>,
+    watches: Vec<NetWatch>,
     /// Static-netlist annotation side tables (cell classes, declared
     /// reads, bundled-data launch/capture points…). Never read by the
     /// event loop; snapshotted by [`Simulator::netgraph`].
@@ -864,11 +864,7 @@ impl Simulator {
             components,
             bundles: self.net.bundles.clone(),
             captures: self.net.captures.clone(),
-            watches: self
-                .watches
-                .iter()
-                .map(|w| NetWatch { label: w.label.clone(), req: w.req, ack: w.ack, nack: w.nack })
-                .collect(),
+            watches: self.watches.clone(),
         }
     }
 
@@ -1180,7 +1176,7 @@ impl Simulator {
     /// level; [`Simulator::deadlock_report`] flags registered pairs
     /// whose levels disagree.
     pub fn watch_handshake(&mut self, label: &str, req: SignalId, ack: SignalId) {
-        self.watches.push(HandshakeWatch { label: label.to_string(), req, ack, nack: None });
+        self.watches.push(NetWatch { label: label.to_string(), req, ack, nack: None });
     }
 
     /// Registers a req/ack pair whose request can also be answered by
@@ -1196,14 +1192,14 @@ impl Simulator {
         ack: SignalId,
         nack: SignalId,
     ) {
-        self.watches.push(HandshakeWatch { label: label.to_string(), req, ack, nack: Some(nack) });
+        self.watches.push(NetWatch { label: label.to_string(), req, ack, nack: Some(nack) });
     }
 
-    /// The registered handshake pairs as `(label, req, ack)`, in
+    /// The registered handshakes, NACK wire included, in
     /// registration order. Lets trace consumers compute per-handshake
     /// latency statistics without re-deriving the pairing.
-    pub fn handshake_watches(&self) -> impl Iterator<Item = (&str, SignalId, SignalId)> + '_ {
-        self.watches.iter().map(|w| (w.label.as_str(), w.req, w.ack))
+    pub fn handshake_watches(&self) -> &[NetWatch] {
+        &self.watches
     }
 
     /// Inspects every registered handshake and reports the stalled

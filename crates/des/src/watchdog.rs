@@ -13,18 +13,7 @@
 
 use std::fmt;
 
-use crate::{SignalId, Time, Value};
-
-/// A registered req/ack pair, plus a label for reporting. Protected
-/// links additionally carry the negative-acknowledge wire that answers
-/// the same request when a detected error demands a retransmission.
-#[derive(Debug, Clone)]
-pub(crate) struct HandshakeWatch {
-    pub label: String,
-    pub req: SignalId,
-    pub ack: SignalId,
-    pub nack: Option<SignalId>,
-}
+use crate::{Time, Value};
 
 /// One handshake caught mid-protocol: the request and acknowledge
 /// levels disagree, so one side is waiting on a transition that never

@@ -136,14 +136,13 @@ fn reset_gate(
 /// elastic clocked buffers carry them across [`LENGTH_UM`] of wire
 /// with full VALID/STALL flow control.
 ///
-/// Returns the first netlist-construction or configuration error
-/// instead of panicking, so sweeps can probe unbuildable corners.
+/// Returns the first netlist-construction error instead of
+/// panicking.
 pub(crate) fn build_i1(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
-    cfg.check()?;
     let clk = b.clock(&format!("{name}_clk"), cfg.clk_period);
     let rstn = b.input(&format!("{name}_rstn"), 1);
     b.push_scope(name);
@@ -202,7 +201,6 @@ pub(crate) fn build_serial(
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
-    cfg.check()?;
     let per_word = family == LinkFamily::PerWord;
     let seg = Segment::new(b, cfg);
     let stations = cfg.buffers as usize;
@@ -376,7 +374,10 @@ pub(crate) fn build_serial(
 }
 
 /// Builds a link of the given family in scope `name` — the assembly
-/// dispatcher behind [`generate`](crate::generate).
+/// dispatcher behind [`generate`](crate::generate) and
+/// [`run_spec`](crate::run_spec). It trusts `cfg`: both callers pass a
+/// validated spec merged onto its base by `LinkSpec::build_config`,
+/// which holds the one rule the spec builder cannot see.
 pub(crate) fn build_family(
     b: &mut CircuitBuilder<'_>,
     family: LinkFamily,

@@ -18,6 +18,11 @@ pub(crate) const FIFO_DEPTH: usize = 4;
 /// fixed geometry — a [`LENGTH_UM`] wire and a 4-deep FIFO in each
 /// clock-domain interface — is not configurable.
 ///
+/// A `LinkConfig` checks nothing itself: links are built from a
+/// [`LinkSpec`](crate::LinkSpec), whose builder holds the rules for
+/// the fields a spec decides (flit and slice width, buffers,
+/// protection), merged onto a base config that supplies the rest.
+///
 /// # Examples
 ///
 /// ```
@@ -29,7 +34,7 @@ pub(crate) const FIFO_DEPTH: usize = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
-    /// Flit (parallel word) width `m` in bits; 1..=64.
+    /// Flit (parallel word) width `m` in bits.
     pub flit_width: u8,
     /// Serial slice width `n` in bits; must divide `flit_width`.
     pub slice_width: u8,
@@ -76,6 +81,16 @@ impl ProtectionMode {
             ProtectionMode::Crc8 => "crc",
         }
     }
+
+    /// Check bits appended to a word of `slices` slices (0 when off,
+    /// one per slice for parity, 8 for CRC-8).
+    pub(crate) fn check_bits(self, slices: u8) -> u8 {
+        match self {
+            ProtectionMode::Off => 0,
+            ProtectionMode::Parity => slices,
+            ProtectionMode::Crc8 => 8,
+        }
+    }
 }
 
 /// Word-level (I3) receiver style.
@@ -92,6 +107,10 @@ pub enum WordRxStyle {
     /// by earlier acknowledging"): the receiver copies the rebuilt word
     /// into a holding latch and acknowledges at last-slice arrival,
     /// overlapping the interface hand-off with the next burst.
+    ///
+    /// A protected I3 link cannot take it
+    /// ([`SpecError::ProtectionWithEarlyAck`](crate::SpecError::ProtectionWithEarlyAck));
+    /// I1 and I2 build no word receiver and ignore the setting.
     EarlyAck,
 }
 
@@ -108,148 +127,7 @@ impl Default for LinkConfig {
     }
 }
 
-/// A structured description of the first inconsistency found in a
-/// [`LinkConfig`].
-///
-/// Every variant carries the offending values, so sweeps can match on
-/// the *kind* of misconfiguration instead of parsing a message. The
-/// [`Display`](std::fmt::Display) form keeps the historical one-line
-/// messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConfigError {
-    /// `flit_width` outside `1..=64`.
-    FlitWidth {
-        /// The rejected flit width.
-        width: u8,
-    },
-    /// `slice_width` outside `1..=flit_width`.
-    SliceWidth {
-        /// The rejected slice width.
-        slice: u8,
-        /// The flit width it was checked against.
-        flit: u8,
-    },
-    /// `slice_width` does not divide `flit_width`.
-    SliceNotDividing {
-        /// The rejected slice width.
-        slice: u8,
-        /// The flit width it must divide.
-        flit: u8,
-    },
-    /// Fewer than 2 slices per flit — nothing to serialize.
-    TooFewSlices {
-        /// The resulting slice count.
-        slices: u8,
-    },
-    /// The word widened by check bits exceeds the 64-bit datapath.
-    ProtectionTooWide {
-        /// The protected width (`flit_width` + check bits).
-        width: u32,
-    },
-    /// CRC-8 protection needs the slice width to divide the widened
-    /// word (`flit_width + 8`), i.e. to divide 8.
-    CrcSliceMismatch {
-        /// The rejected slice width.
-        slice: u8,
-        /// The protected word width it must divide.
-        protected: u8,
-    },
-    /// Protection combined with [`WordRxStyle::EarlyAck`]: the early ack
-    /// completes the word handshake at last-slice arrival, *before*
-    /// the checker can veto the word — detection would come too late
-    /// to NACK, so the combination is rejected outright.
-    ProtectionWithEarlyAck,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::FlitWidth { width } => {
-                write!(f, "flit width must be 1..=64 (got {width})")
-            }
-            ConfigError::SliceWidth { slice, flit } => {
-                write!(f, "slice width must be 1..=flit width (got {slice} of {flit})")
-            }
-            ConfigError::SliceNotDividing { slice, flit } => {
-                write!(f, "slice width must divide flit width ({slice} does not divide {flit})")
-            }
-            ConfigError::TooFewSlices { slices } => {
-                write!(f, "need at least 2 slices (got {slices})")
-            }
-            ConfigError::ProtectionTooWide { width } => {
-                write!(f, "protected word width must be <= 64 (got {width})")
-            }
-            ConfigError::CrcSliceMismatch { slice, protected } => {
-                write!(
-                    f,
-                    "CRC-8 protection needs the slice width to divide the widened word \
-                     ({slice} does not divide {protected})"
-                )
-            }
-            ConfigError::ProtectionWithEarlyAck => {
-                write!(
-                    f,
-                    "protection is incompatible with the early word acknowledge (the early \
-                     ack completes the handshake before the word is checked)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<ConfigError> for sal_cells::BuildError {
-    fn from(e: ConfigError) -> Self {
-        sal_cells::BuildError::Config { message: e.to_string() }
-    }
-}
-
 impl LinkConfig {
-    /// Validates internal consistency: `Err` carries the first
-    /// inconsistency found as a typed [`ConfigError`]. Never panics —
-    /// sweeps probe unbuildable corners through this.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if !(self.flit_width >= 1 && self.flit_width <= 64) {
-            return Err(ConfigError::FlitWidth { width: self.flit_width });
-        }
-        if !(self.slice_width >= 1 && self.slice_width <= self.flit_width) {
-            return Err(ConfigError::SliceWidth {
-                slice: self.slice_width,
-                flit: self.flit_width,
-            });
-        }
-        if !self.flit_width.is_multiple_of(self.slice_width) {
-            return Err(ConfigError::SliceNotDividing {
-                slice: self.slice_width,
-                flit: self.flit_width,
-            });
-        }
-        if self.flit_width / self.slice_width < 2 {
-            return Err(ConfigError::TooFewSlices {
-                slices: self.flit_width / self.slice_width,
-            });
-        }
-        if self.protection != ProtectionMode::Off {
-            let width = self.flit_width as u32 + self.check_bits() as u32;
-            if width > 64 {
-                return Err(ConfigError::ProtectionTooWide { width });
-            }
-            if self.protection == ProtectionMode::Crc8
-                && !(self.flit_width + 8).is_multiple_of(self.slice_width)
-            {
-                return Err(ConfigError::CrcSliceMismatch {
-                    slice: self.slice_width,
-                    protected: self.flit_width + 8,
-                });
-            }
-            if self.word_rx_style == WordRxStyle::EarlyAck {
-                return Err(ConfigError::ProtectionWithEarlyAck);
-            }
-        }
-        Ok(())
-    }
-
     /// Number of slices per flit (`m / n`).
     pub fn slices(&self) -> usize {
         (self.flit_width / self.slice_width) as usize
@@ -277,11 +155,7 @@ impl LinkConfig {
     /// Check bits appended to each word by the configured protection
     /// (0 when off, one per slice for parity, 8 for CRC-8).
     pub fn check_bits(&self) -> u8 {
-        match self.protection {
-            ProtectionMode::Off => 0,
-            ProtectionMode::Parity => self.slices() as u8,
-            ProtectionMode::Crc8 => 8,
-        }
+        self.protection.check_bits(self.slices() as u8)
     }
 
     /// Width of the word actually serialized over the wire:
@@ -333,7 +207,6 @@ mod tests {
     #[test]
     fn default_is_the_paper_setup() {
         let c = LinkConfig::default();
-        c.check().expect("default config is valid");
         assert_eq!(c.flit_width, 32);
         assert_eq!(c.slice_width, 8);
         assert_eq!(c.slices(), 4);
@@ -357,26 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_slice_width_rejected() {
-        let err = LinkConfig { slice_width: 5, ..Default::default() }.check().unwrap_err();
-        assert_eq!(err, ConfigError::SliceNotDividing { slice: 5, flit: 32 });
-        assert!(err.to_string().contains("divide"));
-    }
-
-    #[test]
-    fn unserialized_config_rejected() {
-        let err = LinkConfig { slice_width: 32, ..Default::default() }.check().unwrap_err();
-        assert_eq!(err, ConfigError::TooFewSlices { slices: 1 });
-        assert!(err.to_string().contains("2 slices"));
-    }
-
-    #[test]
     fn protection_widths_and_wire_costs() {
         let c = LinkConfig::default();
         assert_eq!(c.check_bits(), 0);
         assert_eq!(c.protected_width(), 32);
         let p = LinkConfig { protection: ProtectionMode::Parity, ..c.clone() };
-        p.check().expect("parity on the paper setup is valid");
         assert_eq!(p.check_bits(), 4);
         assert_eq!(p.protected_width(), 36);
         assert_eq!(p.inner_slice_width(), 9);
@@ -384,50 +242,10 @@ mod tests {
         let inner = p.inner();
         assert_eq!((inner.flit_width, inner.slice_width), (36, 9));
         assert_eq!(inner.slices(), 4);
-        inner.check().expect("the widened core config is itself valid");
         let g = LinkConfig { protection: ProtectionMode::Crc8, ..c };
-        g.check().expect("crc on the paper setup is valid");
         assert_eq!(g.protected_width(), 40);
         assert_eq!(g.inner_slice_width(), 8);
         assert_eq!(g.wires_async(), 12);
         assert_eq!(g.inner().slices(), 5); // the check byte rides as a 5th slice
-    }
-
-    #[test]
-    fn bad_protection_configs_rejected() {
-        let too_wide = LinkConfig {
-            flit_width: 64,
-            slice_width: 8,
-            protection: ProtectionMode::Crc8,
-            ..Default::default()
-        };
-        assert_eq!(too_wide.check().unwrap_err(), ConfigError::ProtectionTooWide { width: 72 });
-        let mismatch = LinkConfig {
-            flit_width: 32,
-            slice_width: 16,
-            protection: ProtectionMode::Crc8,
-            ..Default::default()
-        };
-        assert_eq!(
-            mismatch.check().unwrap_err(),
-            ConfigError::CrcSliceMismatch { slice: 16, protected: 40 }
-        );
-        let early = LinkConfig {
-            protection: ProtectionMode::Crc8,
-            word_rx_style: WordRxStyle::EarlyAck,
-            ..Default::default()
-        };
-        assert_eq!(early.check().unwrap_err(), ConfigError::ProtectionWithEarlyAck);
-    }
-
-    #[test]
-    fn config_error_threads_into_build_error() {
-        let err = LinkConfig { flit_width: 65, ..Default::default() }.check().unwrap_err();
-        assert_eq!(err, ConfigError::FlitWidth { width: 65 });
-        let build: sal_cells::BuildError = err.into();
-        assert!(matches!(
-            build,
-            sal_cells::BuildError::Config { ref message } if message.contains("flit width")
-        ));
     }
 }

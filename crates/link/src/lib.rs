@@ -67,7 +67,7 @@ mod word_deserializer;
 mod word_serializer;
 
 pub use assembly::LinkHandles;
-pub use config::{ConfigError, LinkConfig, ProtectionMode, WordRxStyle, LENGTH_UM};
+pub use config::{LinkConfig, ProtectionMode, WordRxStyle, LENGTH_UM};
 pub use measure::{
     run_spec, BlockPower, LinkRun, MeasureOptions, RunFailure, TraceMode,
 };

@@ -24,7 +24,6 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::assembly::build_family;
-use crate::config::ConfigError;
 use crate::metrics::{self, LinkMetrics};
 use crate::retry::RecoverySignals;
 use crate::scoreboard::{check_integrity, IntegrityCounts, RecoveryCounts};
@@ -180,12 +179,11 @@ impl MeasureOptions {
 /// Why a run did not produce a measurement.
 #[derive(Debug)]
 pub enum RunFailure {
-    /// The configuration is inconsistent — reported before anything
-    /// is built.
-    Config(ConfigError),
-    /// A [`LinkSpec`] could not be constructed (call sites that build
-    /// the spec inline propagate the builder's typed error here; the
-    /// [`SpecError`] is the [`source`](std::error::Error::source)).
+    /// The spec cannot be built over its base config
+    /// ([`SpecError::ProtectionWithEarlyAck`]), reported before
+    /// anything is built. Call sites that build the spec inline
+    /// propagate the builder's error here too; the [`SpecError`] is
+    /// the [`source`](std::error::Error::source).
     Spec(SpecError),
     /// The netlist could not be constructed (double drivers…).
     Build(BuildError),
@@ -219,7 +217,6 @@ pub enum RunFailure {
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunFailure::Config(e) => write!(f, "invalid configuration: {e}"),
             RunFailure::Spec(e) => write!(f, "invalid link spec: {e}"),
             RunFailure::Build(e) => write!(f, "netlist construction failed: {e}"),
             RunFailure::Fault(e) => write!(f, "fault plan rejected: {e}"),
@@ -245,7 +242,6 @@ impl std::fmt::Display for RunFailure {
 impl std::error::Error for RunFailure {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RunFailure::Config(e) => Some(e),
             RunFailure::Spec(e) => Some(e),
             RunFailure::Build(e) => Some(e),
             RunFailure::Fault(e) | RunFailure::Sim(e) => Some(e),
@@ -284,9 +280,6 @@ pub struct LinkRun {
     pub area: AreaLedger,
     /// Root scope of the link.
     pub scope: String,
-    /// Kernel events processed over the whole run (netlist activity
-    /// metric; useful for throughput accounting in benchmarks).
-    pub events: u64,
     /// End-to-end data-integrity verdict (sent vs received payloads).
     pub integrity: IntegrityCounts,
     /// Kernel profiling counters for this run: events, commits,
@@ -441,13 +434,13 @@ impl RecoveryProbes {
 
 /// Runs `words` through a freshly generated link described by `spec`
 /// and measures power per the paper's protocol. The single entry
-/// point for link measurement: misconfiguration, build failures, bad
-/// fault plans and deadlocks all come back as a structured
-/// [`RunFailure`] — never a panic.
+/// point for link measurement: a spec its base cannot carry, build
+/// failures, bad fault plans and deadlocks all come back as a
+/// structured [`RunFailure`] — never a panic.
 ///
 /// `base` supplies the parameters the spec does not name (clock
-/// period, early word acknowledge, receiver style); the spec decides
-/// word width, serialization ratio, buffer count and protection.
+/// period, receiver style); the spec decides word width,
+/// serialization ratio, buffer count and protection.
 ///
 /// ```
 /// use sal_link::{run_spec, LinkConfig, LinkFamily, LinkSpec, MeasureOptions};
@@ -464,8 +457,7 @@ pub fn run_spec(
     opts: &MeasureOptions,
 ) -> Result<LinkRun, RunFailure> {
     let family = spec.family();
-    let cfg = spec.apply(base);
-    cfg.check().map_err(RunFailure::Config)?;
+    let cfg = spec.build_config(base)?;
     let mut sim = Simulator::new();
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
     let handles = build_family(&mut builder, family, "link", &cfg).map_err(RunFailure::Build)?;
@@ -573,21 +565,17 @@ pub fn run_spec(
     let dump = TraceDump::capture(&sim);
     let metrics = if opts.metrics {
         dump.as_ref().map(|dump| {
-            let watches: Vec<(String, SignalId, SignalId)> = sim
-                .handshake_watches()
-                .map(|(label, req, ack)| (label.to_string(), req, ack))
-                .collect();
             metrics::compute(&metrics::MetricsInputs {
                 family,
                 scope: &handles.scope,
                 dump,
-                watches: &watches,
+                watches: sim.handshake_watches(),
                 sent: &sent,
                 received: &received,
                 in_use,
                 window,
                 clock_uw: clock_power.iter().map(|(_, p)| p).sum(),
-                events: sim.events_processed(),
+                events: profile.events,
             })
         })
     } else {
@@ -606,7 +594,6 @@ pub fn run_spec(
         clock_power,
         area,
         scope: handles.scope,
-        events: sim.events_processed(),
         integrity,
         profile,
         trace,
@@ -642,8 +629,7 @@ mod tests {
         assert!(run.trace.is_none());
         assert!(run.metrics().is_none());
         // … but the kernel profile always comes along for free.
-        assert!(run.profile.commits > 0);
-        assert_eq!(run.profile.events, run.events);
+        assert!(run.profile.commits > 0 && run.profile.events > 0);
     }
 
     #[test]
@@ -670,11 +656,11 @@ mod tests {
         assert!(run.area_um2() > 1000.0, "area {} implausibly small", run.area_um2());
     }
 
-    /// A CRC-8 spec over a base that asks for the early word
-    /// acknowledge: a configuration no spec check can see.
+    /// A CRC-8 I3 spec over a base that asks for the early word
+    /// acknowledge: the one rule the builder cannot see.
     fn crc8_over_early_ack() -> Result<LinkRun, RunFailure> {
         let spec = LinkSpec::builder()
-            .family(LinkFamily::PerTransfer)
+            .family(LinkFamily::PerWord)
             .protection(crate::ProtectionMode::Crc8)
             .build()
             .expect("valid spec");
@@ -682,10 +668,34 @@ mod tests {
         run_spec(&spec, &base, &[1], &MeasureOptions::default())
     }
 
+    /// Only I3 builds a word receiver, so only a protected I3 spec
+    /// refuses the early-acknowledge base; a protected I2 spec ignores
+    /// the setting and builds the same netlist over either base.
     #[test]
-    fn bad_config_is_a_config_error_not_a_panic() {
-        let err = crc8_over_early_ack().expect_err("misconfigured");
-        assert!(matches!(err, RunFailure::Config(ConfigError::ProtectionWithEarlyAck)));
+    fn early_ack_is_refused_only_by_protected_i3() {
+        use crate::{generate, ProtectionMode};
+        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..Default::default() };
+        let netlist = |spec: &LinkSpec, base: &LinkConfig| -> Result<String, BuildError> {
+            let mut sim = Simulator::new();
+            let lib = St012Library::default();
+            let mut b = CircuitBuilder::new(&mut sim, &lib);
+            generate(&mut b, spec, "link", base)?;
+            b.finish();
+            Ok(format!("{:?}", sim.netgraph()))
+        };
+        for protection in [ProtectionMode::Parity, ProtectionMode::Crc8] {
+            let b = LinkSpec::builder().protection(protection);
+            let i2 = b.clone().family(LinkFamily::PerTransfer).build().expect("valid spec");
+            let over_early = netlist(&i2, &early).expect("I2 ignores the receiver style");
+            let over_default = netlist(&i2, &LinkConfig::default()).expect("I2 builds");
+            assert!(over_early == over_default, "I2 {protection:?}: the netlists differ");
+            let i3 = b.family(LinkFamily::PerWord).build().expect("valid spec");
+            let err = netlist(&i3, &early).expect_err("I3 refuses");
+            assert_eq!(err, SpecError::ProtectionWithEarlyAck.into(), "I3 {protection:?}");
+            let err = run_spec(&i3, &early, &[1], &MeasureOptions::default())
+                .expect_err("I3 refuses");
+            assert!(matches!(err, RunFailure::Spec(SpecError::ProtectionWithEarlyAck)));
+        }
     }
 
     #[test]
@@ -732,9 +742,9 @@ mod tests {
     fn run_failures_chain_their_sources() {
         use std::error::Error as _;
         let err = crc8_over_early_ack().expect_err("misconfigured");
-        let src = err.source().expect("Config failures chain to the typed ConfigError");
-        assert!(src.downcast_ref::<ConfigError>().is_some());
-        assert!(src.source().is_none(), "ConfigError is the end of the chain");
+        let src = err.source().expect("Spec failures chain to the typed SpecError");
+        assert_eq!(src.downcast_ref::<SpecError>(), Some(&SpecError::ProtectionWithEarlyAck));
+        assert!(src.source().is_none(), "SpecError is the end of the chain");
         // A fault plan naming a bogus signal chains to the kernel error.
         let opts = MeasureOptions::default().with_fault_plan(sal_des::FaultPlan::new(1).glitch(
             "link.no_such_signal",

@@ -20,7 +20,7 @@
 //! byte-identical [`LinkMetrics::to_json`] output.
 
 use sal_des::json::Json;
-use sal_des::{Logic, SignalId, Time};
+use sal_des::{Logic, NetWatch, Time};
 use sal_des::TraceDump;
 
 use crate::LinkFamily;
@@ -236,8 +236,8 @@ pub(crate) struct MetricsInputs<'a> {
     pub family: LinkFamily,
     pub scope: &'a str,
     pub dump: &'a TraceDump,
-    /// `(label, req, ack)` pairs from the kernel watchdog.
-    pub watches: &'a [(String, SignalId, SignalId)],
+    /// The handshakes registered with the kernel watchdog.
+    pub watches: &'a [NetWatch],
     pub sent: &'a [(Time, u64)],
     pub received: &'a [(Time, u64)],
     pub in_use: Time,
@@ -263,10 +263,7 @@ fn rising(old: &sal_des::Value, new: &sal_des::Value) -> bool {
     new.as_logic() == Logic::One && old.as_logic() != Logic::One
 }
 
-fn handshake_stats(
-    dump: &TraceDump,
-    watches: &[(String, SignalId, SignalId)],
-) -> Vec<HandshakeStats> {
+fn handshake_stats(dump: &TraceDump, watches: &[NetWatch]) -> Vec<HandshakeStats> {
     struct State {
         last_req_rise: Option<Time>,
         pending_req: Option<Time>,
@@ -276,15 +273,15 @@ fn handshake_stats(
     }
     let mut states: Vec<State> = watches
         .iter()
-        .map(|(label, req, ack)| State {
+        .map(|w| State {
             last_req_rise: None,
             pending_req: None,
             req_level: Logic::X,
             ack_level: Logic::X,
             stats: HandshakeStats {
-                label: label.clone(),
-                req_path: dump.path(*req).to_string(),
-                ack_path: dump.path(*ack).to_string(),
+                label: w.label.clone(),
+                req_path: dump.path(w.req).to_string(),
+                ack_path: dump.path(w.ack).to_string(),
                 completed: 0,
                 latency: Histogram::new(),
                 cycle: Histogram::new(),
@@ -296,12 +293,12 @@ fn handshake_stats(
     let nsig = dump.signals.len();
     let mut as_req: Vec<Vec<usize>> = vec![Vec::new(); nsig];
     let mut as_ack: Vec<Vec<usize>> = vec![Vec::new(); nsig];
-    for (k, (_, req, ack)) in watches.iter().enumerate() {
-        if req.index() < nsig {
-            as_req[req.index()].push(k);
+    for (k, w) in watches.iter().enumerate() {
+        if w.req.index() < nsig {
+            as_req[w.req.index()].push(k);
         }
-        if ack.index() < nsig {
-            as_ack[ack.index()].push(k);
+        if w.ack.index() < nsig {
+            as_ack[w.ack.index()].push(k);
         }
     }
     for rec in &dump.records {

@@ -22,6 +22,9 @@
 //! anything unusual) and a NACK pulse is launched on the dedicated
 //! backward wire. Retransmission is then just an ordinary repeat of
 //! the word transfer — no mid-protocol state surgery.
+//!
+//! Only protected links build these blocks (an unprotected link has
+//! no protection wrap at all), so every mode but parity is CRC-8 here.
 
 use sal_cells::CircuitBuilder;
 use sal_des::SignalId;
@@ -120,28 +123,24 @@ fn check_trees(
 ) -> Vec<SignalId> {
     let n = cfg.slice_width;
     let mut data = Vec::new();
-    match cfg.protection {
-        ProtectionMode::Off => {}
-        ProtectionMode::Parity => {
-            for i in 0..cfg.slices() as u8 {
-                data.push(b.slice(&format!("s{i}"), din, i * stride, n));
-                let bits = bit_slices(b, &format!("s{i}b"), din, i * stride, n);
-                let parity = b.xor_tree(&format!("p{i}"), &bits);
-                each(b, i, parity);
-            }
+    if cfg.protection == ProtectionMode::Parity {
+        for i in 0..cfg.slices() as u8 {
+            data.push(b.slice(&format!("s{i}"), din, i * stride, n));
+            let bits = bit_slices(b, &format!("s{i}b"), din, i * stride, n);
+            let parity = b.xor_tree(&format!("p{i}"), &bits);
+            each(b, i, parity);
         }
-        ProtectionMode::Crc8 => {
-            let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
-            for (j, mask) in (0u8..).zip(crc8_masks(cfg.flit_width)) {
-                let sel: Vec<SignalId> = bits
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                    .map(|(_, &s)| s)
-                    .collect();
-                let crc = b.xor_tree(&format!("c{j}"), &sel);
-                each(b, j, crc);
-            }
+    } else {
+        let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
+        for (j, mask) in (0u8..).zip(crc8_masks(cfg.flit_width)) {
+            let sel: Vec<SignalId> = bits
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                .map(|(_, &s)| s)
+                .collect();
+            let crc = b.xor_tree(&format!("c{j}"), &sel);
+            each(b, j, crc);
         }
     }
     data
@@ -150,13 +149,11 @@ fn check_trees(
 /// Worst-case settle depth of the check logic in gate levels, used to
 /// match the request delay against the data cone on both sides.
 fn check_depth(cfg: &LinkConfig) -> usize {
-    match cfg.protection {
-        ProtectionMode::Off => 0,
+    if cfg.protection == ProtectionMode::Parity {
         // parity tree + compare + error OR tree
-        ProtectionMode::Parity => {
-            tree_depth(cfg.slice_width as usize) + 1 + tree_depth(cfg.slices())
-        }
-        ProtectionMode::Crc8 => tree_depth(cfg.flit_width as usize) + 1 + tree_depth(8),
+        tree_depth(cfg.slice_width as usize) + 1 + tree_depth(cfg.slices())
+    } else {
+        tree_depth(cfg.flit_width as usize) + 1 + tree_depth(8)
     }
 }
 
@@ -175,19 +172,15 @@ pub(crate) fn build_protector(
     b.push_scope(name);
     let mut checks = Vec::new();
     let data = check_trees(b, cfg, din, cfg.slice_width, |_, _, tree| checks.push(tree));
-    let dout = match cfg.protection {
-        ProtectionMode::Off => din,
+    let dout = if cfg.protection == ProtectionMode::Parity {
         // Interleave: protected slice i = [data slice i, parity_i].
-        ProtectionMode::Parity => {
-            let parts: Vec<SignalId> =
-                data.into_iter().zip(checks).flat_map(|(d, p)| [d, p]).collect();
-            b.concat("dout", &parts)
-        }
+        let parts: Vec<SignalId> =
+            data.into_iter().zip(checks).flat_map(|(d, p)| [d, p]).collect();
+        b.concat("dout", &parts)
+    } else {
         // The check byte trails the word.
-        ProtectionMode::Crc8 => {
-            checks.insert(0, din);
-            b.concat("dout", &checks)
-        }
+        checks.insert(0, din);
+        b.concat("dout", &checks)
     };
     // Matched request delay: XOR trees are one gate per level; one
     // extra buffer restores the margin the serializer was sized for.
@@ -235,11 +228,8 @@ pub(crate) fn build_checker(
         let received = b.slice(&format!("{label}{j}"), din, at, 1);
         mismatches.push(b.xor2(&format!("m{j}"), recomputed, received));
     });
-    let (dout, err) = if cfg.protection == ProtectionMode::Off {
-        (din, b.tie("err", sal_des::Value::zero(1)))
-    } else {
-        (data.unwrap_or_else(|| b.concat("dout", &slices)), b.or_tree("err", &mismatches))
-    };
+    let dout = data.unwrap_or_else(|| b.concat("dout", &slices));
+    let err = b.or_tree("err", &mismatches);
 
     // The deserializer freezes the word while its request is up, so
     // `err` is stable once the check logic settles; delaying the

@@ -183,7 +183,6 @@ mod tests {
         // circuit can easily be modified".
         for slice_width in [16u8, 4] {
             let cfg = LinkConfig { slice_width, ..LinkConfig::default() };
-            cfg.check().expect("valid slice width");
             let words = vec![0xA5A5_5A5A, 0x0102_0304];
             let (_, rebuilt, _) = fixture(&cfg, words.clone(), Time::from_ps(40));
             assert_eq!(rebuilt, words, "slice width {slice_width}");

@@ -14,11 +14,12 @@
 //! * [`ProtectionMode`].
 //!
 //! A constructed `LinkSpec` is always valid: [`LinkSpecBuilder::build`]
-//! front-loads every structural check as a typed [`SpecError`] (which
-//! chains into [`BuildError`] and
-//! [`RunFailure`](crate::RunFailure) via `source()`), so
-//! [`generate`] and [`run_spec`](crate::measure::run_spec) can assume
-//! consistency. [`LinkSpec::content_hash`] gives a canonical 64-bit
+//! holds every rule a spec must meet and reports the first it breaks
+//! as a typed [`SpecError`]. The one rule that also reads the base
+//! config — no early word acknowledge on a protected I3 link — is
+//! checked where [`generate`] and [`run_spec`](crate::measure::run_spec)
+//! merge the spec onto its base; past that step nothing is checked
+//! again. [`LinkSpec::content_hash`] gives a canonical 64-bit
 //! digest, the `spec_hash` of `sal-bench`'s Pareto records.
 //!
 //! ```
@@ -38,7 +39,7 @@
 use sal_cells::{BuildError, CircuitBuilder};
 
 use crate::assembly::{build_family, LinkHandles};
-use crate::config::{ConfigError, LinkConfig, ProtectionMode};
+use crate::config::{LinkConfig, ProtectionMode, WordRxStyle};
 
 /// The three link architectures of the paper's Fig 9, as *families*
 /// the generator parameterizes over width, ratio, depth and
@@ -87,13 +88,9 @@ impl std::fmt::Display for LinkFamily {
     }
 }
 
-/// Why a [`LinkSpecBuilder`] refused to construct a [`LinkSpec`].
-///
-/// Structural spec-level checks come first (width, ratio, depth,
-/// family compatibility); anything the derived [`LinkConfig`] still
-/// rejects — protection widening past 64 bits, CRC slice mismatches —
-/// surfaces as [`SpecError::Config`] with the typed [`ConfigError`]
-/// as its [`source`](std::error::Error::source).
+/// Why a [`LinkSpecBuilder`] refused to construct a [`LinkSpec`], or
+/// why a spec cannot be built over its base config
+/// ([`SpecError::ProtectionWithEarlyAck`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpecError {
     /// `word_width` outside `8..=64`.
@@ -134,8 +131,25 @@ pub enum SpecError {
         /// The rejected protection mode.
         protection: ProtectionMode,
     },
-    /// The derived [`LinkConfig`] failed its own validation.
-    Config(ConfigError),
+    /// The word widened by its check bits exceeds the 64-bit
+    /// datapath.
+    ProtectionTooWide {
+        /// The protected width (word width + check bits).
+        width: u8,
+    },
+    /// CRC-8 protection needs the slice width to divide the widened
+    /// word (word width + 8), i.e. to divide 8.
+    CrcSliceMismatch {
+        /// The rejected slice width.
+        slice: u8,
+        /// The protected word width it must divide.
+        protected: u8,
+    },
+    /// A protected I3 spec over a base asking for
+    /// [`WordRxStyle::EarlyAck`]: the early acknowledge completes the
+    /// word handshake at last-slice arrival, *before* the checker can
+    /// veto the word, so detection would come too late to NACK.
+    ProtectionWithEarlyAck,
 }
 
 impl std::fmt::Display for SpecError {
@@ -168,25 +182,28 @@ impl std::fmt::Display for SpecError {
                     protection.label()
                 )
             }
-            SpecError::Config(e) => write!(f, "derived link configuration invalid: {e}"),
+            SpecError::ProtectionTooWide { width } => {
+                write!(f, "protected word width must be <= 64 (got {width})")
+            }
+            SpecError::CrcSliceMismatch { slice, protected } => {
+                write!(
+                    f,
+                    "CRC-8 protection needs the slice width to divide the widened word \
+                     ({slice} does not divide {protected})"
+                )
+            }
+            SpecError::ProtectionWithEarlyAck => {
+                write!(
+                    f,
+                    "protection is incompatible with the early word acknowledge (the early \
+                     ack completes the handshake before the word is checked)"
+                )
+            }
         }
     }
 }
 
-impl std::error::Error for SpecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SpecError::Config(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ConfigError> for SpecError {
-    fn from(e: ConfigError) -> Self {
-        SpecError::Config(e)
-    }
-}
+impl std::error::Error for SpecError {}
 
 impl From<SpecError> for BuildError {
     fn from(e: SpecError) -> Self {
@@ -287,10 +304,9 @@ impl LinkSpec {
 
     /// Merges the spec onto a physical base configuration: the spec
     /// decides word width, slice width, buffer count and protection;
-    /// `base` supplies the rest (clock period, early word
-    /// acknowledge, receiver style). The paper spec over the default
-    /// base reproduces [`LinkConfig::default`] exactly — bit-identical
-    /// netlists.
+    /// `base` supplies the rest (clock period, receiver style). The
+    /// paper spec over the default base reproduces
+    /// [`LinkConfig::default`] exactly — bit-identical netlists.
     pub fn apply(&self, base: &LinkConfig) -> LinkConfig {
         let mut cfg = base.clone();
         cfg.flit_width = self.word_width;
@@ -298,6 +314,23 @@ impl LinkSpec {
         cfg.buffers = self.buffer_depth;
         cfg.protection = self.protection;
         cfg
+    }
+
+    /// The configuration a link of this spec is built from: [`apply`]
+    /// plus the one rule that reads the base. Only I3 builds a word
+    /// receiver, so only a protected I3 spec rejects the early word
+    /// acknowledge. [`generate`] and [`run_spec`](crate::run_spec)
+    /// both build through here, and nothing after it re-checks.
+    ///
+    /// [`apply`]: LinkSpec::apply
+    pub(crate) fn build_config(&self, base: &LinkConfig) -> Result<LinkConfig, SpecError> {
+        if self.family == LinkFamily::PerWord
+            && self.protection != ProtectionMode::Off
+            && base.word_rx_style == WordRxStyle::EarlyAck
+        {
+            return Err(SpecError::ProtectionWithEarlyAck);
+        }
+        Ok(self.apply(base))
     }
 
     /// Canonical FNV-1a content hash over the spec's logical fields.
@@ -410,12 +443,9 @@ impl LinkSpecBuilder {
         self
     }
 
-    /// Validates and constructs the spec.
-    ///
-    /// Spec-level checks run first; whatever the derived
-    /// [`LinkConfig`] still rejects (protection widening past the
-    /// 64-bit datapath, CRC slice mismatches …) comes back as
-    /// [`SpecError::Config`].
+    /// Validates and constructs the spec: every rule a spec must meet
+    /// lives here, checked once, and the first one broken comes back
+    /// as its [`SpecError`].
     pub fn build(self) -> Result<LinkSpec, SpecError> {
         if !(8..=64).contains(&self.word_width) {
             return Err(SpecError::WordWidth { width: self.word_width });
@@ -441,25 +471,29 @@ impl LinkSpecBuilder {
                 protection: self.protection,
             });
         }
-        let spec = LinkSpec {
+        let protected = self.word_width + self.protection.check_bits(self.serial_ratio);
+        if protected > 64 {
+            return Err(SpecError::ProtectionTooWide { width: protected });
+        }
+        let slice = self.word_width / self.serial_ratio;
+        if self.protection == ProtectionMode::Crc8 && !protected.is_multiple_of(slice) {
+            return Err(SpecError::CrcSliceMismatch { slice, protected });
+        }
+        Ok(LinkSpec {
             family: self.family,
             word_width: self.word_width,
             serial_ratio: self.serial_ratio,
             buffer_depth: self.buffer_depth,
             protection: self.protection,
-        };
-        // Anything the structural checks above cannot see (protection
-        // widening, CRC divisibility against the widened word) is
-        // caught by the derived config's own validation.
-        spec.apply(&LinkConfig::default()).check()?;
-        Ok(spec)
+        })
     }
 }
 
 /// Generates a link from its spec in scope `name` — the single
 /// constructor behind the declarative API. `base` supplies the
-/// parameters the spec does not name (clock period, early word
-/// acknowledge, receiver style).
+/// parameters the spec does not name (clock period, receiver style);
+/// a protected I3 spec over an early-acknowledge base is refused as
+/// [`SpecError::ProtectionWithEarlyAck`].
 ///
 /// In debug builds (every test run) a link generated into an empty
 /// simulator is passed through every `sal-lint` pass and the first
@@ -484,7 +518,7 @@ pub fn generate(
     name: &str,
     base: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
-    build_family(b, spec.family(), name, &spec.apply(base))
+    build_family(b, spec.family(), name, &spec.build_config(base)?)
 }
 
 #[cfg(test)]
@@ -506,60 +540,76 @@ mod tests {
         assert_eq!(spec, LinkSpec::paper(LinkFamily::PerTransfer));
     }
 
+    /// Each rule a spec must meet, the variant it returns and a piece
+    /// of the message it prints. Every rule but the last is the
+    /// builder's; the early acknowledge is refused where a spec is
+    /// merged onto its base.
     #[test]
     fn every_spec_error_variant_fires() {
+        use ProtectionMode::{Crc8, Parity};
         use SpecError as E;
         let b = LinkSpec::builder;
-        assert_eq!(b().word_width(65).build().unwrap_err(), E::WordWidth { width: 65 });
-        assert_eq!(b().word_width(4).build().unwrap_err(), E::WordWidth { width: 4 });
-        assert_eq!(b().serial_ratio(3).build().unwrap_err(), E::SerialRatio { ratio: 3 });
-        assert_eq!(
-            b().word_width(24).serial_ratio(16).build().unwrap_err(),
-            E::WidthNotDivisible { width: 24, ratio: 16 }
-        );
-        assert_eq!(b().buffer_depth(0).build().unwrap_err(), E::BufferDepth { depth: 0 });
-        assert_eq!(b().buffer_depth(17).build().unwrap_err(), E::BufferDepth { depth: 17 });
-        assert_eq!(
-            b().family(LinkFamily::Sync).protection(ProtectionMode::Parity).build().unwrap_err(),
-            E::FamilyProtection { family: LinkFamily::Sync, protection: ProtectionMode::Parity }
-        );
-        assert_eq!(
-            b().family(LinkFamily::Sync).word_width(64).build().unwrap_err(),
-            E::SyncWordTooWide { width: 64 }
-        );
-        assert!(b().family(LinkFamily::PerWord).word_width(64).build().is_ok());
-        // Derived-config failures chain through SpecError::Config.
-        let err = b()
-            .word_width(64)
-            .protection(ProtectionMode::Crc8)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, E::Config(ConfigError::ProtectionTooWide { width: 72 }));
-    }
-
-    #[test]
-    fn spec_error_chains_to_config_error() {
-        use std::error::Error as _;
-        let err = LinkSpec::builder()
-            .word_width(32)
-            .serial_ratio(2)
-            .protection(ProtectionMode::Crc8)
-            .build()
-            .unwrap_err();
-        let src = err.source().expect("Config variant chains");
-        assert!(src.downcast_ref::<ConfigError>().is_some());
-        assert!(LinkSpec::builder()
-            .word_width(65)
-            .build()
-            .unwrap_err()
-            .source()
-            .is_none());
-        // And onward into the builder error channel.
+        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..LinkConfig::default() };
+        let i3_crc = b().family(LinkFamily::PerWord).protection(Crc8).build().unwrap();
+        let table = [
+            ("word width", b().word_width(4).build(), E::WordWidth { width: 4 }, "8..=64"),
+            ("word width", b().word_width(65).build(), E::WordWidth { width: 65 }, "8..=64"),
+            ("ratio", b().serial_ratio(3).build(), E::SerialRatio { ratio: 3 }, "2, 4, 8 or 16"),
+            (
+                "divisibility",
+                b().word_width(24).serial_ratio(16).build(),
+                E::WidthNotDivisible { width: 24, ratio: 16 },
+                "16 does not divide 24",
+            ),
+            ("depth", b().buffer_depth(0).build(), E::BufferDepth { depth: 0 }, "1..=16"),
+            ("depth", b().buffer_depth(17).build(), E::BufferDepth { depth: 17 }, "1..=16"),
+            (
+                "sync word",
+                b().family(LinkFamily::Sync).word_width(64).build(),
+                E::SyncWordTooWide { width: 64 },
+                "8..=63",
+            ),
+            (
+                "family protection",
+                b().family(LinkFamily::Sync).protection(Parity).build(),
+                E::FamilyProtection { family: LinkFamily::Sync, protection: Parity },
+                "I1 family",
+            ),
+            (
+                "protection width",
+                b().word_width(64).protection(Crc8).build(),
+                E::ProtectionTooWide { width: 72 },
+                "<= 64 (got 72)",
+            ),
+            (
+                "protection width",
+                b().word_width(64).serial_ratio(2).protection(Parity).build(),
+                E::ProtectionTooWide { width: 66 },
+                "<= 64 (got 66)",
+            ),
+            (
+                "CRC slice",
+                b().word_width(32).serial_ratio(2).protection(Crc8).build(),
+                E::CrcSliceMismatch { slice: 16, protected: 40 },
+                "16 does not divide 40",
+            ),
+        ];
+        for (rule, got, want, message) in table {
+            let err = got.expect_err(rule);
+            assert_eq!(err, want, "{rule}");
+            assert!(err.to_string().contains(message), "{rule}: {err}");
+        }
+        let err = i3_crc.build_config(&early).unwrap_err();
+        assert_eq!(err, E::ProtectionWithEarlyAck);
         let build: BuildError = err.into();
         assert!(matches!(
             build,
-            BuildError::Config { ref message } if message.contains("CRC-8")
+            BuildError::Config { ref message } if message.contains("early word acknowledge")
         ));
+        // The edges of the rules still build.
+        assert!(b().family(LinkFamily::PerWord).word_width(64).build().is_ok());
+        assert!(b().word_width(48).serial_ratio(16).protection(Parity).build().is_ok());
+        assert!(b().word_width(32).serial_ratio(4).protection(Crc8).build().is_ok());
     }
 
     #[test]
@@ -598,6 +648,59 @@ mod tests {
             }
         }
         assert!(seen.len() > 100, "sweep covered {} valid cells", seen.len());
+    }
+
+    /// Every verdict of both constructors over a box around the
+    /// lattice, pinned as the count of accepted specs and an FNV-1a
+    /// fold of their content hashes in sweep order: moving a rule
+    /// between checks must not move a verdict.
+    #[test]
+    fn spec_verdicts_are_pinned_exhaustively() {
+        const PROTECTIONS: [ProtectionMode; 3] =
+            [ProtectionMode::Off, ProtectionMode::Parity, ProtectionMode::Crc8];
+        let mut accepted = 0u32;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |spec: Result<LinkSpec, SpecError>| {
+            if let Ok(spec) = spec {
+                accepted += 1;
+                for b in spec.content_hash().to_le_bytes() {
+                    digest ^= u64::from(b);
+                    digest = digest.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        };
+        for family in LinkFamily::ALL {
+            for protection in PROTECTIONS {
+                for width in 0..=72u8 {
+                    for ratio in 0..=17u8 {
+                        for depth in 0..=17u32 {
+                            fold(
+                                LinkSpec::builder()
+                                    .family(family)
+                                    .protection(protection)
+                                    .word_width(width)
+                                    .serial_ratio(ratio)
+                                    .buffer_depth(depth)
+                                    .build(),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for family in LinkFamily::ALL {
+            for protection in PROTECTIONS {
+                for flit_width in 0..=72u8 {
+                    for slice_width in 0..=72u8 {
+                        let cfg =
+                            LinkConfig { flit_width, slice_width, protection, ..LinkConfig::default() };
+                        fold(LinkSpec::from_config(family, &cfg));
+                    }
+                }
+            }
+        }
+        // 4 608 builder specs and 288 recovered from configs.
+        assert_eq!((accepted, digest), (4896, 0xf17d_cfb5_7090_641a));
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn traced_i2_yields_nonempty_histograms_and_reconciled_energy() {
     assert!(m.occupancy.busy_fraction > 0.0 && m.occupancy.busy_fraction <= 1.0);
     assert!(m.in_flight.max >= 1);
     assert!(r.profile.commits > 0 && r.profile.events > 0);
-    assert_eq!(m.events, r.events);
+    assert_eq!(m.events, r.profile.events);
 }
 
 #[test]
@@ -179,6 +179,6 @@ fn untraced_runs_are_unperturbed_by_the_hook() {
         run_link(LinkFamily::PerTransfer, &cfg, &words, &observed()).expect("clean run");
     assert_eq!(plain.sent, traced.sent);
     assert_eq!(plain.received, traced.received);
-    assert_eq!(plain.events, traced.events);
+    assert_eq!(plain.profile.events, traced.profile.events);
     assert_eq!(plain.in_use, traced.in_use);
 }

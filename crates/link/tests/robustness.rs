@@ -126,7 +126,7 @@ fn seeded_fault_runs_are_bit_reproducible() {
     let b = mk();
     assert_eq!(a.sent, b.sent);
     assert_eq!(a.received, b.received);
-    assert_eq!(a.events, b.events);
+    assert_eq!(a.profile.events, b.profile.events);
     // A different seed must still complete (I2's four-phase protocol
     // tolerates delay variation) but perturb the run — the kernel
     // event count is a sensitive fingerprint of the internal timeline
@@ -140,8 +140,8 @@ fn seeded_fault_runs_are_bit_reproducible() {
         .expect("sigma within margin should not break the link");
     assert!(c.integrity.is_clean(), "{}", c.integrity);
     assert_ne!(
-        (a.events, a.received.clone()),
-        (c.events, c.received.clone()),
+        (a.profile.events, a.received.clone()),
+        (c.profile.events, c.received.clone()),
         "sigma had no observable effect"
     );
 }
