@@ -4,8 +4,8 @@
 //! interpreted event loop and the compiled netlist engine — and
 //! records only integer facts: event/commit/cone counters and a
 //! behavioral checksum. The engines must agree on every behavioral
-//! field (`identical`); the cone counters document how much queue
-//! traffic compilation absorbed. A sliced-campaign section pins the
+//! field (`identical`); the cone counters document how many node
+//! evaluations and drives ran compiled. A sliced-campaign section pins the
 //! per-seed divergence masks and the zero-mismatch fidelity count.
 //!
 //! Everything here is bytewise deterministic, so CI diffs the emitted
@@ -39,7 +39,8 @@ pub struct EngineStats {
     pub cones_built: u64,
     /// Compiled spec evaluations (0 interpreted).
     pub cone_evals: u64,
-    /// Queue events absorbed by the compiled calendar (0 interpreted).
+    /// Drives compiled nodes scheduled (0 interpreted); each is also a
+    /// queue event counted in `events`.
     pub events_avoided: u64,
     /// Workload-defined behavioral checksum (delivered words, final
     /// values) — must match between engines.

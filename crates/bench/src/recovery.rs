@@ -19,13 +19,16 @@
 //! * the protection energy tax: total link power of the parity and
 //!   CRC variants against the unprotected baseline on a clean run.
 //!
-//! Storm widths stay below the slice cadence on purpose: a wider
-//! upset can cancel a word's *only* data transition and replay the
-//! previous (self-consistently coded) word wholesale, which no
+//! Storm widths stay below I2's ~370 ps slice cadence on purpose: a
+//! wider upset can cancel a word's *only* data transition and replay
+//! the previous (self-consistently coded) word wholesale, which no
 //! word-local check can catch — that residual class is exactly what
 //! the `undetected` bucket exists to count, and the parity rows
 //! demonstrate a milder version of it (a stale slice is parity-valid,
-//! so slice replacement slips past parity but not past the CRC).
+//! so slice replacement slips past parity but not past the CRC). The
+//! bound holds for I2 only: I3's cadence is ~280 ps, so the upper part
+//! of the range can touch two of its slices, and I3's fault model
+//! waits on the CRC-8 exactly-once work in ROADMAP.md.
 
 use sal_des::json::Json;
 use sal_des::{FaultPlan, Time};
@@ -100,9 +103,11 @@ impl Rng {
 
 /// Synthesizes the seeded storm: [`STORM_GLITCHES`] single-bit upsets
 /// spread across the pattern's in-use window (one word launch per
-/// 10 ns switch period), widths between 150 ps and 350 ps — under the
-/// ~370 ps (I2) / ~280 ps (I3) slice cadence, so each upset corrupts
-/// at most one latched slice.
+/// 10 ns switch period), widths between 150 ps and 350 ps — under I2's
+/// ~370 ps slice cadence, so each upset corrupts at most one of its
+/// latched slices. I3's cadence is ~280 ps, so the upper part of the
+/// range can touch two of its slices; I3's fault model waits on the
+/// CRC-8 exactly-once work in ROADMAP.md.
 pub fn storm(seed: u64) -> Vec<Glitch> {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let window_ps = 10_000 * SOAK_WORDS as u64;

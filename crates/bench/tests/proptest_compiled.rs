@@ -11,12 +11,17 @@
 //! the identical netlist and the *entire* transition trace — every
 //! `(time, signal, old, new)` commit in order — plus per-signal toggle
 //! counters must match exactly, and each trace must hold one record
-//! per counted commit.
+//! per counted commit. A deterministic twin runs the three paper links
+//! the same way and also compares the kernel's event, delta, commit
+//! and wake counts.
 
 use proptest::prelude::*;
 use sal_bench::sliced::{scalar_run, sliced_campaign};
 use sal_cells::{CircuitBuilder, UnitLibrary};
-use sal_des::{FaultPlan, MemoryTrace, SignalId, Simulator, Time, Value};
+use sal_des::{FaultPlan, MemoryTrace, SignalId, Simulator, Time, TraceRecord, Value};
+use sal_link::testbench::{attach_link_testbench, worst_case_pattern};
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
+use sal_tech::St012Library;
 
 struct Rng(u64);
 
@@ -43,8 +48,9 @@ impl Rng {
     }
 }
 
-/// One engine's run of a random net: the sorted transition trace, the
-/// toggle sum over all gate outputs, and the kernel's commit count.
+/// One engine's run of a random net: the transition trace in commit
+/// order, the toggle sum over all gate outputs, and the kernel's commit
+/// count.
 type NetRun = (Vec<(Time, SignalId, Value, Value)>, u64, u64);
 
 /// Builds one random gate network and runs it with a glitch plan and a
@@ -176,21 +182,57 @@ fn run_random_net(seed: u64, compiled: bool) -> NetRun {
     let commits = sim.profile().commits;
     let toggles: u64 = wpool.iter().chain(bpool.iter()).map(|&s| sim.toggles(s)).sum();
     let sink = sim.take_trace_sink().expect("sink installed");
-    let mut trace: Vec<(Time, SignalId, Value, Value)> = sink
+    let trace: Vec<(Time, SignalId, Value, Value)> = sink
         .records()
         .expect("memory trace records")
         .iter()
         .map(|r| (r.time, r.signal, r.old, r.new))
         .collect();
-    // Same-instant commits to *different* signals may interleave
-    // differently between the engines (the compiled calendar drains in
-    // cone order, the global queue in schedule order); both orders are
-    // individually deterministic. The equivalence contract is the
-    // per-signal waveform, so sort stably by (time, signal): each
-    // signal's own series keeps its order, cross-signal transpositions
-    // within one femtosecond collapse.
-    trace.sort_by_key(|&(t, s, _, _)| (t, s));
     (trace, toggles, commits)
+}
+
+/// One engine's run of a paper link: the transition trace in commit
+/// order, and the kernel's `events`, `deltas`, `commits` and `wakes`.
+type LinkRun = (Vec<TraceRecord>, [u64; 4]);
+
+/// Streams 64 worst-case words through `family`'s link at the default
+/// configuration for 3 µs, with a full transition trace.
+fn run_paper_link(family: LinkFamily, compiled: bool) -> LinkRun {
+    let cfg = LinkConfig::default();
+    let spec = LinkSpec::from_config(family, &cfg).expect("the default config is a spec");
+    let lib = St012Library::default();
+    let mut sim = Simulator::new();
+    let mut b = CircuitBuilder::new(&mut sim, &lib);
+    let handles = generate(&mut b, &spec, "link", &cfg).expect("link builds");
+    b.finish();
+    if compiled {
+        sim.compile();
+    }
+    let words = worst_case_pattern(64, cfg.flit_width);
+    let (_sent, received) = attach_link_testbench(&mut sim, &handles, &words, Time::from_ns(2));
+    sim.set_trace_sink(Box::new(MemoryTrace::new()));
+    sim.run_until(Time::from_us(3)).expect("link runs");
+    assert_eq!(received.borrow().len(), words.len(), "{family:?} delivered every word");
+    let p = sim.profile();
+    let sink = sim.take_trace_sink().expect("sink installed");
+    let trace = sink.records().expect("memory trace records").to_vec();
+    (trace, [p.events, p.deltas, p.commits, p.wakes])
+}
+
+/// The three paper links, compiled, commit exactly the interpreted
+/// run's transitions in the same order, through the same number of
+/// events, deltas, commits and wakes.
+#[test]
+fn compiled_paper_links_replay_interpreted_runs() {
+    for family in LinkFamily::ALL {
+        let (interp_trace, interp_counts) = run_paper_link(family, false);
+        let (comp_trace, comp_counts) = run_paper_link(family, true);
+        assert_eq!(comp_counts, interp_counts, "{family:?}: events, deltas, commits, wakes");
+        assert_eq!(comp_trace.len(), interp_trace.len(), "{family:?}: trace length");
+        for (i, (a, b)) in interp_trace.iter().zip(&comp_trace).enumerate() {
+            assert_eq!(a, b, "{family:?}: record {i}");
+        }
+    }
 }
 
 proptest! {

@@ -12,40 +12,35 @@
 //! one 1-bit-to-word input broadcast rule for both.
 //!
 //! The two engines differ only in where a node's operands come from
-//! and where its drive goes:
+//! and what else an evaluation feeds:
 //!
 //! - uncompiled, a node reads the committed values and drives through
-//!   [`Ctx::drive`](crate::Ctx::drive) onto the global event queue,
-//!   exactly as a behavioural cell would. So does every node that
+//!   [`Ctx::drive`](crate::Ctx::drive), exactly as a behavioural cell
+//!   would. So does every node that
 //!   [`Simulator::compile`](crate::Simulator::compile) leaves out: one
 //!   whose cell class is not transparent, or the loop-closing inverter
 //!   of a ring oscillator, whose free-running timing is the design
 //!   under test;
-//! - compiled, a node reads the dense committed-value shadow and its
-//!   inertial drive goes on a small private **calendar** instead of
-//!   the global event queue, so the dominant gate-delay churn never
-//!   touches the queue's near-lane insertion path. `compile()` lowers
-//!   nothing: it picks the member nodes, counts their cones and
-//!   snapshots the shadow.
+//! - compiled, a node reads the dense committed-value shadow, advances
+//!   the lanes of a sliced campaign beside the carrier, and feeds the
+//!   compiled counters. `compile()` lowers nothing: it picks the member
+//!   nodes, counts their cones and snapshots the shadow.
 //!
-//! State cells (latches, flops, C-elements), matched-delay chains,
-//! handshake edges and environment models are behavioural components
-//! on the event queue in both engines: their *timing* is the design
-//! under test, not an implementation detail to optimise away.
+//! Either way the drive goes through the kernel's one inertial-drive
+//! rule onto the kernel's one event queue. State cells (latches,
+//! flops, C-elements), matched-delay chains, handshake edges and
+//! environment models are behavioural components in both engines:
+//! their *timing* is the design under test, not an implementation
+//! detail to optimise away.
 //!
-//! Equivalence contract: a compiled run commits the same per-signal
-//! `(time, value)` sequences, toggle counts and energies as the
-//! uncompiled run. The proof obligation is local: both engines compute
-//! a node with the same function, a compiled evaluation goes through
-//! the kernel's one inertial-drive rule, the one
-//! [`Ctx::drive`](crate::Ctx::drive) applies, and calendar entries
-//! are validated against the signal's drive epoch at pop time and
-//! committed by the same commit core as queued drive events.
-//! Intra-timestamp *interleaving* (delta boundaries, evaluation
-//! counts) may differ in designs with same-femtosecond data/trigger
-//! races — the races the lint's timing pass exists to flag.
-
-use std::collections::VecDeque;
+//! Equivalence contract: a compiled run commits exactly the events of
+//! the uncompiled run, in the same order — the same transition trace
+//! record for record, the same toggle counts and energies, and the same
+//! `events`, `deltas`, `commits` and `wakes` counters. Both engines
+//! compute a node with the same function from the same committed
+//! values, in the same delta, and push the same drive onto the same
+//! queue at the same point, so every event carries the same `(time,
+//! seq)` key in both runs and pops in the same order.
 
 use crate::{LaneValues, Logic, SignalId, Time, Value};
 
@@ -336,20 +331,8 @@ impl LowNode {
     }
 }
 
-/// One in-flight compiled drive on the calendar. Ordered by `(time,
-/// seq)` so same-time entries commit in scheduling order, mirroring
-/// the global queue's FIFO-within-timestamp contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct CalEntry {
-    pub time: Time,
-    pub seq: u64,
-    pub signal: SignalId,
-    pub epoch: u64,
-}
-
 /// The active compiled engine: the committed-value shadow its nodes
-/// read, the private calendar of in-flight compiled drives, and
-/// profiling counters.
+/// read, and profiling counters.
 #[derive(Debug, Default)]
 pub(crate) struct Compiled {
     /// Dense shadow of every signal's committed value, maintained by
@@ -357,58 +340,19 @@ pub(crate) struct Compiled {
     /// here — 24-byte entries packed back to back — instead of walking
     /// the fat, scattered `SignalState` records.
     pub values: Vec<Value>,
-    /// In-flight compiled drives, kept sorted by `(time, seq)`. The
-    /// same nearly-sorted-append trick as the queue's near lane: gate
-    /// delays push monotonically increasing timestamps, so the common
-    /// push is an O(1) `push_back` and the occasional out-of-order one
-    /// (a short delay scheduled after a long one in the same delta)
-    /// pays a binary-searched insert into a handful of entries —
-    /// cheaper than a binary heap's sift on both ends.
-    calendar: VecDeque<CalEntry>,
-    /// Monotone scheduling order for same-time calendar entries.
-    seq: u64,
     /// Weakly-connected compiled regions found at `compile()` time.
     pub cones_built: u64,
     /// Compiled node evaluations performed.
     pub cone_evals: u64,
-    /// Global-queue events avoided (calendar pushes).
+    /// Drives compiled nodes scheduled on the event queue.
     pub events_avoided: u64,
 }
 
 impl Compiled {
     /// Creates an engine over a snapshot of the committed signal
-    /// values, empty calendar.
+    /// values, its counters at zero.
     pub fn new(values: Vec<Value>, cones_built: u64) -> Compiled {
         Compiled { values, cones_built, ..Compiled::default() }
-    }
-
-    /// Earliest calendar timestamp, if any drive is in flight.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.calendar.front().map(|e| e.time)
-    }
-
-    /// Schedules a compiled inertial drive.
-    #[inline]
-    pub fn push(&mut self, time: Time, signal: SignalId, epoch: u64) {
-        self.seq += 1;
-        self.events_avoided += 1;
-        let e = CalEntry { time, seq: self.seq, signal, epoch };
-        if self.calendar.back().is_none_or(|b| *b <= e) {
-            self.calendar.push_back(e);
-        } else {
-            let i = self.calendar.partition_point(|x| *x <= e);
-            self.calendar.insert(i, e);
-        }
-    }
-
-    /// Pops the next calendar entry if it is due at exactly `time`.
-    #[inline]
-    pub fn pop_at(&mut self, time: Time) -> Option<CalEntry> {
-        match self.calendar.front() {
-            Some(e) if e.time == time => self.calendar.pop_front(),
-            _ => None,
-        }
     }
 }
 
@@ -581,23 +525,6 @@ mod tests {
         assert_eq!(out[1].to_u64(), Some(0x19_0435), "part 0 was already all-ones");
         assert_eq!(out[2].to_u64(), Some(0x19_043F));
         assert_eq!(out[widths.len()], Value::ones(24));
-    }
-
-    #[test]
-    fn calendar_orders_by_time_then_seq() {
-        let mut c = Compiled::default();
-        let s = SignalId(0);
-        c.push(Time::from_ps(5), s, 1);
-        c.push(Time::from_ps(3), SignalId(1), 2);
-        c.push(Time::from_ps(3), SignalId(2), 3);
-        assert_eq!(c.peek_time(), Some(Time::from_ps(3)));
-        let first = c.pop_at(Time::from_ps(3)).unwrap();
-        assert_eq!(first.signal, SignalId(1), "same-time entries pop in push order");
-        let second = c.pop_at(Time::from_ps(3)).unwrap();
-        assert_eq!(second.signal, SignalId(2));
-        assert_eq!(c.pop_at(Time::from_ps(3)), None, "remaining entry is later");
-        assert_eq!(c.peek_time(), Some(Time::from_ps(5)));
-        assert_eq!(c.events_avoided, 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The event wheel: a three-tier queue tuned for gate-level activity
-//! (current-timestamp FIFO ring, append-only near-future lane, binary
-//! heap for everything else).
+//! (current-timestamp FIFO ring, sorted near-future lane, binary heap
+//! for events past the lane's window).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -8,11 +8,12 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::{ComponentId, SignalId, Time};
 
 /// Width of the near-future lane. Events scheduled further than this
-/// past the current timestamp go to the heap: they are rare (stimulus
-/// schedules, long timeouts) and letting one of them park at the back
-/// of the append-only lane would force every later gate-delay push
-/// onto the heap's slow path.
-const NEAR_WINDOW_FS: u64 = 1_000_000_000; // 1 µs
+/// past the current timestamp go to the heap: a clock's next edge, a
+/// stimulus entry or a timeout parked at the back of the near lane
+/// would turn every later gate-delay push into a sorted insert.
+/// One nanosecond spans a gate-delay chain but not the 5 ns half
+/// period of a 100 MHz clock.
+const NEAR_WINDOW_FS: u64 = 1_000_000; // 1 ns
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum EventKind {
@@ -78,20 +79,20 @@ impl PartialOrd for Event {
 ///
 /// * `ring` — events at the current timestamp (`ring_time`), FIFO.
 ///   Zero-delay churn pushes and pops here at `O(1)`.
-/// * `near` — future events in ascending (time, seq), **append
-///   only**: a push whose key is ≥ the lane's back and within
-///   [`NEAR_WINDOW_FS`] of `ring_time` is an `O(1)` append. This is
-///   the common case — gate delays almost always land past the back
-///   of the lane.
-/// * `far` — everything else (out-of-order pushes, events beyond the
-///   window) in a binary heap. Correctness never depends on which
-///   lane an event landed in: pops always take the global minimum.
+/// * `near` — future events within [`NEAR_WINDOW_FS`] of `ring_time`,
+///   in ascending (time, seq): a push whose key is past the lane's
+///   back is an `O(1)` append. This is the common case — gate delays
+///   almost always land past the back of the lane; the rest pay a
+///   sorted insert.
+/// * `far` — events beyond the window, in a binary heap. Correctness
+///   never depends on which lane an event landed in: pops always take
+///   the global minimum.
 ///
 /// # Invariants
 ///
 /// * Every ring event has `time == ring_time`, in ascending `seq`.
-/// * `near` is sorted ascending by (time, seq) — guaranteed by the
-///   append-only admission rule — and holds no event at `ring_time`.
+/// * `near` is sorted ascending by (time, seq) and holds no event at
+///   `ring_time`.
 /// * After a timestamp migration the heap holds no event at
 ///   `ring_time` either, so (time, seq) pop order is identical to a
 ///   plain-heap implementation, event for event.
@@ -210,24 +211,8 @@ impl EventQueue {
         Some(())
     }
 
-    /// Earliest queued timestamp across all three lanes. The compiled
-    /// engine's calendar merge peeks here every loop iteration to
-    /// decide which container owns the next delta.
-    pub fn peek_time(&self) -> Option<Time> {
-        if self.ring.front().is_some() {
-            return Some(self.ring_time);
-        }
-        match (self.near.front(), self.far.peek()) {
-            (Some(n), Some(f)) => Some(n.time.min(f.time)),
-            (Some(n), None) => Some(n.time),
-            (None, Some(f)) => Some(f.time),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the next event if its time is `<= horizon`. Equivalent to
-    /// a `peek_time` check followed by `pop`, in one traversal — this
-    /// is the simulator main-loop fast path.
+    /// Pops the next event if its time is `<= horizon`, in one
+    /// traversal — this is the simulator main-loop fast path.
     #[inline]
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<Event> {
         if let Some(ev) = self.ring.front() {
@@ -278,52 +263,6 @@ impl EventQueue {
         }
     }
 
-    /// [`EventQueue::pop_drive_at`] for callers that did not reach
-    /// `time` by popping this queue: primes the ring with the events
-    /// of that timestamp first. The compiled calendar uses this when a
-    /// calendar delta ties with queued drives — those drives must join
-    /// the calendar commits' delta batch (all same-time commits land
-    /// before any fanout evaluates), exactly as they would have shared
-    /// one delta in the interpreted kernel. Without the priming, a
-    /// due-now queue drive would stay buried in the near/far lanes,
-    /// the fanout would evaluate against the stale value, and an
-    /// inertial re-drive could cancel a commit that was already due.
-    #[inline]
-    pub fn pop_leading_drive_at(&mut self, time: Time) -> Option<Event> {
-        if self.ring.front().is_none() {
-            if self.peek_time() != Some(time) {
-                return None;
-            }
-            self.advance_ring();
-        }
-        self.pop_drive_at(time)
-    }
-
-    /// Whether the next due event at `time` is a `Drive`. Primes the
-    /// ring (the same migration a pop would do) so the answer reflects
-    /// true seq order. The compiled calendar's tie-break consults this:
-    /// at a time tie the calendar may only go first when the queue's
-    /// due event is a drive that can join the calendar's commit batch.
-    /// A non-drive at the front (a wake or fault scheduled long ago,
-    /// hence with an earlier seq) must run as its own delta *before*
-    /// the drive batch, exactly as the interpreted loop orders it —
-    /// otherwise the drives queued behind it sit out the batch, the
-    /// fanout evaluates against stale values, and an inertial re-drive
-    /// cancels commits that were already due.
-    #[inline]
-    pub fn due_is_drive(&mut self, time: Time) -> bool {
-        if self.ring.front().is_none() {
-            if self.peek_time() != Some(time) {
-                return false;
-            }
-            self.advance_ring();
-        }
-        matches!(
-            self.ring.front(),
-            Some(ev) if ev.time == time && matches!(ev.kind, EventKind::Drive { .. })
-        )
-    }
-
     pub fn len(&self) -> usize {
         self.ring.len() + self.near.len() + self.far.len()
     }
@@ -367,13 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_earliest() {
+    fn len_counts_every_lane() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(Time::from_ns(2), wake(0));
-        q.push(Time::from_ns(1), wake(1));
-        assert_eq!(q.peek_time(), Some(Time::from_ns(1)));
-        assert_eq!(q.len(), 2);
+        assert!(q.is_empty());
+        q.push(Time::ZERO, wake(0)); // ring
+        q.push(Time::from_ps(10), wake(1)); // near
+        q.push(Time::from_ns(2), wake(2)); // far
+        assert_eq!((q.ring.len(), q.near.len(), q.far.len()), (1, 1, 1));
+        assert_eq!(q.len(), 3);
+        assert!(!q.is_empty());
     }
 
     #[test]
@@ -444,16 +385,21 @@ mod tests {
 
     #[test]
     fn far_future_event_does_not_poison_near_lane() {
-        // One event far past the window, then a stream of short-delay
-        // pushes in ascending time: order must still be exact, and the
-        // near lane must keep taking the short-delay events (checked
-        // indirectly through ordering — poisoning is a perf bug, but
-        // the merge correctness is what this guards).
+        // A 100 MHz clock's next edge, 5 ns out, then a stream of
+        // gate-delay pushes in ascending time. The edge must go to the
+        // heap, so each gate-delay push appends to the near lane
+        // instead of becoming a sorted insert in front of the edge.
         let mut q = EventQueue::new();
-        q.push(Time::from_us(50), wake(999)); // far beyond the 1 µs window
+        q.push(Time::from_ns(5), wake(999));
+        assert_eq!(q.far.len(), 1, "the 5 ns edge lies past the near window");
         for i in 0..100u64 {
             q.push(Time::from_ps(10 * (i + 1)), wake(i as u32));
+            assert_eq!(q.near.back().map(|e| e.seq), Some(i + 1), "push {i} was not an append");
         }
+        assert_eq!(q.far.len(), 1);
+        let near: Vec<u64> = q.near.iter().map(|e| e.seq).collect();
+        assert_eq!(near, (1..=100).collect::<Vec<_>>(), "the near lane holds the pushes in order");
+        // Pop order stays exact across the two lanes.
         let mut last = (Time::ZERO, 0u64);
         let mut count = 0;
         while let Some(ev) = q.pop() {
@@ -462,33 +408,28 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 101);
-        assert_eq!(last.0, Time::from_us(50));
+        assert_eq!(last.0, Time::from_ns(5));
     }
 
     #[test]
     fn same_time_split_across_lanes_merges_by_seq() {
         // Force an equal-timestamp pair to live in different lanes:
-        // seq 0 at t=100 goes to near; seq 1 at t=50 misses the
-        // append rule (50 < back) and goes to the heap; seq 2 at
-        // t=100 appends to near. Then another at t=50. Pop order must
-        // be pure (time, seq).
+        // seq 1 at 2 ns lies past the window and goes to the heap;
+        // once the queue has moved on to 1.5 ns, seq 2 at 2 ns is
+        // inside the window and goes to near, and seq 3 at 2 ns
+        // appends behind it. Pop order must be pure (time, seq).
         let mut q = EventQueue::new();
-        q.push(Time::from_ps(100), wake(0)); // near
-        q.push(Time::from_ps(50), wake(1)); // far (out of order)
-        q.push(Time::from_ps(100), wake(2)); // near
-        q.push(Time::from_ps(50), wake(3)); // far
+        let (t1, t2) = (Time::from_ps(1500), Time::from_ns(2));
+        q.push(t1, wake(0));
+        q.push(t2, wake(1));
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        q.push(t2, wake(2));
+        q.push(t2, wake(3));
+        assert_eq!((q.near.len(), q.far.len()), (2, 1), "t2 is split across near and far");
         let popped: Vec<_> = std::iter::from_fn(|| q.pop())
             .map(|e| (e.time, e.seq))
             .collect();
-        assert_eq!(
-            popped,
-            vec![
-                (Time::from_ps(50), 1),
-                (Time::from_ps(50), 3),
-                (Time::from_ps(100), 0),
-                (Time::from_ps(100), 2),
-            ]
-        );
+        assert_eq!(popped, vec![(t2, 1), (t2, 2), (t2, 3)]);
     }
 
     #[test]

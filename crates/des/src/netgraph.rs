@@ -206,8 +206,7 @@ pub struct NetCapture {
 }
 
 /// A registered four-phase req/ack pair (from `watch_handshake`),
-/// optionally extended to a req/nack/ack triple (from
-/// `watch_handshake_nack`) on protected links.
+/// extended to a req/nack/ack triple on protected links.
 #[derive(Debug, Clone)]
 pub struct NetWatch {
     /// The label the pair was registered under.

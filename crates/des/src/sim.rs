@@ -77,8 +77,8 @@ pub(crate) enum Drive {
 
 impl Kernel {
     /// The inertial-drive rule, shared by interpreted cells
-    /// ([`Ctx::drive`], which schedules the result on the global
-    /// queue) and compiled nodes (which schedule it on the calendar).
+    /// ([`Ctx::drive`]) and compiled nodes; both schedule the result
+    /// on the event queue.
     ///
     /// The fault hook first perturbs the delay (derating, sigma, skew)
     /// or discards the drive (stuck-at target); `fault` is `None`
@@ -184,8 +184,8 @@ impl Kernel {
 /// One component slot of the netlist.
 enum Slot {
     /// A combinational node the kernel evaluates itself: its index in
-    /// `Simulator::nodes`, and whether [`Simulator::compile`] moved it
-    /// onto the calendar.
+    /// `Simulator::nodes`, and whether [`Simulator::compile`] switched
+    /// it to compiled execution.
     Comb { node: u32, compiled: bool },
     /// A behavioural cell, called through `dyn Component`.
     Cell(Box<dyn Component>),
@@ -532,9 +532,8 @@ impl Simulator {
 
     /// Exempts a component from the combinational-loop lint (the one
     /// legitimate use is a ring oscillator's loop-closing inverter).
-    /// Exempt components are also excluded from compiled execution:
-    /// a free-running loop's timing *is* its behaviour, so it stays on
-    /// the event queue.
+    /// Exempt components are also left out of compiled execution (see
+    /// [`Simulator::compile`]).
     pub fn set_loop_exempt(&mut self, comp: ComponentId) {
         self.net.set_loop_exempt(comp);
     }
@@ -542,13 +541,20 @@ impl Simulator {
     /// Switches every eligible combinational node to compiled
     /// execution. Call once, after netlist construction.
     ///
+    /// A compiled node reads its operands from a dense shadow of the
+    /// committed values, carries the lanes of a sliced campaign
+    /// ([`Simulator::slice_begin`]) and is counted in the
+    /// `cone_evals` and `events_avoided` fields of
+    /// [`Simulator::profile`]. Its drives go onto the one event queue
+    /// like every other drive, so a compiled run commits exactly the
+    /// events of an uncompiled one, in the same order.
+    ///
     /// Eligibility: the component was added with
     /// [`Simulator::add_comb`], its cell class is transparent
     /// (combinational, wiring or routing), and it is not
     /// [loop-exempt](Simulator::set_loop_exempt). Every other node,
     /// and every behavioural component (state cells, matched-delay
-    /// models, environment components), keeps driving through the
-    /// event queue — their event timing is the object of study.
+    /// models, environment components), stays interpreted.
     ///
     /// Returns the number of nodes switched. Calling it on a netlist
     /// with no eligible node activates an empty (no-op) compiled
@@ -583,8 +589,8 @@ impl Simulator {
         members.len()
     }
 
-    /// Whether `comp` is a node [`Simulator::compile`] switched to the
-    /// calendar.
+    /// Whether `comp` is a node [`Simulator::compile`] switched to
+    /// compiled execution.
     fn is_compiled(&self, comp: ComponentId) -> bool {
         matches!(self.comps[comp.index()], Slot::Comb { compiled: true, .. })
     }
@@ -746,35 +752,18 @@ impl Simulator {
     /// launch both a data value and the strobe that captures it
     /// downstream. `data_lead` is the head start the data event has
     /// over the strobe event at the origin (zero when both are the
-    /// same transition).
-    pub fn register_bundle(&mut self, label: &str, origin: SignalId, data_lead: Time) {
-        self.net.bundles.push(NetBundle {
-            label: label.to_string(),
-            origin,
-            data_lead,
-            params: None,
-        });
-    }
-
-    /// Registers a bundled-data launch point annotated with the
-    /// generator parameters it was built under (word width and
-    /// serialization ratio), so lint output and timing fixtures can
-    /// name the design point. Identical to
-    /// [`register_bundle`](Simulator::register_bundle) for the timing
-    /// pass itself — the annotation is metadata only.
-    pub fn register_bundle_with(
+    /// same transition). `params` names the generator parameters the
+    /// point was built under (word width and serialization ratio), so
+    /// lint output and timing fixtures can name the design point; the
+    /// timing pass itself ignores them.
+    pub fn register_bundle(
         &mut self,
         label: &str,
         origin: SignalId,
         data_lead: Time,
-        params: BundleParams,
+        params: Option<BundleParams>,
     ) {
-        self.net.bundles.push(NetBundle {
-            label: label.to_string(),
-            origin,
-            data_lead,
-            params: Some(params),
-        });
+        self.net.bundles.push(NetBundle { label: label.to_string(), origin, data_lead, params });
     }
 
     /// Registers a bundled-data capture point: `trigger` closes a
@@ -1175,24 +1164,21 @@ impl Simulator {
     /// A four-phase handshake at rest has both wires at the same
     /// level; [`Simulator::deadlock_report`] flags registered pairs
     /// whose levels disagree.
-    pub fn watch_handshake(&mut self, label: &str, req: SignalId, ack: SignalId) {
-        self.watches.push(NetWatch { label: label.to_string(), req, ack, nack: None });
-    }
-
-    /// Registers a req/ack pair whose request can also be answered by
-    /// a negative acknowledge (`nack`), as in a protected link where a
-    /// failed integrity check demands a retransmission instead of the
-    /// word acknowledge. The triple is carried into the
-    /// [`crate::NetGraph`] snapshot so static analysis can check that
-    /// the NACK wire genuinely answers the request.
-    pub fn watch_handshake_nack(
+    ///
+    /// `nack` names the negative acknowledge that can also answer the
+    /// request, as in a protected link where a failed integrity check
+    /// demands a retransmission instead of the word acknowledge. The
+    /// triple is carried into the [`crate::NetGraph`] snapshot so
+    /// static analysis can check that the NACK wire genuinely answers
+    /// the request.
+    pub fn watch_handshake(
         &mut self,
         label: &str,
         req: SignalId,
         ack: SignalId,
-        nack: SignalId,
+        nack: Option<SignalId>,
     ) {
-        self.watches.push(NetWatch { label: label.to_string(), req, ack, nack: Some(nack) });
+        self.watches.push(NetWatch { label: label.to_string(), req, ack, nack });
     }
 
     /// The registered handshakes, NACK wire included, in
@@ -1303,35 +1289,8 @@ impl Simulator {
     pub fn run_until(&mut self, horizon: Time) -> SimResult<Time> {
         let wall_start = std::time::Instant::now();
         let mut processed: u64 = 0;
-        loop {
-            // Merge the compiled engine's calendar with the global
-            // queue, *calendar first at drive ties*: a compiled drive
-            // committing at the same femtosecond as a queued drive
-            // must share the latter's delta batch, so both land before
-            // any fanout evaluates — matching the interpreted kernel
-            // where they would have shared one delta (the
-            // data-beats-trigger side of bundled data). A *non-drive*
-            // tie (wake or fault, scheduled long ago with an earlier
-            // seq) instead yields to the queue: the interpreted loop
-            // runs it as its own delta before the drive batch, and the
-            // calendar must not commit past it.
-            let take_calendar = match self.compiled.as_ref().and_then(Compiled::peek_time) {
-                Some(ct) if ct <= horizon => match self.kernel.queue.peek_time() {
-                    None => true,
-                    Some(qt) => ct < qt || (ct == qt && self.kernel.queue.due_is_drive(qt)),
-                },
-                _ => false,
-            };
-            if take_calendar {
-                // The batch stops one entry past the remaining budget,
-                // so a runaway netlist still trips it below.
-                let cap = self.max_events.saturating_sub(processed).saturating_add(1);
-                processed += self.step_calendar_batch(horizon, cap);
-            } else if let Some(ev) = self.kernel.queue.pop_at_or_before(horizon) {
-                processed += self.step_delta(ev);
-            } else {
-                break;
-            }
+        while let Some(ev) = self.kernel.queue.pop_at_or_before(horizon) {
+            processed += self.step_delta(ev);
             if processed > self.max_events {
                 self.events_processed += processed;
                 self.wall += wall_start.elapsed();
@@ -1415,87 +1374,6 @@ impl Simulator {
         consumed
     }
 
-    /// Processes a maximal run of compiled-calendar deltas: at each
-    /// delta, commits every calendar entry due at the earliest
-    /// calendar timestamp, then evaluates each component in the
-    /// combined fanout once. The commits go through the same
-    /// epoch-validated commit core as queued drives; only the
-    /// scheduling container differs. Returns the number of calendar
-    /// entries consumed (they count against the event budget exactly
-    /// like queued events: every push is matched by one pop in both
-    /// engines, so the `events` profile counter stays comparable
-    /// across modes).
-    ///
-    /// The batch keeps going while the next calendar timestamp stays
-    /// at or ahead of the global queue's — the same calendar-first
-    /// merge rule as [`Simulator::run_until`], hoisted into a tight
-    /// loop. Compiled evaluations only ever touch the calendar, so
-    /// the queue bound is a loop invariant that needs refreshing only
-    /// after a *dynamic* evaluation (a state cell, monitor or
-    /// environment model in a compiled signal's fanout), the one step
-    /// that can push global events. Stops once `cap` entries have
-    /// been consumed so a runaway netlist still trips the caller's
-    /// event budget.
-    fn step_calendar_batch(&mut self, horizon: Time, cap: u64) -> u64 {
-        let mut consumed: u64 = 0;
-        let mut queue_bound = self.kernel.queue.peek_time();
-        let mut queue_len = self.kernel.queue.len();
-        while consumed < cap {
-            let Some(t) = self.compiled.as_ref().and_then(Compiled::peek_time) else {
-                break;
-            };
-            if t > horizon || queue_bound.is_some_and(|qt| t > qt) {
-                break;
-            }
-            // Same tie-break as `run_until`: a queued non-drive due at
-            // `t` precedes the calendar's commits (its seq is older),
-            // so the batch hands control back for that delta.
-            if queue_bound == Some(t) && !self.kernel.queue.due_is_drive(t) {
-                break;
-            }
-            self.kernel.now = t;
-            debug_assert!(self.pending_evals.is_empty());
-            let compiled = self.compiled.as_mut().expect("peeked above");
-            let entry = compiled.pop_at(t).expect("front entry is at t");
-            let another = compiled.peek_time() == Some(t);
-            consumed += 1;
-            // A queued drive due at this same femtosecond (a dynamic
-            // cell's in-flight commit) must join this delta: in the
-            // interpreted kernel it would have shared one batch with
-            // the calendar commits and landed before any fanout ran.
-            // Leaving it buried would let the fanout evaluation below
-            // re-drive the cell against the stale value, inertially
-            // cancelling a commit that was already due *now*.
-            let mut queued_drive = self.kernel.queue.pop_leading_drive_at(t);
-            if queued_drive.is_none() && !another {
-                self.commit_lone(t, entry.signal, entry.epoch);
-            } else {
-                let delta = self.next_delta();
-                self.commit_batched(t, entry.signal, entry.epoch, delta);
-                while let Some(e) = self.compiled.as_mut().expect("active").pop_at(t) {
-                    consumed += 1;
-                    self.commit_batched(t, e.signal, e.epoch, delta);
-                }
-                while let Some(ev) = queued_drive {
-                    consumed += 1;
-                    self.commit_drive(ev, delta);
-                    queued_drive = self.kernel.queue.pop_leading_drive_at(t);
-                }
-            }
-            self.eval_pending();
-            self.note_delta();
-            // Compiled evaluations only touch the calendar; the queue
-            // bound can only move when a dynamic evaluation pushed a
-            // global event, which is visible as a queue growth.
-            let len_now = self.kernel.queue.len();
-            if len_now != queue_len {
-                queue_len = len_now;
-                queue_bound = self.kernel.queue.peek_time();
-            }
-        }
-        consumed
-    }
-
     /// Claims a fresh delta id for a batch of same-timestamp commits.
     fn next_delta(&mut self) -> u64 {
         let delta = self.delta_seq;
@@ -1574,9 +1452,9 @@ impl Simulator {
         true
     }
 
-    /// Lands an in-flight drive (a queued event or a calendar entry)
-    /// if it still holds the signal's drive epoch; a superseded one is
-    /// an inertial cancellation and commits nothing.
+    /// Lands an in-flight drive if it still holds the signal's drive
+    /// epoch; a superseded one is an inertial cancellation and commits
+    /// nothing.
     #[inline(always)]
     fn commit_pending(&mut self, time: Time, signal: SignalId, epoch: u64) -> bool {
         let st = &mut self.kernel.signals[signal.index()];
@@ -1655,10 +1533,10 @@ impl Simulator {
 
     /// Evaluates a combinational node. An uncompiled one reads the
     /// committed values and drives through [`Ctx::drive`], like a
-    /// behavioural cell; a compiled one reads the dense value shadow
-    /// and hands its result to [`Kernel::drive`], the rule
-    /// [`Ctx::drive`] applies, scheduling an in-flight drive on the
-    /// compiled calendar instead of the global queue.
+    /// behavioural cell; a compiled one reads the dense value shadow,
+    /// advances the sliced lanes and hands its result to
+    /// [`Kernel::drive`], the rule [`Ctx::drive`] applies, then queues
+    /// the drive exactly as [`Ctx::drive`] would.
     fn eval_comb(&mut self, comp: ComponentId, node: u32, compiled: bool) {
         let node = &self.nodes[node as usize];
         let kernel = &mut self.kernel;
@@ -1694,7 +1572,8 @@ impl Simulator {
                 if let (Some(sl), Some((plane, in_flight))) = (kernel.sliced.as_mut(), lanes) {
                     sl.note_drive(out, plane, superseded.then_some(&in_flight));
                 }
-                engine.push(at, out, epoch);
+                kernel.queue.push(at, EventKind::Drive { signal: out, epoch });
+                engine.events_avoided += 1;
             }
         }
     }
@@ -2117,7 +1996,7 @@ mod tests {
         let _listener = inverter(&mut sim, req, Time::from_ps(10));
         sim.stimulus(req, &[(Time::ZERO, Value::zero(1)), (Time::from_ns(1), Value::one(1))]);
         sim.stimulus(ack, &[(Time::ZERO, Value::zero(1))]);
-        sim.watch_handshake("hs0", req, ack);
+        sim.watch_handshake("hs0", req, ack, None);
         sim.run_until(Time::from_ns(10)).unwrap();
         let report = sim.deadlock_report().expect("stall must be diagnosed");
         assert_eq!(report.first_label(), Some("hs0"));
@@ -2136,7 +2015,7 @@ mod tests {
         let ack = sim.add_signal("ack", 1);
         sim.stimulus(req, &[(Time::ZERO, Value::zero(1))]);
         sim.stimulus(ack, &[(Time::ZERO, Value::zero(1))]);
-        sim.watch_handshake("hs0", req, ack);
+        sim.watch_handshake("hs0", req, ack, None);
         sim.run_to_quiescence().unwrap();
         assert!(sim.deadlock_report().is_none());
     }
@@ -2158,7 +2037,7 @@ mod tests {
         let ack = sim.add_signal("ack", 1);
         sim.stimulus(req, &[(Time::ZERO, Value::one(1))]);
         sim.stimulus(ack, &[(Time::ZERO, Value::zero(1))]);
-        sim.watch_handshake("stuck", req, ack);
+        sim.watch_handshake("stuck", req, ack, None);
         sim.stimulus(
             kick,
             &[(Time::ZERO, Value::one(1)), (Time::from_ps(10), Value::zero(1))],

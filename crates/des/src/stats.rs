@@ -53,8 +53,9 @@ pub struct SimProfile {
     pub cones_built: u64,
     /// Compiled spec evaluations performed (0 when interpreted).
     pub cone_evals: u64,
-    /// Global-queue events avoided by scheduling compiled drives on
-    /// the private calendar instead (0 when interpreted).
+    /// Drives that compiled nodes scheduled (0 when interpreted). They
+    /// go through the event queue like every drive, so each is also
+    /// counted in `events`.
     pub events_avoided: u64,
     /// Lanes carried by the last bit-sliced campaign pass (0 outside
     /// sliced campaigns).

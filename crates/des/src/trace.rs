@@ -1,8 +1,8 @@
 //! Structured transition tracing with pluggable sinks.
 //!
 //! Every committed signal change, whether a drive landing from the
-//! event queue or the compiled calendar or a fault force, goes through
-//! the kernel's one commit core, which carries an optional trace hook.
+//! event queue or a fault force, goes through the kernel's one commit
+//! core, which carries an optional trace hook.
 //! When a [`TraceSink`] is installed (via
 //! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink)),
 //! each commit is reported as a [`TraceRecord`] — time, signal, old →

@@ -259,15 +259,10 @@ pub(crate) fn build_serial(
     };
     let drv = if wrap.is_some() { "ack_core_drv" } else { "ack_word_tx_drv" };
     b.buf_into(drv, ser_ack, ser_ackout);
-    let tx_word = format!("{name}.tx_if word");
-    match wrap {
-        Some((_, nack_heard)) => {
-            b.sim().watch_handshake_nack(&tx_word, tx.reqout, ack_word_tx, nack_heard);
-        }
-        None => b.sim().watch_handshake(&tx_word, tx.reqout, ack_word_tx),
-    }
+    let nack_heard = wrap.map(|(_, nack_heard)| nack_heard);
+    b.sim().watch_handshake(&format!("{name}.tx_if word"), tx.reqout, ack_word_tx, nack_heard);
     if !per_word {
-        b.sim().watch_handshake(&format!("{name}.ser slice"), ser_strobe, acks_in[0]);
+        b.sim().watch_handshake(&format!("{name}.ser slice"), ser_strobe, acks_in[0], None);
     }
 
     // Forward wire: segment → station → segment → … → segment, for the
@@ -292,7 +287,7 @@ pub(crate) fn build_serial(
             // transported acknowledge it listens to. A fault anywhere
             // along the return path then shows up at the boundary
             // that actually starves.
-            b.sim().watch_handshake(&format!("{name}.wire.buf{k} slice"), s, acks_in[k]);
+            b.sim().watch_handshake(&format!("{name}.wire.buf{k} slice"), s, acks_in[k], None);
             // The acknowledge travels back over segment k.
             seg.lay_into(b, &format!("seg_a{k}"), acks_in[k], ports.ack_to_prev);
             (ports.dout, ports.reqout)
@@ -339,13 +334,10 @@ pub(crate) fn build_serial(
     let rx = build_as_interface(b, "rx_if", cfg, clk, rstn, rx_din, rx_req, stall_in);
     b.buf_into("ack_word_rx_drv", ack_word_rx, rx.ackout);
     if !per_word {
-        b.sim().watch_handshake(&format!("{name}.des slice"), s, acks_in[stations]);
+        b.sim().watch_handshake(&format!("{name}.des slice"), s, acks_in[stations], None);
     }
-    let des_word = format!("{name}.des word");
-    match &chk {
-        Some(c) => b.sim().watch_handshake_nack(&des_word, c.reqout, ack_word_rx, c.nack),
-        None => b.sim().watch_handshake(&des_word, des_req, ack_word_rx),
-    }
+    let nack = chk.as_ref().map(|c| c.nack);
+    b.sim().watch_handshake(&format!("{name}.des word"), rx_req, ack_word_rx, nack);
 
     b.pop_scope();
     if let Some(e) = b.take_error() {

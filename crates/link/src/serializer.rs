@@ -93,11 +93,11 @@ pub(crate) fn build_serializer(
     // mux time to settle before the strobe reaches any capture. The
     // annotation names the design point the generator built, so lint
     // fixtures can key on width and ratio.
-    b.sim().register_bundle_with(
+    b.sim().register_bundle(
         name,
         nack,
         Time::ZERO,
-        BundleParams { word_width: u16::from(cfg.flit_width), serial_ratio: k as u16 },
+        Some(BundleParams { word_width: u16::from(cfg.flit_width), serial_ratio: k as u16 }),
     );
 
     b.pop_scope();

@@ -97,11 +97,11 @@ pub fn build_word_serializer(
     // inverter delays.
     let inv_delay = b.library().params(CellKind::Inv).delay;
     let half_period = Time::from_fs(inv_delay.as_fs() * stages as u64);
-    b.sim().register_bundle_with(
+    b.sim().register_bundle(
         name,
         valid_core,
         half_period,
-        BundleParams { word_width: u16::from(cfg.flit_width), serial_ratio: k as u16 },
+        Some(BundleParams { word_width: u16::from(cfg.flit_width), serial_ratio: k as u16 }),
     );
 
     // Slice select ring, advanced at each VALID fall.

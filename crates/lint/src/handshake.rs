@@ -10,8 +10,8 @@
 //! different acknowledges is a protocol confusion — two receivers
 //! both believe they own the completion of the same request.
 //!
-//! Protected links register req/nack/ack *triples* (via
-//! `Simulator::watch_handshake_nack`), which add two more claims: the
+//! Protected links register req/nack/ack *triples* (the same call,
+//! given a NACK wire), which add two more claims: the
 //! negative acknowledge must be a distinct wire from the acknowledge
 //! (a shared wire makes "retry" and "done" indistinguishable and the
 //! retransmission controller misclassifies every word), and it must

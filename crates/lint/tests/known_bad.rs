@@ -240,7 +240,7 @@ fn timing_fires_on_reversed_matched_delay() {
     let go = b.input("go", 1);
     let slow_data = b.buf_chain("slow_data", go, 6);
     let fast_strobe = b.buf("fast_strobe", go);
-    b.sim().register_bundle("rev", go, Time::ZERO);
+    b.sim().register_bundle("rev", go, Time::ZERO, None);
     b.sim().register_capture(slow_data, fast_strobe);
     let _q = b.dlatch("cap", slow_data, fast_strobe, None);
     b.finish();
@@ -261,7 +261,7 @@ fn timing_silent_on_properly_matched_delay() {
     let go = b.input("go", 1);
     let data = b.buf("data", go);
     let strobe = b.buf_chain("strobe_dly", go, 6);
-    b.sim().register_bundle("fwd", go, Time::ZERO);
+    b.sim().register_bundle("fwd", go, Time::ZERO, None);
     b.sim().register_capture(data, strobe);
     let _q = b.dlatch("cap", data, strobe, None);
     b.finish();
@@ -290,7 +290,7 @@ fn timing_fires_on_unreachable_strobe() {
     // The capture's trigger derives from an unrelated input — the
     // bundle's launch event can never close this capture window.
     let strobe = b.buf("strobe", other);
-    b.sim().register_bundle("cutoff", go, Time::ZERO);
+    b.sim().register_bundle("cutoff", go, Time::ZERO, None);
     b.sim().register_capture(data, strobe);
     let _q = b.dlatch("cap", data, strobe, None);
     b.finish();
@@ -336,7 +336,7 @@ fn timing_fails_closed_when_the_data_walk_gives_up() {
         sim.set_component_pins(latch, &[d[i]], &[en]);
         sim.connect_driver(latch, q[i]).unwrap();
     }
-    sim.register_bundle("ring", go, Time::ZERO);
+    sim.register_bundle("ring", go, Time::ZERO, None);
     sim.register_capture(d[0], en);
     let report = run_all(&sim.netgraph());
     let errs = errors_of(&report, "timing");
@@ -366,7 +366,7 @@ fn handshake_fires_on_dropped_ack() {
     // The "acknowledge" is generated from an unrelated signal: no
     // cell path leads from the request to it.
     let ack = b.inv("ack", unrelated);
-    b.sim().watch_handshake("orphan", req, ack);
+    b.sim().watch_handshake("orphan", req, ack, None);
     b.finish();
     let report = run_all(&sim.netgraph());
     let errs = errors_of(&report, "handshake");
@@ -386,8 +386,8 @@ fn handshake_fires_on_forked_ack() {
     let ack_a = b.inv("ack_a", req);
     let ack_b = b.buf("ack_b", req);
     // One request claimed by two different acknowledges.
-    b.sim().watch_handshake("fork_a", req, ack_a);
-    b.sim().watch_handshake("fork_b", req, ack_b);
+    b.sim().watch_handshake("fork_a", req, ack_a, None);
+    b.sim().watch_handshake("fork_b", req, ack_b, None);
     b.finish();
     let report = run_all(&sim.netgraph());
     let errs = errors_of(&report, "handshake");
@@ -407,7 +407,7 @@ fn handshake_fires_on_shared_nack_and_ack_wire() {
     let ack = b.buf("ack", req);
     // The NACK registered on the very wire that carries the ack:
     // "retry" and "done" are indistinguishable at the transmitter.
-    b.sim().watch_handshake_nack("shared", req, ack, ack);
+    b.sim().watch_handshake("shared", req, ack, Some(ack));
     b.finish();
     let report = run_all(&sim.netgraph());
     let errs = errors_of(&report, "handshake");
@@ -429,7 +429,7 @@ fn handshake_fires_on_unreachable_nack() {
     // The NACK derives from an unrelated signal: a detected error can
     // never demand a retransmission of this request.
     let nack = b.inv("nack", unrelated);
-    b.sim().watch_handshake_nack("deaf", req, ack, nack);
+    b.sim().watch_handshake("deaf", req, ack, Some(nack));
     b.finish();
     let report = run_all(&sim.netgraph());
     let errs = errors_of(&report, "handshake");
@@ -450,7 +450,7 @@ fn handshake_silent_on_healthy_nack_triple() {
     // A distinct NACK wire with a real cell path from the request —
     // the healthy twin of the two constructions above.
     let nack = b.inv("nack", req);
-    b.sim().watch_handshake_nack("protected", req, ack, nack);
+    b.sim().watch_handshake("protected", req, ack, Some(nack));
     b.finish();
     let report = run_all(&sim.netgraph());
     assert!(
@@ -468,7 +468,7 @@ fn handshake_silent_on_closed_loop() {
     let req = b.input("req", 1);
     let rstn = b.input("rstn", 1);
     let ack = b.celement2("ack", req, req, Some(rstn), false);
-    b.sim().watch_handshake("closed", req, ack);
+    b.sim().watch_handshake("closed", req, ack, None);
     b.finish();
     let report = run_all(&sim.netgraph());
     assert!(

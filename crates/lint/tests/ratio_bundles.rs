@@ -25,11 +25,11 @@ fn stage(ratio: u16, word_width: u16) -> (sal_lint::LintReport, Vec<sal_lint::Ti
     let mux_depth = (ratio as usize).next_power_of_two().trailing_zeros() as usize;
     let data = b.buf_chain("data_cone", go, 1 + mux_depth);
     let strobe = b.buf_chain("strobe_dly", go, 4 + mux_depth);
-    b.sim().register_bundle_with(
+    b.sim().register_bundle(
         &format!("stage_r{ratio}"),
         go,
         Time::ZERO,
-        BundleParams { word_width, serial_ratio: ratio },
+        Some(BundleParams { word_width, serial_ratio: ratio }),
     );
     b.sim().register_capture(data, strobe);
     let _q = b.dlatch("cap", data, strobe, None);
@@ -83,7 +83,7 @@ fn margin_shrinks_monotonically_with_mux_depth() {
 
 #[test]
 fn hand_registered_bundles_stay_unannotated() {
-    // `register_bundle` (no params) keeps `None` — the annotation is
+    // `register_bundle` with no params keeps `None` — the annotation is
     // strictly opt-in for generators, never synthesized by the pass.
     let mut sim = Simulator::new();
     let lib = St012Library::default();
@@ -91,7 +91,7 @@ fn hand_registered_bundles_stay_unannotated() {
     let go = b.input("go", 1);
     let data = b.buf("data", go);
     let strobe = b.buf_chain("strobe_dly", go, 6);
-    b.sim().register_bundle("manual", go, Time::ZERO);
+    b.sim().register_bundle("manual", go, Time::ZERO, None);
     b.sim().register_capture(data, strobe);
     let _q = b.dlatch("cap", data, strobe, None);
     b.finish();

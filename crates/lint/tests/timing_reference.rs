@@ -66,7 +66,7 @@ fn build(cells: &[Cell], (bundles, captures): &Marks) -> NetGraph {
         }
     }
     for (i, &(origin, lead)) in bundles.iter().enumerate() {
-        sim.register_bundle(&format!("b{i}"), sigs[origin], Time::from_ps(lead * 10));
+        sim.register_bundle(&format!("b{i}"), sigs[origin], Time::from_ps(lead * 10), None);
     }
     for &(data, trigger) in captures {
         sim.register_capture(sigs[data], sigs[trigger]);

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates the eight committed BENCH_*.json fixtures and the stdout
 # of every binary that has a `<binary>.stdout` file there (the paper
-# binaries `experiments`, `ablations` and `noc_curves`, and `sal-lint`
-# and `margins`, which also write fixtures), and compares each, byte
-# for byte, against crates/bench/fixtures/.
+# binaries `experiments`, `ablations` and `noc_curves`, and `sal-lint`,
+# `margins`, `compile`, `observability` and `recovery`, which also
+# write fixtures), and compares each, byte for byte, against
+# crates/bench/fixtures/.
 #
 # Runs the binaries of an existing release build (build it first:
 # `cargo build --release --workspace`) from a temporary directory, so
