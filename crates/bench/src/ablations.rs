@@ -22,30 +22,34 @@ pub struct EarlyAckRow {
     pub early_mflits: f64,
 }
 
-fn saturation(cfg: &LinkConfig) -> f64 {
+fn saturation(spec: &LinkSpec) -> f64 {
     // Overdrive with a 1 GHz switch clock; the link throttles to its
     // self-timed rate.
-    let fast = LinkConfig { clk_period: Time::from_ps(1000), ..cfg.clone() };
-    let spec = LinkSpec::from_config(LinkFamily::PerWord, &fast)
-        .expect("every ablation point is a valid spec");
+    let fast = LinkConfig { clk_period: Time::from_ps(1000), ..LinkConfig::default() };
     let words: Vec<u64> = (0..24).map(|i| (i * 0x0F1E_2D3C) & 0xFFFF_FFFF).collect();
-    let run = run_spec(&spec, &fast, &words, &MeasureOptions::default()).expect("clean run");
+    let run = run_spec(spec, &fast, &words, &MeasureOptions::default()).expect("clean run");
     assert_eq!(run.received.len(), words.len(), "saturation run incomplete");
     run.throughput_mflits()
+}
+
+/// The paper's I3 with `buffers` stations and the `style` receiver.
+fn i3(buffers: u32, style: WordRxStyle) -> LinkSpec {
+    LinkSpec::builder()
+        .family(LinkFamily::PerWord)
+        .buffer_depth(buffers)
+        .word_rx_style(style)
+        .build()
+        .expect("an unprotected I3 takes every receiver")
 }
 
 /// The paper's future-work claim, quantified: "further improvements to
 /// the upper bound throughput could be achieved by earlier
 /// acknowledging".
 pub fn early_ack() -> Vec<EarlyAckRow> {
-    parallel_map(vec![2u32, 4, 8], |buffers| {
-        let base = LinkConfig { buffers, ..LinkConfig::default() };
-        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base.clone() };
-        EarlyAckRow {
-            buffers,
-            baseline_mflits: saturation(&base),
-            early_mflits: saturation(&early),
-        }
+    parallel_map(vec![2u32, 4, 8], |buffers| EarlyAckRow {
+        buffers,
+        baseline_mflits: saturation(&i3(buffers, WordRxStyle::ShiftRegister)),
+        early_mflits: saturation(&i3(buffers, WordRxStyle::EarlyAck)),
     })
 }
 
@@ -72,7 +76,6 @@ pub fn slice_width() -> Vec<SliceRow> {
             .serial_ratio(ratio)
             .build()
             .expect("the ratio sweep stays inside the validated lattice");
-        let cfg = spec.apply(&LinkConfig::default());
         let power = run_spec(
             &spec,
             &LinkConfig::default(),
@@ -83,7 +86,7 @@ pub fn slice_width() -> Vec<SliceRow> {
         SliceRow {
             slice_width: spec.slice_width(),
             wires: spec.wires(),
-            saturation_mflits: saturation(&cfg),
+            saturation_mflits: saturation(&spec),
             power_uw: power,
         }
     })
@@ -106,10 +109,9 @@ pub struct RxStyleRow {
 /// time a slice of the flit arrives opposed to just one register".
 pub fn rx_style() -> Vec<RxStyleRow> {
     parallel_map(vec![WordRxStyle::ShiftRegister, WordRxStyle::Demux], |style| {
-        let cfg = LinkConfig { word_rx_style: style, ..LinkConfig::default() };
         let run = run_spec(
-            &LinkSpec::paper(LinkFamily::PerWord),
-            &cfg,
+            &i3(4, style),
+            &LinkConfig::default(),
             &worst_case_pattern(4, 32),
             &MeasureOptions::default(),
         ).expect("clean run");

@@ -17,14 +17,12 @@ use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 use sal_lint::{run_all, timing_margins, LintReport, Severity, TimingMargin};
 use sal_tech::St012Library;
 
-fn lint_corner(family: LinkFamily, cfg: &LinkConfig) -> (LintReport, Vec<TimingMargin>) {
+fn lint_corner(spec: &LinkSpec, base: &LinkConfig) -> (LintReport, Vec<TimingMargin>) {
     let mut sim = Simulator::new();
     let lib = St012Library::default();
     let mut b = CircuitBuilder::new(&mut sim, &lib);
-    let spec = LinkSpec::from_config(family, cfg)
-        .unwrap_or_else(|e| panic!("{} corner is not a valid spec: {e}", family.label()));
-    generate(&mut b, &spec, "link", cfg)
-        .unwrap_or_else(|e| panic!("{} failed to build: {e}", family.label()));
+    generate(&mut b, spec, "link", base)
+        .unwrap_or_else(|e| panic!("{} failed to build: {e}", spec.family().label()));
     b.finish();
     let graph = sim.netgraph();
     (run_all(&graph), timing_margins(&graph))
@@ -49,8 +47,8 @@ fn main() {
     j.key("corners").arr_block();
     let mut total_errors = 0usize;
     for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in lint_corners() {
-            let (report, margins) = lint_corner(family, &cfg);
+        for (label, spec, base) in lint_corners(family) {
+            let (report, margins) = lint_corner(&spec, &base);
             let errors = report.count(Severity::Error);
             let warnings = report.count(Severity::Warning);
             let infos = report.count(Severity::Info);

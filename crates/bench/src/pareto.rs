@@ -335,21 +335,38 @@ mod tests {
             write!(h, "{:?}{handles}{area:?}", sim.netgraph()).expect("hashing never fails");
         };
         let default = LinkConfig::default();
-        let demux = LinkConfig { word_rx_style: WordRxStyle::Demux, ..default.clone() };
-        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..default.clone() };
+        let receiving = |rx| {
+            move |s: &LinkSpec| {
+                LinkSpec::builder()
+                    .family(s.family())
+                    .word_width(s.word_width())
+                    .serial_ratio(s.serial_ratio())
+                    .buffer_depth(s.buffer_depth())
+                    .protection(s.protection())
+                    .word_rx_style(rx)
+                    .build()
+                    .expect("every I3 grid cell takes the receiver")
+            }
+        };
         let grid = full_grid();
         let i3 = |s: &&LinkSpec| s.family() == LinkFamily::PerWord;
         let unprotected = |s: &&LinkSpec| s.protection() == ProtectionMode::Off;
         let runs = grid
             .iter()
-            .map(|s| ("default", s, &default))
-            .chain(grid.iter().filter(i3).map(|s| ("demux", s, &demux)))
-            .chain(grid.iter().filter(i3).filter(unprotected).map(|s| ("early", s, &early)));
+            .map(|s| ("default", s.clone()))
+            .chain(grid.iter().filter(i3).map(receiving(WordRxStyle::Demux)).map(|s| ("demux", s)))
+            .chain(
+                grid.iter()
+                    .filter(i3)
+                    .filter(unprotected)
+                    .map(receiving(WordRxStyle::EarlyAck))
+                    .map(|s| ("early", s)),
+            );
         let mut built = 0;
-        for (rx, spec, base) in runs {
+        for (rx, spec) in runs {
             let group = format!("{rx} {} {}", spec.family().label(), spec.protection().label());
             digest(group, &|b| {
-                let h = generate(b, spec, "link", base).expect("grid specs are valid");
+                let h = generate(b, &spec, "link", &default).expect("grid specs are valid");
                 format!("{h:?}")
             });
             built += 1;

@@ -33,22 +33,31 @@ use sal_link::{LinkConfig, LinkFamily, LinkSpec, WordRxStyle};
 
 use crate::sweep;
 
-/// The configuration corners the robustness and power sweeps visit,
-/// labelled: `--bin sal-lint` lints every family at each, and the
-/// `lint_links` tests hold each to zero lint errors and positive
-/// static margins.
-pub fn lint_corners() -> Vec<(&'static str, LinkConfig)> {
+/// The corners the robustness and power sweeps visit, labelled, each
+/// a spec of `family` and the base it is built on: `--bin sal-lint`
+/// lints every family at each, and the `lint_links` tests hold each
+/// to zero lint errors and positive static margins. I1 and I2 build no
+/// word receiver, so their receiver corners build the default link.
+pub fn lint_corners(family: LinkFamily) -> Vec<(&'static str, LinkSpec, LinkConfig)> {
+    let spec = || LinkSpec::builder().family(family);
     let base = LinkConfig::default();
-    vec![
-        ("default", base.clone()),
-        ("buffers=2", LinkConfig { buffers: 2, ..base.clone() }),
-        ("buffers=8", LinkConfig { buffers: 8, ..base.clone() }),
-        ("slice=16", LinkConfig { slice_width: 16, ..base.clone() }),
-        ("slice=4", LinkConfig { slice_width: 4, ..base.clone() }),
-        ("clk=300MHz", LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() }),
-        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
-        ("early_ack", LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base }),
+    let fast = LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() };
+    [
+        ("default", spec(), base.clone()),
+        ("buffers=2", spec().buffer_depth(2), base.clone()),
+        ("buffers=8", spec().buffer_depth(8), base.clone()),
+        ("slice=16", spec().serial_ratio(2), base.clone()),
+        ("slice=4", spec().serial_ratio(8), base.clone()),
+        ("clk=300MHz", spec(), fast),
+        ("rx=demux", spec().word_rx_style(WordRxStyle::Demux), base.clone()),
+        ("early_ack", spec().word_rx_style(WordRxStyle::EarlyAck), base),
     ]
+    .into_iter()
+    .map(|(label, spec, base)| {
+        let spec = spec.build().unwrap_or_else(|e| panic!("{family} {label} corner: {e}"));
+        (label, spec, base)
+    })
+    .collect()
 }
 
 /// Delay-derating factors swept on the scale axis.

@@ -7,7 +7,7 @@
 use sal_bench::robustness::lint_corners;
 use sal_cells::CircuitBuilder;
 use sal_des::Simulator;
-use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, WordRxStyle};
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, SpecError, WordRxStyle};
 use sal_lint::{run_all, timing_margins, TimingMargin};
 use sal_tech::St012Library;
 
@@ -21,15 +21,15 @@ fn lint_spec(spec: &LinkSpec, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<Ti
     (run_all(&graph), timing_margins(&graph))
 }
 
-fn lint_of(family: LinkFamily, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<TimingMargin>) {
-    lint_spec(&LinkSpec::from_config(family, cfg).expect("corner configs are valid specs"), cfg)
+fn lint_paper(family: LinkFamily) -> (sal_lint::LintReport, Vec<TimingMargin>) {
+    lint_spec(&LinkSpec::paper(family), &LinkConfig::default())
 }
 
 #[test]
 fn clean_links_have_zero_lint_errors_across_corners() {
     for kind in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in lint_corners() {
-            let (report, _) = lint_of(kind, &cfg);
+        for (label, spec, base) in lint_corners(kind) {
+            let (report, _) = lint_spec(&spec, &base);
             assert!(
                 !report.has_errors(),
                 "{} @ {label}: expected zero lint errors, got:\n{}",
@@ -43,38 +43,31 @@ fn clean_links_have_zero_lint_errors_across_corners() {
 /// A port is a signal the link's environment drives; a wire the link
 /// drives itself is a net. A port with a driver inside the link hides
 /// that wire from the connectivity lint's undriven check, so no link
-/// may have one: every family × protection, with both I3 receiver
-/// styles, and early word acknowledge wherever it is allowed (all but
-/// a protected I3).
+/// may have one: every family × protection × receiver the builder
+/// accepts (all but a protected I3 with the early word acknowledge).
 #[test]
 fn links_drive_none_of_their_ports() {
-    let base = LinkConfig::default();
-    let cfgs = [
-        ("default", base.clone()),
-        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
-        ("early_ack", LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..base }),
-    ];
+    let receivers = [WordRxStyle::ShiftRegister, WordRxStyle::Demux, WordRxStyle::EarlyAck];
     for family in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
         for protection in [ProtectionMode::Off, ProtectionMode::Parity, ProtectionMode::Crc8] {
             if family == LinkFamily::Sync && protection != ProtectionMode::Off {
                 continue; // the synchronous link carries no protection
             }
-            let spec = LinkSpec::builder()
-                .family(family)
-                .protection(protection)
-                .build()
-                .expect("valid spec");
-            for (label, cfg) in &cfgs {
-                if family == LinkFamily::PerWord
-                    && cfg.word_rx_style == WordRxStyle::EarlyAck
-                    && protection != ProtectionMode::Off
+            for rx in receivers {
+                let spec = match LinkSpec::builder()
+                    .family(family)
+                    .protection(protection)
+                    .word_rx_style(rx)
+                    .build()
                 {
-                    continue;
-                }
+                    Err(SpecError::ProtectionWithEarlyAck) => continue,
+                    spec => spec.expect("valid spec"),
+                };
                 let mut sim = Simulator::new();
                 let lib = St012Library::default();
                 let mut b = CircuitBuilder::new(&mut sim, &lib);
-                generate(&mut b, &spec, "link", cfg).expect("link builds cleanly");
+                generate(&mut b, &spec, "link", &LinkConfig::default())
+                    .expect("link builds cleanly");
                 b.finish();
                 let graph = sim.netgraph();
                 let driven: Vec<&str> = graph
@@ -85,7 +78,7 @@ fn links_drive_none_of_their_ports() {
                     .collect();
                 assert!(
                     driven.is_empty(),
-                    "{} {} @ {label}: driven ports {driven:?}",
+                    "{} {} {rx:?}: driven ports {driven:?}",
                     family.label(),
                     protection.label()
                 );
@@ -97,8 +90,8 @@ fn links_drive_none_of_their_ports() {
 #[test]
 fn async_links_have_positive_static_margins() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in lint_corners() {
-            let (_, margins) = lint_of(kind, &cfg);
+        for (label, spec, base) in lint_corners(kind) {
+            let (_, margins) = lint_spec(&spec, &base);
             assert!(
                 !margins.is_empty(),
                 "{} @ {label}: bundled links must have constrained captures",
@@ -120,13 +113,12 @@ fn async_links_have_positive_static_margins() {
 /// Generated netlists must carry the spec's design point on their
 /// bundled-data launch points: every constrained capture of an async
 /// link reports the word width and serialization ratio it was
-/// generated under, across the corner configurations.
+/// generated under, across the lint corners.
 #[test]
 fn async_link_margins_carry_generator_params() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in lint_corners() {
-            let spec = LinkSpec::from_config(kind, &cfg).expect("corner configs are valid specs");
-            let (_, margins) = lint_of(kind, &cfg);
+        for (label, spec, base) in lint_corners(kind) {
+            let (_, margins) = lint_spec(&spec, &base);
             for m in &margins {
                 let p = m.params.unwrap_or_else(|| {
                     panic!(
@@ -168,7 +160,7 @@ fn protected_i2_strobe_margin_is_exact() {
 #[test]
 fn sync_link_is_statically_unconstrained() {
     // I1 has no bundled-data launch points: every capture is clocked.
-    let (_, margins) = lint_of(LinkFamily::Sync, &LinkConfig::default());
+    let (_, margins) = lint_paper(LinkFamily::Sync);
     assert!(
         margins.is_empty(),
         "I1 must have no bundled captures, got {}",
@@ -208,10 +200,9 @@ fn static_margins_reconcile_with_simulated_robustness() {
         .expect("data_skew_ps.first_failure parses");
     let [i1, i2, i3] = ff;
 
-    let cfg = LinkConfig::default();
-    let (_, m2) = lint_of(LinkFamily::PerTransfer, &cfg);
-    let (_, m3) = lint_of(LinkFamily::PerWord, &cfg);
-    let (_, m1) = lint_of(LinkFamily::Sync, &cfg);
+    let (_, m2) = lint_paper(LinkFamily::PerTransfer);
+    let (_, m3) = lint_paper(LinkFamily::PerWord);
+    let (_, m1) = lint_paper(LinkFamily::Sync);
 
     // Sign agreement: simulated-clean links have positive static
     // margins; the simulated first failure is a *positive* amount of

@@ -11,13 +11,10 @@ use crate::protect::{build_checker, build_protector};
 use crate::retry::build_retry;
 use crate::sa_interface::build_sa_interface;
 use crate::serializer::build_serializer;
-use crate::spec::LinkFamily;
+use crate::spec::{LinkFamily, LinkSpec, ProtectionMode};
 use crate::sync_link::build_sync_pipeline;
 use crate::wire_buffer::build_wire_buffer;
-use crate::{
-    build_word_deserializer, build_word_serializer, LinkConfig, ProtectionMode, RecoverySignals,
-    LENGTH_UM,
-};
+use crate::{build_word_deserializer, build_word_serializer, LinkConfig, RecoverySignals, LENGTH_UM};
 
 /// Everything the testbench and the measurement layer need to drive a
 /// built link.
@@ -49,8 +46,8 @@ pub struct LinkHandles {
     /// Estimated clock distribution length, µm.
     pub clock_tree_um: f64,
     /// Observability taps into the protection/recovery layer — `None`
-    /// for I1 and whenever [`LinkConfig::protection`] is off (the
-    /// layer is not built at all).
+    /// for I1 and whenever [`LinkSpec::protection`] is off (the layer
+    /// is not built at all).
     pub recovery: Option<RecoverySignals>,
 }
 
@@ -172,7 +169,8 @@ pub(crate) fn build_i1(
 
 /// Builds one of the paper's asynchronous serialized links, I2
 /// ([`LinkFamily::PerTransfer`]) or I3 ([`LinkFamily::PerWord`]), in
-/// scope `name`.
+/// scope `name`: the spec's family, protection and receiver over the
+/// merged config's geometry and clock.
 ///
 /// Both families share the end interfaces and everything around the
 /// serial core: the sync→async interface, the protection wrap (retry
@@ -186,9 +184,9 @@ pub(crate) fn build_i1(
 ///   with a slice acknowledge returned over every segment, and a
 ///   four-phase deserializer;
 /// - I3 (Figs 7–8): a source-synchronous burst serializer, data and
-///   valid wires through inverter-pair stations, the receiver `cfg`
-///   selects, and one repeated acknowledge wire that returns once per
-///   word.
+///   valid wires through inverter-pair stations, the receiver the
+///   spec selects, and one repeated acknowledge wire that returns once
+///   per word.
 ///
 /// Every four-phase req/ack pair along the link (for I3, only the
 /// word-level pairs at both interfaces; its burst has no per-slice
@@ -197,10 +195,11 @@ pub(crate) fn build_i1(
 /// naming the stage.
 pub(crate) fn build_serial(
     b: &mut CircuitBuilder<'_>,
-    family: LinkFamily,
+    spec: &LinkSpec,
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
+    let family = spec.family();
     let per_word = family == LinkFamily::PerWord;
     let seg = Segment::new(b, cfg);
     let stations = cfg.buffers as usize;
@@ -208,7 +207,7 @@ pub(crate) fn build_serial(
     // word/slice widths the (possibly widened) inner config names.
     // With protection off `icfg` equals `cfg` and no extra cell or
     // signal is built, keeping the netlist bit-identical to the seed.
-    let icfg = cfg.inner();
+    let icfg = spec.inner(cfg);
     let clk = b.clock(&format!("{name}_clk"), cfg.clk_period);
     let rstn = b.input(&format!("{name}_rstn"), 1);
     b.push_scope(name);
@@ -230,16 +229,17 @@ pub(crate) fn build_serial(
     // the word, and the core's reset is gated so a watchdog resync
     // can drain it. `wrap` keeps the controller and the NACK net its
     // backward wire lands on.
-    let (wrap, ser_din, ser_req, ser_ack, core_rstn) = if cfg.protection == ProtectionMode::Off {
-        (None, tx.dout, tx.reqout, ack_word_tx, rstn)
-    } else {
-        let nack_heard = b.net("nack_heard", 1);
-        let ack_core = b.net("ack_core", 1);
-        let rt = build_retry(b, "retry", tx.reqout, ack_core, nack_heard, rstn, per_word);
-        let (data, req) = build_protector(b, "prot", cfg, tx.dout, rt.req_down);
-        b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
-        let core_rstn = reset_gate(b, "resync_n", "core_rstn", rstn, rt.resync);
-        (Some((rt, nack_heard)), data, req, ack_core, core_rstn)
+    let (wrap, ser_din, ser_req, ser_ack, core_rstn) = match spec.protection() {
+        ProtectionMode::Off => (None, tx.dout, tx.reqout, ack_word_tx, rstn),
+        _ => {
+            let nack_heard = b.net("nack_heard", 1);
+            let ack_core = b.net("ack_core", 1);
+            let rt = build_retry(b, "retry", tx.reqout, ack_core, nack_heard, rstn, per_word);
+            let (data, req) = build_protector(b, "prot", spec, tx.dout, rt.req_down);
+            b.buf_into("ack_word_tx_drv", ack_word_tx, rt.ack_up);
+            let core_rstn = reset_gate(b, "resync_n", "core_rstn", rstn, rt.resync);
+            (Some((rt, nack_heard)), data, req, ack_core, core_rstn)
+        }
     };
 
     // The serializer: its word acknowledge, slice data and slice
@@ -309,7 +309,8 @@ pub(crate) fn build_serial(
     // segment, I3's over the repeated backward wire.
     let (des_dout, des_req) = match ack_back_heard {
         Some(heard) => {
-            let des = build_word_deserializer(b, "des", &icfg, d, s, des_ack, rx_rstn);
+            let style = spec.word_rx_style();
+            let des = build_word_deserializer(b, "des", &icfg, style, d, s, des_ack, rx_rstn);
             backward_wire(b, seg, "ab", des.ack_back, heard, stations, true);
             (des.dout, des.reqout)
         }
@@ -324,7 +325,7 @@ pub(crate) fn build_serial(
     // ones and launches the NACK back over its own wire (repeated
     // like I3's acknowledge).
     let chk = wrap.map(|(_, nack_heard)| {
-        let chk = build_checker(b, "chk", cfg, des_dout, des_req, ack_word_rx, rx_rstn);
+        let chk = build_checker(b, "chk", spec, des_dout, des_req, ack_word_rx, rx_rstn);
         b.buf_into("des_ack_drv", des_ack, chk.ack_down);
         backward_wire(b, seg, "n", chk.nack, nack_heard, stations, per_word);
         chk
@@ -365,14 +366,14 @@ pub(crate) fn build_serial(
     })
 }
 
-/// Builds a link of the given family in scope `name` — the assembly
+/// Builds the link `spec` describes in scope `name` — the assembly
 /// dispatcher behind [`generate`](crate::generate) and
-/// [`run_spec`](crate::run_spec). It trusts `cfg`: both callers pass a
-/// validated spec merged onto its base by `LinkSpec::build_config`,
-/// which holds the one rule the spec builder cannot see.
+/// [`run_spec`](crate::run_spec). The spec decides every design
+/// choice; `cfg`, the spec merged onto its base by
+/// [`LinkSpec::apply`], supplies geometry and the clock.
 pub(crate) fn build_family(
     b: &mut CircuitBuilder<'_>,
-    family: LinkFamily,
+    spec: &LinkSpec,
     name: &str,
     cfg: &LinkConfig,
 ) -> Result<LinkHandles, BuildError> {
@@ -385,9 +386,9 @@ pub(crate) fn build_family(
     // linted netlist replays bit-identically.
     #[cfg(debug_assertions)]
     let alone = b.sim().signal_count() == 0;
-    let handles = match family {
+    let handles = match spec.family() {
         LinkFamily::Sync => build_i1(b, name, cfg),
-        LinkFamily::PerTransfer | LinkFamily::PerWord => build_serial(b, family, name, cfg),
+        LinkFamily::PerTransfer | LinkFamily::PerWord => build_serial(b, spec, name, cfg),
     }?;
     #[cfg(debug_assertions)]
     if alone {

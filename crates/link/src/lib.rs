@@ -24,8 +24,9 @@
 //! Where the paper fixes each family at a 32-bit word and 4:1
 //! serialization ratio, this crate generates the whole design space:
 //! a declarative [`LinkSpec`] — family × word width × ratio × buffer
-//! depth × protection — is validated up front ([`SpecError`]) and
-//! compiled to a netlist by [`generate`], lint-clean by construction.
+//! depth × protection × I3 receiver — is validated up front
+//! ([`SpecError`]) and compiled to a netlist by [`generate`], lint-clean
+//! by construction.
 //! The paper's three links are just [`LinkSpec::paper`] points.
 //!
 //! Every block is built from `sal-cells` primitives through the
@@ -67,11 +68,13 @@ mod word_deserializer;
 mod word_serializer;
 
 pub use assembly::LinkHandles;
-pub use config::{LinkConfig, ProtectionMode, WordRxStyle, LENGTH_UM};
+pub use config::{LinkConfig, LENGTH_UM};
 pub use measure::{
     run_spec, BlockPower, LinkRun, MeasureOptions, RunFailure, TraceMode,
 };
-pub use spec::{generate, LinkFamily, LinkSpec, LinkSpecBuilder, SpecError};
+pub use spec::{
+    generate, LinkFamily, LinkSpec, LinkSpecBuilder, ProtectionMode, SpecError, WordRxStyle,
+};
 pub use metrics::{
     BlockAttribution, BurstStats, HandshakeStats, Histogram, InFlightDepth, LinkMetrics,
     Occupancy,

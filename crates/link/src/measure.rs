@@ -27,7 +27,7 @@ use crate::assembly::build_family;
 use crate::metrics::{self, LinkMetrics};
 use crate::retry::RecoverySignals;
 use crate::scoreboard::{check_integrity, IntegrityCounts, RecoveryCounts};
-use crate::spec::{LinkFamily, LinkSpec, SpecError};
+use crate::spec::{LinkFamily, LinkSpec};
 use crate::testbench::attach_link_testbench;
 use crate::LinkConfig;
 
@@ -179,12 +179,6 @@ impl MeasureOptions {
 /// Why a run did not produce a measurement.
 #[derive(Debug)]
 pub enum RunFailure {
-    /// The spec cannot be built over its base config
-    /// ([`SpecError::ProtectionWithEarlyAck`]), reported before
-    /// anything is built. Call sites that build the spec inline
-    /// propagate the builder's error here too; the [`SpecError`] is
-    /// the [`source`](std::error::Error::source).
-    Spec(SpecError),
     /// The netlist could not be constructed (double drivers…).
     Build(BuildError),
     /// The fault plan named a signal that does not exist.
@@ -217,7 +211,6 @@ pub enum RunFailure {
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunFailure::Spec(e) => write!(f, "invalid link spec: {e}"),
             RunFailure::Build(e) => write!(f, "netlist construction failed: {e}"),
             RunFailure::Fault(e) => write!(f, "fault plan rejected: {e}"),
             RunFailure::Deadlock { family, delivered, expected, at, diagnosis, recovery } => {
@@ -242,17 +235,10 @@ impl std::fmt::Display for RunFailure {
 impl std::error::Error for RunFailure {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RunFailure::Spec(e) => Some(e),
             RunFailure::Build(e) => Some(e),
             RunFailure::Fault(e) | RunFailure::Sim(e) => Some(e),
             RunFailure::Deadlock { .. } => None,
         }
-    }
-}
-
-impl From<SpecError> for RunFailure {
-    fn from(e: SpecError) -> Self {
-        RunFailure::Spec(e)
     }
 }
 
@@ -290,7 +276,7 @@ pub struct LinkRun {
     /// [`TraceDump::write_vcd`] or [`TraceDump::write_jsonl`].
     pub trace: Option<TraceDump>,
     /// Recovery-layer activity counters, populated whenever the link
-    /// was built with [`LinkConfig::protection`] enabled (`None`
+    /// was built with [`LinkSpec::protection`] enabled (`None`
     /// otherwise — no probes are attached to an unprotected link).
     pub recovery: Option<RecoveryCounts>,
     metrics: Option<LinkMetrics>,
@@ -434,13 +420,12 @@ impl RecoveryProbes {
 
 /// Runs `words` through a freshly generated link described by `spec`
 /// and measures power per the paper's protocol. The single entry
-/// point for link measurement: a spec its base cannot carry, build
-/// failures, bad fault plans and deadlocks all come back as a
-/// structured [`RunFailure`] — never a panic.
+/// point for link measurement: build failures, bad fault plans and
+/// deadlocks all come back as a structured [`RunFailure`] — never a
+/// panic.
 ///
-/// `base` supplies the parameters the spec does not name (clock
-/// period, receiver style); the spec decides word width,
-/// serialization ratio, buffer count and protection.
+/// `base` supplies the clock period, the one parameter the spec does
+/// not name; the spec decides every design choice of the link.
 ///
 /// ```
 /// use sal_link::{run_spec, LinkConfig, LinkFamily, LinkSpec, MeasureOptions};
@@ -457,10 +442,10 @@ pub fn run_spec(
     opts: &MeasureOptions,
 ) -> Result<LinkRun, RunFailure> {
     let family = spec.family();
-    let cfg = spec.build_config(base)?;
+    let cfg = spec.apply(base);
     let mut sim = Simulator::new();
     let mut builder = CircuitBuilder::new(&mut sim, &opts.lib);
-    let handles = build_family(&mut builder, family, "link", &cfg).map_err(RunFailure::Build)?;
+    let handles = build_family(&mut builder, spec, "link", &cfg).map_err(RunFailure::Build)?;
     let area = builder.finish();
     if let Some(plan) = &opts.fault_plan {
         sim.apply_fault_plan(plan).map_err(RunFailure::Fault)?;
@@ -606,7 +591,7 @@ pub fn run_spec(
 mod tests {
     use super::*;
     use crate::testbench::worst_case_pattern;
-    use crate::{LinkSpec, WordRxStyle};
+    use crate::LinkSpec;
 
     fn paper(family: LinkFamily) -> LinkSpec {
         LinkSpec::paper(family)
@@ -656,61 +641,6 @@ mod tests {
         assert!(run.area_um2() > 1000.0, "area {} implausibly small", run.area_um2());
     }
 
-    /// A CRC-8 I3 spec over a base that asks for the early word
-    /// acknowledge: the one rule the builder cannot see.
-    fn crc8_over_early_ack() -> Result<LinkRun, RunFailure> {
-        let spec = LinkSpec::builder()
-            .family(LinkFamily::PerWord)
-            .protection(crate::ProtectionMode::Crc8)
-            .build()
-            .expect("valid spec");
-        let base = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..Default::default() };
-        run_spec(&spec, &base, &[1], &MeasureOptions::default())
-    }
-
-    /// Only I3 builds a word receiver, so only a protected I3 spec
-    /// refuses the early-acknowledge base; a protected I2 spec ignores
-    /// the setting and builds the same netlist over either base.
-    #[test]
-    fn early_ack_is_refused_only_by_protected_i3() {
-        use crate::{generate, ProtectionMode};
-        let early = LinkConfig { word_rx_style: WordRxStyle::EarlyAck, ..Default::default() };
-        let netlist = |spec: &LinkSpec, base: &LinkConfig| -> Result<String, BuildError> {
-            let mut sim = Simulator::new();
-            let lib = St012Library::default();
-            let mut b = CircuitBuilder::new(&mut sim, &lib);
-            generate(&mut b, spec, "link", base)?;
-            b.finish();
-            Ok(format!("{:?}", sim.netgraph()))
-        };
-        for protection in [ProtectionMode::Parity, ProtectionMode::Crc8] {
-            let b = LinkSpec::builder().protection(protection);
-            let i2 = b.clone().family(LinkFamily::PerTransfer).build().expect("valid spec");
-            let over_early = netlist(&i2, &early).expect("I2 ignores the receiver style");
-            let over_default = netlist(&i2, &LinkConfig::default()).expect("I2 builds");
-            assert!(over_early == over_default, "I2 {protection:?}: the netlists differ");
-            let i3 = b.family(LinkFamily::PerWord).build().expect("valid spec");
-            let err = netlist(&i3, &early).expect_err("I3 refuses");
-            assert_eq!(err, SpecError::ProtectionWithEarlyAck.into(), "I3 {protection:?}");
-            let err = run_spec(&i3, &early, &[1], &MeasureOptions::default())
-                .expect_err("I3 refuses");
-            assert!(matches!(err, RunFailure::Spec(SpecError::ProtectionWithEarlyAck)));
-        }
-    }
-
-    #[test]
-    fn bad_spec_is_a_spec_error_with_a_source() {
-        use std::error::Error as _;
-        let err: RunFailure = crate::LinkSpec::builder()
-            .word_width(65)
-            .build()
-            .map_err(RunFailure::from)
-            .expect_err("invalid spec");
-        assert!(matches!(err, RunFailure::Spec(SpecError::WordWidth { width: 65 })));
-        let src = err.source().expect("Spec failures chain to the typed SpecError");
-        assert!(src.downcast_ref::<SpecError>().is_some());
-    }
-
     #[test]
     fn traced_run_retains_a_dump() {
         let cfg = LinkConfig::default();
@@ -741,10 +671,6 @@ mod tests {
     #[test]
     fn run_failures_chain_their_sources() {
         use std::error::Error as _;
-        let err = crc8_over_early_ack().expect_err("misconfigured");
-        let src = err.source().expect("Spec failures chain to the typed SpecError");
-        assert_eq!(src.downcast_ref::<SpecError>(), Some(&SpecError::ProtectionWithEarlyAck));
-        assert!(src.source().is_none(), "SpecError is the end of the chain");
         // A fault plan naming a bogus signal chains to the kernel error.
         let opts = MeasureOptions::default().with_fault_plan(sal_des::FaultPlan::new(1).glitch(
             "link.no_such_signal",

@@ -29,7 +29,7 @@
 use sal_cells::CircuitBuilder;
 use sal_des::SignalId;
 
-use crate::{LinkConfig, ProtectionMode};
+use crate::{LinkSpec, ProtectionMode};
 
 /// Receive-side ports of the protection checker.
 #[derive(Debug, Clone, Copy)]
@@ -110,29 +110,29 @@ fn bit_slices(
 /// The check trees both sides compute over the message bits of `din`,
 /// in one construction order. Parity: per slice `i` (at bit
 /// `i * stride`), its data view `s{i}`, bit views `s{i}b*` and parity
-/// tree `p{i}`. CRC-8: the bit views `d*` of the `flit_width`-bit
+/// tree `p{i}`. CRC-8: the bit views `d*` of the `word_width`-bit
 /// message and the trees `c0` … `c7`, one per check bit. `each(b, j,
 /// tree)` runs right after tree `j` is built. Returns the parity data
 /// views (none for CRC-8).
 fn check_trees(
     b: &mut CircuitBuilder<'_>,
-    cfg: &LinkConfig,
+    spec: &LinkSpec,
     din: SignalId,
     stride: u8,
     mut each: impl FnMut(&mut CircuitBuilder<'_>, u8, SignalId),
 ) -> Vec<SignalId> {
-    let n = cfg.slice_width;
+    let n = spec.slice_width();
     let mut data = Vec::new();
-    if cfg.protection == ProtectionMode::Parity {
-        for i in 0..cfg.slices() as u8 {
+    if spec.protection() == ProtectionMode::Parity {
+        for i in 0..spec.serial_ratio() {
             data.push(b.slice(&format!("s{i}"), din, i * stride, n));
             let bits = bit_slices(b, &format!("s{i}b"), din, i * stride, n);
             let parity = b.xor_tree(&format!("p{i}"), &bits);
             each(b, i, parity);
         }
     } else {
-        let bits = bit_slices(b, "d", din, 0, cfg.flit_width);
-        for (j, mask) in (0u8..).zip(crc8_masks(cfg.flit_width)) {
+        let bits = bit_slices(b, "d", din, 0, spec.word_width());
+        for (j, mask) in (0u8..).zip(crc8_masks(spec.word_width())) {
             let sel: Vec<SignalId> = bits
                 .iter()
                 .enumerate()
@@ -148,31 +148,31 @@ fn check_trees(
 
 /// Worst-case settle depth of the check logic in gate levels, used to
 /// match the request delay against the data cone on both sides.
-fn check_depth(cfg: &LinkConfig) -> usize {
-    if cfg.protection == ProtectionMode::Parity {
+fn check_depth(spec: &LinkSpec) -> usize {
+    if spec.protection() == ProtectionMode::Parity {
         // parity tree + compare + error OR tree
-        tree_depth(cfg.slice_width as usize) + 1 + tree_depth(cfg.slices())
+        tree_depth(spec.slice_width().into()) + 1 + tree_depth(spec.serial_ratio().into())
     } else {
-        tree_depth(cfg.flit_width as usize) + 1 + tree_depth(8)
+        tree_depth(spec.word_width().into()) + 1 + tree_depth(8)
     }
 }
 
 /// Builds the transmit-side check-bit generator in scope `name`:
-/// widens the `flit_width`-bit `din` to the protected word and delays
+/// widens the `word_width`-bit `din` to the protected word and delays
 /// `reqin` by a matched buffer chain covering the XOR-tree settle
 /// time, preserving the bundled-data constraint into the serializer.
 /// Returns `(protected word, matched request)`.
 pub(crate) fn build_protector(
     b: &mut CircuitBuilder<'_>,
     name: &str,
-    cfg: &LinkConfig,
+    spec: &LinkSpec,
     din: SignalId,
     reqin: SignalId,
 ) -> (SignalId, SignalId) {
     b.push_scope(name);
     let mut checks = Vec::new();
-    let data = check_trees(b, cfg, din, cfg.slice_width, |_, _, tree| checks.push(tree));
-    let dout = if cfg.protection == ProtectionMode::Parity {
+    let data = check_trees(b, spec, din, spec.slice_width(), |_, _, tree| checks.push(tree));
+    let dout = if spec.protection() == ProtectionMode::Parity {
         // Interleave: protected slice i = [data slice i, parity_i].
         let parts: Vec<SignalId> =
             data.into_iter().zip(checks).flat_map(|(d, p)| [d, p]).collect();
@@ -184,15 +184,15 @@ pub(crate) fn build_protector(
     };
     // Matched request delay: XOR trees are one gate per level; one
     // extra buffer restores the margin the serializer was sized for.
-    let req = b.buf_chain("req_m", reqin, check_depth(cfg) + 1);
+    let req = b.buf_chain("req_m", reqin, check_depth(spec) + 1);
     b.pop_scope();
     (dout, req)
 }
 
 /// Gate levels the checker needs after the deserializer presents a
 /// word before `err` is trustworthy (check logic + decision gating).
-fn checker_req_delay(cfg: &LinkConfig) -> usize {
-    check_depth(cfg) + 2
+fn checker_req_delay(spec: &LinkSpec) -> usize {
+    check_depth(spec) + 2
 }
 
 /// Width of the self-clearing NACK pulse in buffer delays. Long
@@ -210,21 +210,21 @@ const NACK_PULSE_BUFS: usize = 16;
 pub(crate) fn build_checker(
     b: &mut CircuitBuilder<'_>,
     name: &str,
-    cfg: &LinkConfig,
+    spec: &LinkSpec,
     din: SignalId,
     reqin: SignalId,
     ack_up: SignalId,
     rstn: SignalId,
 ) -> CheckerPorts {
-    let n = cfg.slice_width;
+    let (m, n) = (spec.word_width(), spec.slice_width());
     b.push_scope(name);
     // Each recomputed check bit is compared with the one received: a
     // parity bit trails its slice, the CRC byte the word.
-    let crc = cfg.protection == ProtectionMode::Crc8;
-    let data = crc.then(|| b.slice("data", din, 0, cfg.flit_width));
+    let crc = spec.protection() == ProtectionMode::Crc8;
+    let data = crc.then(|| b.slice("data", din, 0, m));
     let mut mismatches = Vec::new();
-    let slices = check_trees(b, cfg, din, n + 1, |b, j, recomputed| {
-        let (label, at) = if crc { ("rc", cfg.flit_width + j) } else { ("rp", j * (n + 1) + n) };
+    let slices = check_trees(b, spec, din, n + 1, |b, j, recomputed| {
+        let (label, at) = if crc { ("rc", m + j) } else { ("rp", j * (n + 1) + n) };
         let received = b.slice(&format!("{label}{j}"), din, at, 1);
         mismatches.push(b.xor2(&format!("m{j}"), recomputed, received));
     });
@@ -242,7 +242,7 @@ pub(crate) fn build_checker(
     // spurious `req_good` (the interface latches garbage) or a good
     // word fire a spurious NACK. The and-gate answers the withdrawal
     // in one gate delay; the check trees need several to move.
-    let req_d0 = b.buf_chain("req_d", reqin, checker_req_delay(cfg));
+    let req_d0 = b.buf_chain("req_d", reqin, checker_req_delay(spec));
     let req_d = b.and2("req_live", req_d0, reqin);
     let err_n = b.inv("err_n", err);
     let reqout = b.and2("req_good", req_d, err_n);
@@ -289,35 +289,39 @@ mod tests {
         }
     }
 
-    fn protect_value(cfg: &LinkConfig, word: u64) -> u64 {
+    fn paper_i2(protection: ProtectionMode) -> LinkSpec {
+        LinkSpec::builder().protection(protection).build().expect("valid spec")
+    }
+
+    fn protect_value(spec: &LinkSpec, word: u64) -> u64 {
         let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
-        let din = b.input("din", cfg.flit_width);
+        let din = b.input("din", spec.word_width());
         let req = b.input("req", 1);
-        let (dout, _req_m) = build_protector(&mut b, "prot", cfg, din, req);
+        let (dout, _req_m) = build_protector(&mut b, "prot", spec, din, req);
         b.finish();
-        sim.stimulus(din, &[(Time::ZERO, Value::from_u64(cfg.flit_width, word))]);
+        sim.stimulus(din, &[(Time::ZERO, Value::from_u64(spec.word_width(), word))]);
         sim.stimulus(req, &[(Time::ZERO, Value::zero(1))]);
         sim.run_until(Time::from_ns(2)).unwrap();
         sim.value(dout).to_u64().expect("protected word fully driven")
     }
 
-    fn check_value(cfg: &LinkConfig, protected: u64) -> (u64, bool) {
+    fn check_value(spec: &LinkSpec, protected: u64) -> (u64, bool) {
         let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
         let rstn = b.input("rstn", 1);
-        let din = b.input("din", cfg.protected_width());
+        let din = b.input("din", spec.protected_width());
         let req = b.input("req", 1);
         let ack_up = b.input("ack_up", 1);
-        let ports = build_checker(&mut b, "chk", cfg, din, req, ack_up, rstn);
+        let ports = build_checker(&mut b, "chk", spec, din, req, ack_up, rstn);
         // The guard cells want their inputs resolved.
         b.finish();
         sim.stimulus(rstn, &[(Time::ZERO, Value::zero(1)), (Time::from_ps(100), Value::one(1))]);
         sim.stimulus(
             din,
-            &[(Time::ZERO, Value::from_u64(cfg.protected_width(), protected))],
+            &[(Time::ZERO, Value::from_u64(spec.protected_width(), protected))],
         );
         sim.stimulus(req, &[(Time::ZERO, Value::zero(1))]);
         sim.stimulus(ack_up, &[(Time::ZERO, Value::zero(1))]);
@@ -331,10 +335,10 @@ mod tests {
 
     #[test]
     fn parity_round_trip_is_clean_and_flips_are_caught() {
-        let cfg = LinkConfig { protection: ProtectionMode::Parity, ..LinkConfig::default() };
+        let spec = paper_i2(ProtectionMode::Parity);
         for word in [0u64, 0xFFFF_FFFF, 0xA5A5_5A5A, 0x0000_0001] {
-            let protected = protect_value(&cfg, word);
-            let (data, _) = check_value(&cfg, protected);
+            let protected = protect_value(&spec, word);
+            let (data, _) = check_value(&spec, protected);
             assert_eq!(data, word, "clean round trip");
             // Software cross-check of the layout: every 9-bit slice
             // carries even total parity.
@@ -347,12 +351,12 @@ mod tests {
 
     #[test]
     fn crc_round_trip_matches_software_reference() {
-        let cfg = LinkConfig { protection: ProtectionMode::Crc8, ..LinkConfig::default() };
+        let spec = paper_i2(ProtectionMode::Crc8);
         for word in [0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-            let protected = protect_value(&cfg, word);
+            let protected = protect_value(&spec, word);
             assert_eq!(protected & 0xFFFF_FFFF, word);
             assert_eq!((protected >> 32) as u8, crc8_of(word, 32), "gate CRC == software CRC");
-            let (data, _) = check_value(&cfg, protected);
+            let (data, _) = check_value(&spec, protected);
             assert_eq!(data, word);
         }
     }

@@ -52,7 +52,7 @@ impl std::fmt::Display for IntegrityCounts {
 }
 
 /// Counters from the protection/recovery layer's observability taps,
-/// collected per run when [`LinkConfig::protection`] is enabled (see
+/// collected per run when [`LinkSpec::protection`] is enabled (see
 /// [`LinkRun::recovery`]).
 ///
 /// These complete the scoreboard's NACK accounting: a word the
@@ -61,7 +61,7 @@ impl std::fmt::Display for IntegrityCounts {
 /// a retransmission got it through, `lost` if the transmitter gave
 /// up, never silently `corrupted` while detection holds.
 ///
-/// [`LinkConfig::protection`]: crate::LinkConfig::protection
+/// [`LinkSpec::protection`]: crate::LinkSpec::protection
 /// [`LinkRun::recovery`]: crate::LinkRun::recovery
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounts {

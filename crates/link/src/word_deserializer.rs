@@ -51,8 +51,8 @@ fn ack_one_shot(b: &mut CircuitBuilder<'_>, name: &str, ackin: SignalId) -> Sign
     b.and2(name, ackin, nack_d)
 }
 
-/// Builds the word-level deserializer of style `cfg.word_rx_style` in
-/// scope `name`.
+/// Builds the word-level deserializer of style `style` in scope
+/// `name`, over the word and slice widths of `cfg`.
 ///
 /// * `din`/`valid` — slice data and strobe from the wire.
 /// * `ackin` — word acknowledge from the async→sync interface.
@@ -67,13 +67,13 @@ pub fn build_word_deserializer(
     b: &mut CircuitBuilder<'_>,
     name: &str,
     cfg: &LinkConfig,
+    style: WordRxStyle,
     din: SignalId,
     valid: SignalId,
     ackin: SignalId,
     rstn: SignalId,
 ) -> WordDeserializerPorts {
     let k = cfg.slices();
-    let style = cfg.word_rx_style;
     let early = style == WordRxStyle::EarlyAck;
     b.push_scope(name);
 
@@ -176,13 +176,19 @@ mod tests {
     use super::*;
     use crate::testbench::{attach_consumer, attach_producer, HsConsumer, HsProducer};
     use crate::word_serializer::build_word_serializer;
+    use crate::WordRxStyle::{Demux, EarlyAck, ShiftRegister};
     use sal_des::{Simulator, Time};
     use sal_tech::St012Library;
 
-    /// Word serializer wired straight into the word receiver `cfg`
-    /// selects, with a handshake consumer standing in for the
+    /// Word serializer wired straight into the word receiver of
+    /// `style`, with a handshake consumer standing in for the
     /// async→sync interface.
-    fn round_trip(cfg: &LinkConfig, words: Vec<u64>, ack_delay: Time) -> Vec<u64> {
+    fn round_trip(
+        cfg: &LinkConfig,
+        style: WordRxStyle,
+        words: Vec<u64>,
+        ack_delay: Time,
+    ) -> Vec<u64> {
         let mut sim = Simulator::new();
         let lib = St012Library::default();
         let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -192,7 +198,8 @@ mod tests {
         let ack_back_wire = b.net("ack_back", 1);
         let ser = build_word_serializer(&mut b, "wser", cfg, din, reqin, ack_back_wire, rstn);
         let ackin = b.input("ackin", 1);
-        let des = build_word_deserializer(&mut b, "wdes", cfg, ser.dout, ser.valid, ackin, rstn);
+        let des =
+            build_word_deserializer(&mut b, "wdes", cfg, style, ser.dout, ser.valid, ackin, rstn);
         b.buf_into("ab_loop", ack_back_wire, des.ack_back);
         b.finish();
         sim.stimulus(
@@ -209,15 +216,11 @@ mod tests {
         got
     }
 
-    fn styled(word_rx_style: WordRxStyle) -> LinkConfig {
-        LinkConfig { word_rx_style, ..LinkConfig::default() }
-    }
-
     #[test]
     fn word_round_trip_worst_case() {
         let cfg = LinkConfig::default();
         let words = crate::testbench::worst_case_pattern(4, 32);
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
+        assert_eq!(round_trip(&cfg, ShiftRegister, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
@@ -225,51 +228,51 @@ mod tests {
         let cfg = LinkConfig::default();
         let words: Vec<u64> =
             (0..24).map(|i| (0x0F0F_0F0Fu64.wrapping_add(i * 0x0101_0101)) & 0xFFFF_FFFF).collect();
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
+        assert_eq!(round_trip(&cfg, ShiftRegister, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn slow_interface_throttles_words() {
         let cfg = LinkConfig::default();
         let words = vec![0x1111_2222, 0x3333_4444, 0x5555_6666];
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ns(15)), words);
+        assert_eq!(round_trip(&cfg, ShiftRegister, words.clone(), Time::from_ns(15)), words);
     }
 
     #[test]
     fn two_slice_words() {
         let cfg = LinkConfig { slice_width: 16, ..LinkConfig::default() };
         let words = vec![0xFACE_B00C, 0x0BAD_F00D];
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
+        assert_eq!(round_trip(&cfg, ShiftRegister, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn demux_receiver_round_trip() {
-        let cfg = styled(WordRxStyle::Demux);
+        let cfg = LinkConfig::default();
         let words = crate::testbench::worst_case_pattern(6, 32);
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
+        assert_eq!(round_trip(&cfg, Demux, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn demux_receiver_tolerates_slow_interface() {
-        let cfg = styled(WordRxStyle::Demux);
+        let cfg = LinkConfig::default();
         let words = vec![0x0102_0304, 0x0506_0708, 0x090A_0B0C];
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ns(12)), words);
+        assert_eq!(round_trip(&cfg, Demux, words.clone(), Time::from_ns(12)), words);
     }
 
     #[test]
     fn early_ack_receiver_round_trip() {
-        let cfg = styled(WordRxStyle::EarlyAck);
+        let cfg = LinkConfig::default();
         let words = crate::testbench::worst_case_pattern(6, 32);
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ps(60)), words);
+        assert_eq!(round_trip(&cfg, EarlyAck, words.clone(), Time::from_ps(60)), words);
     }
 
     #[test]
     fn early_ack_receiver_backpressures_on_full_holding_register() {
         // A very slow interface: the holding register stays full, the
         // copy waits, the acknowledge is withheld, nothing is lost.
-        let cfg = styled(WordRxStyle::EarlyAck);
+        let cfg = LinkConfig::default();
         let words: Vec<u64> = (1..=5).map(|i| i * 0x1111_1111).collect();
-        assert_eq!(round_trip(&cfg, words.clone(), Time::from_ns(20)), words);
+        assert_eq!(round_trip(&cfg, EarlyAck, words.clone(), Time::from_ns(20)), words);
     }
 
     #[test]
@@ -277,8 +280,8 @@ mod tests {
         // Measure the spacing between word requests at the receiver:
         // with early acknowledgement the next burst overlaps the
         // interface handoff, so words arrive closer together.
-        let spacing = |style: WordRxStyle| -> f64 {
-            let cfg = styled(style);
+        let spacing = |style| -> f64 {
+            let cfg = LinkConfig::default();
             let mut sim = Simulator::new();
             let lib = St012Library::default();
             let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -290,7 +293,7 @@ mod tests {
                 build_word_serializer(&mut b, "wser", &cfg, din, reqin, ack_back_wire, rstn);
             let ackin = b.input("ackin", 1);
             let des =
-                build_word_deserializer(&mut b, "wdes", &cfg, ser.dout, ser.valid, ackin, rstn);
+                build_word_deserializer(&mut b, "wdes", &cfg, style, ser.dout, ser.valid, ackin, rstn);
             b.buf_into("ab_loop", ack_back_wire, des.ack_back);
             b.finish();
             sim.stimulus(
@@ -312,8 +315,8 @@ mod tests {
             let t1 = log[n - 1].0;
             (t1 - t0).as_ns() / (n - 2) as f64
         };
-        let base = spacing(WordRxStyle::ShiftRegister);
-        let early = spacing(WordRxStyle::EarlyAck);
+        let base = spacing(ShiftRegister);
+        let early = spacing(EarlyAck);
         assert!(
             early < base * 0.9,
             "early ack should shorten the word cycle: {early:.2} vs {base:.2} ns"

@@ -11,22 +11,21 @@ use sal_des::{FaultPlan, Time};
 use sal_link::measure::{run_spec, LinkRun, MeasureOptions, RunFailure};
 use sal_link::testbench::worst_case_pattern;
 use sal_link::{LinkConfig, LinkFamily, LinkSpec, ProtectionMode};
-/// Spec-based twin of the old `run_link(kind, cfg, ...)` entry point:
-/// derives the exact [`LinkSpec`] for `cfg` and measures through the
-/// declarative path (identity for every config these tests use).
+
+/// Measures the paper point of `family` with `protection` over the
+/// default base.
 fn run_link(
     family: LinkFamily,
-    cfg: &LinkConfig,
+    protection: ProtectionMode,
     words: &[u64],
     opts: &MeasureOptions,
 ) -> Result<LinkRun, RunFailure> {
-    let spec = LinkSpec::from_config(family, cfg).expect("test configs are valid specs");
-    run_spec(&spec, cfg, words, opts)
-}
-
-
-fn protected(protection: ProtectionMode) -> LinkConfig {
-    LinkConfig { protection, ..LinkConfig::default() }
+    let spec = LinkSpec::builder()
+        .family(family)
+        .protection(protection)
+        .build()
+        .expect("the paper points take every protection");
+    run_spec(&spec, &LinkConfig::default(), words, opts)
 }
 
 fn opts_with(plan: FaultPlan) -> MeasureOptions {
@@ -64,7 +63,7 @@ fn crc_protected_i2_recovers_from_data_glitches() {
     let words = worst_case_pattern(8, 32);
     let r = run_link(
         LinkFamily::PerTransfer,
-        &protected(ProtectionMode::Crc8),
+        ProtectionMode::Crc8,
         &words,
         &opts_with(data_glitch_storm("link.wire.seg_d2")),
     )
@@ -83,7 +82,7 @@ fn crc_protected_i3_recovers_from_data_glitches() {
     let words = worst_case_pattern(8, 32);
     let r = run_link(
         LinkFamily::PerWord,
-        &protected(ProtectionMode::Crc8),
+        ProtectionMode::Crc8,
         &words,
         &opts_with(data_glitch_storm("link.wire.seg_d2")),
     )
@@ -112,7 +111,7 @@ fn parity_protected_i2_recovers_from_data_glitches() {
             0x08,
         );
     }
-    let r = run_link(LinkFamily::PerTransfer, &protected(ProtectionMode::Parity), &words, &opts_with(plan))
+    let r = run_link(LinkFamily::PerTransfer, ProtectionMode::Parity, &words, &opts_with(plan))
         .expect("parity-protected link must survive single-bit glitches");
     assert!(r.integrity.is_clean(), "{}", r.integrity);
     let rec = r.recovery.expect("protected run reports recovery counts");
@@ -127,7 +126,7 @@ fn unprotected_link_corrupts_under_the_same_storm() {
     let words = worst_case_pattern(8, 32);
     match run_link(
         LinkFamily::PerTransfer,
-        &LinkConfig::default(),
+        ProtectionMode::Off,
         &words,
         &opts_with(data_glitch_storm("link.wire.seg_d2")),
     ) {
@@ -158,7 +157,7 @@ fn i3_spurious_strobe_heals_by_plain_retry() {
     // retransmission is enough; no resync, no degrade.
     let words = worst_case_pattern(8, 32);
     let plan = FaultPlan::new(9).glitch("link.wire.seg_v2", Time::from_ns(42), Time::from_ps(400), 1);
-    let r = run_link(LinkFamily::PerWord, &protected(ProtectionMode::Crc8), &words, &opts_with(plan))
+    let r = run_link(LinkFamily::PerWord, ProtectionMode::Crc8, &words, &opts_with(plan))
         .expect("a single spurious strobe is healed by retransmission");
     assert!(r.integrity.is_clean(), "all words must still arrive intact: {}", r.integrity);
     let rec = r.recovery.expect("protected run reports recovery counts");
@@ -186,7 +185,7 @@ fn i3_swallowed_strobe_forces_a_resync() {
         Time::from_ps(600),
         1,
     );
-    let r = run_link(LinkFamily::PerWord, &protected(ProtectionMode::Crc8), &words, &opts_with(plan))
+    let r = run_link(LinkFamily::PerWord, ProtectionMode::Crc8, &words, &opts_with(plan))
         .expect("the resync must realign the link and let the run finish");
     assert!(r.integrity.is_clean(), "all words must still arrive intact: {}", r.integrity);
     let rec = r.recovery.expect("protected run reports recovery counts");
@@ -219,7 +218,7 @@ proptest! {
             Time::from_ps(width_ps),
             1u64 << bit,
         );
-        let r = run_link(LinkFamily::PerWord, &protected(ProtectionMode::Crc8), &words, &opts_with(plan));
+        let r = run_link(LinkFamily::PerWord, ProtectionMode::Crc8, &words, &opts_with(plan));
         match r {
             Ok(r) => {
                 prop_assert!(

@@ -38,10 +38,11 @@ impl LinkModel {
         }
     }
 
-    /// A serialized asynchronous link (I2 or I3): constant `n + 2`
-    /// wires; bandwidth capped by the self-timed upper bound from the
-    /// paper's §V delay equations; latency covers the clock-domain
-    /// crossings plus the serial transfer time.
+    /// A serialized asynchronous link (I2 or I3), unprotected:
+    /// constant `n + 2` wires (slice data, request/valid and
+    /// acknowledge); bandwidth capped by the self-timed upper bound
+    /// from the paper's §V delay equations; latency covers the
+    /// clock-domain crossings plus the serial transfer time.
     pub fn from_async(family: LinkFamily, cfg: &LinkConfig) -> Self {
         let ub_mflits = match family {
             LinkFamily::PerTransfer => per_transfer_defaults(cfg)
@@ -58,7 +59,7 @@ impl LinkModel {
             // plus the serialized flight time.
             latency_cycles: 4 + serial_cycles,
             flits_per_cycle: (ub_mflits / clk_mhz).min(1.0),
-            wires: cfg.wires_async(),
+            wires: u32::from(cfg.slice_width) + 2,
         }
     }
 

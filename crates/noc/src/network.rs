@@ -878,9 +878,7 @@ impl Fabric {
         // Open the reconfiguration window (the table itself was
         // rebuilt above, before the routability sweep).
         stats.reconfig_epochs += 1;
-        if self.cfg.routing.is_adaptive() {
-            self.inject_frozen_until = self.cycle + RECONFIG_PAUSE;
-        }
+        self.inject_frozen_until = self.cycle + RECONFIG_PAUSE;
     }
 
     /// Advances one cycle, `traffic` injecting. Returns whether the

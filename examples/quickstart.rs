@@ -52,7 +52,7 @@ fn main() {
     println!(
         "\nEvery flit arrived bit-exact over all three links; the serialized\n\
          links used {} wires instead of {} (the paper's 75% reduction).",
-        cfg.wires_async(),
-        cfg.wires_sync()
+        LinkSpec::paper(LinkFamily::PerTransfer).wires(),
+        LinkSpec::paper(LinkFamily::Sync).wires()
     );
 }

@@ -14,11 +14,14 @@ use sal::des::{MemoryTrace, Simulator, Time, TraceDump, Value};
 use sal::link::testbench::{
     attach_consumer, attach_producer, HsConsumer, HsProducer,
 };
-use sal::link::{build_word_deserializer, build_word_serializer, LinkConfig};
+use sal::link::{build_word_deserializer, build_word_serializer, LinkConfig, LinkFamily, LinkSpec};
 use sal::tech::St012Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = LinkConfig::default();
+    // The paper's I3: its spec names the receiver, the merged config
+    // the word and slice widths.
+    let spec = LinkSpec::paper(LinkFamily::PerWord);
+    let cfg = spec.apply(&LinkConfig::default());
     let mut sim = Simulator::new();
     let lib = St012Library::default();
     let mut b = CircuitBuilder::new(&mut sim, &lib);
@@ -29,7 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ack_back = b.net("ack_back", 1);
     let ser = build_word_serializer(&mut b, "wser", &cfg, din, reqin, ack_back, rstn);
     let ackin = b.input("ackin", 1);
-    let des = build_word_deserializer(&mut b, "wdes", &cfg, ser.dout, ser.valid, ackin, rstn);
+    let style = spec.word_rx_style();
+    let des = build_word_deserializer(&mut b, "wdes", &cfg, style, ser.dout, ser.valid, ackin, rstn);
     b.buf_into("ab_loop", ack_back, des.ack_back);
     b.finish();
 
